@@ -114,10 +114,10 @@ def test_perfdmf_roundtrip_throughput(benchmark):
 def test_trial_replace_throughput(benchmark):
     """Delete + reinsert of a stored trial — the regression gate's hot path.
 
-    Exercises the cascade deletes over the value/callcount fact tables that
-    the covering child-key indexes (idx_value_event, idx_value_thread,
-    idx_callcount_thread) exist for; without them each cascade is a full
-    fact-table scan per deleted parent row.
+    The delete cascades from the trial row to its metric rows (which hold
+    the value blobs) and its event and thread rows, each found through
+    that table's ``UNIQUE (trial_id, ...)`` index; the insert writes one
+    row per metric, event and thread.
     """
     trial = big_trial(n_events=40, n_threads=32)
     with PerfDMF() as db:

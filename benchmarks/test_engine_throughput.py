@@ -12,6 +12,10 @@ shipped before the indexed/columnar kernels:
 * **million-event replay** — ``replay_trace`` over a ~1M-event trace,
   columnar kernel vs the event-by-event reference replay.
 
+A third case times the stored path at the same 10k-rank scale: save →
+load → diagnose through a file-backed PerfDMF, whose blob layout must hand
+back bitwise-equal arrays.
+
 Both tests assert the ≥10× speedup AND that the fast path is
 observationally identical to the slow one (same firing trace and output;
 bitwise-equal profile arrays and clocks).  Speedups land in the
@@ -28,7 +32,7 @@ from repro.core.operations.tracing import _replay_eventwise, replay_trace
 from repro.knowledge.rulebase import diagnose_load_balance, openuh_rules
 from repro.machine import CounterVector, uniform_machine
 from repro.machine import counters as C
-from repro.perfdmf import TrialBuilder
+from repro.perfdmf import PerfDMF, TrialBuilder
 from repro.runtime.tau import Profiler
 from repro.runtime.trace import EventTrace
 
@@ -117,6 +121,39 @@ def test_indexed_diagnose_throughput(benchmark):
     )
     assert speedup >= SPEEDUP_TARGET, (
         f"indexed diagnose only {speedup:.1f}x over naive matching"
+    )
+
+
+# -- 10k-rank save -> load -> diagnose ---------------------------------------
+
+def test_stored_10k_rank_diagnose(benchmark, tmp_path):
+    """The end-to-end stored path at 10k ranks x 400 events.
+
+    Each round replaces the trial in a file-backed repository, loads it
+    back and diagnoses the loaded copy.  On the row-per-value store this
+    took about 105 s per round; with blob matrices it is a few seconds.
+    """
+    trial = synth_rank_trial()
+    with PerfDMF(tmp_path / "perf.db") as db:
+        def run():
+            db.save_trial("synth", "10k", trial, replace=True)
+            loaded = db.load_trial("synth", "10k", trial.name)
+            return loaded, diagnose_load_balance(loaded)
+
+        loaded, harness = benchmark.pedantic(run, rounds=3, iterations=1)
+    for metric in trial.metric_names():
+        assert loaded.exclusive_array(metric).tobytes() == \
+            trial.exclusive_array(metric).tobytes()
+        assert loaded.inclusive_array(metric).tobytes() == \
+            trial.inclusive_array(metric).tobytes()
+    assert loaded.calls_array().tobytes() == trial.calls_array().tobytes()
+    assert loaded.subroutines_array().tobytes() == \
+        trial.subroutines_array().tobytes()
+    assert len(harness.recommendations()) > 0
+    print_series(
+        "10k-rank x 400-event save -> load -> diagnose (file-backed)",
+        [("blob store", benchmark.stats.stats.min)],
+        ["store", "seconds"],
     )
 
 

@@ -2,13 +2,23 @@
 
 PerfDMF stores parallel profiles in a relational database so analyses can
 span many experiments.  This module reproduces that design on
-:mod:`sqlite3` (stdlib): a normalized schema with application/experiment/
-trial/metric/event dimension tables and a single measurement fact table.
+:mod:`sqlite3` (stdlib): application/experiment/trial/metric/event/thread
+tables, with each trial's measurements stored as typed matrices.
 
 The repository is the system's durable store: the runtime simulator saves
 trials here and PerfExplorer scripts load them back by
 (application, experiment, trial) coordinates, exactly like the paper's
 ``Utilities.getTrial("Fluid Dynamic", "rib 45", "1_8")``.
+
+Schema version 1 (``PRAGMA user_version``): ``event`` and ``thread`` rows,
+whose ``ORDER BY id`` is the axis order, and on each ``metric`` row the
+``exclusive``/``inclusive`` ``(E, T)`` matrices as C-order little-endian
+float64 blobs.  The ``trial`` row holds the ``calls``/``subroutines`` blobs
+and ``content_hash``, a sha256 taken once at save over the metadata JSON,
+the event/thread/metric rows and the blobs; its ``AUTOINCREMENT`` id is
+never reused.  A read-write open migrates a version-0 file (a ``value`` row
+per metric × event × thread, a ``callcount`` row per event × thread) in one
+transaction; a read-only open of one raises :class:`ProfileError`.
 
 Concurrency model (what :mod:`repro.serve` builds on):
 
@@ -41,7 +51,7 @@ import sqlite3
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -55,6 +65,8 @@ def _stmt(kind: str, rows: int) -> None:
     if observe.enabled():
         observe.counter(f"perfdmf.stmt.{kind}").inc()
         observe.counter(f"perfdmf.rows.{kind}").inc(rows)
+
+_SCHEMA_VERSION = 1
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS application (
@@ -70,10 +82,12 @@ CREATE TABLE IF NOT EXISTS experiment (
     UNIQUE (app_id, name)
 );
 CREATE TABLE IF NOT EXISTS trial (
-    id      INTEGER PRIMARY KEY,
+    id      INTEGER PRIMARY KEY AUTOINCREMENT,
     exp_id  INTEGER NOT NULL REFERENCES experiment(id) ON DELETE CASCADE,
     name    TEXT NOT NULL,
     metadata TEXT NOT NULL DEFAULT '{}',
+    calls   BLOB NOT NULL, subroutines BLOB NOT NULL,
+    content_hash TEXT NOT NULL,
     UNIQUE (exp_id, name)
 );
 CREATE TABLE IF NOT EXISTS metric (
@@ -82,6 +96,7 @@ CREATE TABLE IF NOT EXISTS metric (
     name     TEXT NOT NULL,
     units    TEXT NOT NULL DEFAULT 'counts',
     derived  INTEGER NOT NULL DEFAULT 0,
+    exclusive BLOB NOT NULL, inclusive BLOB NOT NULL,
     UNIQUE (trial_id, name)
 );
 CREATE TABLE IF NOT EXISTS event (
@@ -99,32 +114,75 @@ CREATE TABLE IF NOT EXISTS thread (
     thread   INTEGER NOT NULL,
     UNIQUE (trial_id, node, context, thread)
 );
-CREATE TABLE IF NOT EXISTS value (
-    metric_id  INTEGER NOT NULL REFERENCES metric(id) ON DELETE CASCADE,
-    event_id   INTEGER NOT NULL REFERENCES event(id)  ON DELETE CASCADE,
-    thread_id  INTEGER NOT NULL REFERENCES thread(id) ON DELETE CASCADE,
-    exclusive  REAL NOT NULL,
-    inclusive  REAL NOT NULL,
-    PRIMARY KEY (metric_id, event_id, thread_id)
-);
-CREATE TABLE IF NOT EXISTS callcount (
-    event_id   INTEGER NOT NULL REFERENCES event(id)  ON DELETE CASCADE,
-    thread_id  INTEGER NOT NULL REFERENCES thread(id) ON DELETE CASCADE,
-    calls      REAL NOT NULL,
-    subroutines REAL NOT NULL,
-    PRIMARY KEY (event_id, thread_id)
-);
--- Covering indexes for the fact table.  The composite primary keys already
--- serve the metric_id-first (value) and event_id-first (callcount) paths;
--- these cover the other child-key lookups, which otherwise full-scan on
--- every cascading delete (trial replacement) and event/thread-scoped query.
-CREATE INDEX IF NOT EXISTS idx_value_event     ON value(event_id);
-CREATE INDEX IF NOT EXISTS idx_value_thread    ON value(thread_id);
-CREATE INDEX IF NOT EXISTS idx_callcount_thread ON callcount(thread_id);
 """
 
 #: Unique names for shared-cache in-memory databases (one per instance).
 _MEMDB_IDS = itertools.count(1)
+
+
+def _blob(array: np.ndarray) -> bytes:
+    return np.ascontiguousarray(array, dtype="<f8").tobytes()
+
+
+def _matrix(blob: bytes, shape: tuple[int, int]) -> np.ndarray:
+    # astype copies: the trial gets a writable array in native byte order
+    return np.frombuffer(blob, dtype="<f8").reshape(shape).astype(float)
+
+
+def _axes(conn, trial_id: int) -> tuple[list, list]:
+    """A trial's event ``(name, group)`` and thread ``(node, context,
+    thread)`` rows, in matrix axis order."""
+    return tuple(conn.execute(
+        f"SELECT {columns} FROM {table} WHERE trial_id = ? ORDER BY id",
+        (trial_id,)).fetchall() for table, columns in (
+            ("event", "name, grp"), ("thread", "node, context, thread")))
+
+
+def _insert_trial(conn, trial_id, exp_id, name, meta_json, events, threads,
+                  metrics, calls, subrs) -> int:
+    """Insert a trial row (``trial_id`` None: a new id) and its ``(name,
+    units, derived, exclusive, inclusive)`` metric rows, hashing the same
+    bytes with the ``(name, group)`` events and ``(n, c, t)`` threads."""
+    h = hashlib.sha256(json.dumps(
+        [meta_json, events, threads, [m[:3] for m in metrics]]).encode())
+    for blob in [b for m in metrics for b in m[3:]] + [calls, subrs]:
+        h.update(blob)
+    trial_id = conn.execute(
+        "INSERT INTO trial VALUES (?, ?, ?, ?, ?, ?, ?)",
+        (trial_id, exp_id, name, meta_json, calls, subrs, h.hexdigest()),
+    ).lastrowid
+    conn.executemany(
+        "INSERT INTO metric (trial_id, name, units, derived, exclusive, "
+        "inclusive) VALUES (?, ?, ?, ?, ?, ?)",
+        [(trial_id, *m) for m in metrics])
+    return trial_id
+
+
+def _fold_rows_into_blobs(conn) -> None:
+    """Schema 0 → 1 for every trial in ``v0_trial``/``v0_metric``: value
+    rows ordered by (event_id, thread_id) are the C-order matrix."""
+    for trial_id, exp_id, name, meta_json in conn.execute(
+            "SELECT id, exp_id, name, metadata FROM v0_trial").fetchall():
+        events, threads = _axes(conn, trial_id)
+
+        def pair(sql: str, key: int) -> tuple[bytes, bytes]:
+            grid = np.array(conn.execute(
+                sql + " ORDER BY event_id, thread_id", (key,)).fetchall(),
+                dtype="<f8").reshape(len(events), len(threads), 2)
+            return _blob(grid[..., 0]), _blob(grid[..., 1])
+
+        metrics = [(m, units, derived, *pair(
+            "SELECT exclusive, inclusive FROM value WHERE metric_id = ?", mid))
+            for mid, m, units, derived in conn.execute(
+                "SELECT id, name, units, derived FROM v0_metric "
+                "WHERE trial_id = ? ORDER BY id", (trial_id,)).fetchall()]
+        calls, subrs = pair(
+            "SELECT calls, subroutines FROM callcount WHERE event_id IN "
+            "(SELECT id FROM event WHERE trial_id = ?)", trial_id)
+        _insert_trial(conn, trial_id, exp_id, name, meta_json, events,
+                      threads, metrics, calls, subrs)
+    for table in ("value", "callcount", "v0_metric", "v0_trial"):
+        conn.execute(f"DROP TABLE {table}")
 
 
 class PerfDMF:
@@ -169,9 +227,42 @@ class PerfDMF:
         # The anchor connection: created eagerly so an in-memory database
         # outlives any individual thread, and so schema errors surface at
         # construction time.
-        anchor = self._connect()
-        if not read_only:
-            anchor.executescript(_SCHEMA)
+        self._open_schema(self._connect())
+
+    def _open_schema(self, conn: sqlite3.Connection) -> None:
+        """Create the schema in a new database, or migrate a version-0
+        (row-per-cell) file to blobs."""
+        version = "PRAGMA user_version"
+        if conn.execute(version).fetchone()[0] == _SCHEMA_VERSION:
+            return
+        v0 = conn.execute(
+            "SELECT 1 FROM sqlite_master WHERE name = 'value'").fetchone()
+        if self._read_only:
+            if v0:
+                raise ProfileError(
+                    f"{self._path} uses the version-0 row schema; open it "
+                    "read-write once to migrate it")
+            return
+        # Renaming with these settings leaves the other tables' REFERENCES
+        # trial(id) clauses naming the new trial table.
+        conn.execute("PRAGMA foreign_keys = OFF")
+        conn.execute("PRAGMA legacy_alter_table = ON")
+        try:
+            with self._transaction():
+                if conn.execute(version).fetchone()[0] == _SCHEMA_VERSION:
+                    # another opener migrated while this one waited
+                    return
+                if v0:
+                    for table in ("trial", "metric"):
+                        conn.execute(f"ALTER TABLE {table} RENAME TO v0_{table}")
+                for statement in _SCHEMA.split(";"):
+                    conn.execute(statement)
+                if v0:
+                    _fold_rows_into_blobs(conn)
+                conn.execute(f"PRAGMA user_version = {_SCHEMA_VERSION}")
+        finally:
+            conn.execute("PRAGMA legacy_alter_table = OFF")
+            conn.execute("PRAGMA foreign_keys = ON")
 
     # -- connection management -------------------------------------------
     def _connect(self) -> sqlite3.Connection:
@@ -248,10 +339,11 @@ class PerfDMF:
         )
 
     @contextmanager
-    def _transaction(self):
-        """Explicit transaction scope; rolls back on any exception."""
+    def _transaction(self, begin: str = "BEGIN IMMEDIATE"):
+        """Explicit transaction scope; rolls back on any exception.  A
+        plain ``BEGIN`` gives a multi-statement read one snapshot."""
         conn = self.connection
-        conn.execute("BEGIN IMMEDIATE")
+        conn.execute(begin)
         try:
             yield
         except BaseException:
@@ -330,78 +422,47 @@ class PerfDMF:
             experiment=experiment, trial=trial.name,
             events=trial.event_count, threads=trial.thread_count,
             metrics=len(trial.metrics), replace=replace,
-        ) as sp, self._transaction():
-            app_id = self._get_or_create("application", {"name": application})
-            exp_id = self._get_or_create("experiment", {"app_id": app_id, "name": experiment})
-            existing = conn.execute(
-                "SELECT id FROM trial WHERE exp_id = ? AND name = ?", (exp_id, trial.name)
-            ).fetchone()
-            if existing:
-                if not replace:
-                    raise ProfileError(
-                        f"trial {trial.name!r} already exists under "
-                        f"{application}/{experiment} (pass replace=True to overwrite)"
-                    )
-                conn.execute("DELETE FROM trial WHERE id = ?", (existing[0],))
-            cur = conn.execute(
-                "INSERT INTO trial (exp_id, name, metadata) VALUES (?, ?, ?)",
-                (exp_id, trial.name, json.dumps(trial.metadata, default=str)),
-            )
-            trial_id = cur.lastrowid
-
-            event_ids = {}
-            for ev in trial.events:
-                c = conn.execute(
-                    "INSERT INTO event (trial_id, name, grp) VALUES (?, ?, ?)",
-                    (trial_id, ev.name, ev.group),
-                )
-                event_ids[ev.name] = c.lastrowid
-            thread_ids = {}
-            for th in trial.threads:
-                c = conn.execute(
-                    "INSERT INTO thread (trial_id, node, context, thread) VALUES (?, ?, ?, ?)",
-                    (trial_id, th.node, th.context, th.thread),
-                )
-                thread_ids[th] = c.lastrowid
-
-            events = trial.events
-            threads = trial.threads
-            for metric in trial.metrics:
-                c = conn.execute(
-                    "INSERT INTO metric (trial_id, name, units, derived) VALUES (?, ?, ?, ?)",
-                    (trial_id, metric.name, metric.units, int(metric.derived)),
-                )
-                metric_id = c.lastrowid
-                exc = trial.exclusive_array(metric.name)
-                inc = trial.inclusive_array(metric.name)
-                rows = [
-                    (metric_id, event_ids[events[e].name], thread_ids[threads[t]],
-                     float(exc[e, t]), float(inc[e, t]))
-                    for e in range(len(events))
-                    for t in range(len(threads))
-                ]
+        ) as sp:
+            events = [(ev.name, ev.group) for ev in trial.events]
+            threads = [(th.node, th.context, th.thread) for th in trial.threads]
+            metrics = [(m.name, m.units, int(m.derived),
+                        _blob(trial.exclusive_array(m.name)),
+                        _blob(trial.inclusive_array(m.name)))
+                       for m in trial.metrics]
+            with self._transaction():
+                app_id = self._get_or_create("application", {"name": application})
+                exp_id = self._get_or_create("experiment", {"app_id": app_id, "name": experiment})
+                existing = conn.execute(
+                    "SELECT id FROM trial WHERE exp_id = ? AND name = ?", (exp_id, trial.name)
+                ).fetchone()
+                if existing:
+                    if not replace:
+                        raise ProfileError(
+                            f"trial {trial.name!r} already exists under "
+                            f"{application}/{experiment} (pass replace=True to overwrite)"
+                        )
+                    conn.execute("DELETE FROM trial WHERE id = ?", (existing[0],))
+                trial_id = _insert_trial(
+                    conn, None, exp_id, trial.name,
+                    json.dumps(trial.metadata, default=str), events, threads,
+                    metrics, _blob(trial.calls_array()),
+                    _blob(trial.subroutines_array()))
                 conn.executemany(
-                    "INSERT INTO value VALUES (?, ?, ?, ?, ?)", rows
-                )
-                _stmt("insert", len(rows))
-            calls = trial.calls_array()
-            subrs = trial.subroutines_array()
-            rows = [
-                (event_ids[events[e].name], thread_ids[threads[t]],
-                 float(calls[e, t]), float(subrs[e, t]))
-                for e in range(len(events))
-                for t in range(len(threads))
-            ]
-            conn.executemany("INSERT INTO callcount VALUES (?, ?, ?, ?)", rows)
-            _stmt("insert", len(rows))
+                    "INSERT INTO event (trial_id, name, grp) VALUES (?, ?, ?)",
+                    [(trial_id, *ev) for ev in events])
+                conn.executemany(
+                    "INSERT INTO thread (trial_id, node, context, thread) "
+                    "VALUES (?, ?, ?, ?)", [(trial_id, *th) for th in threads])
+                _stmt("insert", 1 + len(events) + len(threads) + len(metrics))
             sp.set(trial_id=trial_id)
         self._notify("save", application, experiment, trial.name)
         return trial_id
 
     # -- loading -------------------------------------------------------------
-    def _trial_row(self, application: str, experiment: str, trial: str):
+    def _trial_row(self, application: str, experiment: str, trial: str,
+                   columns: str = "t.id, t.metadata"):
         row = self.connection.execute(
-            """SELECT t.id, t.metadata FROM trial t
+            f"""SELECT {columns} FROM trial t
                JOIN experiment e ON t.exp_id = e.id
                JOIN application a ON e.app_id = a.id
                WHERE a.name = ? AND e.name = ? AND t.name = ?""",
@@ -416,7 +477,8 @@ class PerfDMF:
     def load_trial(self, application: str, experiment: str, trial: str) -> Trial:
         """Reconstruct a :class:`Trial` from the repository."""
         with observe.span("perfdmf.load_trial", application=application,
-                          experiment=experiment, trial=trial) as sp:
+                          experiment=experiment, trial=trial) as sp, \
+                self._transaction("BEGIN"):
             out = self._load_trial(application, experiment, trial)
             sp.set(events=out.event_count, threads=out.thread_count,
                    metrics=len(out.metrics))
@@ -424,103 +486,41 @@ class PerfDMF:
 
     def _load_trial(self, application: str, experiment: str, trial: str) -> Trial:
         conn = self.connection
-        trial_id, meta_json = self._trial_row(application, experiment, trial)
+        trial_id, meta_json, calls, subrs = self._trial_row(
+            application, experiment, trial,
+            "t.id, t.metadata, t.calls, t.subroutines")
         out = Trial(trial, json.loads(meta_json))
-
-        events = conn.execute(
-            "SELECT id, name, grp FROM event WHERE trial_id = ? ORDER BY id",
-            (trial_id,),
-        ).fetchall()
-        out.add_events(Event(name, grp) for _, name, grp in events)
-        event_pos = {row[0]: i for i, row in enumerate(events)}
-
-        threads = conn.execute(
-            "SELECT id, node, context, thread FROM thread WHERE trial_id = ? ORDER BY id",
-            (trial_id,),
-        ).fetchall()
-        out.add_threads(ThreadId(n, c, t) for _, n, c, t in threads)
-        thread_pos = {row[0]: i for i, row in enumerate(threads)}
-
+        events, threads = _axes(conn, trial_id)
+        out.add_events(Event(name, grp) for name, grp in events)
+        out.add_threads(ThreadId(*row) for row in threads)
         metrics = conn.execute(
-            "SELECT id, name, units, derived FROM metric WHERE trial_id = ? ORDER BY id",
-            (trial_id,),
+            "SELECT name, units, derived, exclusive, inclusive FROM metric "
+            "WHERE trial_id = ? ORDER BY id", (trial_id,),
         ).fetchall()
-        n_e, n_t = len(events), len(threads)
-        for metric_id, name, units, derived in metrics:
+        shape = (len(events), len(threads))
+        for name, units, derived, exc, inc in metrics:
             out.add_metric(Metric(name, units=units, derived=bool(derived)))
-            exc = np.zeros((n_e, n_t))
-            inc = np.zeros((n_e, n_t))
-            for event_id, thread_id, x, i in conn.execute(
-                "SELECT event_id, thread_id, exclusive, inclusive FROM value "
-                "WHERE metric_id = ?",
-                (metric_id,),
-            ):
-                exc[event_pos[event_id], thread_pos[thread_id]] = x
-                inc[event_pos[event_id], thread_pos[thread_id]] = i
-            out._exclusive[name][:, :] = exc
-            out._inclusive[name][:, :] = inc
-
-        if events:
-            event_id_list = [row[0] for row in events]
-            marks = ",".join("?" for _ in event_id_list)
-            for event_id, thread_id, calls, subrs in conn.execute(
-                f"SELECT event_id, thread_id, calls, subroutines FROM callcount "
-                f"WHERE event_id IN ({marks})",
-                event_id_list,
-            ):
-                out._calls[event_pos[event_id], thread_pos[thread_id]] = calls
-                out._subrs[event_pos[event_id], thread_pos[thread_id]] = subrs
-        _stmt("select", len(events) * len(threads) * max(len(metrics), 1))
+            out._exclusive[name] = _matrix(exc, shape)
+            out._inclusive[name] = _matrix(inc, shape)
+        out._calls = _matrix(calls, shape)
+        out._subrs = _matrix(subrs, shape)
+        _stmt("select", 1 + len(events) + len(threads) + len(metrics))
         return out
 
     # -- content addressing ---------------------------------------------------
     def content_hash(self, application: str, experiment: str, trial: str) -> str:
-        """A digest of everything stored for one trial.
+        """A digest of everything stored for one trial, computed at save.
 
-        Deliberately independent of row ids: re-uploading identical data
-        (new primary keys) hashes the same, while any change to metadata,
-        events, threads, metrics, values, or call counts changes the
-        digest.  This is the trial component of the serve layer's
-        content-addressed cache keys.
+        Independent of row ids: re-uploading identical data (new primary
+        keys) hashes the same, while any change to metadata, events,
+        threads, metrics, values, call counts, or the order of events,
+        threads or metrics changes the digest.  This is the trial
+        component of the serve layer's content-addressed cache keys.
         """
-        conn = self.connection
-        trial_id, meta_json = self._trial_row(application, experiment, trial)
-        h = hashlib.sha256()
-        h.update(meta_json.encode())
-        queries = (
-            ("SELECT name, grp FROM event WHERE trial_id = ? "
-             "ORDER BY name", (trial_id,)),
-            ("SELECT node, context, thread FROM thread WHERE trial_id = ? "
-             "ORDER BY node, context, thread", (trial_id,)),
-            ("SELECT name, units, derived FROM metric WHERE trial_id = ? "
-             "ORDER BY name", (trial_id,)),
-            ("""SELECT m.name, e.name, t.node, t.context, t.thread,
-                       v.exclusive, v.inclusive
-                FROM value v
-                JOIN metric m ON v.metric_id = m.id
-                JOIN event  e ON v.event_id  = e.id
-                JOIN thread t ON v.thread_id = t.id
-                WHERE m.trial_id = ?
-                ORDER BY m.name, e.name, t.node, t.context, t.thread""",
-             (trial_id,)),
-            ("""SELECT e.name, t.node, t.context, t.thread,
-                       c.calls, c.subroutines
-                FROM callcount c
-                JOIN event  e ON c.event_id  = e.id
-                JOIN thread t ON c.thread_id = t.id
-                WHERE e.trial_id = ?
-                ORDER BY e.name, t.node, t.context, t.thread""",
-             (trial_id,)),
-        )
-        n_rows = 0
-        for sql, params in queries:
-            h.update(b"\x1d")
-            for row in conn.execute(sql, params):
-                h.update(repr(row).encode())
-                h.update(b"\x1e")
-                n_rows += 1
-        _stmt("select", n_rows)
-        return h.hexdigest()
+        (digest,) = self._trial_row(application, experiment, trial,
+                                    "t.content_hash")
+        _stmt("select", 1)
+        return digest
 
     # -- listing --------------------------------------------------------------
     def applications(self) -> list[str]:

@@ -410,17 +410,30 @@ class Trial:
           *measured* metrics only: derived metrics (ratios, differences)
           are not additive over the call tree and are exempt,
         * calls ≥ 0,
-        * array shapes agree with the registries.
+        * every array (per-metric values, calls, subroutines) has the
+          registries' ``(events, threads)`` shape and holds no NaN.
         """
         n_e, n_t = len(self._events), len(self._threads)
+        arrays = {"calls": self._calls, "subroutines": self._subrs}
+        for metric_obj in self._metrics:
+            arrays[f"metric {metric_obj.name!r} exclusive"] = \
+                self._exclusive[metric_obj.name]
+            arrays[f"metric {metric_obj.name!r} inclusive"] = \
+                self._inclusive[metric_obj.name]
+        for label, arr in arrays.items():
+            if arr.shape != (n_e, n_t):
+                raise ProfileError(
+                    f"{label} array shape {arr.shape} != ({n_e},{n_t})")
+            nan = np.isnan(arr)
+            if nan.any():
+                e, t = np.argwhere(nan)[0]
+                raise ProfileError(
+                    f"NaN in {label} at event {self._events[e].name!r}, "
+                    f"thread {self._threads[t]}")
         for metric_obj in self._metrics:
             metric = metric_obj.name
             exc = self._exclusive[metric]
             inc = self._inclusive[metric]
-            if exc.shape != (n_e, n_t) or inc.shape != (n_e, n_t):
-                raise ProfileError(
-                    f"metric {metric!r} array shape {exc.shape} != ({n_e},{n_t})"
-                )
             if metric_obj.derived:
                 continue
             if (exc < -1e-9).any():

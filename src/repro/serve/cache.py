@@ -11,9 +11,11 @@ Cache keys are a digest of **everything a job's answer depends on**:
   a miss, because the *answer* could legitimately differ.
 
 Because staleness is encoded in the key, correctness never depends on
-invalidation; the eviction hooks (:meth:`ResultCache.attach`) exist to
-drop entries that can no longer hit — a deleted or re-uploaded trial's
-old results — so memory is not wasted on dead keys.
+invalidation (the service stores a result only if the trials it read kept
+their dispatch-time id and hash, so the key names what was analysed); the
+eviction hooks (:meth:`ResultCache.attach`) exist to drop entries that can
+no longer hit — a deleted or re-uploaded trial's old results — so memory
+is not wasted on dead keys.
 """
 
 from __future__ import annotations

@@ -238,7 +238,7 @@ class AnalysisService:
             self._jobs[job.id] = job
             self._submitted += 1
         with observe.span("serve.submit", kind=kind, job=job.id):
-            key, _ = self._key_and_coords(kind_obj, params)
+            key, _, _ = self._key_and_coords(kind_obj, params)
             if key is not None:
                 hit, value = self.cache.get(key)
                 if job.trace_id is not None:
@@ -329,10 +329,11 @@ class AnalysisService:
         job.status = RUNNING
         job.started_at = now
         kind_obj = resolve_kind(job.spec.kind)
-        key = coords = None
+        key = coords = stamps = None
         cacheable, _ = kind_obj.effective_flags(job.spec.params)
         if cacheable:
-            key, coords = self._key_and_coords(kind_obj, job.spec.params)
+            key, coords, stamps = self._key_and_coords(
+                kind_obj, job.spec.params)
             if key is not None:
                 # Second probe: an identical job may have populated the
                 # cache while this one sat in the queue.
@@ -418,7 +419,7 @@ class AnalysisService:
         if observe.enabled():
             observe.histogram(
                 f"serve.exec.{job.spec.kind}").observe(job.exec_seconds)
-        if key is not None:
+        if key is not None and self._unchanged(coords, stamps):
             self.cache.put(key, result, coords=coords)
             if traced:
                 store_end = time.time()
@@ -480,29 +481,49 @@ class AnalysisService:
 
     # -- cache addressing --------------------------------------------------
     def _key_and_coords(self, kind_obj: JobKind, params: dict[str, Any]):
-        """Content address + trial coordinates, or ``(None, ())`` when the
-        submission is uncacheable (by kind, by params, or because a named
-        trial does not exist — the handler will report that properly)."""
+        """Content address, trial coordinates and their stamps (see
+        :meth:`_stamp`), or ``(None, (), [])`` when the submission is
+        uncacheable (by kind, by params, or because a named trial does not
+        exist — the handler will report that properly)."""
         cacheable, _ = kind_obj.effective_flags(params)
         if not cacheable or self._db is None:
-            return None, ()
+            return None, (), []
         coords: list[tuple[str, str, str]] = []
-        hashes: list[str] = []
+        stamps: list[tuple[int, str]] = []
         for app_key, exp_key, trial_key in kind_obj.trial_refs:
             app = params.get(app_key)
             exp = params.get(exp_key)
             trial = params.get(trial_key)
             if not (app and exp and trial):
-                return None, ()
+                return None, (), []
             try:
-                hashes.append(self._db.content_hash(app, exp, trial))
+                stamps.append(self._stamp(app, exp, trial))
             except ProfileError:
-                return None, ()
+                return None, (), []
             coords.append((app, exp, trial))
         return (
-            cache_key(kind_obj.name, params, hashes),
+            cache_key(kind_obj.name, params, [h for _, h in stamps]),
             tuple(coords),
+            stamps,
         )
+
+    def _stamp(self, app: str, exp: str, trial: str) -> tuple[int, str]:
+        """``(trial id, content hash)``, the id read first.  Trial ids are
+        never reused and a stored trial row never changes, so an id read
+        unchanged after a handler ran pins the row it loaded, and the hash
+        read in between is that row's."""
+        return (self._db.trial_id(app, exp, trial),
+                self._db.content_hash(app, exp, trial))
+
+    def _unchanged(self, coords, stamps) -> bool:
+        """Whether every trial a job read still has its dispatch-time
+        stamp.  A re-upload between dispatch and the handler's load (even
+        one later reverted) fails this, so its result is not cached under
+        the key of content the handler never read."""
+        try:
+            return [self._stamp(*coord) for coord in coords] == stamps
+        except ProfileError:
+            return False
 
     # -- statistics and degradation facts ----------------------------------
     def stats(self) -> dict[str, Any]:

@@ -12,6 +12,7 @@ import pytest
 
 from repro.perfdmf import (
     PerfDMF,
+    ProfileError,
     TrialBuilder,
     parse_gprof_text,
     read_csv_profile,
@@ -113,32 +114,40 @@ class TestStorageEngine:
             db.save_trial("A", "E", make_trial())
             bad = make_trial()
             bad._calls = bad._calls[:, :1]  # malformed: thread dim mismatch
-            with pytest.raises(Exception):
+            with pytest.raises(ProfileError, match="calls array shape"):
                 db.save_trial("A", "E", bad, replace=True)
             loaded = db.load_trial("A", "E", "1_2")
             assert_trials_equal(make_trial(), loaded)
 
     def test_cascade_delete_cleans_fact_tables(self):
+        # metric rows carry the value blobs; event/thread rows the axes
+        tables = ("metric", "event", "thread")
         with PerfDMF() as db:
             db.save_trial("A", "E", make_trial("t1"))
             db.save_trial("A", "E", make_trial("t2"))
-            before = db.connection.execute(
-                "SELECT COUNT(*) FROM value").fetchone()[0]
+
+            def counts():
+                return [db.connection.execute(
+                    f"SELECT COUNT(*) FROM {t}").fetchone()[0] for t in tables]
+
+            before = counts()
             db.delete_trial("A", "E", "t1")
-            after = db.connection.execute(
-                "SELECT COUNT(*) FROM value").fetchone()[0]
-            assert before == 2 * after  # t1's facts cascaded away
-            assert db.connection.execute(
-                "SELECT COUNT(*) FROM callcount").fetchone()[0] > 0
+            after = counts()
+            assert before == [2 * n for n in after]  # t1's rows cascaded away
+            assert all(after)
 
     def test_cascade_indexes_exist(self):
-        # the covering indexes that keep trial replacement O(rows-deleted)
+        # every child of trial is indexed on trial_id first, so deleting
+        # a trial (replacement) touches only that trial's rows
         with PerfDMF() as db:
-            names = {
-                row[0]
-                for row in db.connection.execute(
-                    "SELECT name FROM sqlite_master WHERE type = 'index'"
-                )
-            }
-        assert {"idx_value_event", "idx_value_thread",
-                "idx_callcount_thread"} <= names
+            conn = db.connection
+            for table in ("metric", "event", "thread"):
+                leading = {
+                    conn.execute(f"PRAGMA index_info('{idx[1]}')").fetchone()[2]
+                    for idx in conn.execute(f"PRAGMA index_list('{table}')")
+                }
+                assert "trial_id" in leading, table
+            names = {row[0] for row in conn.execute(
+                "SELECT name FROM sqlite_master")}
+        assert not {"value", "callcount", "idx_value_event",
+                    "idx_value_thread", "idx_callcount_thread"} & names

@@ -112,6 +112,34 @@ class TestTrial:
         with pytest.raises(ProfileError, match="negative"):
             t.validate()
 
+    @pytest.mark.parametrize("attr", ["_calls", "_subrs"])
+    def test_validate_rejects_call_count_shape_mismatch(self, attr):
+        t = Trial("t")
+        for th in range(2):
+            t.set_value("e", "TIME", th, exclusive=1, inclusive=1)
+        setattr(t, attr, getattr(t, attr)[:, :1])
+        with pytest.raises(ProfileError, match=r"array shape \(1, 1\) != \(1,2\)"):
+            t.validate()
+
+    @pytest.mark.parametrize("derived", [False, True])
+    def test_validate_names_metric_event_and_thread_of_a_nan(self, derived):
+        t = Trial("t")
+        t.add_metric("RATIO", derived=derived)
+        for th in range(3):
+            for ev in ("main", "loop"):
+                t.set_value(ev, "RATIO", th, exclusive=1, inclusive=1)
+        t.set_value("loop", "RATIO", (0, 0, 2), inclusive=float("nan"))
+        with pytest.raises(ProfileError) as err:
+            t.validate()
+        assert str(err.value) == (
+            "NaN in metric 'RATIO' inclusive at event 'loop', thread 0.0.2")
+
+    def test_validate_rejects_nan_call_counts(self):
+        t = Trial("t")
+        t.set_calls("main", 0, calls=float("nan"))
+        with pytest.raises(ProfileError, match="NaN in calls at event 'main'"):
+            t.validate()
+
     def test_copy_is_deep(self):
         t = Trial("t", {"k": "v"})
         t.set_value("e", "M", 0, exclusive=1, inclusive=2)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from .conftest import make_trial
+from .conftest import DIAG, make_trial
 from repro.perfdmf import PerfDMF
 from repro.serve import ResultCache, cache_key, rulebase_fingerprint
 
@@ -112,3 +112,41 @@ class TestResultCache:
         cache.clear()
         assert len(cache) == 0
         assert cache.invalidate_trial("A", "E", "t1") == 0
+
+
+class TestStaleResultWindow:
+    """The cache key is taken at dispatch and the handler loads later.  A
+    re-upload inside that window, reverted before the handler returns,
+    must not leave the other version's result under the reverted
+    content's key."""
+
+    def test_reupload_and_revert_during_the_handler_is_not_cached(
+            self, service, monkeypatch):
+        # The newest trial: without AUTOINCREMENT its replacements would
+        # get its id back, and the dispatch-time stamp would match again.
+        service.db.save_trial("App", "Exp", make_trial("t3"))
+        view = service._db_ro
+        load = view.load_trial
+
+        def load_inside_window(app, exp, trial):
+            monkeypatch.setattr(view, "load_trial", load)  # only once
+            service.db.save_trial(app, exp, make_trial(trial, skew=6.0),
+                                  replace=True)
+            loaded = load(app, exp, trial)
+            service.db.save_trial(app, exp, make_trial(trial), replace=True)
+            return loaded
+
+        monkeypatch.setattr(view, "load_trial", load_inside_window)
+        diag = {**DIAG, "trial": "t3"}
+        raced = service.submit("diagnose", diag)
+        assert raced.wait(10.0) and raced.status == "done"
+
+        again = service.submit("diagnose", diag)
+        assert again.wait(10.0) and again.status == "done"
+        assert not again.cache_hit
+        assert again.result["recommendations"] != \
+            raced.result["recommendations"]  # raced saw the skewed upload
+
+        warm = service.submit("diagnose", diag)
+        assert warm.wait(10.0) and warm.cache_hit
+        assert warm.result == again.result
