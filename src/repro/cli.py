@@ -1005,7 +1005,7 @@ def _parse_trial_ref(ref: str) -> tuple[str, str, str]:
 
 @_regress_errors
 def _cmd_lineage_record(args: argparse.Namespace) -> int:
-    from repro.lineage import LineageStore
+    from repro.lineage import LineageStore, TrialRef
     from repro.perfdmf import PerfDMF
 
     annotations = _parse_kv(args.annotate, what="--annotate")
@@ -1015,12 +1015,10 @@ def _cmd_lineage_record(args: argparse.Namespace) -> int:
     store = LineageStore(PerfDMF(args.db))
     store.record(args.version, parents=args.parent or [],
                  annotations=annotations)
-    for ref in args.trial or []:
-        app, exp, trial = _parse_trial_ref(ref)
-        store.attach_trial(args.version, app, exp, trial)
-    for ref in args.baseline or []:
-        app, exp, trial = _parse_trial_ref(ref)
-        store.attach_trial(args.version, app, exp, trial, role="baseline")
+    store.attach_trials(args.version, [
+        TrialRef(*_parse_trial_ref(ref), role=role)
+        for role, refs in (("trial", args.trial), ("baseline", args.baseline))
+        for ref in refs or []])
     record = store.get(args.version)
     parents = ", ".join(record.parents) or "(root)"
     print(f"recorded {record.version_id} <- {parents} "

@@ -4,8 +4,8 @@ An experiment run must survive the orchestrator dying mid-sweep — the
 CI smoke test literally ``kill -9``'s the service and resumes.  Like the
 regress baseline registry, the state lives in the same SQLite file as
 the trials it indexes (one artifact to ship, state cascades away with
-its repository) and is versioned independently of the core schema via
-``exp_meta.version`` with in-place migrations.
+its repository) and is a :class:`~repro.perfdmf.sidetables.SideTables`
+with its own schema version in ``exp_meta``.
 
 One ``exp_run`` row per spec content hash; one ``exp_case`` row per
 content-addressed case key under it.  Case rows carry the full sample
@@ -19,12 +19,12 @@ reruns are never re-executed.
 from __future__ import annotations
 
 import json
-import sqlite3
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from ..perfdmf import PerfDMF, ProfileError
+from ..perfdmf.sidetables import SideTables, transaction
 from .rigor import Assessment
 from .spec import Plan
 
@@ -36,16 +36,10 @@ __all__ = [
     "TERMINAL_CASE_STATUSES",
 ]
 
-#: Current version of the experiments-side schema.
-EXPERIMENTS_SCHEMA_VERSION = 1
-
 #: Case statuses that resume never re-executes.
 TERMINAL_CASE_STATUSES = frozenset({"converged", "non-converged"})
 
-_V1_TABLES = """
-CREATE TABLE IF NOT EXISTS exp_meta (
-    version INTEGER NOT NULL
-);
+EXPERIMENTS_TABLES = SideTables("exp", version=1, schema="""
 CREATE TABLE IF NOT EXISTS exp_run (
     id         INTEGER PRIMARY KEY,
     spec_hash  TEXT NOT NULL UNIQUE,
@@ -71,55 +65,11 @@ CREATE TABLE IF NOT EXISTS exp_case (
     UNIQUE(run_id, case_key)
 );
 CREATE INDEX IF NOT EXISTS idx_exp_case_run ON exp_case(run_id);
-"""
+""")
 
-#: version N → callable upgrading the schema from N to N+1.
-_MIGRATIONS: dict[int, Any] = {}
-
-
-def _retry_locked(fn: Callable[[], Any], *, timeout: float = 5.0) -> Any:
-    """Run ``fn``, retrying on SQLITE_LOCKED/SQLITE_BUSY.
-
-    File-backed repositories resolve write contention via WAL plus the
-    busy timeout, but shared-cache ``:memory:`` databases (what an
-    in-process thread-mode service uses) raise table-lock errors
-    *immediately* while a worker holds a write — so the orchestrator's
-    bookkeeping writes retry briefly instead.
-    """
-    deadline = time.monotonic() + timeout
-    while True:
-        try:
-            return fn()
-        except sqlite3.OperationalError as exc:
-            msg = str(exc)
-            if ("locked" not in msg and "busy" not in msg) \
-                    or time.monotonic() >= deadline:
-                raise
-            time.sleep(0.005)
-
-
-def ensure_experiments_schema(db: PerfDMF) -> int:
-    """Create or upgrade the experiments tables; returns the version."""
-    conn = db.connection
-    conn.executescript(_V1_TABLES)
-    row = conn.execute("SELECT version FROM exp_meta").fetchone()
-    if row is None:
-        conn.execute("INSERT INTO exp_meta (version) VALUES (?)",
-                     (EXPERIMENTS_SCHEMA_VERSION,))
-        version = EXPERIMENTS_SCHEMA_VERSION
-    else:
-        version = row[0]
-    if version > EXPERIMENTS_SCHEMA_VERSION:
-        raise ProfileError(
-            f"experiments schema version {version} is newer than this "
-            f"build supports ({EXPERIMENTS_SCHEMA_VERSION})"
-        )
-    while version < EXPERIMENTS_SCHEMA_VERSION:
-        _MIGRATIONS[version](conn)
-        version += 1
-        conn.execute("UPDATE exp_meta SET version = ?", (version,))
-    conn.commit()
-    return version
+#: Current version of the experiments-side schema.
+EXPERIMENTS_SCHEMA_VERSION = EXPERIMENTS_TABLES.version
+ensure_experiments_schema = EXPERIMENTS_TABLES.ensure
 
 
 @dataclass(frozen=True)
@@ -172,46 +122,40 @@ class ExperimentState:
     def begin_run(self, plan: Plan) -> int:
         """Find or create the run row for this plan; insert any cases not
         yet recorded (idempotent — the resume entry point)."""
-        return _retry_locked(lambda: self._begin_run_txn(plan))
+        return transaction(self.db, lambda conn: self._begin_run(conn, plan))
 
-    def _begin_run_txn(self, plan: Plan) -> int:
-        conn = self.db.connection
+    @staticmethod
+    def _begin_run(conn, plan: Plan) -> int:
         spec = plan.spec
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            row = conn.execute(
-                "SELECT id FROM exp_run WHERE spec_hash = ?",
-                (plan.spec_hash,),
-            ).fetchone()
-            if row is None:
-                cur = conn.execute(
-                    "INSERT INTO exp_run (spec_hash, name, spec_json, "
-                    "created_at) VALUES (?, ?, ?, ?)",
-                    (plan.spec_hash, spec.name,
-                     json.dumps(spec.to_dict()), time.time()),
-                )
-                run_id = cur.lastrowid
-            else:
-                run_id = row[0]
-            for case in plan.cases:
-                conn.execute(
-                    "INSERT OR IGNORE INTO exp_case "
-                    "(run_id, case_key, case_index, factors) "
-                    "VALUES (?, ?, ?, ?)",
-                    (run_id, case.key, case.index,
-                     json.dumps(case.factors, sort_keys=True)),
-                )
-            # A crash mid-case leaves 'running' rows; their samples are
-            # banked, so they simply resume as pending.
-            conn.execute(
-                "UPDATE exp_case SET status = 'pending' "
-                "WHERE run_id = ? AND status = 'running'",
-                (run_id,),
+        row = conn.execute(
+            "SELECT id FROM exp_run WHERE spec_hash = ?",
+            (plan.spec_hash,),
+        ).fetchone()
+        if row is None:
+            cur = conn.execute(
+                "INSERT INTO exp_run (spec_hash, name, spec_json, "
+                "created_at) VALUES (?, ?, ?, ?)",
+                (plan.spec_hash, spec.name,
+                 json.dumps(spec.to_dict()), time.time()),
             )
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        conn.execute("COMMIT")
+            run_id = cur.lastrowid
+        else:
+            run_id = row[0]
+        for case in plan.cases:
+            conn.execute(
+                "INSERT OR IGNORE INTO exp_case "
+                "(run_id, case_key, case_index, factors) "
+                "VALUES (?, ?, ?, ?)",
+                (run_id, case.key, case.index,
+                 json.dumps(case.factors, sort_keys=True)),
+            )
+        # A crash mid-case leaves 'running' rows; their samples are
+        # banked, so they simply resume as pending.
+        conn.execute(
+            "UPDATE exp_case SET status = 'pending' "
+            "WHERE run_id = ? AND status = 'running'",
+            (run_id,),
+        )
         return run_id
 
     def run_id_for(self, spec_hash: str) -> int | None:
@@ -272,15 +216,8 @@ class ExperimentState:
     def record_sample(self, run_id: int, case_key: str,
                       trial: str, value: float) -> None:
         """Bank one completed rerun (durable before the next submit)."""
-        _retry_locked(
-            lambda: self._record_sample_txn(run_id, case_key, trial, value)
-        )
 
-    def _record_sample_txn(self, run_id: int, case_key: str,
-                           trial: str, value: float) -> None:
-        conn = self.db.connection
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        def bank(conn) -> None:
             row = conn.execute(
                 "SELECT samples, trials FROM exp_case "
                 "WHERE run_id = ? AND case_key = ?", (run_id, case_key),
@@ -298,10 +235,8 @@ class ExperimentState:
                 (json.dumps(samples), json.dumps(trials), len(trials),
                  run_id, case_key),
             )
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        conn.execute("COMMIT")
+
+        transaction(self.db, bank)
 
     def finalize_case(self, run_id: int, case_key: str, status: str,
                       assessment: Assessment | None = None,
@@ -323,12 +258,7 @@ class ExperimentState:
             )
 
     def _exec(self, sql: str, params: tuple) -> None:
-        def txn():
-            conn = self.db.connection
-            conn.execute(sql, params)
-            conn.commit()
-
-        _retry_locked(txn)
+        transaction(self.db, lambda conn: conn.execute(sql, params))
 
     # -- summaries ---------------------------------------------------------
     def summary(self, run_id: int) -> dict[str, Any]:

@@ -43,7 +43,7 @@ from ..perfdmf import ProfileError, Trial
 from ..regress.detect import RegressionReport, ThresholdPolicy, compare_trials
 from .facts import diagnose_lineage
 from .scanner import PairComparison, ScanResult, _representative
-from .store import LineageStore
+from .store import LineageStore, TrialRef
 
 __all__ = ["BisectResult", "PerfBisector", "ProbeRecord", "probe_budget",
            "probe_case_key"]
@@ -264,10 +264,10 @@ class PerfBisector:
                 verdict = assess(samples, self.rigor)
                 if verdict.converged or len(samples) >= self.rigor.max_runs:
                     break
-        for trial_name in trials:
-            self.store.attach_trial(
-                version_id, application, experiment, trial_name
-            )
+        # one transaction: a crash banks every sample or none, so a rerun
+        # never mistakes a partial bank for the converged set
+        self.store.attach_trials(version_id, [
+            TrialRef(application, experiment, name) for name in trials])
         # rerun 0 is the representative: deterministic, so banked
         # re-reads and fresh synthesis agree bit for bit
         trial = self.store.db.load_trial(application, experiment, trials[0])

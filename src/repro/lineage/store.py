@@ -5,10 +5,9 @@ from *code version* (a commit id, a build tag — any stable string) to
 the trials and baselines measured at that version, plus the parent
 links that make "since when?" answerable.  This module adds that spine
 as side tables in the same SQLite file as the trials — one artifact to
-ship, lineage cascades away with its repository — versioned
-independently of the core schema via ``lineage_meta.version`` with
-in-place migrations, exactly like ``regress.baseline`` and
-``experiments.state``.
+ship, lineage cascades away with its repository — declared as a
+:class:`~repro.perfdmf.sidetables.SideTables` (schema version in
+``lineage_meta``), like ``regress.baseline`` and ``experiments.state``.
 
 History may be a straight line (CI building every commit of one branch)
 or a DAG (merge commits, multiple parents).  Reads take a **linear fast
@@ -24,8 +23,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from ..experiments.state import _retry_locked
 from ..perfdmf import PerfDMF, ProfileError
+from ..perfdmf.sidetables import SideTables, transaction
 from ..version import version_key
 
 __all__ = [
@@ -36,13 +35,7 @@ __all__ = [
     "ensure_lineage_schema",
 ]
 
-#: Current version of the lineage-side schema.
-LINEAGE_SCHEMA_VERSION = 1
-
-_V1_TABLES = """
-CREATE TABLE IF NOT EXISTS lineage_meta (
-    version INTEGER NOT NULL
-);
+LINEAGE_TABLES = SideTables("lineage", version=1, schema="""
 CREATE TABLE IF NOT EXISTS lineage_version (
     id               INTEGER PRIMARY KEY,
     version_id       TEXT NOT NULL UNIQUE,
@@ -71,34 +64,11 @@ CREATE TABLE IF NOT EXISTS lineage_trial (
 );
 CREATE INDEX IF NOT EXISTS idx_lineage_trial_version
     ON lineage_trial(version_row);
-"""
+""")
 
-#: version N → callable upgrading the schema from N to N+1.
-_MIGRATIONS: dict[int, Any] = {}
-
-
-def ensure_lineage_schema(db: PerfDMF) -> int:
-    """Create or upgrade the lineage tables; returns the version."""
-    conn = db.connection
-    conn.executescript(_V1_TABLES)
-    row = conn.execute("SELECT version FROM lineage_meta").fetchone()
-    if row is None:
-        conn.execute("INSERT INTO lineage_meta (version) VALUES (?)",
-                     (LINEAGE_SCHEMA_VERSION,))
-        version = LINEAGE_SCHEMA_VERSION
-    else:
-        version = row[0]
-    if version > LINEAGE_SCHEMA_VERSION:
-        raise ProfileError(
-            f"lineage schema version {version} is newer than this build "
-            f"supports ({LINEAGE_SCHEMA_VERSION})"
-        )
-    while version < LINEAGE_SCHEMA_VERSION:
-        _MIGRATIONS[version](conn)
-        version += 1
-        conn.execute("UPDATE lineage_meta SET version = ?", (version,))
-    conn.commit()
-    return version
+#: Current version of the lineage-side schema.
+LINEAGE_SCHEMA_VERSION = LINEAGE_TABLES.version
+ensure_lineage_schema = LINEAGE_TABLES.ensure
 
 
 @dataclass(frozen=True)
@@ -183,60 +153,54 @@ class LineageStore:
         if not version_id:
             raise ProfileError("lineage: version_id must be non-empty")
         vk = version_key(code_version, rulebase_version)
-        _retry_locked(lambda: self._record_txn(
-            version_id, tuple(parents), annotations or {},
-            vk.code, vk.rulebase,
-            time.time() if timestamp is None else float(timestamp),
+        created_at = time.time() if timestamp is None else float(timestamp)
+        transaction(self.db, lambda conn: self._record(
+            conn, version_id, tuple(parents), annotations or {},
+            vk.code, vk.rulebase, created_at,
         ))
         return self.get(version_id)
 
-    def _record_txn(self, version_id: str, parents: tuple[str, ...],
-                    annotations: dict[str, Any], code: str, rulebase: str,
-                    created_at: float) -> None:
-        conn = self.db.connection
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            row = conn.execute(
-                "SELECT id, annotations FROM lineage_version "
-                "WHERE version_id = ?", (version_id,),
-            ).fetchone()
-            if row is None:
-                cur = conn.execute(
-                    "INSERT INTO lineage_version (version_id, code_version, "
-                    "rulebase_version, created_at, annotations) "
-                    "VALUES (?, ?, ?, ?, ?)",
-                    (version_id, code, rulebase, created_at,
-                     json.dumps(annotations, sort_keys=True)),
-                )
-                child_row = cur.lastrowid
-            else:
-                child_row = row[0]
-                if annotations:
-                    merged = {**json.loads(row[1]), **annotations}
-                    conn.execute(
-                        "UPDATE lineage_version SET annotations = ? "
-                        "WHERE id = ?",
-                        (json.dumps(merged, sort_keys=True), child_row),
-                    )
-            for ordinal, parent in enumerate(parents):
-                prow = conn.execute(
-                    "SELECT id FROM lineage_version WHERE version_id = ?",
-                    (parent,),
-                ).fetchone()
-                if prow is None:
-                    raise ProfileError(
-                        f"lineage: parent {parent!r} of {version_id!r} is "
-                        "not recorded; record parents first"
-                    )
+    @staticmethod
+    def _record(conn, version_id: str, parents: tuple[str, ...],
+                annotations: dict[str, Any], code: str, rulebase: str,
+                created_at: float) -> None:
+        row = conn.execute(
+            "SELECT id, annotations FROM lineage_version "
+            "WHERE version_id = ?", (version_id,),
+        ).fetchone()
+        if row is None:
+            cur = conn.execute(
+                "INSERT INTO lineage_version (version_id, code_version, "
+                "rulebase_version, created_at, annotations) "
+                "VALUES (?, ?, ?, ?, ?)",
+                (version_id, code, rulebase, created_at,
+                 json.dumps(annotations, sort_keys=True)),
+            )
+            child_row = cur.lastrowid
+        else:
+            child_row = row[0]
+            if annotations:
+                merged = {**json.loads(row[1]), **annotations}
                 conn.execute(
-                    "INSERT OR IGNORE INTO lineage_parent "
-                    "(child_id, parent_id, ordinal) VALUES (?, ?, ?)",
-                    (child_row, prow[0], ordinal),
+                    "UPDATE lineage_version SET annotations = ? "
+                    "WHERE id = ?",
+                    (json.dumps(merged, sort_keys=True), child_row),
                 )
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        conn.execute("COMMIT")
+        for ordinal, parent in enumerate(parents):
+            prow = conn.execute(
+                "SELECT id FROM lineage_version WHERE version_id = ?",
+                (parent,),
+            ).fetchone()
+            if prow is None:
+                raise ProfileError(
+                    f"lineage: parent {parent!r} of {version_id!r} is "
+                    "not recorded; record parents first"
+                )
+            conn.execute(
+                "INSERT OR IGNORE INTO lineage_parent "
+                "(child_id, parent_id, ordinal) VALUES (?, ?, ?)",
+                (child_row, prow[0], ordinal),
+            )
 
     def attach_trial(
         self, version_id: str, application: str, experiment: str,
@@ -244,46 +208,41 @@ class LineageStore:
     ) -> None:
         """Tie a stored trial to a version (role ``trial`` or
         ``baseline``)."""
-        if role not in ("trial", "baseline"):
-            raise ProfileError(f"lineage: unknown trial role {role!r}")
+        self.attach_trials(
+            version_id, [TrialRef(application, experiment, trial, role)])
+
+    def attach_trials(self, version_id: str,
+                      refs: Iterable[TrialRef]) -> None:
+        """Tie several stored trials to a version in one transaction:
+        a crash attaches all of them or none."""
+        refs = list(refs)
+        for ref in refs:
+            if ref.role not in ("trial", "baseline"):
+                raise ProfileError(f"lineage: unknown trial role {ref.role!r}")
         version_row = self._row_id(version_id)
-        trial_id = self.db.trial_id(application, experiment, trial)
-
-        def txn() -> None:
-            conn = self.db.connection
-            conn.execute(
-                "INSERT OR IGNORE INTO lineage_trial "
-                "(version_row, trial_id, role) VALUES (?, ?, ?)",
-                (version_row, trial_id, role),
-            )
-            conn.commit()
-
-        _retry_locked(txn)
+        rows = [(version_row, self.db.trial_id(
+            ref.application, ref.experiment, ref.trial), ref.role)
+            for ref in refs]
+        transaction(self.db, lambda conn: conn.executemany(
+            "INSERT OR IGNORE INTO lineage_trial "
+            "(version_row, trial_id, role) VALUES (?, ?, ?)", rows))
 
     def annotate(self, version_id: str, **annotations: Any) -> None:
         """Merge annotations into a recorded version."""
         row_id = self._row_id(version_id)
 
-        def txn() -> None:
-            conn = self.db.connection
-            conn.execute("BEGIN IMMEDIATE")
-            try:
-                current = json.loads(conn.execute(
-                    "SELECT annotations FROM lineage_version WHERE id = ?",
-                    (row_id,),
-                ).fetchone()[0])
-                current.update(annotations)
-                conn.execute(
-                    "UPDATE lineage_version SET annotations = ? "
-                    "WHERE id = ?",
-                    (json.dumps(current, sort_keys=True), row_id),
-                )
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
-            conn.execute("COMMIT")
+        def merge(conn) -> None:
+            current = json.loads(conn.execute(
+                "SELECT annotations FROM lineage_version WHERE id = ?",
+                (row_id,),
+            ).fetchone()[0])
+            current.update(annotations)
+            conn.execute(
+                "UPDATE lineage_version SET annotations = ? WHERE id = ?",
+                (json.dumps(current, sort_keys=True), row_id),
+            )
 
-        _retry_locked(txn)
+        transaction(self.db, merge)
 
     # -- lookups -----------------------------------------------------------
     def _row_id(self, version_id: str) -> int:

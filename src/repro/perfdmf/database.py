@@ -346,10 +346,11 @@ class PerfDMF:
         conn.execute(begin)
         try:
             yield
+            conn.execute("COMMIT")
         except BaseException:
-            conn.execute("ROLLBACK")
+            if conn.in_transaction:
+                conn.execute("ROLLBACK")
             raise
-        conn.execute("COMMIT")
 
     def close(self) -> None:
         with self._lock:

@@ -6,26 +6,27 @@ which stored trial is the *expected* performance of an
 table in the same SQLite file, with full history — every promotion is a
 new row, so "when did the baseline move, and why" is always answerable.
 
-The regress tables are versioned independently of the core PerfDMF schema
-(`regress_meta.version`) and migrated in place by
-:func:`ensure_regress_schema`, so a repository created by an older build
-upgrades transparently the first time a sentinel touches it.
+The regress tables are a :class:`~repro.perfdmf.sidetables.SideTables`
+(schema version in ``regress_meta``), migrated in place on open, so a
+repository created by an older build upgrades transparently the first
+time a sentinel touches it.
 """
 
 from __future__ import annotations
 
-import sqlite3
 from dataclasses import dataclass
 
 from ..perfdmf import PerfDMF, ProfileError, Trial
+from ..perfdmf.sidetables import SideTables, transaction
 
-#: Current version of the regress-side schema.
-REGRESS_SCHEMA_VERSION = 2
 
-_V1_TABLES = """
-CREATE TABLE IF NOT EXISTS regress_meta (
-    version INTEGER NOT NULL
-);
+def _add_reason(conn) -> None:
+    """v2 records *why* a baseline was promoted (manual tag, CI
+    auto-promotion on an accepted improvement, ...)."""
+    conn.execute("ALTER TABLE baseline ADD COLUMN reason TEXT NOT NULL DEFAULT ''")
+
+
+REGRESS_TABLES = SideTables("regress", version=2, schema="""
 CREATE TABLE IF NOT EXISTS baseline (
     id       INTEGER PRIMARY KEY,
     exp_id   INTEGER NOT NULL REFERENCES experiment(id) ON DELETE CASCADE,
@@ -33,41 +34,11 @@ CREATE TABLE IF NOT EXISTS baseline (
     active   INTEGER NOT NULL DEFAULT 1
 );
 CREATE INDEX IF NOT EXISTS idx_baseline_exp ON baseline(exp_id);
-"""
+""", migrations={1: _add_reason})
 
-
-def _migrate_v1_to_v2(conn: sqlite3.Connection) -> None:
-    """v2 records *why* a baseline was promoted (manual tag, CI
-    auto-promotion on an accepted improvement, ...)."""
-    conn.execute("ALTER TABLE baseline ADD COLUMN reason TEXT NOT NULL DEFAULT ''")
-
-
-#: version N → callable upgrading the schema from N to N+1.
-_MIGRATIONS = {
-    1: _migrate_v1_to_v2,
-}
-
-
-def ensure_regress_schema(db: PerfDMF) -> int:
-    """Create or upgrade the regress tables; returns the resulting version."""
-    conn = db.connection
-    conn.executescript(_V1_TABLES)
-    row = conn.execute("SELECT version FROM regress_meta").fetchone()
-    if row is None:
-        conn.execute("INSERT INTO regress_meta (version) VALUES (?)", (1,))
-        version = 1
-    else:
-        version = row[0]
-    if version > REGRESS_SCHEMA_VERSION:
-        raise ProfileError(
-            f"regress schema version {version} is newer than this build "
-            f"supports ({REGRESS_SCHEMA_VERSION})"
-        )
-    while version < REGRESS_SCHEMA_VERSION:
-        _MIGRATIONS[version](conn)
-        version += 1
-        conn.execute("UPDATE regress_meta SET version = ?", (version,))
-    return version
+#: Current version of the regress-side schema.
+REGRESS_SCHEMA_VERSION = REGRESS_TABLES.version
+ensure_regress_schema = REGRESS_TABLES.ensure
 
 
 @dataclass(frozen=True)
@@ -117,9 +88,8 @@ class BaselineRegistry:
         """
         exp_id = self._exp_id(application, experiment)
         trial_id = self.db.trial_id(application, experiment, trial)
-        conn = self.db.connection
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+
+        def promote(conn) -> None:
             conn.execute(
                 "UPDATE baseline SET active = 0 WHERE exp_id = ?", (exp_id,)
             )
@@ -128,10 +98,8 @@ class BaselineRegistry:
                 "VALUES (?, ?, 1, ?)",
                 (exp_id, trial_id, reason),
             )
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        conn.execute("COMMIT")
+
+        transaction(self.db, promote)
 
     def baseline_name(self, application: str, experiment: str) -> str | None:
         """Name of the active baseline trial, or None when unset."""

@@ -497,8 +497,8 @@ def lineage_scan_job(
     """Sweep the regression detectors along stored version history.
 
     Conceptually read-only, but declared ``writes=True``: the lineage
-    side tables are ensured on open (a no-op write once they exist) and
-    live outside the trial content hashes the cache keys on, so results
+    side tables are ensured on open (created or migrated on first use;
+    a read once they are current) and live outside the trial content hashes the cache keys on, so results
     must not be cached either.
     """
     from ..lineage import LineageStore, scan_range

@@ -9,7 +9,19 @@ from repro.regress import (
     BaselineRegistry,
     ensure_regress_schema,
 )
-from repro.regress.baseline import _V1_TABLES
+
+#: The regress tables exactly as the v1 build shipped them.
+V1_SCHEMA = """
+CREATE TABLE regress_meta (version INTEGER NOT NULL);
+CREATE TABLE baseline (
+    id       INTEGER PRIMARY KEY,
+    exp_id   INTEGER NOT NULL REFERENCES experiment(id) ON DELETE CASCADE,
+    trial_id INTEGER NOT NULL REFERENCES trial(id)      ON DELETE CASCADE,
+    active   INTEGER NOT NULL DEFAULT 1
+);
+CREATE INDEX idx_baseline_exp ON baseline(exp_id);
+INSERT INTO regress_meta (version) VALUES (1);
+"""
 
 
 def make_trial(name):
@@ -89,10 +101,7 @@ class TestRegistry:
 
 class TestSchemaMigration:
     def _create_v1(self, db):
-        """Lay down the schema exactly as the v1 build shipped it."""
-        conn = db.connection
-        conn.executescript(_V1_TABLES)
-        conn.execute("INSERT INTO regress_meta (version) VALUES (1)")
+        db.connection.executescript(V1_SCHEMA)
 
     def test_fresh_database_lands_on_current_version(self):
         with PerfDMF() as db:
