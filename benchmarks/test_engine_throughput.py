@@ -33,6 +33,7 @@ from repro.knowledge.rulebase import diagnose_load_balance, openuh_rules
 from repro.machine import CounterVector, uniform_machine
 from repro.machine import counters as C
 from repro.perfdmf import PerfDMF, TrialBuilder
+from repro.rules import RuleEngine
 from repro.runtime.tau import Profiler
 from repro.runtime.trace import EventTrace
 
@@ -92,7 +93,9 @@ def test_indexed_diagnose_throughput(benchmark):
     trial = synth_rank_trial()
 
     def diagnose(indexing):
-        h = RuleHarness(openuh_rules(), indexing=indexing)
+        h = RuleHarness()
+        h.engine = RuleEngine(indexing=indexing)
+        h.engine.add_rules(openuh_rules())
         diagnose_load_balance(trial, harness=h)
         return h
 

@@ -147,7 +147,7 @@ class TestPipelineOverhead:
 
 class TestExportThroughput:
     def test_export_scales_to_thousands_of_spans(self, tmp_path):
-        from repro.observe.export import to_jsonl_records, write_chrome_trace, write_jsonl
+        from repro.observe.export import write_chrome, write_jsonl
 
         tracer = observe.enable(fresh=True)
         n = 2_000
@@ -160,7 +160,8 @@ class TestExportThroughput:
         write_jsonl(tracer, tmp_path / "t.jsonl")
         jsonl_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        write_chrome_trace(to_jsonl_records(tracer), tmp_path / "t.json")
+        write_chrome(tracer.finished(), tmp_path / "t.json",
+                     events=tracer.events.records())
         chrome_s = time.perf_counter() - t0
         print_series(
             f"export of {2 * n} spans (ms)",

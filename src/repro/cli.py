@@ -421,14 +421,20 @@ def _cmd_trace_tools(argv: list[str]) -> int:
                         help="JSONL trace written by `repro-perf trace ...`")
     if argv[0] == "report":
         parser.add_argument("--top", type=int, default=20)
-        a = parser.parse_args(argv[1:])
-        print(obs_export.render_report(obs_export.read_jsonl(a.trace),
-                                       top=a.top))
-        return 0
-    parser.add_argument("--out", required=True,
-                        help="Chrome trace_event JSON to write")
+    else:
+        parser.add_argument("--out", required=True,
+                            help="Chrome trace_event JSON to write")
     a = parser.parse_args(argv[1:])
-    n = obs_export.write_chrome_trace(obs_export.read_jsonl(a.trace), a.out)
+    try:
+        records = obs_export.read_jsonl(a.trace)
+    except (OSError, ValueError) as exc:
+        print(f"trace {argv[0]}: {exc}", file=sys.stderr)
+        return 2
+    if argv[0] == "report":
+        print(obs_export.render_report(records, top=a.top))
+        return 0
+    n = obs_export.write_chrome(obs_export.spans_from_records(records), a.out,
+                                events=obs_export.events_from_records(records))
     print(f"wrote {n} trace events to {a.out} "
           "(load in about:tracing or ui.perfetto.dev)")
     return 0
@@ -436,7 +442,6 @@ def _cmd_trace_tools(argv: list[str]) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Run an inner repro-perf command under self-telemetry and export."""
-    import os
     from pathlib import Path
 
     from repro import observe
@@ -464,7 +469,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     chrome_path = prefix.with_suffix(".json")
     records = obs_export.to_jsonl_records(tracer)
     obs_export.write_jsonl(tracer, jsonl_path)
-    obs_export.write_chrome_trace(records, chrome_path, pid=os.getpid())
+    obs_export.write_chrome(tracer.finished(), chrome_path,
+                            events=tracer.events.records())
     print()
     print(f"trace: {len(tracer.finished())} spans -> {jsonl_path} (JSONL), "
           f"{chrome_path} (Chrome trace_event)")
@@ -790,12 +796,11 @@ def _cmd_serve_explain_job(args: argparse.Namespace) -> int:
     print(f"  {len(explain.get('spans') or [])} span(s), "
           f"coverage {explain.get('coverage', 0.0):.1%} of job wall time")
     if args.chrome:
-        from repro.observe.export import write_timeline_chrome
+        from repro.observe.export import write_chrome
 
         spans = explain.get("spans") or []
-        write_timeline_chrome(spans, args.chrome,
-                              label=f"job {explain['id']} "
-                                    f"({explain['kind']})")
+        write_chrome(spans, args.chrome,
+                     label=f"job {explain['id']} ({explain['kind']})")
         print(f"  Chrome trace: {args.chrome} ({len(spans)} spans)")
     return 0
 

@@ -71,21 +71,17 @@ def _resolve_rules(source) -> list[Rule]:
 class RuleHarness:
     """Holds a rule engine plus the convenience entry points scripts use."""
 
-    def __init__(
-        self, rules=None, *, echo: bool = False, indexing: bool = True
-    ) -> None:
-        self.engine = RuleEngine(echo=echo, indexing=indexing)
+    def __init__(self, rules=None, *, echo: bool = False) -> None:
+        self.engine = RuleEngine(echo=echo)
         if rules is not None:
             self.engine.add_rules(_resolve_rules(rules))
 
     # -- the paper's API --------------------------------------------------
     @classmethod
-    def useGlobalRules(
-        cls, rules, *, echo: bool = False, indexing: bool = True
-    ) -> "RuleHarness":
+    def useGlobalRules(cls, rules, *, echo: bool = False) -> "RuleHarness":
         """Create and install the process-global harness (Fig. 1, line 1)."""
         global _global_harness
-        _global_harness = cls(rules, echo=echo, indexing=indexing)
+        _global_harness = cls(rules, echo=echo)
         return _global_harness
 
     @classmethod

@@ -152,13 +152,13 @@ class ExperimentResult:
         """Write the run's stitched spans as one Chrome ``trace_event``
         file (load in ``chrome://tracing`` / Perfetto).  Returns the
         span count; raises if the run was not traced."""
-        from ..observe.export import write_timeline_chrome
+        from ..observe.export import write_chrome
 
         if not self.spans:
             raise ValueError(
                 "no spans collected — run the Orchestrator with trace=True"
             )
-        write_timeline_chrome(
+        write_chrome(
             self.spans, path,
             label=f"experiment {self.spec_name} run {self.run_id}",
         )

@@ -104,10 +104,8 @@ def openuh_rules(**threshold_overrides) -> list[Rule]:
 register_rulebase(RULEBASE_NAME, openuh_rules)
 
 
-def _harness(*, indexing: bool = True, **overrides) -> RuleHarness:
-    # `indexing` configures the engine (naive vs alpha-indexed matching —
-    # same diagnoses either way); everything else is a threshold override.
-    return RuleHarness(openuh_rules(**overrides), indexing=indexing)
+def _harness(**overrides) -> RuleHarness:
+    return RuleHarness(openuh_rules(**overrides))
 
 
 def diagnose_load_balance(

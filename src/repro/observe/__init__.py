@@ -45,7 +45,7 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .tracer import NOOP_SPAN, Span, SpanRecord, Tracer
+from .tracer import NOOP_SPAN, Span, Tracer
 
 __all__ = [
     "Counter",
@@ -54,7 +54,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Span",
-    "SpanRecord",
     "TraceContext",
     "Tracer",
     "counter",
@@ -133,7 +132,7 @@ def histogram(name: str):
     return _tracer.metrics.histogram(name) if _enabled else NOOP_INSTRUMENT
 
 
-def current_span_id() -> int | None:
+def current_span_id() -> str | None:
     """Id of the innermost open span on this thread (None when disabled
     or outside any span) — what trace-linked records store."""
     if not _enabled:

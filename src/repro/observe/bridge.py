@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from ..perfdmf import CALLPATH_SEPARATOR, PerfDMF, Trial
-from .tracer import SpanRecord, Tracer
+from ..perfdmf import CALLPATH_SEPARATOR, PerfDMF, Trial, next_trial_name
+from .tracer import Tracer
 
 #: Microseconds, matching TAU's TIME metric convention.
 TIME = "TIME"
@@ -29,52 +29,50 @@ CPU_TIME = "CPU_TIME"
 SELF_APPLICATION = "repro.observe"
 
 
-def _as_dicts(spans: Iterable[SpanRecord | dict]) -> list[dict]:
-    out = []
-    for s in spans:
-        out.append(s.to_dict() if isinstance(s, SpanRecord) else s)
-    return out
-
-
 def spans_to_trial(
-    spans: Iterable[SpanRecord | dict],
+    spans: Iterable[dict],
     *,
     name: str,
     metadata: Mapping | None = None,
 ) -> Trial:
-    """Roll finished spans up into a TAU-style :class:`Trial`.
+    """Roll finished timeline spans up into a TAU-style :class:`Trial`.
 
-    Each OS thread in the trace becomes a profile thread; each span name
-    becomes a flat event and each observed nesting becomes a callpath
-    event (group ``CALLPATH``).  Exclusive time is the span's wall time
-    minus its direct children's; inclusive is the full wall time.  Flat
+    Each ``(process, attrs["thread"])`` pair in the trace becomes a
+    profile thread; each span name becomes a flat event and each observed
+    nesting becomes a callpath event (group ``CALLPATH``).  Inclusive time
+    is ``end - start``; exclusive subtracts the direct children's.  Flat
     inclusive values skip spans nested under a same-named ancestor, so
     recursion is not double-counted.
     """
-    rows = _as_dicts(spans)
+    rows = list(spans)
     if not rows:
         raise ValueError("cannot build a trial from an empty trace")
-    by_id = {r["id"]: r for r in rows}
-    child_wall: dict[int, float] = {}
-    child_cpu: dict[int, float] = {}
+    by_id = {r["span_id"]: r for r in rows}
+    child_wall: dict[str, float] = {}
+    child_cpu: dict[str, float] = {}
     for r in rows:
-        parent = r.get("parent")
-        if parent is not None and parent in by_id:
-            child_wall[parent] = child_wall.get(parent, 0.0) + float(r["wall"])
-            child_cpu[parent] = child_cpu.get(parent, 0.0) + float(r["cpu"])
+        parent = r["parent_id"]
+        if parent in by_id:
+            child_wall[parent] = (child_wall.get(parent, 0.0)
+                                  + r["end"] - r["start"])
+            child_cpu[parent] = (child_cpu.get(parent, 0.0)
+                                 + r["attrs"].get("cpu_ms", 0.0))
 
     def callpath(r: dict) -> list[str]:
         names = [r["name"]]
-        seen = {r["id"]}
-        parent = r.get("parent")
-        while parent is not None and parent in by_id and parent not in seen:
+        seen = {r["span_id"]}
+        parent = r["parent_id"]
+        while parent in by_id and parent not in seen:
             seen.add(parent)
             r = by_id[parent]
             names.append(r["name"])
-            parent = r.get("parent")
+            parent = r["parent_id"]
         return names[::-1]
 
-    thread_ids = sorted({r.get("thread", 0) for r in rows})
+    def thread_of(r: dict) -> tuple[str, int]:
+        return (str(r["process"]), r["attrs"].get("thread", 0))
+
+    thread_ids = sorted({thread_of(r) for r in rows})
     thread_pos = {ident: i for i, ident in enumerate(thread_ids)}
 
     trial = Trial(name, dict(metadata or {}))
@@ -96,11 +94,12 @@ def spans_to_trial(
         row[4] += calls
 
     for r in rows:
-        t = thread_pos[r.get("thread", 0)]
-        wall_us = float(r["wall"]) * 1e6
-        cpu_us = float(r["cpu"]) * 1e6
-        excl_us = max(wall_us - child_wall.get(r["id"], 0.0) * 1e6, 0.0)
-        cpu_excl_us = max(cpu_us - child_cpu.get(r["id"], 0.0) * 1e6, 0.0)
+        t = thread_pos[thread_of(r)]
+        wall_us = (r["end"] - r["start"]) * 1e6
+        cpu_us = r["attrs"].get("cpu_ms", 0.0) * 1e3
+        excl_us = max(wall_us - child_wall.get(r["span_id"], 0.0) * 1e6, 0.0)
+        cpu_excl_us = max(cpu_us - child_cpu.get(r["span_id"], 0.0) * 1e3,
+                          0.0)
         path = callpath(r)
         # flat event: exclusive always; inclusive only from the outermost
         # occurrence of this name on the path (recursion guard)
@@ -121,17 +120,6 @@ def spans_to_trial(
     return trial
 
 
-def next_self_trial_name(db: PerfDMF, experiment: str,
-                         *, application: str = SELF_APPLICATION) -> str:
-    """Sequential self-profile names (``run_0001``, ``run_0002``...), so
-    the regression sentinel's "newest trial" default does the right thing."""
-    try:
-        existing = db.trials(application, experiment)
-    except Exception:
-        existing = []
-    return f"run_{len(existing) + 1:04d}"
-
-
 def store_self_profile(
     tracer: Tracer,
     db: PerfDMF,
@@ -144,7 +132,7 @@ def store_self_profile(
     """Convert ``tracer``'s spans to a trial and store it; returns
     ``(trial, trial_id)``.  The analyzer's profile lands in the same
     repository as the application profiles it was analyzing."""
-    name = name or next_self_trial_name(db, experiment, application=application)
+    name = name or next_trial_name(db, application, experiment, "run")
     meta = {
         "source": "repro.observe",
         "spans": len(tracer.finished()),
@@ -152,5 +140,5 @@ def store_self_profile(
         **dict(metadata or {}),
     }
     trial = spans_to_trial(tracer.finished(), name=name, metadata=meta)
-    trial_id = db.save_trial(application, experiment, trial, replace=True)
+    trial_id = db.save_trial(application, experiment, trial)
     return trial, trial_id

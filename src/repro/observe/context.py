@@ -1,24 +1,19 @@
-"""Trace context: W3C-traceparent-style ids across process boundaries.
+"""Trace context and the timeline span: the one span shape of the stack.
 
-The tracer in :mod:`repro.observe.tracer` measures one process; the
-analysis service spans *three* (client, service, worker child), plus a
-socket and a pipe in between.  This module is the glue: a
-:class:`TraceContext` is minted where a request is born, rides the
-JSON-lines protocol as ``{"trace_id", "parent_span_id"}`` (or a
-``traceparent`` header string), and every hop records *timeline spans* —
-plain JSON dicts on the shared wall clock — that stitch back into one
-per-job timeline no matter which process produced them.
+The analysis service spans *three* processes (client, service, worker
+child), plus a socket and a pipe in between.  A :class:`TraceContext` is
+minted where a request is born and rides the JSON-lines protocol as
+``{"trace_id", "parent_span_id"}`` (or a ``traceparent`` header string).
+Every hop records *timeline spans*: plain JSON dicts with 16-hex-char ids
+and ``time.time()`` start/end seconds (:func:`make_span`), which stitch
+back into one per-job timeline no matter which process produced them.
 
-Two span vocabularies coexist on purpose:
-
-* :class:`~repro.observe.tracer.SpanRecord` — in-process, integer ids,
-  perf-counter offsets.  Cheap and exact within one tracer.
-* **timeline spans** (this module) — cross-process, 16-hex-char ids,
-  ``time.time()`` start/end.  What the service stitches and exports.
-
-Wall clocks across local processes agree to well under a millisecond,
-which is plenty for queue-wait/exec attribution; within one process the
-converted tracer offsets keep their native precision.
+The in-process :class:`~repro.observe.tracer.Tracer` records the same
+dicts, taking its trace id and root parent from its own context, so the
+exporters, the service and the PerfDMF bridge all read one shape.  Wall
+clocks across local processes agree to well under a millisecond, which
+is plenty for queue-wait/exec attribution; within one tracer the spans'
+ends come from ``perf_counter``, so nesting is exact.
 """
 
 from __future__ import annotations

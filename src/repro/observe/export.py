@@ -1,31 +1,38 @@
 """Exporters: JSONL, Chrome ``trace_event`` JSON, and a terminal report.
 
-The JSONL form is the durable interchange format (one record per line:
-spans, events, metric snapshots); the Chrome form loads directly into
-``about:tracing`` / Perfetto so the analyzer's own timeline can be eyeballed
-like any application trace.
+Every exporter reads one span shape, the timeline span of
+:func:`repro.observe.context.make_span` that the tracer records and the
+service stitches.  The JSONL form is the durable interchange format (one
+record per line: spans, events, metric snapshots); the Chrome form loads
+directly into ``about:tracing`` / Perfetto so the analyzer's own timeline
+can be eyeballed like any application trace.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable
 
-from .tracer import SpanRecord, Tracer
+from .tracer import Tracer
+
+#: The keys of a timeline span; a saved span record must carry them all.
+SPAN_KEYS = ("trace_id", "span_id", "parent_id", "name", "start", "end",
+             "process", "attrs")
 
 
 # -- JSONL -----------------------------------------------------------------
 def to_jsonl_records(tracer: Tracer) -> list[dict]:
     """Every record the tracer holds, as JSON-ready dicts."""
+    spans = tracer.finished()
     records: list[dict] = [{
         "type": "meta",
         "epoch": tracer.epoch,
-        "spans": len(tracer.finished()),
+        "spans": len(spans),
         "dropped_spans": tracer.dropped_spans,
         "dropped_events": tracer.events.dropped,
     }]
-    records.extend(r.to_dict() for r in tracer.finished())
+    records.extend({"type": "span", **s} for s in spans)
     records.extend({"type": "event", **e} for e in tracer.events.records())
     records.extend(tracer.metrics.snapshot())
     return records
@@ -41,13 +48,39 @@ def write_jsonl(tracer: Tracer, path: str | Path) -> int:
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
-    """Parse a JSONL trace back into record dicts (blank lines skipped)."""
+    """Parse a JSONL trace back into record dicts (blank lines skipped).
+
+    Raises :class:`ValueError` naming ``path:line`` for a line that is not
+    a JSON object, or for a span record without the timeline keys (such
+    as one saved by a version that recorded another span shape) or with
+    a non-numeric ``start``/``end`` or non-object ``attrs``.
+    """
     out = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                out.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: not JSON ({exc.msg})") \
+                    from None
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path}:{lineno}: not a JSON object")
+            if rec.get("type") == "span":
+                missing = [k for k in SPAN_KEYS if k not in rec]
+                if missing:
+                    raise ValueError(
+                        f"{path}:{lineno}: span record lacks timeline "
+                        f"key(s) {', '.join(missing)}")
+                if not (isinstance(rec["attrs"], dict) and all(
+                        isinstance(rec[k], (int, float)) for k in
+                        ("start", "end"))):
+                    raise ValueError(
+                        f"{path}:{lineno}: span record needs numeric "
+                        "start/end and object attrs")
+            out.append(rec)
     return out
 
 
@@ -55,157 +88,121 @@ def spans_from_records(records: Iterable[dict]) -> list[dict]:
     return [r for r in records if r.get("type") == "span"]
 
 
+def events_from_records(records: Iterable[dict]) -> list[dict]:
+    return [r for r in records if r.get("type") == "event"]
+
+
 # -- Chrome trace_event ----------------------------------------------------
-def to_chrome_trace(records: Iterable[dict], *, pid: int = 1) -> dict:
-    """Convert JSONL records to the Chrome ``trace_event`` JSON format.
-
-    Spans become complete ("X") events, structured events become instants
-    ("i"), and each OS thread gets a metadata name row.  Timestamps are
-    microseconds from the trace epoch, as the format requires.
-    """
-    trace_events: list[dict] = [{
-        "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-        "args": {"name": "repro analysis stack"},
-    }]
-    threads: dict[int, int] = {}
-    epoch = 0.0
-    for rec in records:
-        if rec.get("type") == "meta":
-            epoch = float(rec.get("epoch", 0.0))
-            continue
-        if rec.get("type") == "span":
-            tid = threads.setdefault(rec.get("thread", 0), len(threads))
-            args = dict(rec.get("attributes") or {})
-            args["span_id"] = rec.get("id")
-            if rec.get("parent") is not None:
-                args["parent_id"] = rec["parent"]
-            args["cpu_us"] = round(float(rec.get("cpu", 0.0)) * 1e6, 3)
-            if rec.get("status") == "error":
-                args["error"] = rec.get("error", "?")
-            trace_events.append({
-                "name": rec["name"],
-                "cat": rec["name"].split(".", 1)[0],
-                "ph": "X",
-                "ts": round(float(rec["start"]) * 1e6, 3),
-                "dur": round(float(rec["wall"]) * 1e6, 3),
-                "pid": pid,
-                "tid": tid,
-                "args": args,
-            })
-        elif rec.get("type") == "event":
-            ts = (float(rec.get("ts", epoch)) - epoch) * 1e6 if epoch else 0.0
-            args = {k: v for k, v in rec.items()
-                    if k not in ("type", "name", "ts")}
-            trace_events.append({
-                "name": rec.get("name", "event"),
-                "cat": "event",
-                "ph": "i",
-                "ts": round(max(ts, 0.0), 3),
-                "pid": pid,
-                "tid": 0,
-                "s": "p",
-                "args": args,
-            })
-    for ident, tid in threads.items():
-        trace_events.append({
-            "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-            "args": {"name": f"thread-{ident}"},
-        })
-    return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
+def _lane(pid: int, name: str, sort_index: int) -> list[dict]:
+    """The metadata rows naming and ordering one Chrome process lane."""
+    return [
+        {"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+         "args": {"name": name}},
+        {"name": "process_sort_index", "ph": "M", "pid": pid, "tid": 0,
+         "args": {"sort_index": sort_index}},
+    ]
 
 
-def write_chrome_trace(records: Iterable[dict], path: str | Path,
-                       *, pid: int = 1) -> int:
-    doc = to_chrome_trace(records, pid=pid)
-    Path(path).write_text(json.dumps(doc))
-    return len(doc["traceEvents"])
+def to_chrome(spans: Iterable[dict], *, events: Iterable[dict] = (),
+              label: str = "repro analysis stack") -> dict:
+    """Render timeline spans as Chrome ``trace_event`` JSON.
 
-
-# -- distributed timeline spans --------------------------------------------
-def timeline_to_chrome(spans: Iterable[dict],
-                       *, label: str = "distributed trace") -> dict:
-    """Render cross-process *timeline spans* (the
-    :func:`repro.observe.context.make_span` shape, wall-clock seconds) as
-    Chrome ``trace_event`` JSON — one process lane per ``process`` label,
-    timestamps relative to the earliest span.
-
-    This is the exporter for stitched service-job timelines and
-    experiment-run DAGs; the in-process :func:`to_chrome_trace` keeps
-    handling single-tracer JSONL records.
+    Spans become complete ("X") events with one process lane per
+    ``process`` and one thread row per ``attrs["thread"]``; structured
+    events become instants ("i") on the ``label`` lane.  Timestamps are
+    microseconds from the earliest span or event.
     """
     spans = sorted(spans, key=lambda s: float(s["start"]))
-    events: list[dict] = [{
+    events = list(events)
+    t0 = min([float(s["start"]) for s in spans]
+             + [float(e["ts"]) for e in events if "ts" in e], default=0.0)
+    out: list[dict] = [{
         "name": "process_name", "ph": "M", "pid": 0, "tid": 0,
         "args": {"name": label},
     }]
-    if not spans:
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-    t0 = float(spans[0]["start"])
     pids: dict[str, int] = {}
+    rows: dict[int, dict] = {}
     for s in spans:
-        process = str(s.get("process", "service"))
+        process = str(s["process"])
         pid = pids.get(process)
         if pid is None:
             pid = pids[process] = len(pids) + 1
-            events.append({
-                "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-                "args": {"name": process},
-            })
-            events.append({
-                "name": "process_sort_index", "ph": "M", "pid": pid,
-                "tid": 0, "args": {"sort_index": pid},
-            })
-        args = dict(s.get("attrs") or {})
+            out.extend(_lane(pid, process, pid))
+        attrs = s["attrs"]
+        thread = attrs.get("thread")
+        row = rows.setdefault(pid, {})
+        tid = row.get(thread)
+        if tid is None:
+            tid = row[thread] = len(row)
+            if thread is not None:
+                out.append({"name": "thread_name", "ph": "M", "pid": pid,
+                            "tid": tid, "args": {"name": f"thread-{thread}"}})
+        args = dict(attrs)
         args["span_id"] = s["span_id"]
-        args["trace_id"] = s.get("trace_id")
-        if s.get("parent_id") is not None:
+        args["trace_id"] = s["trace_id"]
+        if s["parent_id"] is not None:
             args["parent_id"] = s["parent_id"]
-        events.append({
+        out.append({
             "name": s["name"],
             "cat": str(s["name"]).split(".", 1)[0],
             "ph": "X",
             "ts": round((float(s["start"]) - t0) * 1e6, 3),
             "dur": round((float(s["end"]) - float(s["start"])) * 1e6, 3),
             "pid": pid,
-            "tid": 0,
+            "tid": tid,
             "args": args,
         })
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    for e in events:
+        out.append({
+            "name": e.get("name", "event"),
+            "cat": "event",
+            "ph": "i",
+            "ts": round(max(float(e.get("ts", t0)) - t0, 0.0) * 1e6, 3),
+            "pid": 0,
+            "tid": 0,
+            "s": "p",
+            "args": {k: v for k, v in e.items()
+                     if k not in ("type", "name", "ts")},
+        })
+    return {"traceEvents": out, "displayTimeUnit": "ms"}
 
 
-def write_timeline_chrome(spans: Iterable[dict], path: str | Path,
-                          *, label: str = "distributed trace") -> int:
-    """Write timeline spans as Chrome JSON; returns the event count."""
-    doc = timeline_to_chrome(spans, label=label)
-    Path(path).write_text(json.dumps(doc))
+def write_chrome(spans: Iterable[dict], path: str | Path, *,
+                 events: Iterable[dict] = (),
+                 label: str = "repro analysis stack") -> int:
+    """Write :func:`to_chrome`'s document to ``path``; returns the number
+    of trace events."""
+    doc = to_chrome(spans, events=events, label=label)
+    Path(path).write_text(json.dumps(doc, default=str))
     return len(doc["traceEvents"])
 
 
 # -- terminal report -------------------------------------------------------
-def span_summary(records: Iterable[dict]) -> list[dict]:
+def span_summary(spans: Iterable[dict]) -> list[dict]:
     """Aggregate spans by name: calls, total/self wall, CPU; slowest first.
 
-    *Self* time is wall time minus the wall time of direct children —
-    the exclusive/inclusive split PerfDMF uses, computed here on the
-    flat export form.
+    *Self* time is ``end - start`` minus that of direct children — the
+    exclusive/inclusive split PerfDMF uses, computed on timeline spans.
     """
-    spans = spans_from_records(records)
-    child_wall: dict[int, float] = {}
+    spans = list(spans)
+    child_wall: dict[str, float] = {}
     for s in spans:
-        parent = s.get("parent")
+        parent = s["parent_id"]
         if parent is not None:
-            child_wall[parent] = child_wall.get(parent, 0.0) + float(s["wall"])
+            child_wall[parent] = (child_wall.get(parent, 0.0)
+                                  + s["end"] - s["start"])
     agg: dict[str, dict] = {}
     for s in spans:
+        wall = s["end"] - s["start"]
         row = agg.setdefault(s["name"], {
             "name": s["name"], "calls": 0, "wall": 0.0, "self": 0.0,
             "cpu": 0.0, "errors": 0,
         })
         row["calls"] += 1
-        row["wall"] += float(s["wall"])
-        row["self"] += max(float(s["wall"]) - child_wall.get(s["id"], 0.0), 0.0)
-        row["cpu"] += float(s.get("cpu", 0.0))
-        if s.get("status") == "error":
+        row["wall"] += wall
+        row["self"] += max(wall - child_wall.get(s["span_id"], 0.0), 0.0)
+        row["cpu"] += s["attrs"].get("cpu_ms", 0.0) / 1e3
+        if s["attrs"].get("status") == "error":
             row["errors"] += 1
     return sorted(agg.values(), key=lambda r: -r["self"])
 
@@ -213,7 +210,7 @@ def span_summary(records: Iterable[dict]) -> list[dict]:
 def render_report(records: Iterable[dict], *, top: int = 20) -> str:
     """Human-readable trace digest: hot spans, metrics, notable events."""
     records = list(records)
-    rows = span_summary(records)
+    rows = span_summary(spans_from_records(records))
     lines = ["Self-telemetry report", "=" * 60]
     lines.append(f"{'span':<36}{'calls':>6}{'self ms':>10}{'total ms':>10}"
                  f"{'cpu ms':>9}")
@@ -281,14 +278,7 @@ def app_trace_to_chrome(trace, *, label: str = "simulated application") -> dict:
             name = f"thread {thread_of[cpu]}"
         else:
             name = f"cpu {cpu}"
-        events.append({
-            "name": "process_name", "ph": "M", "pid": pid_of(cpu), "tid": 0,
-            "args": {"name": name},
-        })
-        events.append({
-            "name": "process_sort_index", "ph": "M", "pid": pid_of(cpu),
-            "tid": 0, "args": {"sort_index": cpu},
-        })
+        events.extend(_lane(pid_of(cpu), name, cpu))
     for ev in trace.events:
         ts = round(ev.ts * 1e6, 3)
         if ev.kind == T.ENTER:

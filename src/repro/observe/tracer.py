@@ -3,81 +3,47 @@
 A :class:`Span` measures one region of *our* pipeline (a PerfDMF store, a
 rule-engine cycle, one analysis operation) exactly the way TAU measures an
 application region: wall time, CPU time, call nesting, and attributes.
-Finished spans accumulate on the :class:`Tracer` as immutable
-:class:`SpanRecord` rows that the exporters (and the dogfood bridge back
-into PerfDMF) consume.
+Each finished span accumulates on the :class:`Tracer` as a timeline span,
+the :func:`~repro.observe.context.make_span` dict every exporter, the
+service's job stitching and the dogfood bridge back into PerfDMF consume.
 
-Nesting is tracked per OS thread with a ``threading.local`` stack, so
-concurrent analyses interleave without corrupting each other's callpaths.
+Durations come from ``perf_counter``; both ends are placed on the wall
+clock as ``epoch + offset``, so nested spans stay nested exactly.  Nesting
+is tracked per OS thread with a ``threading.local`` stack, so concurrent
+analyses interleave without corrupting each other's callpaths.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import threading
 import time
-from dataclasses import dataclass, field
 
+from .context import TraceContext
 from .events import EventLog
 from .metrics import MetricsRegistry
-
-
-@dataclass
-class SpanRecord:
-    """One finished span, ready for export."""
-
-    span_id: int
-    parent_id: int | None
-    name: str
-    #: Start offset from the tracer's epoch, seconds.
-    start: float
-    #: Wall-clock duration, seconds.
-    wall: float
-    #: CPU time consumed by this thread during the span, seconds.
-    cpu: float
-    thread: int
-    status: str = "ok"
-    error: str | None = None
-    attributes: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        d = {
-            "type": "span",
-            "id": self.span_id,
-            "parent": self.parent_id,
-            "name": self.name,
-            "start": self.start,
-            "wall": self.wall,
-            "cpu": self.cpu,
-            "thread": self.thread,
-            "status": self.status,
-        }
-        if self.error:
-            d["error"] = self.error
-        if self.attributes:
-            d["attributes"] = self.attributes
-        return d
 
 
 class Span:
     """Context manager measuring one region; exception-safe.
 
-    Attributes set through :meth:`set` ride along on the finished record;
+    Attributes set through :meth:`set` ride along on the finished span;
     an exception inside the ``with`` marks the span ``status="error"`` and
     re-raises — telemetry never swallows failures.
     """
 
     __slots__ = ("_tracer", "name", "span_id", "parent_id", "attributes",
-                 "_start_perf", "_start_cpu", "_thread")
+                 "_start_perf", "_start_cpu")
 
     def __init__(self, tracer: "Tracer", name: str, attributes: dict) -> None:
         self._tracer = tracer
         self.name = name
         self.attributes = attributes
-        self.span_id = 0
-        self.parent_id: int | None = None
+        self.span_id: str | None = None
+        self.parent_id: str | None = None
         self._start_perf = 0.0
         self._start_cpu = 0.0
-        self._thread = 0
 
     def set(self, **attributes) -> "Span":
         """Attach (or overwrite) attributes on the live span."""
@@ -85,36 +51,43 @@ class Span:
         return self
 
     def __enter__(self) -> "Span":
-        self.span_id = self._tracer._next_id()
-        stack = self._tracer._stack()
-        self.parent_id = stack[-1].span_id if stack else None
-        self._thread = threading.get_ident()
+        tracer = self._tracer
+        self.span_id = tracer._next_id()
+        stack = tracer._stack()
+        self.parent_id = (stack[-1].span_id if stack
+                          else tracer.context.parent_span_id)
         stack.append(self)
         self._start_perf = time.perf_counter()
         self._start_cpu = time.thread_time()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        wall = time.perf_counter() - self._start_perf
+        end_perf = time.perf_counter()
         cpu = time.thread_time() - self._start_cpu
-        stack = self._tracer._stack()
+        tracer = self._tracer
+        stack = tracer._stack()
         # pop ourselves even if an inner span leaked (exception unwinding)
         while stack and stack[-1] is not self:
             stack.pop()
         if stack:
             stack.pop()
-        self._tracer._finish(SpanRecord(
-            span_id=self.span_id,
-            parent_id=self.parent_id,
-            name=self.name,
-            start=self._start_perf - self._tracer._epoch_perf,
-            wall=wall,
-            cpu=cpu,
-            thread=self._thread,
-            status="error" if exc_type is not None else "ok",
-            error=f"{exc_type.__name__}: {exc}" if exc_type is not None else None,
-            attributes=self.attributes,
-        ))
+        attrs = self.attributes
+        attrs["cpu_ms"] = cpu * 1e3
+        attrs["status"] = "ok" if exc_type is None else "error"
+        if exc_type is not None:
+            attrs["error"] = f"{exc_type.__name__}: {exc}"
+        attrs["thread"] = threading.get_ident()
+        base = tracer.epoch - tracer._epoch_perf
+        tracer._finish({
+            "trace_id": tracer.context.trace_id,
+            "span_id": self.span_id,
+            "parent_id": self.parent_id,
+            "name": self.name,
+            "start": base + self._start_perf,
+            "end": base + end_perf,
+            "process": tracer.process,
+            "attrs": attrs,
+        })
         return False  # never swallow the exception
 
 
@@ -123,7 +96,7 @@ class _NoopSpan:
 
     __slots__ = ()
     name = "noop"
-    span_id = 0
+    span_id = None
     parent_id = None
 
     def set(self, **attributes) -> "_NoopSpan":
@@ -140,29 +113,30 @@ NOOP_SPAN = _NoopSpan()
 
 
 class Tracer:
-    """Collects spans, metrics, and events for one observed run."""
+    """Collects spans, metrics, and events for one observed run.
+
+    ``context`` supplies the trace id every span carries and the parent of
+    this tracer's root spans; a fresh tracer mints its own.  A process
+    worker replaces it with the context it was handed, and ``process``
+    with its worker name, so its spans stitch under the service's.
+    """
 
     def __init__(self, *, max_spans: int = 200_000) -> None:
         self.metrics = MetricsRegistry()
         self.events = EventLog()
-        self._records: list[SpanRecord] = []
+        self._spans: list[dict] = []
         self._max_spans = max_spans
-        self.dropped_spans = 0
         self._lock = threading.Lock()
-        self._id = 0
-        self._local = threading.local()
-        #: Wall-clock epoch of this tracer (time.time seconds).
-        self.epoch = time.time()
-        self._epoch_perf = time.perf_counter()
+        self.reset()
 
     # -- span lifecycle ----------------------------------------------------
     def span(self, name: str, **attributes) -> Span:
         return Span(self, name, attributes)
 
-    def _next_id(self) -> int:
-        with self._lock:
-            self._id += 1
-            return self._id
+    def _next_id(self) -> str:
+        # a random per-reset prefix keeps ids unique across the fresh
+        # tracers one trace may see (e.g. the attempts of a retried job)
+        return f"{self._id_prefix}{next(self._ids):08x}"
 
     def _stack(self) -> list:
         stack = getattr(self._local, "stack", None)
@@ -170,34 +144,38 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
-    def _finish(self, record: SpanRecord) -> None:
+    def _finish(self, span: dict) -> None:
         with self._lock:
-            if len(self._records) >= self._max_spans:
+            if len(self._spans) >= self._max_spans:
                 self.dropped_spans += 1
             else:
-                self._records.append(record)
+                self._spans.append(span)
 
     # -- introspection -----------------------------------------------------
     def current_span(self) -> Span | None:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    def current_span_id(self) -> int | None:
+    def current_span_id(self) -> str | None:
         span = self.current_span()
         return span.span_id if span else None
 
-    def finished(self) -> list[SpanRecord]:
+    def finished(self) -> list[dict]:
         """Finished spans in completion order (children before parents)."""
         with self._lock:
-            return list(self._records)
+            return list(self._spans)
 
     def reset(self) -> None:
         with self._lock:
-            self._records.clear()
+            self._spans.clear()
             self.dropped_spans = 0
-            self._id = 0
+            self._ids = itertools.count(1)
+            self._id_prefix = os.urandom(4).hex()
         self._local = threading.local()
         self.metrics.clear()
         self.events.clear()
+        self.context = TraceContext.mint()
+        self.process = f"pid-{os.getpid()}"
+        #: Wall-clock epoch of this tracer (time.time seconds).
         self.epoch = time.time()
         self._epoch_perf = time.perf_counter()

@@ -6,7 +6,7 @@ SQLite-backed repository, and loaders for multiple profile formats (TAU
 text, JSON, CSV).
 """
 
-from .database import PerfDMF
+from .database import PerfDMF, next_trial_name
 from .loaders.csv_format import read_csv_profile, write_csv_profile
 from .loaders.gprof import parse_gprof_text, read_gprof_profile
 from .loaders.json_format import (
@@ -55,6 +55,7 @@ __all__ = [
     "get_default_repository",
     "interval_experiment",
     "load_interval_trials",
+    "next_trial_name",
     "parse_gprof_text",
     "read_csv_profile",
     "read_gprof_profile",

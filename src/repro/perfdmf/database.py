@@ -47,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import re
 import sqlite3
 import threading
 from contextlib import contextmanager
@@ -558,3 +559,17 @@ class PerfDMF:
     def trial_id(self, application: str, experiment: str, trial: str) -> int:
         """The integer primary key of a stored trial (raises if absent)."""
         return self._trial_row(application, experiment, trial)[0]
+
+
+def next_trial_name(db: PerfDMF, application: str, experiment: str,
+                    prefix: str) -> str:
+    """The next sequential trial name, ``<prefix>_NNNN``: one past the
+    highest numeric suffix stored under ``application/experiment``, so a
+    delete never makes the next name collide with a stored trial."""
+    suffix = re.compile(rf"{re.escape(prefix)}_(\d+)")
+    highest = max(
+        (int(m.group(1)) for name in db.trials(application, experiment)
+         if (m := suffix.fullmatch(name))),
+        default=0,
+    )
+    return f"{prefix}_{highest + 1:04d}"

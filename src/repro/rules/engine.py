@@ -70,7 +70,7 @@ class FiringRecord:
     #: Id of the telemetry span covering the cycle this firing ran in
     #: (None when telemetry is disabled) — joins the audit trail to the
     #: self-profile timeline.
-    span_id: int | None = None
+    span_id: str | None = None
 
 
 class RuleEngine:

@@ -130,14 +130,9 @@ def diagnose_job(
     exp: str,
     trial: str,
     script: str = "genidlest",
-    indexing: bool = True,
 ) -> dict[str, Any]:
     """Knowledge-based diagnosis of one stored trial (the CLI's
-    ``diagnose`` verb as a service job).
-
-    ``indexing=False`` runs the naive (unindexed) rule matcher — same
-    diagnoses, useful for differential debugging of the engine itself.
-    """
+    ``diagnose`` verb as a service job)."""
     from ..knowledge import render_report
     from ..knowledge.rulebase import diagnose_genidlest, diagnose_load_balance
 
@@ -146,7 +141,7 @@ def diagnose_job(
         diagnose_load_balance if script == "load-balance"
         else diagnose_genidlest
     )
-    harness = diagnose(loaded, indexing=indexing)
+    harness = diagnose(loaded)
     return {
         "trial": trial,
         "script": script,

@@ -22,7 +22,7 @@ import threading
 import time
 from typing import Any, Iterable, Mapping
 
-from ..perfdmf import PerfDMF, Trial
+from ..perfdmf import PerfDMF, Trial, next_trial_name
 from ..rules import Fact
 
 __all__ = [
@@ -99,17 +99,6 @@ def stats_to_trial(stats: Mapping[str, Any], *, name: str,
     return trial
 
 
-def next_snapshot_name(db: PerfDMF, experiment: str,
-                       *, application: str = SELF_APP) -> str:
-    """Sequential snapshot names (``snap_0001``...), ordered by trial id
-    so :func:`load_snapshots` replays them in sampling order."""
-    try:
-        existing = db.trials(application, experiment)
-    except Exception:
-        existing = []
-    return f"snap_{len(existing) + 1:04d}"
-
-
 def load_snapshots(db: PerfDMF, *, experiment: str = DEFAULT_EXPERIMENT,
                    application: str = SELF_APP,
                    last: int | None = None) -> list[dict[str, Any]]:
@@ -144,17 +133,20 @@ class SelfMonitor:
         self.interval = interval
         self.experiment = experiment
         self.samples = 0
+        #: Failed samples (the loop survives them); exposed through the
+        #: service's ``stats()`` and metrics.
         self.errors = 0
+        service.monitor = self
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
     def sample_once(self) -> str:
         """Take one snapshot now; returns the stored trial name."""
         stats = self.service.stats()
-        name = next_snapshot_name(self.db, self.experiment)
+        name = next_trial_name(self.db, SELF_APP, self.experiment, "snap")
         trial = stats_to_trial(stats, name=name,
                                metadata={"interval_s": self.interval})
-        self.db.save_trial(SELF_APP, self.experiment, trial, replace=True)
+        self.db.save_trial(SELF_APP, self.experiment, trial)
         self.samples += 1
         return name
 

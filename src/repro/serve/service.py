@@ -141,6 +141,9 @@ class AnalysisService:
         self._status_counts: dict[str, int] = {}
         self._cache_hits = 0
         self._submitted = 0
+        #: The :class:`~repro.serve.monitor.SelfMonitor` sampling this
+        #: service, if any (it attaches itself).
+        self.monitor = None
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "AnalysisService":
@@ -567,6 +570,9 @@ class AnalysisService:
                 kind: hist.summary() for kind, hist in sorted(
                     self._exec.items())
             },
+            "monitor": {
+                "errors": self.monitor.errors if self.monitor else 0,
+            },
         }
 
     def service_facts(
@@ -751,6 +757,9 @@ class AnalysisService:
                        stats["cache"]["entries"]),
             metric_row("gauge", "repro_serve_cache_hit_rate",
                        stats["cache"]["hit_rate"]),
+            metric_row("counter", "repro_serve_monitor_errors_total",
+                       stats["monitor"]["errors"],
+                       help_="Self-monitor samples that failed."),
         ]
         for status, n in sorted(stats["jobs"]["by_status"].items()):
             rows.append(metric_row(

@@ -27,7 +27,7 @@ import threading
 import time
 from typing import Any, Callable
 
-from ..observe.context import make_span, new_span_id
+from ..observe.context import TraceContext, make_span
 from .jobs import JobQueue, TransientJobError
 
 __all__ = ["ExecutionTimeout", "WorkerPool"]
@@ -98,59 +98,34 @@ class _ThreadVehicle:
         self._pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _tracer_timeline(tracer, trace: dict, process: str) -> list[dict]:
-    """Convert a child tracer's finished spans to cross-process timeline
-    spans: int ids → fresh hex ids, perf-counter offsets → the shared
-    wall clock (``tracer.epoch + offset``), roots → the exec span the
-    service created for this attempt.  Past :data:`MAX_CHILD_SPANS` the
-    longest spans win and dropped parents re-parent to the nearest kept
-    ancestor, so the shipped set never contains an orphan."""
-    records = tracer.finished()
-    dropped = 0
-    keep = records
-    if len(records) > MAX_CHILD_SPANS:
-        keep = sorted(records, key=lambda r: -r.wall)[:MAX_CHILD_SPANS]
-        dropped = len(records) - len(keep)
-    by_id = {r.span_id: r for r in records}
-    kept_ids = {r.span_id for r in keep}
-    hex_of = {r.span_id: new_span_id() for r in keep}
-    fallback_parent = trace.get("parent_span_id")
+def _tracer_timeline(spans: list[dict]) -> list[dict]:
+    """Cap a child tracer's spans at :data:`MAX_CHILD_SPANS` for the pipe.
 
-    def parent_hex(record):
-        parent = record.parent_id
-        while parent is not None and parent not in kept_ids:
-            parent = by_id[parent].parent_id if parent in by_id else None
-        return hex_of[parent] if parent is not None else fallback_parent
-
-    spans: list[dict] = []
-    for r in keep:
-        start = tracer.epoch + r.start
-        span = make_span(
-            trace["trace_id"], r.name, start, start + r.wall,
-            parent_id=parent_hex(r), process=process,
-            span_id=hex_of[r.span_id],
-            cpu_ms=round(r.cpu * 1e3, 3), status=r.status,
-        )
-        if r.error:
-            span["attrs"]["error"] = r.error
-        for key, value in r.attributes.items():
-            if key not in span["attrs"] and (
-                    value is None or isinstance(value, (str, int, float,
-                                                        bool))):
-                span["attrs"][key] = value
-        spans.append(span)
-    if dropped and spans:
-        spans[0]["attrs"]["dropped_spans"] = dropped
-    return spans
+    The longest spans win; a kept span whose parent was dropped
+    re-parents to its nearest kept ancestor (or the exec span the tracer
+    was rooted under), so the shipped set never contains an orphan.  The
+    longest kept span records how many were dropped."""
+    if len(spans) <= MAX_CHILD_SPANS:
+        return spans
+    keep = sorted(spans, key=lambda s: s["start"] - s["end"])[:MAX_CHILD_SPANS]
+    by_id = {s["span_id"]: s for s in spans}
+    kept_ids = {s["span_id"] for s in keep}
+    for s in keep:
+        parent = s["parent_id"]
+        while parent in by_id and parent not in kept_ids:
+            parent = by_id[parent]["parent_id"]
+        s["parent_id"] = parent
+    keep[0]["attrs"]["dropped_spans"] = len(spans) - len(keep)
+    return keep
 
 
 def _process_worker_main(conn, db_path: str, name: str) -> None:
     """Child-process loop: open own connections, run handlers, reply.
 
     A message carrying a trace context (4th element) makes the child run
-    a real, fresh :class:`~repro.observe.tracer.Tracer` around the
-    handler — the resulting spans ship back as the reply's 4th element
-    and stitch under the service's exec span.  The pre-trace 3-tuple
+    a real, fresh :class:`~repro.observe.tracer.Tracer` rooted in that
+    context around the handler — its timeline spans ship back as the
+    reply's 4th element, already parented under the service's exec span.  The pre-trace 3-tuple
     wire shapes stay accepted in both directions.
     """
     from .. import observe
@@ -166,7 +141,11 @@ def _process_worker_main(conn, db_path: str, name: str) -> None:
                 break
             kind_name, params, attempt = msg[0], msg[1], msg[2]
             trace = msg[3] if len(msg) > 3 else None
-            tracer = observe.enable(fresh=True) if trace else None
+            tracer = None
+            if trace:
+                tracer = observe.enable(fresh=True)
+                tracer.context = TraceContext.from_wire(trace)
+                tracer.process = name
             status, payload, reason = "ok", None, None
             try:
                 kind = resolve_kind(kind_name)
@@ -193,7 +172,7 @@ def _process_worker_main(conn, db_path: str, name: str) -> None:
                 status, payload = "error", f"{type(exc).__name__}: {exc}"
                 reason = getattr(exc, "reason", None)
             if tracer is not None:
-                spans = _tracer_timeline(tracer, trace, name)
+                spans = _tracer_timeline(tracer.finished())
                 observe.disable()
                 conn.send((status, payload, reason, spans))
             else:

@@ -71,8 +71,9 @@ class TestSpansToTrial:
         trial = spans_to_trial(traced.finished(), name="self_1")
         # flat inclusive counts only the outermost occurrence
         incl = trial.get_inclusive("recurse", TIME, 0)
-        outer = [r for r in traced.finished() if r.parent_id is None][0]
-        assert incl == pytest.approx(outer.wall * 1e6, rel=1e-6)
+        outer = [r for r in traced.finished() if r["parent_id"] is None][0]
+        assert incl == pytest.approx((outer["end"] - outer["start"]) * 1e6,
+                                     rel=1e-6)
         assert trial.get_calls("recurse", 0) == 2.0
 
     def test_empty_trace_rejected(self):
@@ -115,3 +116,23 @@ class TestDogfoodLoop:
         # the sentinel consumed the self-profile end to end
         assert outcome.report.candidate_trial == "run_0002"
         assert outcome.verdict.value in ("ok", "improved", "regressed")
+
+    def test_delete_never_makes_the_next_profile_overwrite(self, traced):
+        from repro.perfdmf import ProfileError
+
+        _run_traced_pipeline(traced)
+        with PerfDMF() as db:
+            for _ in range(3):
+                store_self_profile(traced, db, experiment="run-msa")
+            newest = (db.trial_id(SELF_APPLICATION, "run-msa", "run_0003"),
+                      db.content_hash(SELF_APPLICATION, "run-msa", "run_0003"))
+            db.delete_trial(SELF_APPLICATION, "run-msa", "run_0001")
+            trial, _ = store_self_profile(traced, db, experiment="run-msa")
+            assert trial.name == "run_0004"
+            assert (db.trial_id(SELF_APPLICATION, "run-msa", "run_0003"),
+                    db.content_hash(SELF_APPLICATION, "run-msa",
+                                    "run_0003")) == newest
+            # an explicit name that is taken raises instead of replacing
+            with pytest.raises(ProfileError):
+                store_self_profile(traced, db, experiment="run-msa",
+                                   name="run_0003")

@@ -30,7 +30,11 @@ class TestTraceVerb:
         chrome = tmp_path / "trace.json"
         assert jsonl.exists() and chrome.exists()
         doc = json.loads(chrome.read_text())
-        assert any(e.get("ph") == "X" for e in doc["traceEvents"])
+        complete = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
+        assert complete
+        ids = {e["args"]["span_id"] for e in complete}
+        assert all(e["args"].get("parent_id", next(iter(ids))) in ids
+                   for e in complete)
         # self-profile landed next to the application profile
         from repro.perfdmf import PerfDMF
 
@@ -99,6 +103,22 @@ class TestTraceTools:
         doc = json.loads(out_path.read_text())
         names = {e["name"] for e in doc["traceEvents"]}
         assert "cli.run-msa" in names
+
+
+    @pytest.mark.parametrize("verb", ["report", "export"])
+    def test_old_span_record_is_a_one_line_error(self, tmp_path, capsys,
+                                                 verb):
+        old = tmp_path / "old.jsonl"
+        old.write_text('{"type": "span", "id": 1, "parent": null, '
+                       '"name": "cli.run-msa", "start": 0.0, "wall": 1.0}\n')
+        argv = ["trace", verb, "--trace", str(old)]
+        if verb == "export":
+            argv += ["--out", str(tmp_path / "out.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert f"{old}:1: span record lacks timeline key(s)" in err
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestExplainVerb:

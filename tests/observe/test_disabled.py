@@ -70,7 +70,7 @@ class TestDisabledMode:
             observe.disable()
         with observe.span("invisible"):
             pass
-        names = [r.name for r in tracer.finished()]
+        names = [r["name"] for r in tracer.finished()]
         assert names == ["visible"]
         # collected data stays readable after disable
         assert observe.get_tracer() is tracer

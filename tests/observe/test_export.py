@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro import observe
 from repro.observe import export as ex
 
@@ -31,9 +33,9 @@ class TestJsonlRoundTrip:
         assert [s["name"] for s in spans] == [
             "perfdmf.save_trial", "rules.cycle", "rules.run", "cli.run"]
         # structure survives: parent links resolve within the file
-        ids = {s["id"] for s in spans}
+        ids = {s["span_id"] for s in spans}
         for s in spans:
-            assert s["parent"] is None or s["parent"] in ids
+            assert s["parent_id"] is None or s["parent_id"] in ids
         kinds = {r["type"] for r in records}
         assert {"meta", "span", "event", "counter", "histogram"} <= kinds
 
@@ -43,14 +45,40 @@ class TestJsonlRoundTrip:
         ex.write_jsonl(traced, path)
         spans = ex.spans_from_records(ex.read_jsonl(path))
         save = next(s for s in spans if s["name"] == "perfdmf.save_trial")
-        assert save["attributes"] == {"rows": 10}
+        assert save["attrs"]["rows"] == 10
+
+
+class TestSavedTraceBoundary:
+    def test_old_span_record_names_its_line(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"type": "meta", "epoch": 0.0}\n'
+            '{"type": "span", "id": 1, "parent": null, "name": "x", '
+            '"start": 0.0, "wall": 1.0, "cpu": 0.5, "thread": 1}\n')
+        with pytest.raises(ValueError, match=r"old\.jsonl:2: span record"):
+            ex.read_jsonl(path)
+
+    def test_mistyped_span_names_its_line(self, tmp_path):
+        path = tmp_path / "typed.jsonl"
+        path.write_text(
+            '{"type": "span", "trace_id": "t", "span_id": "s", '
+            '"parent_id": null, "name": "x", "start": "0", "end": 1.0, '
+            '"process": "p", "attrs": null}\n')
+        with pytest.raises(ValueError, match=r"typed\.jsonl:1: span record"):
+            ex.read_jsonl(path)
+
+    def test_garbage_line_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"type": "meta"}\n\n[1, 2]\n')
+        with pytest.raises(ValueError, match=r"bad\.jsonl:3: not a JSON"):
+            ex.read_jsonl(path)
 
 
 class TestChromeTrace:
     def test_export_shape(self, traced, tmp_path):
         _sample_trace(traced)
-        records = ex.to_jsonl_records(traced)
-        doc = ex.to_chrome_trace(records, pid=42)
+        doc = ex.to_chrome(traced.finished(),
+                           events=traced.events.records())
         assert doc["displayTimeUnit"] == "ms"
         events = doc["traceEvents"]
         complete = [e for e in events if e["ph"] == "X"]
@@ -59,8 +87,10 @@ class TestChromeTrace:
         assert len(complete) == 4
         assert len(instants) == 1
         assert metas  # process/thread names present
+        lanes = {e["pid"]: e["args"]["name"] for e in metas
+                 if e["name"] == "process_name"}
         for e in complete:
-            assert e["pid"] == 42
+            assert lanes[e["pid"]] == traced.process
             assert e["ts"] >= 0.0
             assert e["dur"] >= 0.0
             assert e["cat"] == e["name"].split(".", 1)[0]
@@ -69,7 +99,8 @@ class TestChromeTrace:
     def test_file_is_valid_json_and_loadable(self, traced, tmp_path):
         _sample_trace(traced)
         out = tmp_path / "chrome.json"
-        n = ex.write_chrome_trace(ex.to_jsonl_records(traced), out)
+        n = ex.write_chrome(traced.finished(), out,
+                            events=traced.events.records())
         doc = json.loads(out.read_text())
         assert len(doc["traceEvents"]) == n
 
@@ -79,9 +110,12 @@ class TestChromeTrace:
         _sample_trace(traced)
         jsonl = tmp_path / "t.jsonl"
         ex.write_jsonl(traced, jsonl)
-        direct = ex.to_chrome_trace(ex.to_jsonl_records(traced))
-        via_file = ex.to_chrome_trace(ex.read_jsonl(jsonl))
-        assert direct == via_file
+        records = ex.read_jsonl(jsonl)
+        direct = ex.to_chrome(traced.finished(),
+                              events=traced.events.records())
+        via_file = ex.to_chrome(ex.spans_from_records(records),
+                                events=ex.events_from_records(records))
+        assert json.loads(json.dumps(direct)) == via_file
 
     def test_error_span_marked(self, traced):
         try:
@@ -89,7 +123,7 @@ class TestChromeTrace:
                 raise RuntimeError("x")
         except RuntimeError:
             pass
-        doc = ex.to_chrome_trace(ex.to_jsonl_records(traced))
+        doc = ex.to_chrome(traced.finished())
         doomed = next(e for e in doc["traceEvents"] if e["name"] == "doomed")
         assert "error" in doomed["args"]
 
@@ -97,7 +131,7 @@ class TestChromeTrace:
 class TestReport:
     def test_summary_self_vs_total(self, traced):
         _sample_trace(traced)
-        rows = ex.span_summary(ex.to_jsonl_records(traced))
+        rows = ex.span_summary(traced.finished())
         by_name = {r["name"]: r for r in rows}
         cli = by_name["cli.run"]
         assert cli["calls"] == 1

@@ -21,9 +21,9 @@ class TestOperationSpans:
         op = BasicStatisticsOperation(PerformanceResult(_tiny_trial()))
         op.process_data()
         spans = [r for r in traced.finished()
-                 if r.name == "operation.BasicStatisticsOperation"]
+                 if r["name"] == "operation.BasicStatisticsOperation"]
         assert len(spans) == 1
-        attrs = spans[0].attributes
+        attrs = spans[0]["attrs"]
         assert attrs["inputs"] == 1
         assert attrs["events"] == 2
         assert attrs["threads"] == 2
@@ -32,7 +32,8 @@ class TestOperationSpans:
     def test_camelcase_alias_also_traced(self, traced):
         op = BasicStatisticsOperation(PerformanceResult(_tiny_trial()))
         op.processData()
-        assert any(r.name.startswith("operation.") for r in traced.finished())
+        assert any(r["name"].startswith("operation.")
+                   for r in traced.finished())
 
 
 class TestPerfDMFSpans:
@@ -40,14 +41,14 @@ class TestPerfDMFSpans:
         with PerfDMF() as db:
             db.save_trial("app", "exp", _tiny_trial())
             db.load_trial("app", "exp", "t1")
-        names = [r.name for r in traced.finished()]
+        names = [r["name"] for r in traced.finished()]
         assert "perfdmf.save_trial" in names
         assert "perfdmf.load_trial" in names
         save = next(r for r in traced.finished()
-                    if r.name == "perfdmf.save_trial")
-        assert save.attributes["events"] == 2
-        assert save.attributes["threads"] == 2
-        assert "trial_id" in save.attributes
+                    if r["name"] == "perfdmf.save_trial")
+        assert save["attrs"]["events"] == 2
+        assert save["attrs"]["threads"] == 2
+        assert "trial_id" in save["attrs"]
         metrics = {m["name"]: m for m in traced.metrics.snapshot()}
         assert metrics["perfdmf.stmt.insert"]["value"] >= 1
         assert metrics["perfdmf.rows.insert"]["value"] >= 4
@@ -71,18 +72,19 @@ class TestRuleEngineTelemetry:
         engine.assert_fact(Fact("A"))
         fired = engine.run()
         assert fired == 2
-        names = [r.name for r in traced.finished()]
+        names = [r["name"] for r in traced.finished()]
         assert "rules.run" in names
         assert names.count("rules.cycle") >= 2
-        run_span = next(r for r in traced.finished() if r.name == "rules.run")
-        assert run_span.attributes["firings"] == 2
-        assert run_span.attributes["truncated"] is False
+        run_span = next(r for r in traced.finished()
+                        if r["name"] == "rules.run")
+        assert run_span["attrs"]["firings"] == 2
+        assert run_span["attrs"]["truncated"] is False
         metrics = {m["name"]: m for m in traced.metrics.snapshot()}
         assert metrics["rules.firings"]["value"] == 2
         assert metrics["rules.agenda_size"]["count"] >= 1
         # firing records link back to their cycle spans
-        cycle_ids = {r.span_id for r in traced.finished()
-                     if r.name == "rules.cycle"}
+        cycle_ids = {r["span_id"] for r in traced.finished()
+                     if r["name"] == "rules.cycle"}
         for rec in engine.trace:
             assert rec.span_id in cycle_ids
 

@@ -1,11 +1,13 @@
 """Span lifecycle: nesting, attributes, exception safety, threading."""
 
+import re
 import threading
 
 import pytest
 
 from repro import observe
-from repro.observe import Tracer
+from repro.observe import TraceContext, Tracer, coverage, orphan_spans
+from repro.observe.export import SPAN_KEYS
 
 
 class TestSpanNesting:
@@ -14,10 +16,10 @@ class TestSpanNesting:
             with observe.span("inner") as inner:
                 assert inner.parent_id == outer.span_id
         records = traced.finished()
-        assert [r.name for r in records] == ["inner", "outer"]
+        assert [r["name"] for r in records] == ["inner", "outer"]
         inner_rec, outer_rec = records
-        assert inner_rec.parent_id == outer_rec.span_id
-        assert outer_rec.parent_id is None
+        assert inner_rec["parent_id"] == outer_rec["span_id"]
+        assert outer_rec["parent_id"] is None
 
     def test_sibling_spans_share_parent(self, traced):
         with observe.span("root") as root:
@@ -26,23 +28,25 @@ class TestSpanNesting:
             with observe.span("b"):
                 pass
         a, b = traced.finished()[0], traced.finished()[1]
-        assert a.parent_id == root.span_id
-        assert b.parent_id == root.span_id
+        assert a["parent_id"] == root.span_id
+        assert b["parent_id"] == root.span_id
 
     def test_durations_nonnegative_and_ordered(self, traced):
         with observe.span("outer"):
             with observe.span("inner"):
                 sum(range(1000))
         inner, outer = traced.finished()
-        assert inner.wall >= 0.0
-        assert outer.wall >= inner.wall
-        assert inner.start >= outer.start
+        assert inner["end"] - inner["start"] >= 0.0
+        assert (outer["end"] - outer["start"]
+                >= inner["end"] - inner["start"])
+        assert inner["start"] >= outer["start"]
 
     def test_attributes_at_open_and_set(self, traced):
         with observe.span("s", shape=(3, 4)) as sp:
             sp.set(rows=12)
         rec = traced.finished()[0]
-        assert rec.attributes == {"shape": (3, 4), "rows": 12}
+        assert rec["attrs"]["shape"] == (3, 4)
+        assert rec["attrs"]["rows"] == 12
 
     def test_current_span_id_tracks_stack(self, traced):
         assert observe.current_span_id() is None
@@ -54,14 +58,54 @@ class TestSpanNesting:
         assert observe.current_span_id() is None
 
 
+class TestTimelineShape:
+    def test_finished_spans_are_timeline_spans(self, traced):
+        with observe.span("outer"):
+            assert len(observe.current_span_id()) == 16
+            with observe.span("inner"):
+                pass
+        spans = traced.finished()
+        for s in spans:
+            assert tuple(s) == SPAN_KEYS
+            assert re.fullmatch("[0-9a-f]{16}", s["span_id"])
+            assert s["trace_id"] == traced.context.trace_id
+            assert s["process"] == traced.process
+            assert {"cpu_ms", "status", "thread"} <= set(s["attrs"])
+        # the context helpers take the tracer's output as it is
+        assert orphan_spans(spans) == []
+        outer = spans[-1]
+        assert coverage(spans, outer["start"], outer["end"]) == 1.0
+
+    def test_roots_hang_under_the_tracer_context(self):
+        tracer = Tracer()
+        tracer.context = TraceContext("ab" * 16, "cd" * 8)
+        with tracer.span("root"):
+            with tracer.span("child"):
+                pass
+        child, root = tracer.finished()
+        assert root["parent_id"] == "cd" * 8
+        assert child["parent_id"] == root["span_id"]
+        assert {child["trace_id"], root["trace_id"]} == {"ab" * 16}
+
+    def test_ids_unique_across_fresh_tracers(self):
+        tracer = Tracer()
+        ids = []
+        for _ in range(2):
+            tracer.reset()
+            with tracer.span("s"):
+                pass
+            ids.append(tracer.finished()[0]["span_id"])
+        assert ids[0] != ids[1]
+
+
 class TestExceptionSafety:
     def test_error_status_and_reraise(self, traced):
         with pytest.raises(ValueError, match="boom"):
             with observe.span("failing"):
                 raise ValueError("boom")
         rec = traced.finished()[0]
-        assert rec.status == "error"
-        assert "ValueError: boom" == rec.error
+        assert rec["attrs"]["status"] == "error"
+        assert "ValueError: boom" == rec["attrs"]["error"]
 
     def test_stack_unwinds_through_exception(self, traced):
         with pytest.raises(RuntimeError):
@@ -70,7 +114,8 @@ class TestExceptionSafety:
                     raise RuntimeError("die")
         # both spans closed; stack is empty again
         assert observe.current_span_id() is None
-        assert [r.status for r in traced.finished()] == ["error", "error"]
+        assert [r["attrs"]["status"] for r in traced.finished()] == [
+            "error", "error"]
 
     def test_ok_span_after_exception(self, traced):
         with pytest.raises(RuntimeError):
@@ -79,8 +124,8 @@ class TestExceptionSafety:
         with observe.span("good") as sp:
             pass
         rec = traced.finished()[-1]
-        assert rec.status == "ok"
-        assert rec.parent_id is None  # exception did not corrupt the stack
+        assert rec["attrs"]["status"] == "ok"
+        assert rec["parent_id"] is None  # exception did not corrupt the stack
 
 
 class TestThreading:
@@ -104,12 +149,12 @@ class TestThreading:
             t.join()
         assert not errors
         records = traced.finished()
-        by_id = {r.span_id: r for r in records}
+        by_id = {r["span_id"]: r for r in records}
         for r in records:
-            if r.parent_id is not None:
-                parent = by_id[r.parent_id]
-                assert parent.thread == r.thread
-                assert parent.name.endswith(r.name.split(".")[-1])
+            if r["parent_id"] is not None:
+                parent = by_id[r["parent_id"]]
+                assert parent["attrs"]["thread"] == r["attrs"]["thread"]
+                assert parent["name"].endswith(r["name"].split(".")[-1])
 
 
 class TestTracerBounds:

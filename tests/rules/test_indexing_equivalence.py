@@ -361,7 +361,8 @@ def test_diagnosis_identical_with_and_without_indexing():
     same recommendations and firing trace either way."""
     import numpy as np
 
-    from repro.knowledge.rulebase import diagnose_load_balance
+    from repro.core.harness import RuleHarness
+    from repro.knowledge.rulebase import diagnose_load_balance, openuh_rules
     from repro.perfdmf import TrialBuilder
 
     n = 8
@@ -386,8 +387,11 @@ def test_diagnosis_identical_with_and_without_indexing():
         .with_calls(np.ones((3, n)))
         .build(validate=False)
     )
-    a = diagnose_load_balance(trial, indexing=True)
-    b = diagnose_load_balance(trial, indexing=False)
+    naive = RuleHarness()
+    naive.engine = RuleEngine(indexing=False)
+    naive.engine.add_rules(openuh_rules())
+    a = diagnose_load_balance(trial)
+    b = diagnose_load_balance(trial, harness=naive)
     assert a.output == b.output
     assert [r.rule_name for r in a.engine.trace] == [
         r.rule_name for r in b.engine.trace

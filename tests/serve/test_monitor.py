@@ -11,7 +11,7 @@ import pytest
 
 from repro import cli
 from repro.knowledge import recommendations_of
-from repro.perfdmf import PerfDMF
+from repro.perfdmf import PerfDMF, next_trial_name
 from repro.serve import (
     AnalysisService,
     SELF_APP,
@@ -22,7 +22,6 @@ from repro.serve import (
     service_trend_facts,
     stats_to_trial,
 )
-from repro.serve.monitor import next_snapshot_name
 
 
 def _stats(p95=0.01, hit_rate=0.8, respawns=0):
@@ -46,7 +45,7 @@ def _store_degrading(db, n=4):
     for i in range(n):
         stats = _stats(p95=0.02 * (1 + i), hit_rate=0.8 - 0.15 * i,
                        respawns=i)
-        name = next_snapshot_name(db, "self-monitor")
+        name = next_trial_name(db, SELF_APP, "self-monitor", "snap")
         db.save_trial(SELF_APP, "self-monitor",
                       stats_to_trial(stats, name=name), replace=True)
 
@@ -92,6 +91,25 @@ class TestSelfMonitor:
         assert snaps[0]["workers"]["count"] == 1
         assert "uptime_s" in snaps[0]
 
+    def test_delete_never_makes_the_next_sample_overwrite(self):
+        svc = AnalysisService(workers=1).start()
+        try:
+            monitor = SelfMonitor(svc, svc.db, interval=60.0)
+            for _ in range(3):
+                monitor.sample_once()
+            newest = (svc.db.trial_id(SELF_APP, "self-monitor", "snap_0003"),
+                      svc.db.content_hash(SELF_APP, "self-monitor",
+                                          "snap_0003"))
+            svc.db.delete_trial(SELF_APP, "self-monitor", "snap_0001")
+            assert monitor.sample_once() == "snap_0004"
+            assert (svc.db.trial_id(SELF_APP, "self-monitor", "snap_0003"),
+                    svc.db.content_hash(SELF_APP, "self-monitor",
+                                        "snap_0003")) == newest
+            assert svc.db.trials(SELF_APP, "self-monitor") == [
+                "snap_0002", "snap_0003", "snap_0004"]
+        finally:
+            svc.stop()
+
     def test_background_thread_samples_and_stops(self):
         svc = AnalysisService(workers=1).start()
         try:
@@ -106,8 +124,31 @@ class TestSelfMonitor:
             assert not monitor.running
             assert monitor.samples >= 3
             assert monitor.errors == 0
+            assert svc.stats()["monitor"] == {"errors": 0}
         finally:
             svc.stop()
+
+    def test_failed_samples_are_exposed(self):
+        import time
+
+        svc = AnalysisService(workers=1).start()
+        try:
+            # a read-only view makes every store fail; the loop survives
+            monitor = SelfMonitor(svc, svc.db.read_view(),
+                                  interval=0.01).start()
+            deadline = time.monotonic() + 5.0
+            while monitor.errors < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            monitor.stop()
+            errors = monitor.errors
+            assert errors >= 2
+            assert monitor.samples == 0
+            assert svc.stats()["monitor"]["errors"] == errors
+            text = svc.metrics_text()
+        finally:
+            svc.stop()
+        assert "# TYPE repro_serve_monitor_errors_total counter" in text
+        assert f"repro_serve_monitor_errors_total {errors}" in text
 
 
 class TestTrendFacts:
@@ -156,7 +197,7 @@ class TestTrendRules:
     def test_healthy_snapshots_fire_nothing(self):
         db = PerfDMF()
         for _ in range(4):
-            name = next_snapshot_name(db, "self-monitor")
+            name = next_trial_name(db, SELF_APP, "self-monitor", "snap")
             db.save_trial(SELF_APP, "self-monitor",
                           stats_to_trial(_stats(), name=name),
                           replace=True)

@@ -28,7 +28,8 @@ from repro.serve import (
     ServeServer,
     SocketClient,
 )
-from repro.serve.workers import _ThreadVehicle
+from repro.serve.handlers import HANDLERS, job_kind
+from repro.serve.workers import MAX_CHILD_SPANS, _ThreadVehicle, _tracer_timeline
 
 
 @pytest.fixture
@@ -70,10 +71,10 @@ class TestCrossProcessStitching:
         assert explain["attribution"]["exec"] > 0
 
         # And the timeline exports as a loadable Chrome trace.
-        from repro.observe.export import write_timeline_chrome
+        from repro.observe.export import write_chrome
 
         out = tmp_path / "job.json"
-        write_timeline_chrome(spans, out)
+        write_chrome(spans, out)
         events = json.loads(out.read_text())["traceEvents"]
         assert sum(e.get("ph") == "X" for e in events) == len(spans)
 
@@ -98,6 +99,91 @@ class TestCrossProcessStitching:
         # queued/done anchor to the root span; running to the exec span.
         assert job["transitions"][0]["span_id"] == job["root_span_id"]
         assert job["transitions"][1]["span_id"] != job["root_span_id"]
+
+
+def _span_burst(ctx, *, n):
+    """Emit ``n`` spans of varied length; return each one's duration."""
+    from repro import observe
+
+    for i in range(n):
+        with observe.span("burst.span", i=i):
+            sum(range((i * 37) % 101 * 20))
+    return {"durations": {s["span_id"]: s["end"] - s["start"]
+                          for s in observe.get_tracer().finished()
+                          if s["name"] == "burst.span"}}
+
+
+@pytest.fixture
+def burst_service(tmp_path):
+    """Process-mode service whose children know the ``span-burst`` kind
+    (registered before the workers fork)."""
+    job_kind("span-burst")(_span_burst)
+    svc = AnalysisService(db_path=str(tmp_path / "perf.db"), workers=1,
+                          mode="process", default_timeout=30.0,
+                          backoff=0.0).start()
+    try:
+        yield svc
+    finally:
+        svc.stop()
+        HANDLERS.pop("span-burst", None)
+
+
+class TestWorkerTracePath:
+    def test_chatty_handler_ships_the_longest_spans(self, burst_service):
+        n = MAX_CHILD_SPANS + 100
+        client = Client(burst_service)
+        job = client.run("span-burst", {"n": n}, wait_timeout=60.0)
+        assert job["status"] == "done"
+        spans = client.explain_job(job["id"])["spans"]
+        shipped = [s for s in spans if s["process"] == job["worker"]]
+        assert len(shipped) == MAX_CHILD_SPANS
+        # one more span than the burst: the handler span around it
+        assert sum(s["attrs"].get("dropped_spans", 0)
+                   for s in shipped) == n + 1 - MAX_CHILD_SPANS
+        assert orphan_spans(spans) == []
+        durations = job["result"]["durations"]
+        kept = {s["span_id"] for s in shipped} & set(durations)
+        dropped = set(durations) - kept
+        assert min(durations[i] for i in kept) >= \
+            max(durations[i] for i in dropped)
+
+    def test_retried_job_is_one_timeline_without_duplicate_ids(
+            self, burst_service):
+        client = Client(burst_service)
+        job = client.run("flaky", {"token": "retry-once", "fail_times": 1},
+                         wait_timeout=60.0)
+        assert job["status"] == "done"
+        assert job["attempts"] == 2
+        spans = client.explain_job(job["id"])["spans"]
+        handlers = [s for s in spans if s["name"] == "serve.handler"]
+        assert len(handlers) == 2
+        ids = [s["span_id"] for s in spans]
+        assert len(ids) == len(set(ids))
+        assert {s["trace_id"] for s in spans} == {job["trace_id"]}
+        assert orphan_spans(spans) == []
+
+    def test_cut_reparents_to_the_nearest_kept_ancestor(self):
+        trace = "ab" * 16
+
+        def span(name, start, end, span_id, parent_id):
+            return make_span(trace, name, start, end, span_id=span_id,
+                             parent_id=parent_id)
+
+        exec_id = "e" * 16
+        # a short middle span between a long root and a long leaf
+        spans = [span("leaf", 0.0, 5.0, "3" * 16, "2" * 16),
+                 span("mid", 0.0, 0.0, "2" * 16, "1" * 16),
+                 span("root", 0.0, 9.0, "1" * 16, exec_id)]
+        spans += [span(f"tiny{i}", 0.0, 0.5, f"{i + 16:016x}", "1" * 16)
+                  for i in range(MAX_CHILD_SPANS - 2)]
+        kept = _tracer_timeline(spans)
+        assert len(kept) == MAX_CHILD_SPANS
+        by_name = {s["name"]: s for s in kept}
+        assert "mid" not in by_name
+        assert by_name["leaf"]["parent_id"] == "1" * 16
+        assert by_name["root"]["parent_id"] == exec_id
+        assert by_name["root"]["attrs"]["dropped_spans"] == 1
+        assert orphan_spans(kept + [span("exec", 0, 9, exec_id, None)]) == []
 
 
 HEX32 = st.text("0123456789abcdef", min_size=32, max_size=32)
@@ -235,7 +321,12 @@ class TestObservabilityCli:
         assert rc == 0
         assert "exec" in out and "queue" in out
         assert "coverage" in out
-        assert json.loads(chrome.read_text())["traceEvents"]
+        events = json.loads(chrome.read_text())["traceEvents"]
+        complete = [e for e in events if e["ph"] == "X"]
+        assert complete
+        ids = {e["args"]["span_id"] for e in complete}
+        assert all(e["args"].get("parent_id", next(iter(ids))) in ids
+                   for e in complete)
 
     def test_metrics_verb_emits_prometheus_text(self, process_served,
                                                 capsys):
