@@ -9,7 +9,13 @@ roughly what factor, where crossovers fall).
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# the golden simulation digests live in tests/runtime
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 
 @pytest.fixture

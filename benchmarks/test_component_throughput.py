@@ -18,6 +18,7 @@ from repro.core.script import (
 )
 from repro.perfdmf import PerfDMF, TrialBuilder, trial_from_dict, trial_to_dict
 from repro.rules import Fact, RuleEngine, parse_rules
+from tests.runtime import test_simulation_golden as golden
 
 RULEBASE = """
 rule "hot" salience 5
@@ -163,3 +164,28 @@ def test_simulation_throughput(benchmark):
                     n_procs=8, iterations=1)
     result = benchmark(lambda: run_genidlest(cfg))
     assert result.wall_seconds > 0
+
+
+# The paper cases as ``bench/run.py``'s paper_cases and trace_timeline
+# workloads simulate them, each checked against its golden digest so a
+# faster simulator is also shown to be the same simulator.
+PAPER_CASES = {
+    "msa/static": lambda: golden.msa_run("static"),
+    "msa/dynamic,1": lambda: golden.msa_run("dynamic,1"),
+    "genidlest/unopt": lambda: golden.genidlest_run(False),
+    "genidlest/opt": lambda: golden.genidlest_run(True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAPER_CASES))
+def test_paper_case_simulation_throughput(benchmark, case):
+    trial = benchmark(PAPER_CASES[case])
+    assert golden.trial_digest(trial) == golden.GOLDEN[case]
+
+
+def test_traced_genidlest_mpi_throughput(benchmark):
+    from repro.apps.genidlest import default_machine
+
+    result = benchmark(golden.traced_genidlest_mpi)
+    assert golden.traced_digest(result, default_machine(16)) == \
+        golden.GOLDEN["traced/genidlest-mpi"]

@@ -46,6 +46,7 @@ from ...runtime import (
     Profiler,
     RegionAccess,
     Schedule,
+    execute_work,
 )
 from .kernels import (
     bicgstab_vector_signature,
@@ -446,8 +447,6 @@ def _run_mpi(
         cpu = mpi.cpu_of(r)
         profiler.enter(cpu, EVENT_INIT)
         for b in owners[r]:
-            from ...runtime import execute_work
-
             execute_work(
                 machine, profiler, cpu,
                 init_signature(mesh.blocks[b]),
@@ -458,8 +457,6 @@ def _run_mpi(
 
     def ghost_exchange() -> None:
         """One ghost update: nonblocking faces + overlapped on-rank copies."""
-        from ...runtime import execute_work
-
         recvs: dict[int, list] = {r: [] for r in range(n)}
         for r in range(n):
             cpu = mpi.cpu_of(r)
@@ -503,8 +500,6 @@ def _run_mpi(
                     cpu = mpi.cpu_of(r)
                     profiler.enter(cpu, event)
                     for b in owners[r]:
-                        from ...runtime import execute_work
-
                         execute_work(
                             machine, profiler, cpu,
                             factory(mesh.blocks[b],
@@ -517,8 +512,6 @@ def _run_mpi(
             cpu = mpi.cpu_of(r)
             profiler.enter(cpu, EVENT_BICGSTAB)
             for b in owners[r]:
-                from ...runtime import execute_work
-
                 execute_work(
                     machine, profiler, cpu,
                     bicgstab_vector_signature(mesh.blocks[b]),

@@ -78,8 +78,12 @@ def generate_sequences(
         rng.lognormal(mu, sigma, size=n).astype(int), min_length, max_length
     )
     alphabet = np.frombuffer(AMINO_ACIDS.encode(), dtype=np.uint8)
-    seqs = []
-    for length in lengths:
-        idx = rng.choice(len(alphabet), size=int(length), p=_FREQUENCIES)
-        seqs.append(alphabet[idx].tobytes().decode())
-    return SequenceSet(name or f"synthetic-{n}", tuple(seqs))
+    # One draw for every residue: ``choice`` consumes one uniform per
+    # sample, so slicing the joint draw gives exactly the strings that one
+    # draw per sequence would.
+    idx = rng.choice(len(alphabet), size=int(lengths.sum()), p=_FREQUENCIES)
+    residues = alphabet[idx].tobytes().decode()
+    ends = np.cumsum(lengths).tolist()
+    starts = [0] + ends[:-1]
+    seqs = tuple(residues[a:b] for a, b in zip(starts, ends))
+    return SequenceSet(name or f"synthetic-{n}", seqs)

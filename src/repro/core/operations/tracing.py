@@ -33,11 +33,12 @@ from typing import Sequence
 import numpy as np
 
 from ... import observe
-from ...machine import CounterVector, Machine
+from ...machine import Machine
 from ...machine import counters as C
+from ...machine.counters import counter_slot, counter_width
 from ...perfdmf import Trial
 from ...runtime import trace as T
-from ...runtime.tau import Profiler, _CPUState
+from ...runtime.tau import Profiler
 from ..result import AnalysisError, PerformanceResult, trial_result
 from .base import _ResultList
 
@@ -109,13 +110,6 @@ def _replay_eventwise(
     return prof
 
 
-def _vec(values: dict[str, float]) -> CounterVector:
-    """CounterVector from an already-filtered {counter: nonzero} dict."""
-    v = CounterVector()
-    v._values = values
-    return v
-
-
 def _replay_columnar(trace: T.EventTrace, machine: Machine) -> Profiler | None:
     """Vectorized flat replay over the trace's columnar storage.
 
@@ -126,14 +120,14 @@ def _replay_columnar(trace: T.EventTrace, machine: Machine) -> Profiler | None:
     raises the canonical error.
 
     Bitwise equivalence with the reference replay rests on two facts about
-    the profiler's accounting: (1) every accumulator is a left-fold of
-    Python-float additions in a fixed order (chronological per CPU for
+    the profiler's accounting: (1) every accumulator cell is a left-fold
+    of float64 additions in a fixed order (chronological per CPU for
     exclusive/clock, per region instance then exit order for inclusive),
     which CPython's ``sum`` over a list slice reproduces exactly (``0.0 +
-    x == x`` bit-for-bit because :class:`CounterVector` never stores
-    ``-0.0``); and (2) numpy is used only for *structure* — pairing,
-    depths, grouping — never for float accumulation, whose pairwise
-    reductions would reorder the fold.
+    x == x`` bit-for-bit because neither :class:`CounterVector` nor the
+    accumulators ever hold ``-0.0``); and (2) numpy is used only for
+    *structure* — pairing, depths, grouping — never for float
+    accumulation, whose pairwise reductions would reorder the fold.
     """
     cols = trace.columns()
     kind_col = cols["kind"]
@@ -196,14 +190,18 @@ def _replay_columnar(trace: T.EventTrace, machine: Machine) -> Profiler | None:
         if a is not None and a.get("count", 0.0) < 0:
             return None
 
-    exclusive: dict[tuple[str, int], CounterVector] = {}
-    inclusive: dict[tuple[str, int], CounterVector] = {}
-    calls: dict[tuple[str, int], float] = {}
-    subrs: dict[tuple[str, int], float] = {}
+    # Folded totals go straight into the profiler's dense accumulators,
+    # rows by event index, columns by CPU, planes by counter slot.
+    prof._ensure_width(counter_width())
+    row_of = np.full(len(names), -1, dtype=np.int64)
+    for nid in first_enter_row:
+        row_of[nid] = prof._event_index[names[nid]]
+    slot_of = {m: counter_slot(m) for m in charge_by_cpu}
     edges: set[tuple[str, str]] = set()
     n_names = len(names)
 
     for cpu in np.unique(rcpu_sorted).tolist():
+        col = prof._column(cpu)
         r_lo = int(np.searchsorted(rcpu_sorted, cpu, side="left"))
         r_hi = int(np.searchsorted(rcpu_sorted, cpu, side="right"))
         gsel = rows_sorted[r_lo:r_hi]  # this CPU's region rows, trace order
@@ -272,8 +270,7 @@ def _replay_columnar(trace: T.EventTrace, machine: Machine) -> Profiler | None:
                 edges.add((names[code // n_names], names[code % n_names]))
             pcounts = np.bincount(parents, minlength=n_names)
             for pnid in np.nonzero(pcounts)[0].tolist():
-                key = (names[pnid], cpu)
-                subrs[key] = subrs.get(key, 0.0) + float(pcounts[pnid])
+                prof._subrs[row_of[pnid], col] += float(pcounts[pnid])
 
         # Flat call counts: +1.0 per enter, merged chronologically with
         # CALLS bumps.  A pure int count of 1.0-adds folds exactly to
@@ -284,7 +281,7 @@ def _replay_columnar(trace: T.EventTrace, machine: Machine) -> Profiler | None:
         enter_counts = np.bincount(n[enters], minlength=n_names)
         for nid in np.nonzero(enter_counts)[0].tolist():
             if nid not in calls_nids:
-                calls[(names[nid], cpu)] = float(enter_counts[nid])
+                prof._calls[row_of[nid], col] = float(enter_counts[nid])
         if len(local_calls):
             merge_rows = np.sort(np.concatenate([
                 enters[np.isin(n[enters], list(calls_nids))], local_calls
@@ -299,11 +296,11 @@ def _replay_columnar(trace: T.EventTrace, machine: Machine) -> Profiler | None:
                     count = a.get("count", 0.0) if a else 0.0
                     folds[nid] = folds.get(nid, 0.0) + count
             for nid, total in folds.items():
-                calls[(names[nid], cpu)] = total
+                prof._calls[row_of[nid], col] = total
 
-        # Charge payloads per counter, straight from the trace's columnar
-        # mirror: local charge-sequence positions + float64 values (exact
-        # IEEE doubles of the recorded Python floats).
+        # Charge payloads per counter, straight from the trace's charge
+        # columns: local charge-sequence positions + float64 values (the
+        # recorded vectors' own doubles).
         gcharges = gsel[charges]  # global row ids of this cpu's charges
         per_counter: dict[str, tuple] = {}
         for m, (scpu, srows, svals) in charge_by_cpu.items():
@@ -341,13 +338,9 @@ def _replay_columnar(trace: T.EventTrace, machine: Machine) -> Profiler | None:
         for m, (loc, varr) in per_counter.items():
             nids = inner_nid if loc is None else inner_nid[loc]
             for nid in np.nonzero(np.bincount(nids, minlength=n_names))[0].tolist():
-                total = sum(varr[nids == nid].tolist())
-                if total:
-                    key = (names[nid], cpu)
-                    store = exclusive.get(key)
-                    if store is None:
-                        store = exclusive[key] = _vec({})
-                    store._values[m] = total
+                prof._exclusive[row_of[nid], col, slot_of[m]] = sum(
+                    varr[nids == nid].tolist()
+                )
 
         # Inclusive: each instance sums every charge inside its interval
         # (any depth); per (event, counter) the instance subtotals fold in
@@ -356,7 +349,6 @@ def _replay_columnar(trace: T.EventTrace, machine: Machine) -> Profiler | None:
         # segments fold via elementwise numpy adds (each lane is its own
         # left fold, bitwise-identical to the scalar chain), odd-size
         # segments via CPython's sequential ``sum``.
-        inc_folds: dict[tuple[int, str], float] = {}
         if len(inst_e) and per_counter:
             ch_lo = np.searchsorted(charges, inst_e, side="left")
             ch_hi = np.searchsorted(charges, inst_x, side="left")
@@ -391,32 +383,22 @@ def _replay_columnar(trace: T.EventTrace, machine: Machine) -> Profiler | None:
                 for nid in np.nonzero(
                     np.bincount(nids_i, minlength=n_names)
                 )[0].tolist():
-                    inc_folds[(nid, m)] = sum(subs_i[nids_i == nid].tolist())
-        ev_metrics: dict[int, list[str]] = {}
-        for nid, m in inc_folds:
-            ev_metrics.setdefault(nid, []).append(m)
-        for nid, ms in ev_metrics.items():
-            inclusive[(names[nid], cpu)] = _vec(
-                {m: inc_folds[(nid, m)] for m in ms if inc_folds[(nid, m)]}
-            )
+                    prof._inclusive[row_of[nid], col, slot_of[m]] = sum(
+                        subs_i[nids_i == nid].tolist()
+                    )
 
         # Virtual clock: the sequential fold of TIME/1e6 over the charges.
         # Only CPUs that opened/charged regions get a _CPUState — a CPU
         # seen solely through CALLS events never touches _cpu() in the
         # reference replay and must not become a thread in to_trial.
         if len(enters) or len(exits) or len(charges):
-            state = _CPUState()
+            state = prof._cpu(cpu)
             tpos = per_counter.get(C.TIME)
             if tpos is not None:
                 # elementwise /1e6 matches the scalar divisions; the fold
                 # over the quotients stays CPython-sequential
                 state.clock_seconds = sum((tpos[1] / 1e6).tolist())
-            prof._cpus[cpu] = state
 
-    prof._exclusive = exclusive
-    prof._inclusive = inclusive
-    prof._calls = calls
-    prof._subrs = subrs
     prof._edges = edges
     return prof
 

@@ -53,10 +53,16 @@ class AccessCost:
 class MemoryRegion:
     """A named allocation with per-page NUMA ownership.
 
-    Pages start *unplaced*; the first touch pins each to a node.
+    Pages start *unplaced*; the first touch pins each to a node.  ``owner``
+    is a read-only view: placement changes go through
+    :meth:`PageTable.touch` and :meth:`PageTable.reset_region`, which is
+    what lets the region cache what it derives from the placement (the
+    per-node histogram, and the local-page count and latency sum of each
+    ``(node, page range)`` that was charged) until an owner changes.
     """
 
-    __slots__ = ("name", "size_bytes", "n_pages", "owner")
+    __slots__ = ("name", "size_bytes", "n_pages", "owner", "_owner",
+                 "_unplaced", "_costs", "_histogram")
 
     def __init__(self, name: str, size_bytes: int) -> None:
         if size_bytes <= 0:
@@ -65,15 +71,49 @@ class MemoryRegion:
         self.size_bytes = int(size_bytes)
         self.n_pages = max(1, -(-self.size_bytes // PAGE_SIZE))  # ceil div
         #: page → owning node; -1 = not yet touched.
-        self.owner = np.full(self.n_pages, -1, dtype=np.int32)
+        self._owner = np.full(self.n_pages, -1, dtype=np.int32)
+        self.owner = self._owner.view()
+        self.owner.flags.writeable = False
+        self._unplaced = self.n_pages
+        #: (node, first page, last page) → (pages, local pages, latency sum)
+        self._costs: dict[tuple[int, int, int], tuple[int, float, float]] = {}
+        self._histogram: np.ndarray | None = None
 
     def placed_fraction(self) -> float:
-        return float(np.count_nonzero(self.owner >= 0)) / self.n_pages
+        return float(self.n_pages - self._unplaced) / self.n_pages
 
     def node_histogram(self, n_nodes: int) -> np.ndarray:
-        """Pages owned per node (unplaced pages excluded)."""
-        placed = self.owner[self.owner >= 0]
-        return np.bincount(placed, minlength=n_nodes)[:n_nodes]
+        """Pages owned per node (unplaced pages excluded; read-only)."""
+        hist = self._histogram
+        if hist is None or len(hist) != n_nodes:
+            placed = self._owner[self._owner >= 0]
+            hist = np.bincount(placed, minlength=n_nodes)[:n_nodes]
+            hist.flags.writeable = False
+            self._histogram = hist
+        return hist
+
+    def _place(self, first: int, last: int, node: int) -> int:
+        """First-touch pages ``first..last`` on ``node``; returns how many
+        were newly placed."""
+        if not self._unplaced:
+            return 0
+        window = self._owner[first : last + 1]
+        unplaced = window < 0
+        placed = int(np.count_nonzero(unplaced))
+        if placed:
+            window[unplaced] = node
+            self._unplaced -= placed
+            self._placement_changed()
+        return placed
+
+    def _reset(self) -> None:
+        self._owner[:] = -1
+        self._unplaced = self.n_pages
+        self._placement_changed()
+
+    def _placement_changed(self) -> None:
+        self._costs.clear()
+        self._histogram = None
 
 
 class PageTable:
@@ -127,11 +167,7 @@ class PageTable:
             return 0
         first = start_byte // PAGE_SIZE
         last = (start_byte + length - 1) // PAGE_SIZE
-        window = region.owner[first : last + 1]
-        unplaced = window < 0
-        placed = int(np.count_nonzero(unplaced))
-        window[unplaced] = node
-        return placed
+        return region._place(first, last, node)
 
     def touch_partitioned(self, name: str, nodes_in_order: list[int]) -> None:
         """Touch a region in equal contiguous chunks, one per entry.
@@ -180,19 +216,30 @@ class PageTable:
             return AccessCost(0.0, 0.0, 0.0)
         first = start_byte // PAGE_SIZE
         last = (start_byte + max(length, 1) - 1) // PAGE_SIZE
-        owners = region.owner[first : last + 1]
-        per_page = accesses / len(owners)
-        topo = self.topology
-        hop_row = topo.hop_matrix[node]
-        hops = np.where(owners == node, 0, hop_row[owners])
-        latencies = topo.latency.local_cycles + topo.latency.per_hop_cycles * hops
-        local = per_page * float(np.count_nonzero(owners == node))
+        key = (node, first, last)
+        cost = region._costs.get(key)
+        if cost is None:
+            owners = region._owner[first : last + 1]
+            topo = self.topology
+            hop_row = topo.hop_matrix[node]
+            hops = np.where(owners == node, 0, hop_row[owners])
+            latencies = (
+                topo.latency.local_cycles + topo.latency.per_hop_cycles * hops
+            )
+            cost = region._costs[key] = (
+                len(owners),
+                float(np.count_nonzero(owners == node)),
+                float(latencies.sum()),
+            )
+        pages, local_pages, latency_sum = cost
+        per_page = accesses / pages
+        local = per_page * local_pages
         # clamp the subtraction residue: fully-local batches must report
         # exactly zero remote accesses (rules compare against zero)
         remote = max(accesses - local, 0.0)
-        total_latency = per_page * float(latencies.sum())
+        total_latency = per_page * latency_sum
         return AccessCost(local, remote, total_latency)
 
     def reset_region(self, name: str) -> None:
         """Unplace every page (models a fresh allocation of the same name)."""
-        self.region(name).owner[:] = -1
+        self.region(name)._reset()

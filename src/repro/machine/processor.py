@@ -19,11 +19,13 @@ coefficients are the level latencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import counters as C
 from .cache import AccessSummary, CacheHierarchy, CacheResult, itanium2_hierarchy
-from .counters import CounterVector
+from .counters import CounterVector, _wrap, counter_slot, counter_width
 from .numa import PAGE_SIZE, AccessCost
 from .topology import LatencyModel
 
@@ -170,6 +172,11 @@ class ProcessorModel:
     #: TLB reach before misses kick in, and miss cost.
     TLB_ENTRIES = 128
 
+    #: Entries kept by each memo before it is cleared.  The paper cases
+    #: execute a handful of distinct signatures thousands of times; runs
+    #: whose every task differs (MSA) just cycle through the memo.
+    MEMO_SIZE = 1024
+
     def __init__(
         self,
         *,
@@ -184,8 +191,27 @@ class ProcessorModel:
         self.peak_ipc = peak_ipc
         self.cache = cache or itanium2_hierarchy()
         self.latency = latency or LatencyModel()
+        # Memos over pure functions of the arguments and the parameters
+        # above, which are fixed once the model is built.
+        self._cache_memo: dict[WorkSignature, CacheResult] = {}
+        self._execute_memo: dict[tuple, np.ndarray] = {}
+        self._idle_memo: dict[float, np.ndarray] = {}
 
     # -- main entry ----------------------------------------------------------
+    def cache_result(self, work: WorkSignature) -> CacheResult:
+        """The cache-hierarchy outcome of ``work`` (memoised per model)."""
+        result = self._cache_memo.get(work)
+        if result is None:
+            result = self.cache.access(
+                AccessSummary(
+                    accesses=work.memory_accesses,
+                    footprint_bytes=work.footprint_bytes,
+                    reuse=work.reuse,
+                )
+            )
+            _remember(self._cache_memo, work, result, self.MEMO_SIZE)
+        return result
+
     def execute(
         self,
         work: WorkSignature,
@@ -194,15 +220,22 @@ class ProcessorModel:
         """Counter vector for one region execution.
 
         ``placement`` carries the NUMA outcome for last-level misses; when
-        None, all memory traffic is assumed local (single-node run).
+        None, all memory traffic is assumed local (single-node run).  The
+        result depends only on the arguments and the model's parameters,
+        so it is memoised per model on ``(work, placement)``; each call
+        returns its own copy.
         """
-        cache_result = self.cache.access(
-            AccessSummary(
-                accesses=work.memory_accesses,
-                footprint_bytes=work.footprint_bytes,
-                reuse=work.reuse,
-            )
-        )
+        key = (work, placement)
+        counters = self._execute_memo.get(key)
+        if counters is None:
+            counters = self._counters(work, placement)
+            _remember(self._execute_memo, key, counters, self.MEMO_SIZE)
+        return _wrap(counters.copy())
+
+    def _counters(
+        self, work: WorkSignature, placement: MemoryPlacementCost | None
+    ) -> np.ndarray:
+        cache_result = self.cache_result(work)
         if placement is None:
             placement = MemoryPlacementCost.all_local(
                 cache_result.memory_accesses, self.latency
@@ -248,30 +281,16 @@ class ProcessorModel:
 
         l2 = cache_result.level("L2")
         l3 = cache_result.level("L3")
-        return CounterVector(
-            {
-                C.TIME: time_us,
-                C.CPU_CYCLES: cycles,
-                C.BACK_END_BUBBLE_ALL: total_stalls,
-                C.INSTRUCTIONS_COMPLETED: instructions,
-                C.INSTRUCTIONS_ISSUED: issued,
-                C.FP_OPS: work.flops,
-                C.L1D_CACHE_MISS_STALLS: l1d_stalls,
-                C.BRANCH_MISPREDICT_STALLS: branch_stalls,
-                C.INSTRUCTION_MISS_STALLS: imiss_stalls,
-                C.STACK_ENGINE_STALLS: stack_stalls,
-                C.FP_STALLS: fp_stalls,
-                C.PIPELINE_REGISTER_DEP_STALLS: regdep_stalls,
-                C.FRONTEND_FLUSH_STALLS: frontend_flushes,
-                C.L2_DATA_REFERENCES: l2.references,
-                C.L2_MISSES: l2.misses,
-                C.L3_REFERENCES: l3.references,
-                C.L3_MISSES: l3.misses,
-                C.TLB_MISSES: tlb_misses,
-                C.LOCAL_MEMORY_ACCESSES: placement.local_accesses,
-                C.REMOTE_MEMORY_ACCESSES: placement.remote_accesses,
-            }
-        )
+        counters = np.zeros(counter_width())
+        counters[_EXECUTE_SLOTS] = [
+            time_us, cycles, total_stalls, instructions, issued, work.flops,
+            l1d_stalls, branch_stalls, imiss_stalls, stack_stalls, fp_stalls,
+            regdep_stalls, frontend_flushes,
+            l2.references, l2.misses, l3.references, l3.misses, tlb_misses,
+            placement.local_accesses, placement.remote_accesses,
+        ]
+        counters += 0.0  # -0.0 → +0.0
+        return counters
 
     def _tlb_misses(self, work: WorkSignature) -> float:
         """Pages beyond TLB reach cause refills proportional to traffic."""
@@ -306,15 +325,45 @@ class ProcessorModel:
         """
         if seconds < 0:
             raise ValueError("seconds must be non-negative")
+        counters = self._idle_memo.get(seconds)
+        if counters is None:
+            counters = self._idle_counters(seconds)
+            _remember(self._idle_memo, seconds, counters, self.MEMO_SIZE)
+        return _wrap(counters.copy())
+
+    def _idle_counters(self, seconds: float) -> np.ndarray:
+        seconds = seconds + 0.0  # -0.0 → +0.0: no negative zeros below
         cycles = seconds * self.clock_hz
         issued = cycles * self.SPIN_IPC_ISSUED
-        return CounterVector(
-            {
-                C.TIME: seconds * 1e6,
-                C.CPU_CYCLES: cycles,
-                C.BACK_END_BUBBLE_ALL: cycles * self.SPIN_STALL_FRACTION,
-                C.PIPELINE_REGISTER_DEP_STALLS: cycles * self.SPIN_STALL_FRACTION,
-                C.INSTRUCTIONS_ISSUED: issued,
-                C.INSTRUCTIONS_COMPLETED: issued * 0.95,
-            }
-        )
+        stalls = cycles * self.SPIN_STALL_FRACTION
+        counters = np.zeros(counter_width())
+        counters[_IDLE_SLOTS] = [
+            seconds * 1e6, cycles, stalls, stalls, issued, issued * 0.95,
+        ]
+        return counters
+
+
+_EXECUTE_SLOTS = [
+    counter_slot(name) for name in (
+        C.TIME, C.CPU_CYCLES, C.BACK_END_BUBBLE_ALL, C.INSTRUCTIONS_COMPLETED,
+        C.INSTRUCTIONS_ISSUED, C.FP_OPS,
+        C.L1D_CACHE_MISS_STALLS, C.BRANCH_MISPREDICT_STALLS,
+        C.INSTRUCTION_MISS_STALLS, C.STACK_ENGINE_STALLS, C.FP_STALLS,
+        C.PIPELINE_REGISTER_DEP_STALLS, C.FRONTEND_FLUSH_STALLS,
+        C.L2_DATA_REFERENCES, C.L2_MISSES, C.L3_REFERENCES, C.L3_MISSES,
+        C.TLB_MISSES, C.LOCAL_MEMORY_ACCESSES, C.REMOTE_MEMORY_ACCESSES,
+    )
+]
+_IDLE_SLOTS = [
+    counter_slot(name) for name in (
+        C.TIME, C.CPU_CYCLES, C.BACK_END_BUBBLE_ALL,
+        C.PIPELINE_REGISTER_DEP_STALLS, C.INSTRUCTIONS_ISSUED,
+        C.INSTRUCTIONS_COMPLETED,
+    )
+]
+
+
+def _remember(memo: dict, key, value, size: int) -> None:
+    if len(memo) >= size:
+        memo.clear()
+    memo[key] = value

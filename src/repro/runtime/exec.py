@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..machine import (
-    AccessSummary,
     CounterVector,
     Machine,
     MemoryPlacementCost,
@@ -82,17 +81,10 @@ def execute_work(
     processor = machine.processor
     placement: MemoryPlacementCost | None = None
     if page_table is not None and access is not None:
-        cache_result = processor.cache.access(
-            AccessSummary(
-                accesses=work.memory_accesses,
-                footprint_bytes=work.footprint_bytes,
-                reuse=work.reuse,
-            )
-        )
         cost = page_table.charge_accesses(
             access.region,
             machine.node_of_cpu(cpu),
-            cache_result.memory_accesses,
+            processor.cache_result(work).memory_accesses,
             start_byte=access.start_byte,
             length=access.length,
         )

@@ -20,39 +20,20 @@ attributes each interval its share.
 
 from __future__ import annotations
 
-from typing import Mapping
+import numpy as np
 
-from ..machine import CounterVector, Machine
+from ..machine import Machine
 from ..perfdmf import Trial
-from .tau import MeasurementError, Profiler
+from .tau import MeasurementError, Profiler, _resized
 from .trace import EventTrace
 
 __all__ = ["SnapshotProfiler"]
 
 
-def _vector_delta(
-    cur: Mapping[tuple[str, int], CounterVector],
-    prev: Mapping[tuple[str, int], CounterVector],
-) -> dict[tuple[str, int], CounterVector]:
-    out: dict[tuple[str, int], CounterVector] = {}
-    for key, vec in cur.items():
-        p = prev.get(key)
-        delta = vec - p if p is not None else vec.copy()
-        if delta:
-            out[key] = delta
-    return out
-
-
-def _count_delta(
-    cur: Mapping[tuple[str, int], float],
-    prev: Mapping[tuple[str, int], float],
-) -> dict[tuple[str, int], float]:
-    out: dict[tuple[str, int], float] = {}
-    for key, count in cur.items():
-        delta = count - prev.get(key, 0.0)
-        if delta:
-            out[key] = delta
-    return out
+def _delta(cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """``cur - prev`` where ``prev`` was captured at smaller extents
+    (events, CPU columns and counter slots only ever append)."""
+    return cur - _resized(prev, cur.shape)
 
 
 class _Capture:
@@ -68,7 +49,8 @@ class _Capture:
         self.t = t
 
 
-_EMPTY = _Capture({}, {}, {}, {}, 0.0)
+_EMPTY = _Capture(np.zeros((0, 0, 0)), np.zeros((0, 0, 0)),
+                  np.zeros((0, 0)), np.zeros((0, 0)), 0.0)
 
 
 class SnapshotProfiler(Profiler):
@@ -99,28 +81,22 @@ class SnapshotProfiler(Profiler):
         self.snapshot(label)
 
     def _capture(self) -> _Capture:
-        exclusive = {k: v.copy() for k, v in self._exclusive.items()}
-        inclusive = {k: v.copy() for k, v in self._inclusive.items()}
+        extent = (slice(0, len(self._event_order)), slice(0, len(self._columns)))
+        inclusive = self._inclusive[extent].copy()
         # Regions still open at the cut contribute their inclusive-so-far;
         # when they eventually close, exit() folds the full amount into
-        # _inclusive, and the next capture's delta stays non-negative
-        # because the partial only ever grows.
-        for cpu, state in self._cpus.items():
-            for frame in state.stack:
-                key = (frame.name, cpu)
-                if key in inclusive:
-                    inclusive[key] += frame.inclusive
-                else:
-                    inclusive[key] = frame.inclusive.copy()
-                if frame.path is not None and frame.path != frame.name:
-                    pkey = (frame.path, cpu)
-                    if pkey in inclusive:
-                        inclusive[pkey] += frame.path_inclusive
-                    else:
-                        inclusive[pkey] = frame.path_inclusive.copy()
+        # the inclusive accumulator, and the next capture's delta stays
+        # non-negative because the partial only ever grows.
+        for state in self._cpus.values():
+            for depth, frame in enumerate(state.stack):
+                inclusive[frame.event, state.column] += state.open[depth]
+                if frame.path_event >= 0:
+                    inclusive[frame.path_event, state.column] += (
+                        state.path_open[depth]
+                    )
         t = max((s.clock_seconds for s in self._cpus.values()), default=0.0)
-        return _Capture(exclusive, inclusive, dict(self._calls),
-                        dict(self._subrs), t)
+        return _Capture(self._exclusive[extent].copy(), inclusive,
+                        self._calls[extent].copy(), self._subrs[extent].copy(), t)
 
     def snapshot(self, label: str | None = None, *, validate: bool = True) -> Trial:
         """Cut an interval: emit a trial of everything charged since the
@@ -141,10 +117,10 @@ class SnapshotProfiler(Profiler):
         }
         trial = self._materialize(
             f"{self.interval_prefix}_{index:04d}", meta,
-            exclusive=_vector_delta(cur.exclusive, prev.exclusive),
-            inclusive=_vector_delta(cur.inclusive, prev.inclusive),
-            calls=_count_delta(cur.calls, prev.calls),
-            subrs=_count_delta(cur.subrs, prev.subrs),
+            exclusive=_delta(cur.exclusive, prev.exclusive),
+            inclusive=_delta(cur.inclusive, prev.inclusive),
+            calls=_delta(cur.calls, prev.calls),
+            subrs=_delta(cur.subrs, prev.subrs),
             cpus=cpus, validate=validate,
         )
         self._prev = cur

@@ -33,6 +33,10 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
+import numpy as np
+
+from ..machine.counters import counter_name, widen
+
 __all__ = [
     "TraceEvent",
     "EventTrace",
@@ -195,14 +199,13 @@ class EventTrace:
         # interning table: name id → string, string → name id
         self._names: list[str] = []
         self._name_index: dict[str, int] = {}
-        # columnar mirror of charge payloads: counter → (row ids, values),
-        # maintained by emit() so the replay kernel never has to unpack the
-        # per-event attrs dicts.  Mutating a recorded charge vector in place
-        # would desync the mirror; attrs are documented as read-only.
-        self._charge_rows: dict[str, list[int]] = {}
-        self._charge_vals: dict[str, list[float]] = {}
+        # dense charge payloads: the row id and counter-slot array of each
+        # CHARGE event that carried a vector, kept by emit() so the replay
+        # kernel never has to unpack the per-event attrs dicts.  The arrays
+        # are the recorded vectors' own; attrs are documented as read-only.
+        self._charge_rows: list[int] = []
+        self._charge_arrays: list[np.ndarray] = []
         self._charge_count = 0         # CHARGE events emitted
-        self._charge_vector_count = 0  # ...of which carried a vector
         # cached numpy conversion of the numeric columns
         self._columns: dict[str, Any] | None = None
         self._columns_len = -1
@@ -232,16 +235,8 @@ class EventTrace:
             self._charge_count += 1
             vec = attrs.get("vector") if attrs else None
             if vec is not None:
-                self._charge_vector_count += 1
-                row = len(self._kinds) - 1
-                rows, vals = self._charge_rows, self._charge_vals
-                for counter, value in vec.items():
-                    r = rows.get(counter)
-                    if r is None:
-                        r = rows[counter] = []
-                        vals[counter] = []
-                    r.append(row)
-                    vals[counter].append(value)
+                self._charge_rows.append(len(self._kinds) - 1)
+                self._charge_arrays.append(vec.as_array())
 
     def phase(self, label: str, ts: float, *, index: int | None = None) -> None:
         """Record a global phase mark (iteration/snapshot boundary)."""
@@ -259,8 +254,6 @@ class EventTrace:
         """
         n = len(self._kinds)
         if self._columns is None or self._columns_len != n:
-            import numpy as np
-
             self._columns = {
                 "kind": np.asarray(self._kinds, dtype=np.int16),
                 "cpu": np.asarray(self._cpus, dtype=np.int64),
@@ -278,24 +271,27 @@ class EventTrace:
         """Charge payloads per counter: ``{counter: (rows, values)}``.
 
         ``rows`` is an int64 array of global row indices (ascending — emit
-        order) of the ``CHARGE`` events whose vector contained ``counter``;
-        ``values`` is the matching float64 array.  The conversion is exact
-        both ways — the stored Python floats *are* IEEE doubles — so kernels
-        may pull values back out (``.tolist()``) and fold them sequentially
-        without perturbing the bitwise replay guarantee.  Cached until the
-        next append.
+        order) of the ``CHARGE`` events whose vector contained ``counter``
+        (held it nonzero); ``values`` is the matching float64 array, sliced
+        from the recorded vectors' slot arrays.  Kernels may pull values
+        back out (``.tolist()``) and fold them sequentially without
+        perturbing the bitwise replay guarantee.  Counters appear in slot
+        order.  Cached until the next append.
         """
         n = len(self._kinds)
         if self._charge_cols is None or self._charge_cols_len != n:
-            import numpy as np
-
-            self._charge_cols = {
-                counter: (
-                    np.asarray(rows, dtype=np.int64),
-                    np.asarray(self._charge_vals[counter], dtype=np.float64),
-                )
-                for counter, rows in self._charge_rows.items()
-            }
+            self._charge_cols = {}
+            arrays = self._charge_arrays
+            if arrays:
+                width = max(map(len, arrays))
+                dense = np.stack([widen(a, width) for a in arrays])
+                rows = np.asarray(self._charge_rows, dtype=np.int64)
+                nonzero = dense != 0.0
+                for slot in np.flatnonzero(nonzero.any(axis=0)).tolist():
+                    mask = nonzero[:, slot]
+                    self._charge_cols[counter_name(slot)] = (
+                        rows[mask], dense[mask, slot]
+                    )
             self._charge_cols_len = n
         return self._charge_cols
 
@@ -303,7 +299,7 @@ class EventTrace:
     def charges_fully_recorded(self) -> bool:
         """True when every ``CHARGE`` event carried its counter vector
         (i.e. the trace is a complete replay log)."""
-        return self._charge_count == self._charge_vector_count
+        return self._charge_count == len(self._charge_rows)
 
     def name_of(self, name_id: int) -> str:
         """Decode an interned name id (see ``columns()['name_id']``)."""
@@ -358,8 +354,6 @@ class EventTrace:
         ``ts + seconds`` end time counts too)."""
         if not self._kinds:
             return {}
-        import numpy as np
-
         cols = self.columns()
         end = cols["ts"]
         charge_rows = np.nonzero(cols["kind"] == KIND_CODES[CHARGE])[0]

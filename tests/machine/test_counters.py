@@ -1,5 +1,9 @@
 """Tests for CounterVector arithmetic and the stall identity helpers."""
 
+import math
+import pickle
+import uuid
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -53,6 +57,54 @@ class TestCounterVector:
         b = a.copy()
         b += CounterVector({C.TIME: 1.0})
         assert a[C.TIME] == 1.0 and b[C.TIME] == 2.0
+
+
+class TestPresentIffNonzero:
+    """A counter is present exactly when its value is nonzero, however the
+    vector was built; zero results are stored as +0.0."""
+
+    def test_cancelling_sources_leave_no_key(self):
+        v = CounterVector({C.FP_OPS: 1.0}, FP_OPS=-1.0)
+        assert not v and C.FP_OPS not in v and list(v) == []
+        assert v.as_dict() == (
+            CounterVector({C.FP_OPS: 1.0}) + CounterVector({C.FP_OPS: -1.0})
+        ).as_dict() == {}
+
+    def test_negative_zero_inputs_are_absent_and_positive(self):
+        v = CounterVector({C.TIME: -0.0, C.FP_OPS: 2.0})
+        assert C.TIME not in v and list(v.keys()) == [C.FP_OPS]
+        assert math.copysign(1.0, v[C.TIME]) == 1.0
+        assert math.copysign(1.0, (v + v)[C.TIME]) == 1.0
+
+    def test_times_zero_is_empty(self):
+        v = CounterVector({C.TIME: 3.0, C.FP_OPS: -2.0})
+        for zero in (0.0, -0.0):
+            scaled = v * zero
+            assert not scaled and scaled.as_dict() == {}
+            assert all(
+                math.copysign(1.0, x) == 1.0 for x in scaled.as_array()
+            )
+
+    def test_iadd_to_zero_drops_key(self):
+        v = CounterVector({C.TIME: 2.0, C.FP_OPS: 1.0})
+        v += CounterVector({C.FP_OPS: -1.0})
+        assert C.FP_OPS not in v and v.as_dict() == {C.TIME: 2.0}
+
+    def test_registry_extended_name_mixes_with_canonical(self):
+        name = f"TEST_ONLY_EXTRA_{uuid.uuid4().hex}"  # new to the registry
+        older = CounterVector({C.TIME: 1.0})  # built before the name exists
+        extra = CounterVector({name: 5.0, C.FP_OPS: 2.0})
+        assert len(older.as_array()) < len(extra.as_array())
+        total = older + extra
+        assert total.as_dict() == {C.TIME: 1.0, C.FP_OPS: 2.0, name: 5.0}
+        assert list(total) == [C.TIME, C.FP_OPS, name]  # slot order
+        older += extra
+        assert older[name] == 5.0 and (extra - extra).as_dict() == {}
+        assert name not in CounterVector({C.TIME: 1.0}) - extra * 0.0
+
+    def test_pickle_round_trips_by_name(self):
+        v = CounterVector({C.TIME: 1.5, "TEST_ONLY_PICKLED": 2.0})
+        assert pickle.loads(pickle.dumps(v)).as_dict() == v.as_dict()
 
 
 @given(

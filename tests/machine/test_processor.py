@@ -141,6 +141,22 @@ class TestProcessorModel:
         with pytest.raises(ValueError):
             p.idle_vector(-1)
 
+    def test_execute_results_are_independent_copies(self):
+        pm = ProcessorModel()
+        work = compute_sig()
+        placement = MemoryPlacementCost(1e3, 2e3, 5e5)
+        first = pm.execute(work, placement)
+        want = first.as_dict()
+        first += CounterVector({C.TIME: 1e9, C.FP_OPS: 1.0})
+        again = pm.execute(work, placement)
+        assert again.as_dict() == want
+        assert again.as_dict() == ProcessorModel().execute(
+            work, placement).as_dict()
+        idle = pm.idle_vector(1e-3)
+        idle += idle
+        assert pm.idle_vector(1e-3).as_dict() == \
+            ProcessorModel().idle_vector(1e-3).as_dict()
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             ProcessorModel(clock_hz=0)

@@ -169,3 +169,50 @@ class TestPageTable:
         cost = pt.charge_accesses("u", 0, 1000)
         assert cost.remote_ratio == pytest.approx(0.5)
         assert cost.local_accesses == pytest.approx(500)
+
+    def test_charge_cost_follows_reset_and_retouch(self):
+        """The placement-derived cost cache must not outlive a placement
+        change: after reset + re-touch from another node, charges equal
+        those of a fresh table placed the same way."""
+        args = dict(start_byte=PAGE_SIZE, length=2 * PAGE_SIZE)
+        pt = self._pt(4)
+        pt.allocate("u", 4 * PAGE_SIZE)
+        pt.touch("u", 0)
+        before = pt.charge_accesses("u", 1, 1e4, **args)
+        pt.reset_region("u")
+        pt.touch("u", 3)
+        fresh = self._pt(4)
+        fresh.allocate("u", 4 * PAGE_SIZE)
+        fresh.touch("u", 3)
+        for node in (1, 3):
+            assert pt.charge_accesses("u", node, 1e4, **args) == \
+                fresh.charge_accesses("u", node, 1e4, **args)
+        assert pt.charge_accesses("u", 1, 1e4, **args) != before
+
+    def test_charge_cost_follows_partial_placement(self):
+        pt = self._pt(2)
+        pt.allocate("u", 4 * PAGE_SIZE)
+        pt.touch("u", 1, start_byte=0, length=PAGE_SIZE)
+        # charging from node 0 first-touches the other three pages locally
+        assert pt.charge_accesses("u", 0, 400).local_accesses == 300
+        pt.reset_region("u")
+        assert pt.charge_accesses("u", 0, 400).local_accesses == 400
+
+    def test_node_histogram_follows_touch(self):
+        pt = self._pt(4)
+        pt.allocate("u", 4 * PAGE_SIZE)
+        region = pt.region("u")
+        assert region.node_histogram(4).tolist() == [0, 0, 0, 0]
+        pt.touch("u", 2, start_byte=0, length=PAGE_SIZE)
+        assert region.node_histogram(4).tolist() == [0, 0, 1, 0]
+        pt.touch("u", 1)
+        assert region.node_histogram(4).tolist() == [0, 3, 1, 0]
+        pt.reset_region("u")
+        assert region.node_histogram(4).tolist() == [0, 0, 0, 0]
+        assert region.placed_fraction() == 0.0
+
+    def test_owner_is_read_only(self):
+        pt = self._pt()
+        pt.allocate("u", PAGE_SIZE)
+        with pytest.raises(ValueError):
+            pt.region("u").owner[0] = 1

@@ -1,5 +1,7 @@
 """Tests for the TAU-like profiler."""
 
+import uuid
+
 import pytest
 
 from repro.machine import CounterVector, uniform_machine
@@ -179,3 +181,51 @@ class TestTrialShape:
         t = p.to_trial("t")
         groups = {e.name: e.group for e in t.events}
         assert groups["MPI_Isend()"] == "MPI"
+
+
+class TestDenseAccumulators:
+    """The dense accumulators grow past their initial extents (events, CPU
+    columns, nesting depth, counter slots) without losing a value."""
+
+    def test_deep_nesting_many_events_and_cpus(self):
+        depth, n_cpus = 10, 12
+        p = Profiler(uniform_machine(n_cpus))
+        for cpu in reversed(range(n_cpus)):
+            for k in range(depth):
+                p.enter(cpu, f"e{k}")
+                p.charge(cpu, vec(1.0 + k, CPU_CYCLES=cpu + 1.0))
+            for k in reversed(range(depth)):
+                p.exit(cpu, f"e{k}")
+            for k in range(30):
+                p.enter(cpu, f"flat{k}")
+                p.exit(cpu, f"flat{k}")
+        t = p.to_trial("t")
+        assert t.event_count == depth + 30
+        assert [th.thread for th in t.threads] == list(range(n_cpus))
+        for cpu in range(n_cpus):
+            for k in range(depth):
+                assert t.get_exclusive(f"e{k}", C.TIME, cpu) == 1.0 + k
+                assert t.get_inclusive(f"e{k}", C.TIME, cpu) == sum(
+                    1.0 + j for j in range(k, depth))
+                assert t.get_inclusive(f"e{k}", C.CPU_CYCLES, cpu) == (
+                    (cpu + 1.0) * (depth - k))
+            assert t.get_calls("flat29", cpu) == 1
+
+    def test_counter_registered_mid_run(self):
+        name = f"TEST_ONLY_MIDRUN_{uuid.uuid4().hex}"  # new to the registry
+        narrow = vec(1.0)
+        p = Profiler(uniform_machine(2))
+        p.enter(0, "main")
+        p.enter(0, "loop")
+        p.charge(0, vec(2.0))
+        wide = CounterVector({C.TIME: 1.0, name: 4.0})
+        assert len(narrow.as_array()) < len(wide.as_array())
+        p.charge(0, wide)
+        p.exit(0, "loop")
+        p.charge(0, narrow)  # built before the accumulators widened
+        p.exit(0, "main")
+        t = p.to_trial("t")
+        assert t.metric_names() == [C.TIME, name]
+        assert t.get_exclusive("loop", name, 0) == 4.0
+        assert t.get_inclusive("main", name, 0) == 4.0
+        assert t.get_inclusive("main", C.TIME, 0) == 4.0

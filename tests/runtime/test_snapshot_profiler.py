@@ -109,3 +109,37 @@ def test_base_profiler_phase_is_trace_mark_only():
     prof.exit(0, "main")
     assert [m.name for m in trace.phase_marks()] == ["p0"]
     assert not hasattr(prof, "snapshots")
+
+
+def test_snapshot_deltas_span_growing_extents():
+    """A later interval may add events, CPUs and counter slots the
+    previous capture never had; its delta treats them as zero before."""
+    name = "TEST_ONLY_SNAPSHOT_COUNTER"
+    trace = EventTrace()
+    prof = SnapshotProfiler(uniform_machine(3), trace=trace)
+    prof.enter(0, "main")
+    _charge(prof, 0, 10.0)
+    first = prof.snapshot("a")
+    prof.enter(2, "late")
+    prof.charge(2, CounterVector({C.TIME: 5.0, name: 7.0}))
+    prof.exit(2, "late")
+    _charge(prof, 0, 1.0)
+    prof.exit(0, "main")
+    second = prof.snapshot("b")
+    assert first.metric_names() == [C.TIME, C.FP_OPS]
+    assert second.metric_names() == [C.TIME, C.FP_OPS, name]
+    assert second.get_exclusive("main", C.TIME, 0) == 1.0
+    assert second.get_inclusive("main", C.TIME, 0) == 1.0
+    assert [t.thread for t in second.threads] == [0, 2]
+    assert second.get_exclusive("late", name, 1) == 7.0
+    assert second.get_calls("late", 1) == 1 and second.get_calls("main", 0) == 0
+
+    from repro.core.operations.tracing import replay_trace
+
+    whole = prof.to_trial("whole")
+    replayed = replay_trace(trace, prof.machine).to_trial("replay")
+    for metric in whole.metric_names():
+        assert np.array_equal(whole.exclusive_array(metric),
+                              replayed.exclusive_array(metric))
+        assert np.array_equal(whole.inclusive_array(metric),
+                              replayed.inclusive_array(metric))
