@@ -18,6 +18,7 @@ from repro.core.script import (
 )
 from repro.perfdmf import PerfDMF, TrialBuilder, trial_from_dict, trial_to_dict
 from repro.rules import Fact, RuleEngine, parse_rules
+from tests.knowledge import test_diagnosis_golden as diagnosis_golden
 from tests.runtime import test_simulation_golden as golden
 
 RULEBASE = """
@@ -189,3 +190,16 @@ def test_traced_genidlest_mpi_throughput(benchmark):
     result = benchmark(golden.traced_genidlest_mpi)
     assert golden.traced_digest(result, default_machine(16)) == \
         golden.GOLDEN["traced/genidlest-mpi"]
+
+
+# One diagnosis (facts, rules, report inputs) per shape the benchmark
+# workloads diagnose, each checked against its golden digests.
+DIAGNOSIS_CASES = ["msa/static", "genidlest/unopt", "serve/3/2", "wide"]
+
+
+@pytest.mark.parametrize("case", DIAGNOSIS_CASES)
+def test_diagnosis_throughput(benchmark, case):
+    trial = diagnosis_golden.case_trial(case)
+    harness = benchmark(diagnosis_golden.diagnose_case, case, trial)
+    assert diagnosis_golden.harness_digests(harness) == \
+        diagnosis_golden.GOLDEN[case]

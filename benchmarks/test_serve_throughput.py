@@ -97,12 +97,16 @@ class TestServeThroughput:
 
     def test_tracing_overhead_under_five_percent(self, run_once):
         """Distributed tracing is on by default, so it must be nearly
-        free: on a realistic diagnose workload (12-event × 64-thread
-        trials, ~40 ms of analysis each) the traced service's cold-batch
-        throughput stays within 5 % of an identical service with
-        ``tracing=False``.  Batches alternate order across reps and each
-        config keeps its best time so machine drift cancels out."""
-        reps = 3
+        free: on a realistic diagnose workload the traced service's
+        cold-batch throughput stays within 5 % of an identical service
+        with ``tracing=False``.
+
+        A batch is 128 diagnose jobs over 24-event × 128-thread trials.
+        On a 2-core x86-64 host one diagnosis takes ~1.6 ms and a job
+        ~6 ms end to end, so a batch is ~0.7 s of service time and 5 %
+        of it is ~35 ms.  Batches alternate order across reps and each
+        config keeps its best of five, so machine drift cancels out."""
+        reps, batch_size = 5, 128
         traced = AnalysisService(workers=WORKERS,
                                  default_timeout=60.0).start()
         bare = AnalysisService(workers=WORKERS, default_timeout=60.0,
@@ -112,20 +116,22 @@ class TestServeThroughput:
             # cold — this measures execution, not the cache.
             for svc, tag in ((traced, "tr"), (bare, "un")):
                 for rep in range(reps):
-                    for n in range(N_TRIALS):
+                    for n in range(batch_size):
                         svc.db.save_trial(
                             "Bench", "E",
                             _trial(f"{tag}{rep}_t{n}", skew=1.0 + n % 4,
-                                   events=12, threads=64))
+                                   events=24, threads=128))
 
             def batch(svc, tag, rep):
                 t0 = time.perf_counter()
                 jobs = [
+                    # the batch is twice the queue bound: submits block
+                    # until a worker frees a slot
                     svc.submit("diagnose",
                                {"app": "Bench", "exp": "E",
                                 "trial": f"{tag}{rep}_t{n}",
-                                "script": "load-balance"})
-                    for n in range(N_TRIALS)
+                                "script": "load-balance"}, block=True)
+                    for n in range(batch_size)
                 ]
                 for job in jobs:
                     assert job.wait(120.0) and job.status == "done", \
@@ -155,10 +161,10 @@ class TestServeThroughput:
 
         overhead = traced_best / bare_best - 1.0
         print_series(
-            f"Tracing overhead ({WORKERS} workers, {N_TRIALS} diagnose "
+            f"Tracing overhead ({WORKERS} workers, {batch_size} diagnose "
             f"jobs, best of {reps})",
-            [("traced", traced_best, N_TRIALS / traced_best),
-             ("untraced", bare_best, N_TRIALS / bare_best),
+            [("traced", traced_best, batch_size / traced_best),
+             ("untraced", bare_best, batch_size / bare_best),
              ("overhead", overhead, overhead * 100)],
             ["config", "seconds", "jobs/s | %"],
         )

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..machine import counters as C
 from ..rules import Fact
 from .result import AnalysisError, PerformanceResult
@@ -42,16 +44,36 @@ def severity_of(
 
     Main's own severity uses its exclusive share like every other event.
     """
-    if not result.has_metric(severity_metric):
-        raise AnalysisError(
-            f"severity metric {severity_metric!r} missing from {result.name!r}"
-        )
-    main = result.main_event()
-    total = result.event_row(main, severity_metric, inclusive=True)[thread]
+    total = _runtime_total(result, severity_metric, thread)
     if total <= 0:
         return 0.0
     mine = result.event_row(event, severity_metric)[thread]
     return float(mine / total)
+
+
+def event_severities(
+    result: PerformanceResult,
+    *,
+    severity_metric: str = C.TIME,
+    thread: int = 0,
+) -> np.ndarray:
+    """:func:`severity_of` for every event at once, in ``result.events``
+    order (the same IEEE division, elementwise)."""
+    total = _runtime_total(result, severity_metric, thread)
+    mine = result.exclusive(severity_metric)[:, thread]
+    if total <= 0:
+        return np.zeros(len(mine))
+    return mine / total
+
+
+def _runtime_total(result: PerformanceResult, metric: str, thread: int):
+    """Main's inclusive ``metric``: the denominator of every severity."""
+    if not result.has_metric(metric):
+        raise AnalysisError(
+            f"severity metric {metric!r} missing from {result.name!r}"
+        )
+    main = result.main_event()
+    return result.event_row(main, metric, inclusive=True)[thread]
 
 
 class MeanEventFact:

@@ -24,13 +24,20 @@ from .result import AnalysisError
 
 #: Named rulebases registered by repro.knowledge (name → factory).
 _REGISTERED_RULEBASES: dict[str, callable] = {}
+#: The rules each registered factory built, compiled on first use.
+_COMPILED_RULEBASES: dict[str, tuple[Rule, ...]] = {}
 
 _global_harness: "RuleHarness | None" = None
 
 
 def register_rulebase(name: str, factory) -> None:
-    """Register a named rulebase factory (returns a list of Rules)."""
+    """Register a named rulebase factory (returns a list of Rules).
+
+    The factory runs once, on the name's first use; every harness that
+    resolves the name shares those rules (rules hold no match state).
+    """
     _REGISTERED_RULEBASES[name] = factory
+    _COMPILED_RULEBASES.pop(name, None)
 
 
 def registered_rulebases() -> list[str]:
@@ -54,7 +61,11 @@ def _resolve_rules(source) -> list[Rule]:
 
             importlib.import_module("repro.knowledge")
         if source in _REGISTERED_RULEBASES:
-            return list(_REGISTERED_RULEBASES[source]())
+            rules = _COMPILED_RULEBASES.get(source)
+            if rules is None:
+                rules = tuple(_REGISTERED_RULEBASES[source]())
+                _COMPILED_RULEBASES[source] = rules
+            return list(rules)
         path = Path(source)
         if path.suffix == ".prl" and path.is_file():
             return parse_rules(path.read_text())

@@ -19,7 +19,7 @@ from ..result import AnalysisError, PerformanceResult
 from .base import PerformanceAnalysisOperation
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+def pearson(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson r with the degenerate-variance case defined as 0."""
     if x.shape != y.shape:
         raise AnalysisError("correlation inputs must have equal length")
@@ -48,7 +48,7 @@ def event_correlation(
         raise AnalysisError(f"correlation: no metric {metric!r}")
     a = result.event_row(event_a, metric, inclusive=inclusive)
     b = result.event_row(event_b, metric, inclusive=inclusive)
-    return _pearson(a, b)
+    return pearson(a, b)
 
 
 class CorrelationOperation(PerformanceAnalysisOperation):
@@ -82,7 +82,7 @@ class CorrelationOperation(PerformanceAnalysisOperation):
         for i in range(n):
             matrix[i, i] = 1.0 if stds[i] > 0 else 0.0
             for j in range(i + 1, n):
-                r = _pearson(arr[i], arr[j])
+                r = pearson(arr[i], arr[j])
                 matrix[i, j] = matrix[j, i] = r
         out = (
             PerformanceResult.like(

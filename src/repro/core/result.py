@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..perfdmf import MAIN_EVENT, ProfileError, Trial
+from ..perfdmf import MAIN_EVENT, Event, Metric, ProfileError, Trial
 
 
 class AnalysisError(Exception):
@@ -152,10 +152,12 @@ class _ResultBuilder:
         group_of = {}
         if source is not None:
             group_of = {e.name: e.group for e in source.trial.events}
-        for ev in events:
-            self._trial.add_event(ev, group_of.get(ev, "TAU_DEFAULT"))
-        for t in range(n_threads):
-            self._trial.add_thread(t)
+        # one registration call per axis: the value tables are allocated
+        # once instead of regrown per event and per thread
+        self._trial.add_events(
+            Event(ev, group_of.get(ev, "TAU_DEFAULT")) for ev in events
+        )
+        self._trial.add_threads(range(n_threads))
         self._metrics = list(metrics)
         self._n_threads = n_threads
 
@@ -168,8 +170,6 @@ class _ResultBuilder:
         derived: bool = False,
         units: str = "counts",
     ) -> "_ResultBuilder":
-        from ..perfdmf import Metric
-
         exclusive = np.asarray(exclusive, dtype=float)
         expected = (self._trial.event_count, self._n_threads)
         if exclusive.shape != expected:

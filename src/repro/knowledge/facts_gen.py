@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.facts import MeanEventFact, severity_of
-from ..core.operations.correlation import event_correlation
+from ..core.facts import MeanEventFact, event_severities
+from ..core.operations.correlation import pearson
 from ..core.operations.derive import DeriveMetricOperation
 from ..core.operations.statistics import BasicStatisticsOperation
 from ..core.result import AnalysisError, PerformanceResult
@@ -42,9 +42,16 @@ STALL_RATE_METRIC = "(BACK_END_BUBBLE_ALL / CPU_CYCLES)"
 
 
 def _mean(result: PerformanceResult) -> PerformanceResult:
+    """The across-thread mean of ``result``, reduced once per result: a
+    diagnosis wraps its trial in one result and runs several scripts
+    over it."""
     if result.thread_count == 1:
         return result
-    return BasicStatisticsOperation(result).mean()
+    mean = result.__dict__.get("_thread_mean")
+    if mean is None:
+        mean = result.__dict__["_thread_mean"] = (
+            BasicStatisticsOperation(result).mean())
+    return mean
 
 
 def imbalance_facts(
@@ -54,36 +61,34 @@ def imbalance_facts(
     callgraph edges, over the *per-thread* result."""
     if result.thread_count < 2:
         raise AnalysisError("imbalance analysis needs a multi-thread result")
-    facts: list[Fact] = []
-    mean_result = _mean(result)
+    name = result.name
+    events = result.events
     arr = result.exclusive(metric)
     means = arr.mean(axis=1)
     stds = arr.std(axis=1)
     ratios = np.divide(stds, means, out=np.zeros_like(stds), where=means != 0)
-    for i, event in enumerate(result.events):
+    severities = event_severities(_mean(result))
+    facts = [
+        Fact("ImbalanceFact", trial=name, eventName=event, ratio=ratio,
+             severity=severity)
+        for event, ratio, severity in zip(
+            events, ratios.tolist(), severities.tolist())
+    ]
+    index = {event: i for i, event in enumerate(events)}
+    for parent, child in result.metadata.get("callgraph", []):
         facts.append(
-            Fact(
-                "ImbalanceFact",
-                trial=result.name,
-                eventName=event,
-                ratio=float(ratios[i]),
-                severity=severity_of(mean_result, event),
-            )
-        )
-    edges = result.metadata.get("callgraph", [])
-    for parent, child in edges:
-        facts.append(
-            Fact("CallGraphEdge", trial=result.name, parent=parent, child=child)
+            Fact("CallGraphEdge", trial=name, parent=parent, child=child)
         )
         # correlation only where the rule will join (parent-child pairs)
-        if result.has_event(parent) and result.has_event(child):
+        p, c = index.get(parent), index.get(child)
+        if p is not None and c is not None:
             facts.append(
                 Fact(
                     "CorrelationFact",
-                    trial=result.name,
+                    trial=name,
                     eventA=parent,
                     eventB=child,
-                    correlation=event_correlation(result, parent, child, metric),
+                    correlation=pearson(arr[p], arr[c]),
                 )
             )
     return facts
@@ -155,6 +160,7 @@ def stall_decomposition_facts(result: PerformanceResult) -> list[Fact]:
     total = mean_result.exclusive(C.BACK_END_BUBBLE_ALL)[:, 0]
     memory = mean_result.exclusive(C.L1D_CACHE_MISS_STALLS)[:, 0]
     fp = mean_result.exclusive(C.FP_STALLS)[:, 0]
+    severities = event_severities(mean_result).tolist()
     for i, event in enumerate(mean_result.events):
         t = total[i]
         mem_frac = memory[i] / t if t > 0 else 0.0
@@ -167,7 +173,7 @@ def stall_decomposition_facts(result: PerformanceResult) -> list[Fact]:
                 memoryFraction=float(mem_frac),
                 fpFraction=float(fp_frac),
                 coveredFraction=float(mem_frac + fp_frac),
-                severity=severity_of(mean_result, event),
+                severity=severities[i],
             )
         )
     return facts
@@ -197,6 +203,7 @@ def locality_facts(result: PerformanceResult) -> list[Fact]:
     app_remote = float(remote.sum())
     app_total = float(totals.sum())
     app_ratio = app_remote / app_total if app_total > 0 else 0.0
+    severities = event_severities(mean_result).tolist()
     facts = []
     for i, event in enumerate(mean_result.events):
         if totals[i] == 0:
@@ -208,7 +215,7 @@ def locality_facts(result: PerformanceResult) -> list[Fact]:
                 eventName=event,
                 remoteRatio=float(ratios[i]),
                 appRemoteRatio=app_ratio,
-                severity=severity_of(mean_result, event),
+                severity=severities[i],
             )
         )
     return facts

@@ -3,7 +3,11 @@
 ``openuh_rules()`` merges the Python-defined rules (rules_def) with the
 ``.prl``-defined ones (OpenUHRules.prl) and registers the result under the
 name ``"openuh-rules"`` so scripts can write
-``RuleHarness.useGlobalRules("openuh-rules")`` — the Fig. 1 call.
+``RuleHarness.useGlobalRules("openuh-rules")`` — the Fig. 1 call.  Like
+the paper's harness, which loads its rulebase once per process, the rules
+are compiled on first use and shared: rules hold no match state (that
+lives in each harness's engine), so every diagnosis gets a fresh list of
+the same rule objects.
 
 The ``diagnose_*`` functions are the complete analysis scripts of §III:
 each builds a harness, generates facts from the trial, fires the rules, and
@@ -12,6 +16,7 @@ returns the harness for inspection (output lines, Recommendation facts).
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 
 from ..core.facts import trial_metadata_facts
@@ -47,14 +52,26 @@ def prl_rules() -> list[Rule]:
     return parse_rules(text)
 
 
+#: Distinct threshold-override sets whose compiled rulebase is kept.
+RULEBASE_CACHE_SIZE = 16
+
+
 def openuh_rules(**threshold_overrides) -> list[Rule]:
     """The full shipped rulebase (Python + .prl faces).
 
     ``threshold_overrides`` are forwarded to the Python rule factories
     (``ratio_threshold=...`` etc.) by matching parameter names — unknown
     names raise, so ablations cannot silently misconfigure a rule.
-    """
 
+    The rules are compiled once per process for each distinct override set
+    (names, values and value types) and shared; the returned list is new
+    on every call, so callers may add or drop rules freely.
+    """
+    return list(_compiled_rules(**threshold_overrides))
+
+
+@functools.lru_cache(maxsize=RULEBASE_CACHE_SIZE, typed=True)
+def _compiled_rules(**threshold_overrides) -> tuple[Rule, ...]:
     def take(factory, *names):
         kw = {}
         for name in names:
@@ -97,7 +114,7 @@ def openuh_rules(**threshold_overrides) -> list[Rule]:
         rules_def.balanced_power_energy_rule(),
     ]
     rules.extend(prl_rules())
-    return rules
+    return tuple(rules)
 
 
 # register the default rulebase for RuleHarness.useGlobalRules("openuh-rules")
@@ -170,21 +187,27 @@ def diagnose_timeline(
     trial: str = "run",
     harness: RuleHarness | None = None,
     min_wait_seconds: float = 1e-9,
+    wait_states: list | None = None,
     **overrides,
 ) -> RuleHarness:
     """Trace/timeline diagnosis: wait states from an event trace plus
     phase-imbalance trajectories from interval snapshots.
 
     Either input may be omitted; whatever evidence is available becomes
-    facts and the timeline rules fire over it.
+    facts and the timeline rules fire over it.  A caller that has already
+    run :func:`~repro.core.operations.tracing.detect_wait_states` on
+    ``trace`` passes the result as ``wait_states`` so the trace is not
+    scanned twice.
     """
     from ..core.operations.tracing import detect_wait_states
 
     h = harness or _harness(**overrides)
-    if trace is not None:
-        states = detect_wait_states(trace, min_wait_seconds=min_wait_seconds)
+    if trace is not None and wait_states is None:
+        wait_states = detect_wait_states(trace, min_wait_seconds=min_wait_seconds)
+    if wait_states is not None:
+        wall = trace.duration() if trace is not None else None
         h.assertObjects(wait_state_facts(
-            states, trial=trial, wall_seconds=trace.duration() or None
+            wait_states, trial=trial, wall_seconds=wall or None
         ))
     if snapshots:
         h.assertObjects(phase_imbalance_facts(snapshots, trial=trial))

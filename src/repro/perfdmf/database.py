@@ -30,6 +30,10 @@ Concurrency model (what :mod:`repro.serve` builds on):
 * **Writers serialize through WAL + busy_timeout.**  File-backed
   repositories run in WAL mode so readers proceed while a writer commits;
   ``busy_timeout`` makes contending writers queue instead of failing.
+  Trial saves and deletes (and the side tables' writes) go through
+  :func:`transaction`, which also retries a whole transaction that met a
+  lock ``busy_timeout`` does not cover: the table locks
+  (``SQLITE_LOCKED``) of shared-cache in-memory repositories.
 * **Read-only snapshot views.**  :meth:`read_view` returns a repository
   over the same database whose connections are opened read-only
   (``query_only``), which is what analysis workers get so a buggy job
@@ -50,9 +54,10 @@ import json
 import re
 import sqlite3
 import threading
+import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, TypeVar
 
 import numpy as np
 
@@ -119,6 +124,27 @@ CREATE TABLE IF NOT EXISTS thread (
 
 #: Unique names for shared-cache in-memory databases (one per instance).
 _MEMDB_IDS = itertools.count(1)
+
+
+T = TypeVar("T")
+
+
+def transaction(db: "PerfDMF", fn: Callable[[sqlite3.Connection], T],
+                *, timeout: float = 5.0) -> T:
+    """Run ``fn(connection)`` as one write transaction and return its
+    result.  Any exception rolls the whole transaction back; a locked or
+    busy database retries it from the start until ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            with db._transaction():
+                return fn(db.connection)
+        except sqlite3.OperationalError as exc:
+            msg = str(exc)
+            if ("locked" not in msg and "busy" not in msg) \
+                    or time.monotonic() >= deadline:
+                raise
+            time.sleep(0.005)
 
 
 def _blob(array: np.ndarray) -> bytes:
@@ -418,7 +444,6 @@ class PerfDMF:
         failure rolls everything back.
         """
         trial.validate()
-        conn = self.connection
         with observe.span(
             "perfdmf.save_trial", application=application,
             experiment=experiment, trial=trial.name,
@@ -431,7 +456,11 @@ class PerfDMF:
                         _blob(trial.exclusive_array(m.name)),
                         _blob(trial.inclusive_array(m.name)))
                        for m in trial.metrics]
-            with self._transaction():
+            metadata = json.dumps(trial.metadata, default=str)
+            calls = _blob(trial.calls_array())
+            subrs = _blob(trial.subroutines_array())
+
+            def store(conn: sqlite3.Connection) -> int:
                 app_id = self._get_or_create("application", {"name": application})
                 exp_id = self._get_or_create("experiment", {"app_id": app_id, "name": experiment})
                 existing = conn.execute(
@@ -445,17 +474,18 @@ class PerfDMF:
                         )
                     conn.execute("DELETE FROM trial WHERE id = ?", (existing[0],))
                 trial_id = _insert_trial(
-                    conn, None, exp_id, trial.name,
-                    json.dumps(trial.metadata, default=str), events, threads,
-                    metrics, _blob(trial.calls_array()),
-                    _blob(trial.subroutines_array()))
+                    conn, None, exp_id, trial.name, metadata, events, threads,
+                    metrics, calls, subrs)
                 conn.executemany(
                     "INSERT INTO event (trial_id, name, grp) VALUES (?, ?, ?)",
                     [(trial_id, *ev) for ev in events])
                 conn.executemany(
                     "INSERT INTO thread (trial_id, node, context, thread) "
                     "VALUES (?, ?, ?, ?)", [(trial_id, *th) for th in threads])
-                _stmt("insert", 1 + len(events) + len(threads) + len(metrics))
+                return trial_id
+
+            trial_id = transaction(self, store)
+            _stmt("insert", 1 + len(events) + len(threads) + len(metrics))
             sp.set(trial_id=trial_id)
         self._notify("save", application, experiment, trial.name)
         return trial_id
@@ -546,9 +576,9 @@ class PerfDMF:
     def delete_trial(self, application: str, experiment: str, trial: str) -> None:
         trial_id, _ = self._trial_row(application, experiment, trial)
         with observe.span("perfdmf.delete_trial", application=application,
-                          experiment=experiment, trial=trial), \
-                self._transaction():
-            self.connection.execute("DELETE FROM trial WHERE id = ?", (trial_id,))
+                          experiment=experiment, trial=trial):
+            transaction(self, lambda conn: conn.execute(
+                "DELETE FROM trial WHERE id = ?", (trial_id,)))
             _stmt("delete", 1)
         self._notify("delete", application, experiment, trial)
 

@@ -16,7 +16,8 @@ trials.  This module is everything they share.
   current, :meth:`SideTables.ensure` is two reads and takes no write
   lock.  A version newer than this build knows raises, and so does a
   read-only open of a file whose tables still need creating or migrating.
-* **Write transactions** (:func:`transaction`): ``BEGIN IMMEDIATE`` …
+* **Write transactions** (:func:`~repro.perfdmf.database.transaction`,
+  the one PerfDMF's own trial writes use): ``BEGIN IMMEDIATE`` …
   ``COMMIT``, rolled back on any exception and retried whole on
   SQLITE_LOCKED/SQLITE_BUSY.  File-backed repositories resolve write
   contention with WAL plus the busy timeout, but shared-cache
@@ -27,34 +28,13 @@ trials.  This module is everything they share.
 from __future__ import annotations
 
 import sqlite3
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, Mapping
 
-from .database import PerfDMF
+from .database import PerfDMF, transaction
 from .model import ProfileError
 
 __all__ = ["SideTables", "transaction"]
-
-T = TypeVar("T")
-
-
-def transaction(db: PerfDMF, fn: Callable[[sqlite3.Connection], T],
-                *, timeout: float = 5.0) -> T:
-    """Run ``fn(connection)`` as one write transaction and return its
-    result.  Any exception rolls the whole transaction back; a locked or
-    busy database retries it from the start until ``timeout`` seconds."""
-    deadline = time.monotonic() + timeout
-    while True:
-        try:
-            with db._transaction():
-                return fn(db.connection)
-        except sqlite3.OperationalError as exc:
-            msg = str(exc)
-            if ("locked" not in msg and "busy" not in msg) \
-                    or time.monotonic() >= deadline:
-                raise
-            time.sleep(0.005)
 
 
 @dataclass(frozen=True)

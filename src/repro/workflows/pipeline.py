@@ -266,7 +266,7 @@ def trace_application(
                 trace=trace,
                 snapshots=snapshots,
                 trial=trial.name,
-                min_wait_seconds=min_wait_seconds,
+                wait_states=wait_states,
             )
         report = render_report(
             harness,

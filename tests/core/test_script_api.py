@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from repro.core import RuleHarness
-from repro.core.facts import severity_of, trial_metadata_facts, callgraph_facts
+from repro.core.result import AnalysisError
+from repro.core.facts import (
+    callgraph_facts,
+    event_severities,
+    severity_of,
+    trial_metadata_facts,
+)
 from repro.core.script import (
     DeriveMetricOperation,
     MeanEventFact,
@@ -164,6 +170,24 @@ class TestMeanEventFact:
         r = self._result()
         assert severity_of(r, "k") == pytest.approx(0.4)
         assert severity_of(r, "main") == pytest.approx(0.1)
+
+    def test_event_severities_match_severity_of_bitwise(self):
+        rng = np.random.default_rng(3)
+        for main_total in (rng.uniform(1, 1e4), 0.0, -1.0):
+            exc = rng.uniform(0, 1e3, size=(6, 3))
+            inc = exc.copy()
+            inc[0] = main_total
+            r = TrialMeanResult(
+                TrialBuilder("s")
+                .with_events(["main"] + [f"e{i}" for i in range(5)])
+                .with_threads(3)
+                .with_metric("TIME", exc, inc)
+                .build(validate=False))
+            expected = [severity_of(r, e) for e in r.events]
+            got = event_severities(r).tolist()
+            assert [v.hex() for v in got] == [v.hex() for v in expected]
+        with pytest.raises(AnalysisError, match="severity metric"):
+            event_severities(r, severity_metric="NOPE")
 
     def test_metadata_facts(self):
         facts = trial_metadata_facts(self._result())

@@ -183,3 +183,60 @@ class TestChangeListeners:
         assert deletes == [("delete", "c0")]
         file_db.save_trial("A", "E", make_trial("quiet"))
         assert len(events) == 5  # removed listener stays quiet
+
+
+class TestSharedCacheMemoryWriters:
+    """In-memory repositories share one cache across connections, whose
+    table locks (SQLITE_LOCKED) fail at once instead of waiting out the
+    busy timeout.  Trial writes must retry them like side-table writes."""
+
+    def test_save_and_delete_wait_out_a_held_table_lock(self):
+        with PerfDMF() as db:
+            db.save_trial("A", "E", make_trial("old"))
+            for write in (lambda: db.save_trial("A", "E", make_trial("new")),
+                          lambda: db.delete_trial("A", "E", "old")):
+                holding, release = threading.Event(), threading.Event()
+
+                def hold():
+                    conn = db.connection
+                    conn.execute("BEGIN IMMEDIATE")
+                    conn.execute("INSERT INTO application (name) VALUES ('x')")
+                    holding.set()
+                    release.wait(10.0)
+                    conn.execute("ROLLBACK")
+
+                holder = threading.Thread(target=hold)
+                holder.start()
+                assert holding.wait(10.0)
+                # the lock is really held: a bare write fails at once
+                with pytest.raises(sqlite3.OperationalError, match="locked"):
+                    db.connection.execute("BEGIN IMMEDIATE")
+                threading.Timer(0.05, release.set).start()
+                write()
+                holder.join(10.0)
+                assert not holder.is_alive()
+            assert db.trials("A", "E") == ["new"]
+
+    def test_concurrent_savers_lose_no_writes(self):
+        n_threads, per_thread = 8, 5
+        errors = []
+        start = threading.Barrier(n_threads)
+        with PerfDMF() as db:
+            def saver(k):
+                start.wait()
+                for n in range(per_thread):
+                    try:
+                        db.save_trial("A", f"E{k}", make_trial(f"t{n}"))
+                    except sqlite3.OperationalError as exc:
+                        errors.append(exc)
+
+            threads = [threading.Thread(target=saver, args=(k,))
+                       for k in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert [len(db.trials("A", f"E{k}")) for k in range(n_threads)] \
+                == [per_thread] * n_threads

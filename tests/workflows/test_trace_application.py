@@ -118,3 +118,28 @@ def test_cli_trace_app(tmp_path, capsys):
     assert "Rule-firing audit trail:" in printed
     assert "stored trial + 3 interval sub-trials" in printed
     assert out.exists()
+
+
+def test_wait_states_detected_once_per_traced_run(monkeypatch):
+    from repro.apps.genidlest import RIB45, RunConfig
+    from repro.core.operations import tracing
+    from repro.knowledge import diagnose_timeline
+
+    calls = []
+    real = tracing.detect_wait_states
+
+    def counting(trace, **kwargs):
+        calls.append(trace)
+        return real(trace, **kwargs)
+
+    monkeypatch.setattr(tracing, "detect_wait_states", counting)
+    result = trace_application(
+        "genidlest", config=RunConfig(case=RIB45, version="mpi", n_procs=4,
+                                      iterations=3))
+    assert len(calls) == 1
+    # a trace alone still gets its wait states detected, to the same facts
+    alone = diagnose_timeline(trace=calls[0], trial=result.trial.name)
+    assert len(calls) == 2
+    facts = [f.as_dict() for f in alone.facts("WaitStateFact")]
+    assert facts and facts == [
+        f.as_dict() for f in result.harness.facts("WaitStateFact")]
