@@ -16,16 +16,15 @@ iterable of :class:`~repro.rules.Rule`, or a named rulebase registered by
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..rules import Fact, Rule, RuleEngine, parse_rules
 from .result import AnalysisError
 
-#: Named rulebases registered by repro.knowledge (name → factory).
+#: Named rulebases registered by repro.knowledge (name → cached factory).
 _REGISTERED_RULEBASES: dict[str, callable] = {}
-#: The rules each registered factory built, compiled on first use.
-_COMPILED_RULEBASES: dict[str, tuple[Rule, ...]] = {}
 
 _global_harness: "RuleHarness | None" = None
 
@@ -34,10 +33,9 @@ def register_rulebase(name: str, factory) -> None:
     """Register a named rulebase factory (returns a list of Rules).
 
     The factory runs once, on the name's first use; every harness that
-    resolves the name shares those rules (rules hold no match state).
+    resolves the name shares those immutable, stateless rules.
     """
-    _REGISTERED_RULEBASES[name] = factory
-    _COMPILED_RULEBASES.pop(name, None)
+    _REGISTERED_RULEBASES[name] = functools.cache(lambda: tuple(factory()))
 
 
 def registered_rulebases() -> list[str]:
@@ -61,11 +59,7 @@ def _resolve_rules(source) -> list[Rule]:
 
             importlib.import_module("repro.knowledge")
         if source in _REGISTERED_RULEBASES:
-            rules = _COMPILED_RULEBASES.get(source)
-            if rules is None:
-                rules = tuple(_REGISTERED_RULEBASES[source]())
-                _COMPILED_RULEBASES[source] = rules
-            return list(rules)
+            return list(_REGISTERED_RULEBASES[source]())
         path = Path(source)
         if path.suffix == ".prl" and path.is_file():
             return parse_rules(path.read_text())

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..perfdmf import PerfDMF, ProfileError
-from ..perfdmf.sidetables import SideTables, transaction
+from ..perfdmf.database import transaction
+from ..perfdmf.sidetables import SideTables
 from .rigor import Assessment
 from .spec import Plan
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from ..perfdmf import PerfDMF, ProfileError
-from ..perfdmf.sidetables import SideTables, transaction
+from ..perfdmf.database import transaction
+from ..perfdmf.sidetables import SideTables
 from ..version import version_key
 
 __all__ = [

@@ -554,6 +554,16 @@ class PerfDMF:
         _stmt("select", 1)
         return digest
 
+    def trial_stamp(self, application: str, experiment: str,
+                    trial: str) -> tuple[int, str]:
+        """``(trial id, content hash)`` of a stored trial, read from its
+        one row: what a result cache checks to tell whether the trial it
+        analysed is still the one stored."""
+        trial_id, digest = self._trial_row(application, experiment, trial,
+                                           "t.id, t.content_hash")
+        _stmt("select", 1)
+        return trial_id, digest
+
     # -- listing --------------------------------------------------------------
     def applications(self) -> list[str]:
         return [r[0] for r in self.connection.execute(

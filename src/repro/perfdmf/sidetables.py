@@ -34,7 +34,7 @@ from typing import Callable, Mapping
 from .database import PerfDMF, transaction
 from .model import ProfileError
 
-__all__ = ["SideTables", "transaction"]
+__all__ = ["SideTables"]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..perfdmf import PerfDMF, ProfileError, Trial
-from ..perfdmf.sidetables import SideTables, transaction
+from ..perfdmf.database import transaction
+from ..perfdmf.sidetables import SideTables
 
 
 def _add_reason(conn) -> None:

@@ -167,7 +167,7 @@ class Test:
         return bool(self.predicate(dict(bindings)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pattern:
     """Match facts of one type under a conjunction of constraints.
 
@@ -190,7 +190,7 @@ class Pattern:
     negated: bool = False
 
     def __post_init__(self) -> None:
-        self.constraints = tuple(self.constraints)
+        object.__setattr__(self, "constraints", tuple(self.constraints))
         if self.negated and (
             self.bind_as or any(c.bind for c in self.constraints)
         ):
@@ -200,16 +200,16 @@ class Pattern:
         # numeric "==" uses approximate float equality (`_approx_eq`), which
         # a hash bucket cannot honor (1.0 and 1.0+1e-12 hash apart), so
         # indexing numbers could drop matches the naive matcher finds.
-        self._eq_literal: tuple[tuple[str, str], ...] = tuple(
+        object.__setattr__(self, "_eq_literal", tuple(
             (c.fieldname, c.value)
             for c in self.constraints
             if c.op == "==" and not c.is_variable and isinstance(c.value, str)
-        )
-        self._eq_variable: tuple[tuple[str, str], ...] = tuple(
+        ))
+        object.__setattr__(self, "_eq_variable", tuple(
             (c.fieldname, c.value)
             for c in self.constraints
             if c.op == "==" and c.is_variable
-        )
+        ))
 
     def index_plan(self) -> tuple[tuple[tuple[str, str], ...],
                                   tuple[tuple[str, str], ...]]:

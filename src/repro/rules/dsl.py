@@ -146,6 +146,14 @@ class _Parser:
             raise DSLSyntaxError(f"expected {want!r}, got {tok.value!r}", tok.line)
         return tok
 
+    def _binding_follows(self) -> bool:
+        """Whether the token after the next one is ``:``: the next
+        identifier then names a binding, even one spelled like a
+        keyword (``not : T()`` binds ``not``; ``then : T()`` is a pattern)."""
+        nxt = self._tokens[self._pos + 1] \
+            if self._pos + 1 < len(self._tokens) else None
+        return nxt is not None and nxt.kind == "op" and nxt.value == ":"
+
     def _accept(self, kind: str, value: str | None = None) -> Token | None:
         tok = self._peek()
         if tok and tok.kind == kind and (value is None or tok.value == value):
@@ -193,7 +201,8 @@ class _Parser:
             tok = self._peek()
             if tok is None:
                 raise DSLSyntaxError(f"rule {name!r}: missing 'then'", name_tok.line)
-            if tok.kind == "ident" and tok.value == "then":
+            if tok.kind == "ident" and tok.value == "then" \
+                    and not self._binding_follows():
                 self._next()
                 break
             patterns.append(self._parse_pattern())
@@ -221,8 +230,9 @@ class _Parser:
     def _parse_pattern(self) -> Pattern:
         negated = False
         bind_as: str | None = None
+        binds = self._binding_follows()
         tok = self._expect("ident")
-        if tok.value == "not":
+        if tok.value == "not" and not binds:
             negated = True
             tok = self._expect("ident")
         if self._accept("op", ":"):

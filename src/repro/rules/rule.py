@@ -84,9 +84,14 @@ class RuleContext:
         self._engine.emit(self.rule.name, message)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Rule:
     """A production rule.
+
+    Rules are immutable and hold no match state (working memory, agenda
+    and per-rule match bookkeeping live in
+    :class:`~repro.rules.engine.RuleEngine`), so one compiled rulebase is
+    safely shared by every engine and thread.
 
     Attributes
     ----------
@@ -115,7 +120,7 @@ class Rule:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("rule name must be non-empty")
-        self.conditions = tuple(self.conditions)
+        object.__setattr__(self, "conditions", tuple(self.conditions))
         if not self.conditions:
             raise ValueError(f"rule {self.name!r} has an empty LHS")
         if not any(isinstance(c, Pattern) for c in self.conditions):

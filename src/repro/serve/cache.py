@@ -32,9 +32,14 @@ from ..version import CODE_VERSION, rulebase_fingerprint, version_key
 __all__ = ["CacheStats", "ResultCache", "cache_key", "rulebase_fingerprint"]
 
 
+#: One encoder for every key: ``json.dumps`` with these options builds a
+#: fresh encoder per call, a sizeable share of a cache hit's cost.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            default=str)
+
+
 def _canonical(value: Any) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                      default=str)
+    return _ENCODER.encode(value)
 
 
 def cache_key(

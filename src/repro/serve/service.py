@@ -511,12 +511,11 @@ class AnalysisService:
         )
 
     def _stamp(self, app: str, exp: str, trial: str) -> tuple[int, str]:
-        """``(trial id, content hash)``, the id read first.  Trial ids are
+        """``(trial id, content hash)``, read from one row.  Trial ids are
         never reused and a stored trial row never changes, so an id read
         unchanged after a handler ran pins the row it loaded, and the hash
-        read in between is that row's."""
-        return (self._db.trial_id(app, exp, trial),
-                self._db.content_hash(app, exp, trial))
+        is that row's."""
+        return self._db.trial_stamp(app, exp, trial)
 
     def _unchanged(self, coords, stamps) -> bool:
         """Whether every trial a job read still has its dispatch-time

@@ -1,14 +1,16 @@
 """The shipped rulebase is compiled once per process and shared.
 
-Rules hold no match state (working memory, agenda and refraction live in
-each harness's engine), so every diagnosis may reuse the same rule
-objects.  These tests pin what that sharing must not change: results
+Rules are immutable and hold no match state (working memory, agenda and
+match bookkeeping live in each harness's engine), so every diagnosis may
+reuse the same rule objects.  These tests pin what that sharing must not change: results
 under concurrency, isolation between harnesses, per-override rulebases,
 and a single parse of ``OpenUHRules.prl``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -18,7 +20,7 @@ from repro.core import harness as harness_module
 from repro.core.harness import RuleHarness
 from repro.knowledge import diagnose_load_balance, recommendations_of, rulebase
 from repro.knowledge.rulebase import RULEBASE_CACHE_SIZE, openuh_rules
-from repro.rules import RuleBuilder
+from repro.rules import Pattern, RuleBuilder
 
 from .test_diagnosis_golden import GOLDEN, case_digests, case_trial
 
@@ -53,6 +55,17 @@ def test_rules_are_shared_and_lists_are_fresh():
     assert first is not second
     assert all(a is b for a, b in zip(first, second, strict=True))
     assert RuleHarness("openuh-rules").engine.rules[0] is first[0]
+
+
+def test_shared_rules_cannot_be_mutated():
+    rule = openuh_rules()[0]
+    salience = rule.salience
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rule.salience = salience + 10
+    pattern = next(c for c in rule.conditions if isinstance(c, Pattern))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pattern.negated = not pattern.negated
+    assert openuh_rules()[0].salience == salience
 
 
 def test_mutating_a_returned_list_does_not_leak():
@@ -112,8 +125,15 @@ def test_prl_parsed_once_across_diagnoses(monkeypatch, trials):
         return real(text)
 
     monkeypatch.setattr(rulebase, "parse_rules", counting)
-    rulebase._compiled_rules.cache_clear()
-    harness_module._COMPILED_RULEBASES.pop(rulebase.RULEBASE_NAME, None)
+    # start cold: fresh caches for the overrides and the registered name,
+    # restored afterwards so other tests keep the process-wide rulebase
+    monkeypatch.setattr(rulebase, "_compiled_rules", functools.lru_cache(
+        maxsize=RULEBASE_CACHE_SIZE, typed=True)(
+            rulebase._compiled_rules.__wrapped__))
+    monkeypatch.setattr(harness_module, "_REGISTERED_RULEBASES",
+                        dict(harness_module._REGISTERED_RULEBASES))
+    harness_module.register_rulebase(rulebase.RULEBASE_NAME,
+                                     rulebase.openuh_rules)
     for i in range(10):
         diagnose_load_balance(trials[CONCURRENT_CASES[i % 2]])
         RuleHarness(rulebase.RULEBASE_NAME)
@@ -136,7 +156,6 @@ def test_rule_files_are_still_parsed_per_harness(monkeypatch, tmp_path):
 def test_registered_factory_runs_once_until_reregistered(monkeypatch):
     monkeypatch.setattr(harness_module, "_REGISTERED_RULEBASES",
                         dict(harness_module._REGISTERED_RULEBASES))
-    monkeypatch.setattr(harness_module, "_COMPILED_RULEBASES", {})
     calls = []
 
     def factory(name):

@@ -7,7 +7,8 @@ import time
 import pytest
 
 from repro.perfdmf import PerfDMF, ProfileError
-from repro.perfdmf.sidetables import SideTables, transaction
+from repro.perfdmf.database import transaction
+from repro.perfdmf.sidetables import SideTables
 
 
 def _add_note(conn):

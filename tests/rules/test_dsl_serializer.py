@@ -75,6 +75,18 @@ class TestSerializerEdges:
         assert again.conditions[1].negated
         assert again.conditions[1].constraints[0].is_variable
 
+    @pytest.mark.parametrize("name", ["not", "then"])
+    def test_keyword_named_binding_roundtrip(self, name):
+        rule = Rule(
+            name="kw",
+            conditions=[Pattern("A", [Constraint("a", "==", 0)],
+                                bind_as=name),
+                        Pattern("B", [Constraint("x", "==", 1)],
+                                negated=True)],
+            action=_CompiledAction((_LogStatement("hi"),)),
+        )
+        assert_rules_equivalent(rule, roundtrip(rule))
+
     def test_quotes_and_escapes(self):
         rule = self._dsl_rule(
             'rule "q\\"uote" when f : T(s == "a\\"b") then log "x\\"y" end'
