@@ -10,7 +10,10 @@ single value changes a digest, so speed work on the simulator can prove
 it changed nothing else.
 
 The digests were computed with the counter-vector accounting before it
-was made dense; they must not be edited to make a change pass.
+was made dense, and the ``omp-regions``, ``genidlest-mpi/untraced``,
+``callpaths/msa`` and ``traced/msa-charges`` ones with the per-task
+machine before it was batched over loops; they must not be edited to
+make a change pass.
 """
 
 from __future__ import annotations
@@ -24,7 +27,14 @@ from repro.apps.genidlest import RIB90, RunConfig, default_machine, run_genidles
 from repro.apps.msa import generate_sequences, run_msa_trial
 from repro.core.operations.tracing import replay_trace
 from repro.knowledge import recommendations_of
-from repro.machine import uniform_machine
+from repro.machine import WorkSignature, altix_300, uniform_machine
+from repro.runtime import (
+    LoopTask,
+    OpenMPRuntime,
+    Profiler,
+    RegionAccess,
+    Schedule,
+)
 from repro.workflows import trace_application
 
 
@@ -54,6 +64,76 @@ def traced_digest(res, machine):
     replayed = replay_trace(res.trace, machine).to_trial("replay")
     trial_digest(replayed, h)
     return h.hexdigest()
+
+
+def trace_digest(trace):
+    """sha256 over every trace event: kind, cpu, clock, name and attrs,
+    with recorded charge vectors hashed by their nonzero counters (so the
+    digest does not depend on how many counter slots the process has
+    registered)."""
+    h = hashlib.sha256()
+    cols = trace.columns()
+    for key in ("kind", "cpu", "ts", "name_id"):
+        h.update(cols[key].tobytes())
+    h.update(repr(trace.name_table()).encode())
+    for attrs in trace.attrs_column():
+        if attrs is None:
+            h.update(b"-")
+            continue
+        for key, value in sorted(attrs.items()):
+            if key == "vector":
+                value = sorted((k, v.hex()) for k, v in value.as_dict().items())
+            h.update(repr((key, value)).encode())
+    return h.hexdigest()
+
+
+def _region_task(k):
+    """Task ``k`` of the region-access loop: footprints spanning L1 to
+    beyond TLB reach, every fifth task without a region access."""
+    work = WorkSignature(
+        flops=1000.0 * ((7 * k) % 13 + 1),
+        int_ops=500.0 * (k % 5),
+        loads=800.0 * ((3 * k) % 11 + 1),
+        stores=300.0 * (k % 7),
+        branches=100.0 * (k % 4 + 1),
+        footprint_bytes=[8e3, 2e5, 1e6, 5e6, 3e7][k % 5] * (1 + k % 3),
+        reuse=[0.0, 0.5, 0.9, 1.0][k % 4],
+        instruction_footprint_bytes=4096.0 * (k % 9),
+    )
+    if k % 5 == 4:
+        return LoopTask(work)
+    access = RegionAccess(
+        f"r{k % 6}",
+        start_byte=(k * 3000) % 20000,
+        length=16384 + (k % 4) * 5000,
+        latency_multiplier=1.0 + (k % 3) * 0.25,
+    )
+    return LoopTask(work, access)
+
+
+def omp_region_run(schedule):
+    """A master-only first touch (thread 5), then the same region-access
+    loop twice under ``schedule`` on the 8-node Altix 300."""
+    machine = altix_300()
+    pages = machine.new_page_table()
+    for r in range(6):
+        pages.allocate(f"r{r}", (r + 2) * 40_000)
+    prof = Profiler(machine)
+    omp = OpenMPRuntime(machine, prof, pages)
+    cpus = list(range(16))
+    tasks = [_region_task(k) for k in range(37)]
+    for cpu in cpus:
+        prof.enter(cpu, "main")
+    omp.single(region_event="init", body_event="init_body",
+               work_items=tasks[:9], n_threads=16, cpus=cpus,
+               master_thread=5)
+    for _ in range(2):
+        omp.parallel_for(region_event="region", loop_event="loop",
+                         tasks=tasks, n_threads=16,
+                         schedule=Schedule.parse(schedule), cpus=cpus)
+    for cpu in cpus:
+        prof.exit(cpu, "main")
+    return prof.to_trial("omp")
 
 
 def msa_run(schedule):
@@ -86,6 +166,20 @@ def case_digest(case: str) -> str:
         return traced_digest(traced_msa(), uniform_machine(16))
     if case == "traced/genidlest-mpi":
         return traced_digest(traced_genidlest_mpi(), default_machine(16))
+    if case.startswith("omp-regions/"):
+        return trial_digest(omp_region_run(case.split("/", 1)[1]))
+    if case == "genidlest-mpi/untraced":
+        return trial_digest(run_genidlest(RunConfig(
+            case=RIB90, version="mpi", n_procs=16, iterations=3)).trial)
+    if case == "callpaths/msa":
+        prof = Profiler(uniform_machine(16), callpaths=True)
+        return trial_digest(run_msa_trial(
+            n_sequences=400, n_threads=16, schedule="static", seed=0,
+            profiler=prof).trial)
+    if case == "traced/msa-charges":
+        res = trace_application("msa", n_sequences=400, n_threads=16,
+                                seed=0, record_charges=True)
+        return trace_digest(res.trace)
     if case.startswith("sequences/"):
         seqs = generate_sequences(400, seed=int(case.split("/", 1)[1]))
         return hashlib.sha256("\n".join(seqs.sequences).encode()).hexdigest()
@@ -113,6 +207,18 @@ GOLDEN = {
         "44ee875853801b84e9811fc2054cc62a75f4c29ddce6f88e6a3d5e2f04d9a90f",
     "sequences/7919":
         "8343b3bcf1baf4c2cc0ced6c8512779b5aea661fb7e601199ccf5ad3ab0fba90",
+    "omp-regions/static,2":
+        "2197dd0def2e542b6cc4a38a96b7cd00f0bb2a56f4bd71bebc1765afe26e06a9",
+    "omp-regions/dynamic,3":
+        "81e905282e9278734e1ace7f4533079b5abac2b1099d1e05afd041fad0f448d9",
+    "omp-regions/guided,2":
+        "442b7c1288aeb9923b0d5aafef3515df38967f4e9b1fc0c30c375084b36877f8",
+    "genidlest-mpi/untraced":
+        "92ec10eb849da7dc29705ee33870d44a435d1863c02b3a46a4bddf8cc9cd53b8",
+    "callpaths/msa":
+        "70af12249cb8d95119041c2844f5541bc8370d766c4093aaa400acb69b75b56c",
+    "traced/msa-charges":
+        "10863ad45d61e58a77110b9474cd52a035f0161578469b1ac2b00888eb5372fd",
 }
 
 
