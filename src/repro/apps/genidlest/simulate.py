@@ -34,6 +34,7 @@ local/remote latency delta.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from ...runtime import (
     Profiler,
     RegionAccess,
     Schedule,
-    execute_work,
+    task_rows,
 )
 from .kernels import (
     bicgstab_vector_signature,
@@ -201,6 +202,15 @@ def _node_pressure(
     return {node: len(ws) for node, ws in workers_on_node.items()}
 
 
+def _solver_loops(config: RunConfig) -> list[tuple]:
+    """``(event, calls, block → signature)`` of one solver iteration's
+    loops: the kernels, then bicgstab's vector algebra."""
+    return [
+        (event, calls, partial(factory, cache_blocked=config.cache_blocked))
+        for event, factory, calls in _KERNEL_SCHEDULE
+    ] + [(EVENT_BICGSTAB, 1, bicgstab_vector_signature)]
+
+
 def _contention_factor(
     page_table: PageTable, machine: Machine, block: int,
     pressure: dict[int, int],
@@ -322,27 +332,37 @@ def _run_openmp(
             cpus=cpus,
         )
 
+    # Placement, and with it node pressure and every contention factor, is
+    # fixed from here on, so each loop's tasks are built once.
     pressure = _node_pressure(page_table, mesh, owners, machine, cpus)
+    contention = [
+        _contention_factor(page_table, machine, b, pressure)
+        for b in range(mesh.n_blocks)
+    ]
+
+    def block_tasks(signature) -> list[LoopTask]:
+        return [
+            LoopTask(signature(mesh.blocks[b]), RegionAccess(
+                _block_region(b), latency_multiplier=contention[b]))
+            for b in range(mesh.n_blocks)
+        ]
+
+    # --- ghost-cell update -----------------------------------------------
+    # The sequential (single-thread) exchange sees no controller
+    # contention — only the concurrent parallel-copy path does.
+    copies_each = 2 if not config.use_parallel_exchange else 1
+    copy_items = [
+        LoopTask(
+            copy_signature(mesh.blocks[src].face_bytes * copies_each),
+            RegionAccess(_block_region(dest), latency_multiplier=(
+                contention[dest] if config.use_parallel_exchange else 1.0)),
+        )
+        for src, dest in mesh.exchange_pairs()
+    ]
+    loops = [(event, calls, block_tasks(signature))
+             for event, calls, signature in _solver_loops(config)]
 
     for iteration in range(config.iterations):
-        # --- ghost-cell update -------------------------------------------
-        # The sequential (single-thread) exchange sees no controller
-        # contention — only the concurrent parallel-copy path does.
-        copies_each = 2 if not config.use_parallel_exchange else 1
-        copy_items = [
-            LoopTask(
-                copy_signature(mesh.blocks[src].face_bytes * copies_each),
-                RegionAccess(
-                    _block_region(dest),
-                    latency_multiplier=(
-                        _contention_factor(page_table, machine, dest, pressure)
-                        if config.use_parallel_exchange
-                        else 1.0
-                    ),
-                ),
-            )
-            for src, dest in mesh.exchange_pairs()
-        ]
         for _exchange in range(EXCHANGES_PER_ITERATION):
             for cpu in cpus:
                 profiler.enter(cpu, EVENT_EXCHANGE)
@@ -367,23 +387,9 @@ def _run_openmp(
             for cpu in cpus:
                 profiler.exit(cpu, EVENT_EXCHANGE)
 
-        # --- kernels -----------------------------------------------------
-        for event, factory, calls in _KERNEL_SCHEDULE:
+        # --- kernels, then the solver vector algebra ---------------------
+        for event, calls, tasks in loops:
             for _ in range(calls):
-                tasks = [
-                    LoopTask(
-                        factory(
-                            mesh.blocks[b], cache_blocked=config.cache_blocked
-                        ),
-                        RegionAccess(
-                            _block_region(b),
-                            latency_multiplier=_contention_factor(
-                                page_table, machine, b, pressure
-                            ),
-                        ),
-                    )
-                    for b in range(mesh.n_blocks)
-                ]
                 omp.parallel_for(
                     region_event=f"omp_region_{event}",
                     loop_event=event,
@@ -392,27 +398,6 @@ def _run_openmp(
                     schedule=Schedule("static"),
                     cpus=cpus,
                 )
-        # solver vector algebra
-        vec_tasks = [
-            LoopTask(
-                bicgstab_vector_signature(mesh.blocks[b]),
-                RegionAccess(
-                    _block_region(b),
-                    latency_multiplier=_contention_factor(
-                        page_table, machine, b, pressure
-                    ),
-                ),
-            )
-            for b in range(mesh.n_blocks)
-        ]
-        omp.parallel_for(
-            region_event=f"omp_region_{EVENT_BICGSTAB}",
-            loop_event=EVENT_BICGSTAB,
-            tasks=vec_tasks,
-            n_threads=n,
-            schedule=Schedule("static"),
-            cpus=cpus,
-        )
         # all threads are synchronized at bicgstab's implicit barrier
         profiler.phase(f"iteration_{iteration}")
 
@@ -442,18 +427,47 @@ def _run_mpi(
     for r in range(n):
         profiler.enter(mpi.cpu_of(r), EVENT_MAIN)
 
+    def rank_rows(tasks_of: list[list[LoopTask]]) -> list[np.ndarray]:
+        """Every rank's counter rows for one phase, placed in rank order."""
+        rows = task_rows(
+            machine,
+            [task for tasks in tasks_of for task in tasks],
+            [mpi.cpu_of(r) for r in range(n) for _ in tasks_of[r]],
+            page_table,
+        )
+        return np.split(rows, np.cumsum([len(tasks) for tasks in tasks_of])[:-1])
+
+    def block_rows(signature) -> list[np.ndarray]:
+        return rank_rows([
+            [LoopTask(signature(mesh.blocks[b]), RegionAccess(_block_region(b)))
+             for b in owners[r]]
+            for r in range(n)
+        ])
+
+    def run_phase(event: str, rows: list[np.ndarray]) -> None:
+        """Each rank charges its own blocks' rows inside ``event``."""
+        for r in range(n):
+            cpu = mpi.cpu_of(r)
+            profiler.enter(cpu, event)
+            profiler.charge_rows(cpu, rows[r])
+            profiler.exit(cpu, event)
+
     # initialization: each rank first-touches its own blocks → local pages
-    for r in range(n):
-        cpu = mpi.cpu_of(r)
-        profiler.enter(cpu, EVENT_INIT)
-        for b in owners[r]:
-            execute_work(
-                machine, profiler, cpu,
-                init_signature(mesh.blocks[b]),
-                page_table=page_table,
-                access=RegionAccess(_block_region(b)),
-            )
-        profiler.exit(cpu, EVENT_INIT)
+    run_phase(EVENT_INIT, block_rows(init_signature))
+
+    # Every page is placed from here on, so each later phase charges the
+    # same rows in every iteration: compute them once.
+    copies = 2 if not config.use_parallel_exchange else 1
+    # on-rank copies between interior blocks overlap the transfer
+    copy_rows = rank_rows([
+        [LoopTask(
+            copy_signature(mesh.blocks[owners[r][0]].face_bytes * copies),
+            RegionAccess(_block_region(owners[r][0])),
+        )] * (max(len(owners[r]) - 1, 0) * 2)
+        for r in range(n)
+    ])
+    phases = [(event, calls, block_rows(signature))
+              for event, calls, signature in _solver_loops(config)]
 
     def ghost_exchange() -> None:
         """One ghost update: nonblocking faces + overlapped on-rank copies."""
@@ -467,21 +481,13 @@ def _run_mpi(
             prev_rank = owner_of[mesh.neighbors(lo_block)[0]]
             next_rank = owner_of[mesh.neighbors(hi_block)[1]]
             face = mesh.blocks[lo_block].face_bytes
-            copies = 2 if not config.use_parallel_exchange else 1
             if prev_rank != r:
                 mpi.isend(r, prev_rank, face, tag=0)
                 recvs[r].append(mpi.irecv(r, prev_rank, face, tag=1))
             if next_rank != r:
                 mpi.isend(r, next_rank, face, tag=1)
                 recvs[r].append(mpi.irecv(r, next_rank, face, tag=0))
-            # on-rank copies between interior blocks overlap the transfer
-            interior_pairs = max(len(owners[r]) - 1, 0) * 2
-            for _copy in range(interior_pairs):
-                execute_work(
-                    machine, profiler, cpu, copy_signature(face * copies),
-                    page_table=page_table,
-                    access=RegionAccess(_block_region(owners[r][0])),
-                )
+            profiler.charge_rows(cpu, copy_rows[r])
             profiler.exit(cpu, EVENT_SENDRECV)
         for r in range(n):
             cpu = mpi.cpu_of(r)
@@ -493,32 +499,10 @@ def _run_mpi(
         for _exchange in range(EXCHANGES_PER_ITERATION):
             ghost_exchange()
 
-        # --- kernels ---------------------------------------------------
-        for event, factory, calls in _KERNEL_SCHEDULE:
+        # --- kernels, then the solver vector algebra -------------------
+        for event, calls, rows in phases:
             for _ in range(calls):
-                for r in range(n):
-                    cpu = mpi.cpu_of(r)
-                    profiler.enter(cpu, event)
-                    for b in owners[r]:
-                        execute_work(
-                            machine, profiler, cpu,
-                            factory(mesh.blocks[b],
-                                    cache_blocked=config.cache_blocked),
-                            page_table=page_table,
-                            access=RegionAccess(_block_region(b)),
-                        )
-                    profiler.exit(cpu, event)
-        for r in range(n):
-            cpu = mpi.cpu_of(r)
-            profiler.enter(cpu, EVENT_BICGSTAB)
-            for b in owners[r]:
-                execute_work(
-                    machine, profiler, cpu,
-                    bicgstab_vector_signature(mesh.blocks[b]),
-                    page_table=page_table,
-                    access=RegionAccess(_block_region(b)),
-                )
-            profiler.exit(cpu, EVENT_BICGSTAB)
+                run_phase(event, rows)
         # dot products synchronize the solver every iteration
         mpi.allreduce(8)
         profiler.phase(f"iteration_{iteration}")

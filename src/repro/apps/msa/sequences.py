@@ -13,7 +13,7 @@ amino-acid alphabet with empirical background frequencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -30,27 +30,54 @@ _FREQUENCIES = np.array(
 _FREQUENCIES = _FREQUENCIES / _FREQUENCIES.sum()
 
 
-@dataclass(frozen=True)
 class SequenceSet:
-    """A named set of synthetic protein sequences."""
+    """A named set of synthetic protein sequences.
 
-    name: str
-    sequences: tuple[str, ...]
+    A set from :func:`generate_sequences` holds the lengths and the state
+    of the generator its residues come from, and draws the strings when
+    :attr:`sequences` is first read: the simulated runs need only lengths.
+    """
 
-    def __len__(self) -> int:
-        return len(self.sequences)
+    def __init__(self, name: str, sequences: Sequence[str]) -> None:
+        self.name = name
+        self._sequences: tuple[str, ...] | None = tuple(sequences)
+        self.lengths = np.array([len(s) for s in self._sequences])
+        self.lengths.flags.writeable = False
+
+    @classmethod
+    def _undrawn(cls, name: str, lengths: np.ndarray, residue_state: dict):
+        seqs = cls(name, ())
+        seqs.lengths, seqs._sequences = lengths, None
+        seqs._residue_state = residue_state
+        return seqs
 
     @property
-    def lengths(self) -> np.ndarray:
-        return np.array([len(s) for s in self.sequences])
+    def sequences(self) -> tuple[str, ...]:
+        if self._sequences is None:
+            bits = np.random.PCG64()
+            bits.state = self._residue_state
+            alphabet = np.frombuffer(AMINO_ACIDS.encode(), dtype=np.uint8)
+            # One draw for every residue: ``choice`` consumes one uniform
+            # per sample, so slicing the joint draw gives exactly the
+            # strings that one draw per sequence would.
+            idx = np.random.Generator(bits).choice(
+                len(alphabet), size=int(self.lengths.sum()), p=_FREQUENCIES
+            )
+            residues = alphabet[idx].tobytes().decode()
+            ends = np.cumsum(self.lengths).tolist()
+            self._sequences = tuple(
+                residues[a:b] for a, b in zip([0] + ends[:-1], ends)
+            )
+        return self._sequences
+
+    def __len__(self) -> int:
+        return len(self.lengths)
 
     def total_cells(self) -> int:
         """Total DP cells of the full pairwise comparison (i<j)."""
-        lengths = self.lengths
-        total = 0
-        for i in range(len(lengths)):
-            total += int(lengths[i] * lengths[i + 1 :].sum())
-        return total
+        lengths = self.lengths.astype(np.int64)
+        suffix = np.cumsum(lengths[::-1])[::-1]
+        return int((lengths[:-1] * suffix[1:]).sum())
 
 
 def generate_sequences(
@@ -77,13 +104,7 @@ def generate_sequences(
     lengths = np.clip(
         rng.lognormal(mu, sigma, size=n).astype(int), min_length, max_length
     )
-    alphabet = np.frombuffer(AMINO_ACIDS.encode(), dtype=np.uint8)
-    # One draw for every residue: ``choice`` consumes one uniform per
-    # sample, so slicing the joint draw gives exactly the strings that one
-    # draw per sequence would.
-    idx = rng.choice(len(alphabet), size=int(lengths.sum()), p=_FREQUENCIES)
-    residues = alphabet[idx].tobytes().decode()
-    ends = np.cumsum(lengths).tolist()
-    starts = [0] + ends[:-1]
-    seqs = tuple(residues[a:b] for a, b in zip(starts, ends))
-    return SequenceSet(name or f"synthetic-{n}", seqs)
+    lengths.flags.writeable = False
+    return SequenceSet._undrawn(
+        name or f"synthetic-{n}", lengths, rng.bit_generator.state
+    )

@@ -21,7 +21,10 @@ and the figures they feed reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 KB = 1024
 MB = 1024 * KB
@@ -110,40 +113,60 @@ class CacheHierarchy:
                     f"cache levels must grow: {lower.name} smaller than {upper.name}"
                 )
         self.levels = list(levels)
-
-    @property
-    def line_bytes(self) -> int:
-        return self.levels[0].line_bytes
+        self._line_bytes = np.array([[l.line_bytes] for l in levels], float)
+        self._capacity_bytes = np.array([[l.capacity_bytes] for l in levels], float)
+        latencies = [0.0] + [l.latency_cycles for l in levels]
+        self._hit_cycles = [max(b - a, 0.0) for a, b in zip(latencies, latencies[1:])]
 
     def access(self, summary: AccessSummary) -> CacheResult:
         """Evaluate the analytical model for one region execution."""
-        if summary.accesses == 0:
-            empty = tuple(LevelResult(l.name, 0.0, 0.0) for l in self.levels)
-            return CacheResult(empty, 0.0, 0.0)
+        rows = self.access_rows(*np.array(
+            [[summary.accesses], [summary.footprint_bytes], [summary.reuse]]
+        ))
+        return CacheResult(
+            tuple(LevelResult(level.name, float(r[0]), float(m[0]))
+                  for level, r, m in zip(self.levels, rows.references, rows.misses)),
+            float(rows.memory_accesses[0]),
+            float(rows.stall_cycles[0]),
+        )
 
-        results: list[LevelResult] = []
-        references = summary.accesses
-        stall_cycles = 0.0
-        prev_latency = 0.0
-        for level in self.levels:
-            compulsory = min(references, summary.footprint_bytes / level.line_bytes)
-            reuses = max(references - compulsory, 0.0)
-            if summary.footprint_bytes <= level.capacity_bytes:
-                capacity_ratio = 0.0
-            else:
-                capacity_ratio = 1.0 - level.capacity_bytes / summary.footprint_bytes
+    def access_rows(
+        self, accesses: np.ndarray, footprint: np.ndarray, reuse: np.ndarray
+    ) -> "CacheRows":
+        """The model evaluated elementwise over many region executions.
+
+        Every term is ``+ - * /``, ``min``/``max`` or a comparison, so each
+        element is bit-identical to evaluating that execution on its own.
+        """
+        cap = self._capacity_bytes
+        with np.errstate(all="ignore"):
+            # The terms free of a level's references, for every level at once.
+            cold = footprint / self._line_bytes
+            capacity_ratio = np.where(footprint <= cap, 0.0, 1.0 - cap / footprint)
             # Streaming access defeats the cache even for in-capacity sets.
-            effective_ratio = capacity_ratio * summary.reuse + (1.0 - summary.reuse)
-            misses = compulsory + reuses * min(effective_ratio, 1.0)
-            misses = min(misses, references)
-            results.append(LevelResult(level.name, references, misses))
-            # Each *hit* at this level (that missed above) costs its latency
-            # beyond the level above.
-            hits = references - misses
-            stall_cycles += hits * max(level.latency_cycles - prev_latency, 0.0)
-            prev_latency = level.latency_cycles
+            effective = np.minimum(capacity_ratio * reuse + (1.0 - reuse), 1.0)
+        references, stall_cycles = accesses, np.zeros_like(accesses)
+        level_refs, level_misses = [], []
+        for i, hit_cycles in enumerate(self._hit_cycles):
+            compulsory = np.minimum(references, cold[i])
+            reuses = np.maximum(references - compulsory, 0.0)
+            misses = np.minimum(compulsory + reuses * effective[i], references)
+            level_refs.append(references)
+            level_misses.append(misses)
+            # Each *hit* at this level (that missed above) costs its
+            # latency beyond the level above.
+            stall_cycles = stall_cycles + (references - misses) * hit_cycles
             references = misses
-        return CacheResult(tuple(results), references, stall_cycles)
+        return CacheRows(level_refs, level_misses, references, stall_cycles)
+
+
+class CacheRows(NamedTuple):
+    """:meth:`CacheHierarchy.access_rows` outcome: one element per execution."""
+
+    references: list[np.ndarray]  # per level
+    misses: list[np.ndarray]  # per level
+    memory_accesses: np.ndarray  # misses out of the last level
+    stall_cycles: np.ndarray  # hierarchy-induced stall estimate (excl. NUMA)
 
 
 def itanium2_hierarchy() -> CacheHierarchy:

@@ -204,18 +204,21 @@ class PageTable:
 
         Accesses are spread uniformly over the range's pages.  Unplaced
         pages are first-touch placed on ``node`` as a side effect (reading
-        uninitialized memory still allocates it).
+        uninitialized memory still allocates it).  An empty range has no
+        pages to spread accesses over, so charging any to it is an error.
         """
         region = self.region(name)
         if accesses < 0:
             raise PlacementError("accesses must be non-negative")
         if length is None:
             length = region.size_bytes - start_byte
+        if length == 0 and accesses > 0:
+            raise PlacementError(f"region {name!r}: accesses to an empty range")
         self.touch(name, node, start_byte=start_byte, length=length)
         if accesses == 0:
             return AccessCost(0.0, 0.0, 0.0)
         first = start_byte // PAGE_SIZE
-        last = (start_byte + max(length, 1) - 1) // PAGE_SIZE
+        last = (start_byte + length - 1) // PAGE_SIZE
         key = (node, first, last)
         cost = region._costs.get(key)
         if cost is None:

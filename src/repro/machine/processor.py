@@ -19,14 +19,17 @@ coefficients are the level latencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import chain
+from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
 
 from . import counters as C
-from .cache import AccessSummary, CacheHierarchy, CacheResult, itanium2_hierarchy
+from .cache import CacheHierarchy, itanium2_hierarchy
 from .counters import CounterVector, _wrap, counter_slot, counter_width
-from .numa import PAGE_SIZE, AccessCost
+from .numa import PAGE_SIZE
 from .topology import LatencyModel
 
 
@@ -135,13 +138,21 @@ class MemoryPlacementCost:
     remote_accesses: float = 0.0
     latency_cycles: float = 0.0
 
-    @classmethod
-    def all_local(cls, accesses: float, latency: LatencyModel) -> "MemoryPlacementCost":
-        return cls(accesses, 0.0, accesses * latency.local_cycles)
 
-    @classmethod
-    def from_access_cost(cls, cost: AccessCost) -> "MemoryPlacementCost":
-        return cls(cost.local_accesses, cost.remote_accesses, cost.latency_cycles)
+_FIELDS = tuple(f.name for f in fields(WorkSignature))
+_fields_of = attrgetter(*_FIELDS)
+
+
+class WorkRows:
+    """A batch of signatures as one float array per field (in batch order),
+    plus the batch's cache outcome, a :class:`~repro.machine.cache.CacheRows`."""
+
+    def __init__(self, works: Sequence[WorkSignature], cache: CacheHierarchy) -> None:
+        table = np.fromiter(chain.from_iterable(map(_fields_of, works)), float)
+        self.__dict__.update(zip(_FIELDS, table.reshape(-1, len(_FIELDS)).T.copy()))
+        self.cache = cache.access_rows(
+            self.loads + self.stores, self.footprint_bytes, self.reuse
+        )
 
 
 class ProcessorModel:
@@ -172,9 +183,9 @@ class ProcessorModel:
     #: TLB reach before misses kick in, and miss cost.
     TLB_ENTRIES = 128
 
-    #: Entries kept by each memo before it is cleared.  The paper cases
-    #: execute a handful of distinct signatures thousands of times; runs
-    #: whose every task differs (MSA) just cycle through the memo.
+    #: Entries kept by each memo before it is cleared.  Callers that run
+    #: one signature at a time (serial stages, instrumented code, waits)
+    #: repeat a handful of them; loops go through :meth:`execute_rows`.
     MEMO_SIZE = 1024
 
     def __init__(
@@ -193,24 +204,10 @@ class ProcessorModel:
         self.latency = latency or LatencyModel()
         # Memos over pure functions of the arguments and the parameters
         # above, which are fixed once the model is built.
-        self._cache_memo: dict[WorkSignature, CacheResult] = {}
         self._execute_memo: dict[tuple, np.ndarray] = {}
         self._idle_memo: dict[float, np.ndarray] = {}
 
     # -- main entry ----------------------------------------------------------
-    def cache_result(self, work: WorkSignature) -> CacheResult:
-        """The cache-hierarchy outcome of ``work`` (memoised per model)."""
-        result = self._cache_memo.get(work)
-        if result is None:
-            result = self.cache.access(
-                AccessSummary(
-                    accesses=work.memory_accesses,
-                    footprint_bytes=work.footprint_bytes,
-                    reuse=work.reuse,
-                )
-            )
-            _remember(self._cache_memo, work, result, self.MEMO_SIZE)
-        return result
 
     def execute(
         self,
@@ -228,40 +225,62 @@ class ProcessorModel:
         key = (work, placement)
         counters = self._execute_memo.get(key)
         if counters is None:
-            counters = self._counters(work, placement)
+            counters = self.execute_rows([work], [placement])[0]
             _remember(self._execute_memo, key, counters, self.MEMO_SIZE)
         return _wrap(counters.copy())
 
-    def _counters(
-        self, work: WorkSignature, placement: MemoryPlacementCost | None
+    def execute_rows(
+        self,
+        batch: "Sequence[WorkSignature] | WorkRows",
+        placements: Sequence[MemoryPlacementCost | None] | None = None,
     ) -> np.ndarray:
-        cache_result = self.cache_result(work)
-        if placement is None:
-            placement = MemoryPlacementCost.all_local(
-                cache_result.memory_accesses, self.latency
-            )
+        """Counter vectors of many region executions, one row each.
+
+        ``placements`` holds each row's NUMA outcome (None: all local).  As
+        in :meth:`CacheHierarchy.access_rows`, each row is bit-identical to
+        executing its signature alone.
+        """
+        w = batch if isinstance(batch, WorkRows) else WorkRows(batch, self.cache)
+        cache = w.cache
+        memory = w.loads + w.stores
+        local = cache.memory_accesses.copy()
+        remote = np.zeros_like(local)
+        latency_cycles = local * self.latency.local_cycles
+        for i, p in enumerate(placements or ()):
+            if p is not None:
+                local[i], remote[i] = p.local_accesses, p.remote_accesses
+                latency_cycles[i] = p.latency_cycles
 
         # --- stall components (Jarp decomposition) -------------------------
-        tlb_misses = self._tlb_misses(work)
+        # Pages beyond TLB reach cause refills proportional to traffic
+        # (streaming access thrashes harder); within reach, only the
+        # compulsory refills.
+        pages = w.footprint_bytes / PAGE_SIZE
+        with np.errstate(all="ignore"):
+            overflow_fraction = 1.0 - self.TLB_ENTRIES / pages
+            rate = overflow_fraction * (1.0 - 0.9 * w.reuse)
+            tlb_misses = np.where(
+                memory == 0,
+                0.0,
+                np.where(
+                    pages <= self.TLB_ENTRIES, pages, pages + memory * rate * 0.01
+                ),
+            )
         l1d_stalls = (
-            cache_result.stall_cycles + placement.latency_cycles
+            cache.stall_cycles + latency_cycles
         ) * self.MEMORY_STALL_EXPOSURE + (
             tlb_misses * self.latency.tlb_miss_penalty_cycles
         )
-        fp_stalls = work.flops * work.fp_dependency * self.FP_LATENCY
-        branch_stalls = (
-            work.branches * work.mispredict_rate * self.BRANCH_PENALTY * 0.6
-        )
+        fp_stalls = w.flops * w.fp_dependency * self.FP_LATENCY
+        branch_stalls = w.branches * w.mispredict_rate * self.BRANCH_PENALTY * 0.6
         frontend_flushes = (
-            work.branches * work.mispredict_rate * self.BRANCH_PENALTY * 0.4
+            w.branches * w.mispredict_rate * self.BRANCH_PENALTY * 0.4
         )
         imiss_stalls = (
-            max(work.instruction_footprint_bytes - 16 * 1024, 0.0) / 64.0 * 8.0
+            np.maximum(w.instruction_footprint_bytes - 16 * 1024, 0.0) / 64.0 * 8.0
         )
-        stack_stalls = (
-            work.memory_accesses * self.STACK_ENGINE_RATE * self.STACK_ENGINE_PENALTY
-        )
-        regdep_stalls = work.int_ops * self.REG_DEP_RATE
+        stack_stalls = memory * self.STACK_ENGINE_RATE * self.STACK_ENGINE_PENALTY
+        regdep_stalls = w.int_ops * self.REG_DEP_RATE
 
         total_stalls = (
             l1d_stalls
@@ -273,37 +292,26 @@ class ProcessorModel:
             + regdep_stalls
         )
 
-        instructions = work.instructions
-        issued = instructions * work.issue_inflation
+        instructions = w.flops + w.int_ops + memory + w.branches
+        issued = instructions * w.issue_inflation
         ideal_cycles = issued / self.peak_ipc
         cycles = ideal_cycles + total_stalls
         time_us = cycles / self.clock_hz * 1e6
 
-        l2 = cache_result.level("L2")
-        l3 = cache_result.level("L3")
-        counters = np.zeros(counter_width())
-        counters[_EXECUTE_SLOTS] = [
-            time_us, cycles, total_stalls, instructions, issued, work.flops,
+        names = [level.name for level in self.cache.levels]
+        l2, l3 = names.index("L2"), names.index("L3")
+        rows = np.zeros((len(memory), counter_width()))
+        for slot, column in zip(_EXECUTE_SLOTS, (
+            time_us, cycles, total_stalls, instructions, issued, w.flops,
             l1d_stalls, branch_stalls, imiss_stalls, stack_stalls, fp_stalls,
             regdep_stalls, frontend_flushes,
-            l2.references, l2.misses, l3.references, l3.misses, tlb_misses,
-            placement.local_accesses, placement.remote_accesses,
-        ]
-        counters += 0.0  # -0.0 → +0.0
-        return counters
-
-    def _tlb_misses(self, work: WorkSignature) -> float:
-        """Pages beyond TLB reach cause refills proportional to traffic."""
-        if work.memory_accesses == 0:
-            return 0.0
-        pages = work.footprint_bytes / PAGE_SIZE
-        if pages <= self.TLB_ENTRIES:
-            # compulsory refills only
-            return pages
-        overflow_fraction = 1.0 - self.TLB_ENTRIES / pages
-        # streaming access (low reuse) thrashes the TLB harder
-        rate = overflow_fraction * (1.0 - 0.9 * work.reuse)
-        return pages + work.memory_accesses * rate * 0.01
+            cache.references[l2], cache.misses[l2],
+            cache.references[l3], cache.misses[l3], tlb_misses,
+            local, remote,
+        )):
+            rows[:, slot] = column
+        rows += 0.0  # -0.0 → +0.0
+        return rows
 
     # -- convenience ----------------------------------------------------------
     def time_seconds(self, vector: CounterVector) -> float:

@@ -13,10 +13,9 @@
   PMPI-style event wrapping.
 """
 
-from .exec import RegionAccess, execute_work
+from .exec import LoopTask, RegionAccess, execute_work, task_rows
 from .mpi import CommModel, MPIError, MPIRuntime, Request
 from .openmp import (
-    LoopTask,
     OpenMPError,
     OpenMPRuntime,
     ParallelForResult,
@@ -43,4 +42,5 @@ __all__ = [
     "SnapshotProfiler",
     "TraceEvent",
     "execute_work",
+    "task_rows",
 ]

@@ -1,15 +1,16 @@
 """Bridging work signatures to charged counters (the 'execute' primitive).
 
 Everything the simulated runtimes run — a loop chunk, a solver iteration, a
-ghost-cell copy — funnels through :func:`execute_work`: evaluate the cache
-model, charge the NUMA page table for the traffic that reaches memory, have
-the processor synthesize the counter vector, and attribute it to the CPU's
-open region in the profiler.
+ghost-cell copy — funnels through :func:`task_rows`: evaluate the cache
+model, charge the NUMA page table for the traffic that reaches memory, and
+have the processor synthesize the counter vectors, a whole loop at once;
+the rows are then attributed to CPUs' open regions in the profiler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,6 +21,8 @@ from ..machine import (
     PageTable,
     WorkSignature,
 )
+from ..machine.counters import _wrap
+from ..machine.processor import WorkRows
 from .tau import Profiler
 
 
@@ -46,6 +49,49 @@ class RegionAccess:
             raise ValueError("latency_multiplier must be >= 1")
 
 
+@dataclass(frozen=True)
+class LoopTask:
+    """One loop iteration's (or block's) cost description."""
+
+    work: WorkSignature
+    access: RegionAccess | None = None
+
+
+def task_rows(
+    machine: Machine,
+    tasks: Sequence[LoopTask],
+    cpus: Sequence[int],
+    page_table: PageTable | None = None,
+) -> np.ndarray:
+    """Counter rows of ``tasks`` run in order, ``tasks[i]`` on ``cpus[i]``.
+
+    With a ``page_table``, each task's last-level misses are charged, in
+    that order, against the placement of its ``access`` range, first-
+    touching unplaced pages on its CPU's node (exactly the OS behaviour
+    that creates the GenIDLEST locality bug).
+    """
+    processor = machine.processor
+    rows = WorkRows([task.work for task in tasks], processor.cache)
+    placements = None
+    if page_table is not None:
+        placements = []
+        memory = rows.cache.memory_accesses.tolist()
+        for task, cpu, accesses in zip(tasks, cpus, memory):
+            access = task.access
+            if access is None:
+                placements.append(None)
+                continue
+            cost = page_table.charge_accesses(
+                access.region, machine.node_of_cpu(cpu), accesses,
+                start_byte=access.start_byte, length=access.length,
+            )
+            placements.append(MemoryPlacementCost(
+                cost.local_accesses, cost.remote_accesses,
+                cost.latency_cycles * access.latency_multiplier,
+            ))
+    return processor.execute_rows(rows, placements)
+
+
 def execute_work(
     machine: Machine,
     profiler: Profiler,
@@ -57,12 +103,8 @@ def execute_work(
     rng: np.random.Generator | None = None,
     noise: float = 0.0,
 ) -> CounterVector:
-    """Execute ``work`` on ``cpu``, charging the profiler; returns counters.
-
-    When ``page_table`` and ``access`` are given, the accesses that miss the
-    last cache level are charged against the page placement of the given
-    range (first-touching unplaced pages on this CPU's node — exactly the
-    OS behaviour that creates the GenIDLEST locality bug).
+    """Execute ``work`` on ``cpu`` (:func:`task_rows` for one task), charging
+    the profiler; returns counters.
 
     ``noise`` adds multiplicative measurement jitter (lognormal with the
     given sigma) to the charged counters — how regression-sentinel runs
@@ -78,22 +120,8 @@ def execute_work(
             "execute_work: noise requires an explicit numpy.random.Generator "
             "(pass rng=...); implicit global RNG state is not supported"
         )
-    processor = machine.processor
-    placement: MemoryPlacementCost | None = None
-    if page_table is not None and access is not None:
-        cost = page_table.charge_accesses(
-            access.region,
-            machine.node_of_cpu(cpu),
-            processor.cache_result(work).memory_accesses,
-            start_byte=access.start_byte,
-            length=access.length,
-        )
-        placement = MemoryPlacementCost(
-            local_accesses=cost.local_accesses,
-            remote_accesses=cost.remote_accesses,
-            latency_cycles=cost.latency_cycles * access.latency_multiplier,
-        )
-    vector = processor.execute(work, placement)
+    rows = task_rows(machine, [LoopTask(work, access)], [cpu], page_table)
+    vector = _wrap(rows[0])
     if noise > 0.0:
         vector = vector * float(rng.lognormal(0.0, noise))
     profiler.charge(cpu, vector)

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-from ..machine import Machine, PageTable, WorkSignature
+import numpy as np
+
+from ..machine import Machine, PageTable
 from . import trace as T
-from .exec import RegionAccess, execute_work
+from .exec import LoopTask, task_rows
 from .tau import Profiler
 
 
@@ -70,14 +72,6 @@ class Schedule:
         return self.kind if self.chunk is None else f"{self.kind},{self.chunk}"
 
 
-@dataclass(frozen=True)
-class LoopTask:
-    """One loop iteration's (or block's) cost description."""
-
-    work: WorkSignature
-    access: RegionAccess | None = None
-
-
 @dataclass
 class ParallelForResult:
     """Outcome of one simulated parallel loop."""
@@ -103,8 +97,6 @@ class ParallelForResult:
     def imbalance_ratio(self) -> float:
         """stddev/mean of per-thread compute time — the paper's imbalance
         statistic (> 0.25 triggers the rule)."""
-        import numpy as np
-
         arr = np.asarray(self.compute_seconds)
         mean = arr.mean()
         return float(arr.std() / mean) if mean > 0 else 0.0
@@ -231,31 +223,44 @@ class OpenMPRuntime:
         n_chunks = [0] * n_threads
 
         if schedule.kind == "static":
-            if schedule.chunk is None:
-                # contiguous even blocks: chunk i belongs to thread i
-                per_thread: list[list[int]] = [[] for _ in range(n_threads)]
-                for i in range(len(chunks)):
-                    per_thread[i].append(i)
-            else:
-                per_thread = [[] for _ in range(n_threads)]
-                for i in range(len(chunks)):
-                    per_thread[i % n_threads].append(i)
-            for t in range(n_threads):
-                for ci in per_thread[t]:
-                    compute[t] += self._run_chunk(
-                        cpus[t], loop_event, tasks, chunks[ci]
-                    )
-                    n_chunks[t] += 1
+            # Chunk i goes to thread i (contiguous even blocks) or to
+            # thread i mod n (round robin).  The rows of the whole loop are
+            # computed at once, in the thread-major order it executes in.
+            plan = sorted(range(len(chunks)), key=lambda ci: ci % n_threads)
+            order = [i for ci in plan for i in range(*chunks[ci])]
+            rows = task_rows(
+                self.machine,
+                [tasks[i] for i in order],
+                [cpus[ci % n_threads] for ci in plan for _ in range(*chunks[ci])],
+                self.page_table,
+            )
+            offset = 0
+            for ci in plan:
+                t, size = ci % n_threads, chunks[ci][1] - chunks[ci][0]
+                chunk_rows = rows[offset : offset + size]
+                compute[t] += self._run_chunk(cpus[t], loop_event, chunk_rows)
+                offset += size
+                n_chunks[t] += 1
         else:
             # dynamic/guided: chunks dispatched in order to the earliest-
             # available thread (virtual-clock greedy, which is what the
-            # real runtime's idle-thread queue converges to).
+            # real runtime's idle-thread queue converges to).  Where no
+            # task's placement depends on the thread, the rows are known
+            # before dispatch.
+            placed = self.page_table is not None and any(
+                task.access is not None for task in tasks
+            )
+            rows = task_rows(self.machine, tasks, ()) if not placed else None
             heap = [(prof.clock(cpus[t]), t) for t in range(n_threads)]
             heapq.heapify(heap)
-            for ci in range(len(chunks)):
+            for start, stop in chunks:
                 _, t = heapq.heappop(heap)
                 prof.charge_idle(cpus[t], self.dispatch_overhead_us / 1e6)
-                compute[t] += self._run_chunk(cpus[t], loop_event, tasks, chunks[ci])
+                chunk_rows = rows[start:stop] if not placed else task_rows(
+                    self.machine, tasks[start:stop],
+                    [cpus[t]] * (stop - start), self.page_table,
+                )
+                compute[t] += self._run_chunk(cpus[t], loop_event, chunk_rows)
                 compute[t] += self.dispatch_overhead_us / 1e6
                 n_chunks[t] += 1
                 heapq.heappush(heap, (prof.clock(cpus[t]), t))
@@ -290,27 +295,13 @@ class OpenMPRuntime:
             chunks=n_chunks,
         )
 
-    def _run_chunk(
-        self,
-        cpu: int,
-        loop_event: str,
-        tasks: Sequence[LoopTask],
-        span: tuple[int, int],
-    ) -> float:
-        """Execute tasks[span] inside the loop event; returns compute secs."""
+    def _run_chunk(self, cpu: int, loop_event: str, rows: np.ndarray) -> float:
+        """Charge one chunk's counter rows inside the loop event; returns
+        compute secs."""
         prof = self.profiler
         t0 = prof.clock(cpu)
         prof.enter(cpu, loop_event, group="OPENMP_LOOP")
-        for i in range(span[0], span[1]):
-            task = tasks[i]
-            execute_work(
-                self.machine,
-                prof,
-                cpu,
-                task.work,
-                page_table=self.page_table,
-                access=task.access,
-            )
+        prof.charge_rows(cpu, rows)
         prof.exit(cpu, loop_event)
         return prof.clock(cpu) - t0
 
@@ -349,15 +340,10 @@ class OpenMPRuntime:
         master_cpu = cpus[master_thread]
         t0 = prof.clock(master_cpu)
         prof.enter(master_cpu, body_event, group="OPENMP")
-        for item in work_items:
-            execute_work(
-                self.machine,
-                prof,
-                master_cpu,
-                item.work,
-                page_table=self.page_table,
-                access=item.access,
-            )
+        prof.charge_rows(master_cpu, task_rows(
+            self.machine, work_items, [master_cpu] * len(work_items),
+            self.page_table,
+        ))
         prof.exit(master_cpu, body_event)
         elapsed = prof.clock(master_cpu) - t0
         barrier_at = max(prof.clock(c) for c in cpus)

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..machine import CounterVector, Machine
 from ..machine import counters as C
-from ..machine.counters import counter_name, counter_width, widen
+from ..machine.counters import _wrap, counter_name, counter_width, widen
 from ..perfdmf import Trial, TrialBuilder
 from . import trace as T
 
@@ -295,6 +295,13 @@ class Profiler:
         if state.path_open is not None:
             state.path_frames += counters
         state.clock_seconds += seconds
+
+    def charge_rows(self, cpu: int, rows: np.ndarray) -> None:
+        """Charge each counter row of ``rows`` in order, as one
+        :meth:`charge` per row: rows are never summed first, which would
+        reassociate the additions."""
+        for row in rows:
+            self.charge(cpu, _wrap(row))
 
     def add_calls(self, cpu: int, event: str, count: float) -> None:
         """Bump an event's call count without re-entering it.

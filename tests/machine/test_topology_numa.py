@@ -129,6 +129,18 @@ class TestPageTable:
         cost = pt.charge_accesses("u", 0, 0)
         assert cost.total_accesses == 0 and cost.latency_cycles == 0
 
+    def test_accesses_to_empty_range_rejected(self):
+        """An empty range places no page; charging it must not read an
+        unplaced page's owner (-1) as the last node's hop count."""
+        pt = PageTable(NUMATopology(8, cpus_per_node=2))
+        pt.allocate("u", 4 * PAGE_SIZE)
+        with pytest.raises(PlacementError, match="empty range"):
+            pt.charge_accesses("u", 0, 1000.0, length=0)
+        with pytest.raises(PlacementError, match="empty range"):
+            pt.charge_accesses("u", 0, 1.0, start_byte=4 * PAGE_SIZE)
+        assert pt.region("u").placed_fraction() == 0.0
+        assert pt.charge_accesses("u", 0, 0.0, length=0).total_accesses == 0
+
     def test_latency_includes_local_component(self):
         pt = self._pt(1)
         pt.allocate("u", PAGE_SIZE)

@@ -2,11 +2,12 @@
 
 import uuid
 
+import numpy as np
 import pytest
 
 from repro.machine import CounterVector, uniform_machine
 from repro.machine import counters as C
-from repro.runtime import MeasurementError, Profiler
+from repro.runtime import EventTrace, MeasurementError, Profiler
 
 
 def vec(time_us=10.0, **kw):
@@ -229,3 +230,63 @@ class TestDenseAccumulators:
         assert t.get_exclusive("loop", name, 0) == 4.0
         assert t.get_inclusive("main", name, 0) == 4.0
         assert t.get_inclusive("main", C.TIME, 0) == 4.0
+
+
+class TestChargeRows:
+    """``charge_rows`` is the fold of one ``charge`` per row, in order."""
+
+    @staticmethod
+    def rows():
+        rng = np.random.default_rng(3)
+        # magnitudes far apart, so any reassociation changes the low bits
+        return [vec(float(t), CPU_CYCLES=float(c)) for t, c in zip(
+            rng.random(9) * 10.0 ** rng.integers(-6, 6, 9),
+            rng.random(9) * 1e9)]
+
+    @staticmethod
+    def run(charge, callpaths, trace=None):
+        p = Profiler(uniform_machine(2), callpaths=callpaths, trace=trace)
+        p.enter(1, "main")
+        p.charge(1, vec(0.1))
+        p.enter(1, "loop")
+        p.charge(1, vec(0.3))
+        charge(p)
+        p.exit(1, "loop")
+        p.exit(1, "main")
+        return p.to_trial("t"), p.clock(1)
+
+    @pytest.mark.parametrize("callpaths", [False, True])
+    def test_rows_fold_like_single_charges(self, callpaths):
+        vectors = self.rows()
+        batched_trace, single_trace = EventTrace(), EventTrace()
+        batched, batched_clock = self.run(
+            lambda p: p.charge_rows(
+                1, np.stack([v.as_array() for v in vectors])),
+            callpaths, batched_trace)
+        single, single_clock = self.run(
+            lambda p: [p.charge(1, v) for v in vectors],
+            callpaths, single_trace)
+        assert batched_clock == single_clock
+        assert batched.metric_names() == single.metric_names()
+        for metric in single.metric_names():
+            for get in ("exclusive_array", "inclusive_array"):
+                assert getattr(batched, get)(metric).tobytes() == \
+                    getattr(single, get)(metric).tobytes()
+        assert batched_trace.columns()["ts"].tobytes() == \
+            single_trace.columns()["ts"].tobytes()
+        charged = [a for a in batched_trace.attrs_column() if a and "vector" in a]
+        assert [a["vector"].as_dict() for a in charged[2:]] == \
+            [v.as_dict() for v in vectors]
+
+    def test_rows_outside_region_rejected(self):
+        p = Profiler(uniform_machine(1))
+        with pytest.raises(MeasurementError, match="outside any region"):
+            p.charge_rows(0, np.zeros((2, len(vec().as_array()))))
+
+    def test_narrow_rows_are_widened(self):
+        p = Profiler(uniform_machine(1))
+        p.enter(0, "main")
+        p.charge(0, CounterVector({C.TIME: 1.0, f"TEST_ONLY_{uuid.uuid4().hex}": 2.0}))
+        p.charge_rows(0, np.stack([vec(3.0).as_array()[:1]] * 2))
+        p.exit(0, "main")
+        assert p.to_trial("t").get_exclusive("main", C.TIME, 0) == 7.0
