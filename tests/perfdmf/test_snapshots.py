@@ -68,3 +68,20 @@ def test_interval_trials_work_with_regression_sentinel(tmp_path, snapshots):
         registry.set_baseline("App", derived, "interval_0001",
                               reason="iteration 1 is the steady state")
         assert registry.baseline_name("App", derived) == "interval_0001"
+
+
+def test_retraced_run_replaces_stale_intervals(tmp_path):
+    from repro.workflows import trace_application
+
+    with PerfDMF(tmp_path / "perf.db") as db:
+        first = trace_application("genidlest", repository=db, version="mpi",
+                                  n_procs=4, iterations=4)
+        second = trace_application("genidlest", repository=db, version="mpi",
+                                   n_procs=4, iterations=2)
+        assert first.trial.name == second.trial.name
+        loaded = load_interval_trials(db, "GenIDLEST", "traced",
+                                      second.trial.name)
+    assert [t.name for t in loaded] == ["interval_0000", "interval_0001"]
+    for stored, snap in zip(loaded, second.snapshots):
+        assert stored.exclusive_array(C.TIME).tobytes() == \
+            snap.exclusive_array(C.TIME).tobytes()

@@ -92,6 +92,23 @@ class TestPointToPoint:
         with pytest.raises(MPIError, match="self-send"):
             mpi.isend(0, 0, 10)
 
+    def test_self_receive_rejected_when_posted(self):
+        mpi, _ = make_mpi(2)
+        open_main(mpi)
+        with pytest.raises(MPIError, match="self-receive"):
+            mpi.irecv(1, 1, 10)
+
+    def test_request_ids_restart_per_runtime(self):
+        def ids():
+            mpi, _ = make_mpi(2)
+            open_main(mpi)
+            s = mpi.isend(0, 1, 10)
+            r = mpi.irecv(1, 0, 10)
+            mpi.waitall(1, [r])
+            return [s.id, r.id]
+
+        assert ids() == ids() == [1, 2]
+
     def test_wrong_rank_wait_rejected(self):
         mpi, _ = make_mpi(2)
         open_main(mpi)

@@ -12,8 +12,10 @@ it changed nothing else.
 The digests were computed with the counter-vector accounting before it
 was made dense, and the ``omp-regions``, ``genidlest-mpi/untraced``,
 ``callpaths/msa`` and ``traced/msa-charges`` ones with the per-task
-machine before it was batched over loops; they must not be edited to
-make a change pass.
+machine before it was batched over loops, and the
+``traced/genidlest-mpi-events``, ``traced/genidlest-mpi/2`` and
+``traced/genidlest-mpi/5`` ones with the per-rank MPI loop before the
+ranks ran in lockstep; they must not be edited to make a change pass.
 """
 
 from __future__ import annotations
@@ -151,9 +153,9 @@ def traced_msa():
     return trace_application("msa", n_sequences=400, n_threads=16, seed=0)
 
 
-def traced_genidlest_mpi():
+def traced_genidlest_mpi(n_procs=16, iterations=8):
     return trace_application("genidlest", case=RIB90, version="mpi",
-                             n_procs=16, iterations=8)
+                             n_procs=n_procs, iterations=iterations)
 
 
 def case_digest(case: str) -> str:
@@ -166,6 +168,13 @@ def case_digest(case: str) -> str:
         return traced_digest(traced_msa(), uniform_machine(16))
     if case == "traced/genidlest-mpi":
         return traced_digest(traced_genidlest_mpi(), default_machine(16))
+    if case == "traced/genidlest-mpi-events":
+        return trace_digest(traced_genidlest_mpi().trace)
+    if case.startswith("traced/genidlest-mpi/"):
+        # 2 ranks: both neighbours are one partner; 5: uneven blocks
+        n_procs = int(case.rsplit("/", 1)[1])
+        return traced_digest(traced_genidlest_mpi(n_procs, 3),
+                             default_machine(n_procs))
     if case.startswith("omp-regions/"):
         return trial_digest(omp_region_run(case.split("/", 1)[1]))
     if case == "genidlest-mpi/untraced":
@@ -201,6 +210,12 @@ GOLDEN = {
         "c48529efb0ac80e4b19fb5dabffcf8df21ca2c26eaeabfa9a7932937353f2c63",
     "traced/genidlest-mpi":
         "fbbd517dbe28dcb92b3852305864f012b0e982f0aa431d54c84528e4692578c4",
+    "traced/genidlest-mpi-events":
+        "23617071e82297c9ed9813bf33a4c3d6e3ec340f2adeeccddc64d48ab79e8cc9",
+    "traced/genidlest-mpi/2":
+        "03669f53d79fb0bf72aed6eab3e54ce5873798da88d722dbf7428104a34cdb93",
+    "traced/genidlest-mpi/5":
+        "eddc87c2be7dde3939ec178b18fb23c6043d0e5b13513b65445b5c47fc37a292",
     "sequences/0":
         "2af03f68a5fc9cb7a2bd8b6c3a7984d2dd0bd81ea2a143344d4cf6312fa2ec34",
     "sequences/1":

@@ -143,3 +143,15 @@ def test_wait_states_detected_once_per_traced_run(monkeypatch):
     facts = [f.as_dict() for f in alone.facts("WaitStateFact")]
     assert facts and facts == [
         f.as_dict() for f in result.harness.facts("WaitStateFact")]
+
+
+def test_retraced_run_records_the_same_request_ids():
+    def req_ids():
+        trace = trace_application("genidlest", version="mpi", n_procs=4,
+                                  iterations=1).trace
+        return [a["req_id"] for a in trace.attrs_column()
+                if a and "req_id" in a]
+
+    first = req_ids()
+    assert first[:4] == [1, 2, 3, 4]
+    assert req_ids() == first
