@@ -89,10 +89,11 @@ class SnapshotProfiler(Profiler):
         # non-negative because the partial only ever grows.
         for state in self._cpus.values():
             for depth, frame in enumerate(state.stack):
-                inclusive[frame.event, state.column] += state.open[depth]
+                inclusive[frame.event, state.column] += (
+                    self._open[state.column, depth])
                 if frame.path_event >= 0:
                     inclusive[frame.path_event, state.column] += (
-                        state.path_open[depth]
+                        self._path_open[state.column, depth]
                     )
         t = max((s.clock_seconds for s in self._cpus.values()), default=0.0)
         return _Capture(self._exclusive[extent].copy(), inclusive,

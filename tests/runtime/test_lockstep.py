@@ -1,0 +1,215 @@
+"""A rank-set step is the per-CPU loop it replaces, bit for bit.
+
+Random scripts of enter/charge/exit steps over ascending CPU subsets run
+twice: once through the profiler's ``*_set`` methods (one lockstep step
+each, or several ops in one step), once as a loop of the scalar calls.
+Accumulators, clocks, interval snapshots and every trace column and
+payload must be bitwise equal.  The MPI neighbour exchange is checked the
+same way against ``isend``/``irecv``/``waitall`` per rank.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.machine import altix_300, uniform_machine
+from repro.runtime import EventTrace, MPIRuntime, SnapshotProfiler
+
+N_CPUS = 6
+NAMES = ("a", "b", "c")
+
+
+def _row(values):
+    # magnitudes far apart, so a reassociated fold changes the low bits
+    return [abs(v) for v in values]
+
+
+rows_of = st.integers(0, 3).flatmap(lambda n: st.lists(
+    st.lists(st.floats(0.0, 1e9, allow_nan=False), min_size=6, max_size=6)
+    .map(_row), min_size=n, max_size=n))
+
+
+@st.composite
+def scripts(draw):
+    """Valid scripts: exits close the innermost region, charges land on
+    open regions; ``block`` steps run enter, charge and exit on one set."""
+    stacks = {cpu: [] for cpu in range(N_CPUS)}
+    steps = []
+    for _ in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(["enter", "exit", "charge", "cut",
+                                     "block"]))
+        if kind in ("enter", "block"):
+            cpus = sorted(draw(st.sets(st.integers(0, N_CPUS - 1),
+                                       min_size=1)))
+            name = draw(st.sampled_from(NAMES))
+            if kind == "enter":
+                for cpu in cpus:
+                    stacks[cpu].append(name)
+                steps.append(("enter", cpus, name))
+            else:
+                steps.append(("block", cpus, name,
+                              [draw(rows_of) for _ in cpus]))
+        elif kind == "exit":
+            tops = {}
+            for cpu, stack in stacks.items():
+                if stack:
+                    tops.setdefault(stack[-1], []).append(cpu)
+            if tops:
+                name = draw(st.sampled_from(sorted(tops)))
+                cpus = sorted(draw(st.sets(st.sampled_from(tops[name]),
+                                           min_size=1)))
+                for cpu in cpus:
+                    stacks[cpu].pop()
+                steps.append(("exit", cpus, name))
+        elif kind == "charge":
+            live = [cpu for cpu, stack in stacks.items() if stack]
+            if live:
+                cpus = sorted(draw(st.sets(st.sampled_from(live), min_size=1)))
+                steps.append(("charge", cpus, [draw(rows_of) for _ in cpus]))
+        else:
+            steps.append(("cut",))
+    return steps, stacks
+
+
+def _array(rows):
+    return np.array(rows, dtype=float).reshape(len(rows), 6)
+
+
+def run_script(script, stacks, *, lockstep, callpaths, trace):
+    prof = SnapshotProfiler(uniform_machine(N_CPUS), callpaths=callpaths,
+                            trace=trace)
+    for step in script:
+        if step[0] == "cut":
+            if prof._cpus:
+                prof.phase("cut")
+            continue
+        cpus = step[1]
+        if not lockstep:
+            for i, cpu in enumerate(cpus):
+                if step[0] in ("enter", "block"):
+                    prof.enter(cpu, step[2])
+                if step[0] == "charge":
+                    prof.charge_rows(cpu, _array(step[2][i]))
+                if step[0] == "block":
+                    prof.charge_rows(cpu, _array(step[3][i]))
+                if step[0] in ("exit", "block"):
+                    prof.exit(cpu, step[2])
+            continue
+        with prof.lockstep(cpus):
+            if step[0] in ("enter", "block"):
+                prof.enter_set(cpus, step[2])
+            if step[0] == "charge":
+                prof.charge_set(cpus, [_array(r) for r in step[2]])
+            if step[0] == "block":
+                prof.charge_set(cpus, [_array(r) for r in step[3]])
+            if step[0] in ("exit", "block"):
+                prof.exit_set(cpus, step[2])
+    clocks = {cpu: prof.clock(cpu) for cpu in sorted(prof._cpus)}
+    for cpu, stack in stacks.items():
+        for name in reversed(stack):
+            prof.exit(cpu, name)
+    return prof, clocks
+
+
+def trial_bytes(trial):
+    out = [repr([(e.name, e.group) for e in trial.events]),
+           repr([str(t) for t in trial.threads]), repr(trial.metric_names()),
+           trial.calls_array().tobytes(), trial.subroutines_array().tobytes()]
+    for metric in trial.metric_names():
+        out += [trial.exclusive_array(metric).tobytes(),
+                trial.inclusive_array(metric).tobytes()]
+    return out
+
+
+def trace_payload(trace):
+    cols = trace.columns()
+    out = [cols[key].tobytes() for key in ("kind", "cpu", "ts", "name_id")]
+    out.append(repr(trace.name_table()))
+    for attrs in trace.attrs_column():
+        if attrs and "vector" in attrs:
+            attrs = dict(attrs, vector={
+                k: v.hex() for k, v in attrs["vector"].as_dict().items()})
+        out.append(repr(attrs))
+    return out
+
+
+def assert_same_runs(a, b):
+    (prof_a, clocks_a), (prof_b, clocks_b) = a, b
+    assert clocks_a == clocks_b
+    if clocks_a:
+        assert trial_bytes(prof_a.to_trial("t")) == \
+            trial_bytes(prof_b.to_trial("t"))
+    assert [trial_bytes(s) for s in prof_a.snapshots] == \
+        [trial_bytes(s) for s in prof_b.snapshots]
+    if prof_a.trace is not None:
+        assert trace_payload(prof_a.trace) == trace_payload(prof_b.trace)
+        assert prof_a.trace.charges_fully_recorded == \
+            prof_b.trace.charges_fully_recorded
+
+
+@settings(max_examples=120, deadline=None)
+@given(script=scripts(), callpaths=st.booleans(),
+       tracing=st.sampled_from([None, False, True]))
+def test_set_steps_equal_the_scalar_loop(script, callpaths, tracing):
+    steps, stacks = script
+
+    def run(lockstep):
+        trace = None if tracing is None else EventTrace(record_charges=tracing)
+        return run_script(steps, stacks, lockstep=lockstep,
+                          callpaths=callpaths, trace=trace)
+
+    assert_same_runs(run(True), run(False))
+
+
+def exchange(n, faces, skews, *, lockstep):
+    """GenIDLEST's ghost exchange on a ring of ``n`` ranks, twice."""
+    machine = altix_300()
+    prof = SnapshotProfiler(machine, trace=EventTrace())
+    mpi = MPIRuntime(machine, prof, n, cpus=[2 * r for r in range(n)])
+    ranks = list(range(n))
+    cpus = [mpi.cpu_of(r) for r in ranks]
+    prev = [(r - 1) % n for r in ranks]
+    nxt = [(r + 1) % n for r in ranks]
+    prof.enter_set(cpus, "main")
+    prof.charge_idle_set(cpus, skews)
+    for _ in range(2):
+        if lockstep:
+            posts = [("send", prev, 0), ("recv", prev, 1),
+                     ("send", nxt, 1), ("recv", nxt, 0)] if n > 1 else []
+            with prof.lockstep(cpus):
+                prof.enter_set(cpus, "exchange")
+                requests = mpi.post(ranks, posts, faces)
+            with prof.lockstep(cpus):
+                if posts:
+                    mpi.waitall_set(ranks, [[q for q in reqs
+                                             if q.kind == "recv"]
+                                            for reqs in requests])
+                prof.exit_set(cpus, "exchange")
+        else:
+            recvs = {r: [] for r in ranks}
+            for r in ranks:
+                prof.enter(cpus[r], "exchange")
+                if prev[r] != r:
+                    mpi.isend(r, prev[r], faces[r], tag=0)
+                    recvs[r].append(mpi.irecv(r, prev[r], faces[r], tag=1))
+                if nxt[r] != r:
+                    mpi.isend(r, nxt[r], faces[r], tag=1)
+                    recvs[r].append(mpi.irecv(r, nxt[r], faces[r], tag=0))
+            for r in ranks:
+                if recvs[r]:
+                    mpi.waitall(r, recvs[r])
+                prof.exit(cpus[r], "exchange")
+        mpi.allreduce(8)
+        prof.phase("iteration")
+    prof.exit_set(cpus, "main")
+    return prof, {cpu: prof.clock(cpu) for cpu in cpus}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_rank_set_exchange_equals_per_rank_calls(n, data):
+    faces = data.draw(st.lists(st.floats(0.0, 1e7), min_size=n, max_size=n))
+    skews = data.draw(st.lists(st.floats(0.0, 1e-3), min_size=n, max_size=n))
+    assert_same_runs(exchange(n, faces, skews, lockstep=True),
+                     exchange(n, faces, skews, lockstep=False))
