@@ -192,6 +192,28 @@ def test_traced_genidlest_mpi_throughput(benchmark):
         golden.GOLDEN["traced/genidlest-mpi"]
 
 
+def test_traced_mpi_run_throughput(benchmark):
+    """The traced GenIDLEST MPI 16 x 8 run alone (simulation, profile,
+    snapshots and event trace), its event stream checked against the
+    golden digest."""
+    from repro.apps.genidlest import RIB90, RunConfig, default_machine, run_genidlest
+    from repro.runtime import EventTrace, SnapshotProfiler
+
+    def run():
+        trace = EventTrace()
+        run_genidlest(RunConfig(case=RIB90, version="mpi", n_procs=16,
+                                iterations=8),
+                      profiler=SnapshotProfiler(default_machine(16),
+                                                trace=trace))
+        return trace
+
+    trace = benchmark(run)
+    assert golden.trace_digest(trace) == \
+        golden.GOLDEN["traced/genidlest-mpi-events"]
+    benchmark.extra_info["events"] = len(trace)
+    benchmark.extra_info["events_per_s"] = len(trace) / benchmark.stats.stats.min
+
+
 def test_batched_counter_rows_throughput(benchmark):
     """One array formula over the 399 MSA 400 x 16 distance tasks against
     the per-task scalar formula, row for row bit-identical."""
