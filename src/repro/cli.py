@@ -319,50 +319,48 @@ def _regress_errors(handler):
 def _regress_policy(args: argparse.Namespace):
     from repro.regress import ThresholdPolicy
 
-    kw = {}
-    if getattr(args, "metric", None):
-        kw["metrics"] = (args.metric,)
-    if getattr(args, "threshold", None) is not None:
-        kw["min_relative_change"] = args.threshold
-    if getattr(args, "alpha", None) is not None:
-        kw["alpha"] = args.alpha
-    return ThresholdPolicy(**kw)
+    return ThresholdPolicy.from_options(args.metric, args.threshold,
+                                        args.alpha)
 
 
 @_regress_errors
 def _cmd_regress_baseline(args: argparse.Namespace) -> int:
+    from repro.lineage import LineageStore
     from repro.perfdmf import PerfDMF
-    from repro.regress import BaselineRegistry
 
     with PerfDMF(args.db) as db:
-        registry = BaselineRegistry(db)
+        store = LineageStore(db)
         if args.action == "set":
             if not (args.app and args.exp and args.trial):
                 print("baseline set requires --app, --exp and --trial",
                       file=sys.stderr)
                 return 2
-            registry.set_baseline(args.app, args.exp, args.trial,
-                                  reason=args.reason or "set via CLI")
+            store.promote(args.app, args.exp, args.trial,
+                          reason=args.reason or "set via CLI")
             print(f"baseline for {args.app}/{args.exp} -> {args.trial}")
             return 0
         # list
         if args.app and args.exp:
-            records = registry.history(args.app, args.exp)
-            if not records:
+            chain = store.baseline_chain(args.app, args.exp)
+            rows = [(v, ref) for v in chain for ref in v.baselines]
+            if not rows:
                 print("(no baseline history)")
                 return 0
-            for rec in records:
-                mark = "*" if rec.active else " "
-                print(f" {mark} {rec.application}/{rec.experiment}: "
-                      f"{rec.trial}" + (f"  ({rec.reason})" if rec.reason else ""))
+            for version, ref in rows:
+                mark = "*" if version is chain[-1] else " "
+                reason = version.annotations.get("reason")
+                print(f" {mark} {ref.application}/{ref.experiment}: "
+                      f"{ref.trial}" + (f"  ({reason})" if reason else ""))
             return 0
-        records = registry.list_baselines()
+        records = store.baselines()
         if not records:
             print("(no baselines set)")
             return 0
-        for rec in records:
-            print(f"{rec.application}/{rec.experiment}: {rec.trial}"
-                  + (f"  ({rec.reason})" if rec.reason else ""))
+        for version in records:
+            ref = version.baselines[0]
+            reason = version.annotations.get("reason")
+            print(f"{ref.application}/{ref.experiment}: {ref.trial}"
+                  + (f"  ({reason})" if reason else ""))
     return 0
 
 
@@ -1090,7 +1088,7 @@ def _cmd_lineage_scan(args: argparse.Namespace) -> int:
 
 
 @_regress_errors
-def _cmd_lineage_bisect(args: argparse.Namespace) -> int:
+def _cmd_bisect(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.experiments.rigor import RigorPolicy
@@ -1467,7 +1465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lineage",
-        help="commit-anchored performance history: record/log/scan/bisect")
+        help="commit-anchored performance history: record/log/scan")
     lsub = p.add_subparsers(dest="lineage_command", required=True)
 
     lp = lsub.add_parser("record",
@@ -1516,38 +1514,30 @@ def build_parser() -> argparse.ArgumentParser:
     lp.add_argument("--json", action="store_true")
     lp.set_defaults(func=_cmd_lineage_scan)
 
-    def _bisect_args(lp: argparse.ArgumentParser) -> None:
-        _add_db_arg(lp, required=True)
-        lp.add_argument("good", help="known-good version")
-        lp.add_argument("bad", nargs="?",
-                        help="known-bad version (default: newest tip)")
-        _scan_policy_args(lp)
-        lp.add_argument("--endpoint",
-                        help="serve endpoint (unix:PATH or tcp:HOST:PORT) "
-                             "for synthesizing missing samples")
-        lp.add_argument("--client-timeout", type=float, default=120.0,
-                        help="per-probe job timeout, seconds")
-        lp.add_argument("--min-runs", type=int, default=3,
-                        help="reruns per synthesized probe before assessing")
-        lp.add_argument("--max-runs", type=int, default=8,
-                        help="rerun ceiling per synthesized probe")
-        lp.add_argument("--rel-halfwidth", type=float, default=0.10,
-                        help="CI half-width convergence target")
-        lp.add_argument("--json", action="store_true",
-                        help="print the full JSON report")
-        lp.add_argument("--out", metavar="REPORT.json",
-                        help="also write the JSON report to a file")
-        lp.set_defaults(func=_cmd_lineage_bisect)
-
-    lp = lsub.add_parser(
-        "bisect",
-        help="binary-search history for the regression-introducing version")
-    _bisect_args(lp)
-
     p = sub.add_parser(
         "bisect",
-        help="binary-search performance history (alias for lineage bisect)")
-    _bisect_args(p)
+        help="binary-search history for the regression-introducing version")
+    _add_db_arg(p, required=True)
+    p.add_argument("good", help="known-good version")
+    p.add_argument("bad", nargs="?",
+                   help="known-bad version (default: newest tip)")
+    _scan_policy_args(p)
+    p.add_argument("--endpoint",
+                   help="serve endpoint (unix:PATH or tcp:HOST:PORT) "
+                        "for synthesizing missing samples")
+    p.add_argument("--client-timeout", type=float, default=120.0,
+                   help="per-probe job timeout, seconds")
+    p.add_argument("--min-runs", type=int, default=3,
+                   help="reruns per synthesized probe before assessing")
+    p.add_argument("--max-runs", type=int, default=8,
+                   help="rerun ceiling per synthesized probe")
+    p.add_argument("--rel-halfwidth", type=float, default=0.10,
+                   help="CI half-width convergence target")
+    p.add_argument("--json", action="store_true",
+                   help="print the full JSON report")
+    p.add_argument("--out", metavar="REPORT.json",
+                   help="also write the JSON report to a file")
+    p.set_defaults(func=_cmd_bisect)
 
     p = sub.add_parser("tune", help="run a closed tuning loop")
     p.add_argument("app", choices=["msa", "genidlest"])

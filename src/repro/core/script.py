@@ -58,16 +58,6 @@ from .operations.statistics import (
 from .result import AnalysisError, PerformanceResult
 
 
-def __getattr__(name: str):
-    # RegressionOperation lives in repro.regress (which imports this
-    # package); resolve it lazily so both import orders work.
-    if name == "RegressionOperation":
-        from ..regress.operation import RegressionOperation
-
-        return RegressionOperation
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def TrialResult(trial: Trial) -> PerformanceResult:
     """Wrap a trial for analysis without aggregation."""
     return PerformanceResult(trial)
@@ -99,7 +89,6 @@ __all__ = [
     "PerformanceAnalysisOperation",
     "PerformanceResult",
     "RatioOperation",
-    "RegressionOperation",
     "RuleHarness",
     "ScalabilityOperation",
     "ScaleMetricOperation",

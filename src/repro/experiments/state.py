@@ -2,7 +2,7 @@
 
 An experiment run must survive the orchestrator dying mid-sweep — the
 CI smoke test literally ``kill -9``'s the service and resumes.  Like the
-regress baseline registry, the state lives in the same SQLite file as
+lineage store, the state lives in the same SQLite file as
 the trials it indexes (one artifact to ship, state cascades away with
 its repository) and is a :class:`~repro.perfdmf.sidetables.SideTables`
 with its own schema version in ``exp_meta``.

@@ -34,9 +34,7 @@ CREEP_STEP_THRESHOLD = 0.08
 RULEBASE_NAME = "lineage-rules"
 
 
-def first_bad_version_rule(
-    *, severity_threshold: float = DEGRADATION_SEVERITY_THRESHOLD
-) -> Rule:
+def first_bad_version_rule() -> Rule:
     """The bisect target: the earliest regressed step after healthy
     history, localized to its worst event."""
 
@@ -84,18 +82,14 @@ def first_bad_version_rule(
             "m := metric",
             "chg := relativeChange",
             "sev := severity",
-            ("severity", ">", severity_threshold),
+            ("severity", ">", DEGRADATION_SEVERITY_THRESHOLD),
         )
         .then(action)
         .build()
     )
 
 
-def slow_creep_rule(
-    *,
-    total_threshold: float = CREEP_TOTAL_THRESHOLD,
-    step_threshold: float = CREEP_STEP_THRESHOLD,
-) -> Rule:
+def slow_creep_rule() -> Rule:
     """Many small worsening steps compounding into a real slowdown."""
 
     def action(ctx: RuleContext) -> None:
@@ -134,8 +128,8 @@ def slow_creep_rule(
             "n := versions",
             "tc := totalChange",
             "ms := maxStepChange",
-            ("totalChange", ">", total_threshold),
-            ("maxStepChange", "<", step_threshold),
+            ("totalChange", ">", CREEP_TOTAL_THRESHOLD),
+            ("maxStepChange", "<", CREEP_STEP_THRESHOLD),
         )
         .then(action)
         .build()
@@ -213,22 +207,13 @@ def lineage_history_rule() -> Rule:
     )
 
 
-def lineage_rules(**overrides) -> list[Rule]:
-    """The history-level rules with optional threshold overrides."""
-    first_kw = {}
-    if "severity_threshold" in overrides:
-        first_kw["severity_threshold"] = overrides.pop("severity_threshold")
-    creep_kw = {}
-    for key in ("total_threshold", "step_threshold"):
-        if key in overrides:
-            creep_kw[key] = overrides.pop(key)
-    if overrides:
-        raise ValueError(f"unknown threshold overrides: {sorted(overrides)}")
+def lineage_rules() -> list[Rule]:
+    """The history-level rules."""
     return [
         lineage_history_rule(),
-        first_bad_version_rule(**first_kw),
+        first_bad_version_rule(),
         rulebase_bump_rule(),
-        slow_creep_rule(**creep_kw),
+        slow_creep_rule(),
     ]
 
 

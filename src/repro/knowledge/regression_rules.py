@@ -24,9 +24,7 @@ REGRESSION_SEVERITY_THRESHOLD = 0.01
 RULEBASE_NAME = "regression-rules"
 
 
-def regression_detected_rule(
-    *, severity_threshold: float = REGRESSION_SEVERITY_THRESHOLD
-) -> Rule:
+def regression_detected_rule() -> Rule:
     """Every significant regression yields an investigation recommendation."""
 
     def action(ctx: RuleContext) -> None:
@@ -65,16 +63,14 @@ def regression_detected_rule(
             "base := baseline",
             "bm := baselineMean",
             "cm := candidateMean",
-            ("severity", ">", severity_threshold),
+            ("severity", ">", REGRESSION_SEVERITY_THRESHOLD),
         )
         .then(action)
         .build()
     )
 
 
-def regression_imbalance_rule(
-    *, ratio_threshold: float = IMBALANCE_RATIO_THRESHOLD
-) -> Rule:
+def regression_imbalance_rule() -> Rule:
     """Chained diagnosis: a regressed event that is also imbalanced across
     threads gets the §III.A scheduling recommendation, not just a flag."""
 
@@ -120,7 +116,7 @@ def regression_imbalance_rule(
             "ImbalanceFact",
             ("eventName", "==", "$e"),
             "ratio := ratio",
-            ("ratio", ">", ratio_threshold),
+            ("ratio", ">", IMBALANCE_RATIO_THRESHOLD),
         )
         .then(action)
         .build()
@@ -199,21 +195,13 @@ def improvement_promotion_rule() -> Rule:
     )
 
 
-def regression_rules(**overrides) -> list[Rule]:
+def regression_rules() -> list[Rule]:
     """Just the sentinel's rules (no diagnosis chaining)."""
-    kw = {}
-    if "severity_threshold" in overrides:
-        kw["severity_threshold"] = overrides.pop("severity_threshold")
-    ratio_kw = {}
-    if "ratio_threshold" in overrides:
-        ratio_kw["ratio_threshold"] = overrides.pop("ratio_threshold")
-    if overrides:
-        raise ValueError(f"unknown threshold overrides: {sorted(overrides)}")
     return [
         regression_summary_rule(),
-        regression_imbalance_rule(**ratio_kw),
+        regression_imbalance_rule(),
         improvement_promotion_rule(),
-        regression_detected_rule(**kw),
+        regression_detected_rule(),
     ]
 
 

@@ -4,13 +4,14 @@ The regression sentinel (:mod:`repro.regress`) answers "is this trial
 slower than the baseline?"; this package answers the question engineers
 actually ask next — **"since when, and which change?"**  It anchors
 stored trials to code versions in a :class:`LineageStore` (side tables
-in the same PerfDMF file), sweeps the sentinel's detectors along
-version history (:func:`scan_range`), turns the sweep into
-``lineage-rules`` working memory (:mod:`repro.lineage.facts`), and
-binary-searches history for the regression-introducing version
-(:class:`PerfBisector`) — synthesizing missing samples through a
-:mod:`repro.serve` service with the experiments layer's rigor loop when
-banked history runs out.
+in the same PerfDMF file), which is also where the sentinel's baselines
+live: each promotion is a version in its pair's chain.  It sweeps the
+sentinel's detectors along version history (:func:`scan_range`), turns
+the sweep into ``lineage-rules`` working memory
+(:mod:`repro.lineage.facts`), and binary-searches history for the
+regression-introducing version (:class:`PerfBisector`) — synthesizing
+missing samples through a :mod:`repro.serve` service with the
+experiments layer's rigor loop when banked history runs out.
 """
 
 from .bisect import (

@@ -28,6 +28,7 @@ enumeration.
 from __future__ import annotations
 
 from ..core.harness import RuleHarness
+from ..regress.detect import one_per_event
 from ..rules import Fact
 from .scanner import PairComparison, ScanResult
 
@@ -59,13 +60,7 @@ def degradation_facts(scan: ScanResult) -> list[Fact]:
         prev_verdict = cmp_.verdict
         if cmp_.verdict != "regressed":
             continue
-        # one fact per offending *event* (worst metric wins), mirroring
-        # regress.facts: per-metric duplicates would multiply rule firings
-        seen: set[str] = set()
-        for delta in cmp_.report.top_offenders():
-            if delta.event in seen:
-                continue
-            seen.add(delta.event)
+        for delta in one_per_event(cmp_.report.top_offenders()):
             facts.append(Fact(
                 "DegradationFact",
                 version=cmp_.version,

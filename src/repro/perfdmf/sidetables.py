@@ -1,9 +1,10 @@
 """Side tables: a companion subsystem's own tables in a PerfDMF file.
 
-The regress baseline registry, the experiments state and the lineage
-store each keep tables next to the trials they index: one artifact to
-ship, and foreign keys into ``trial`` cascade them away with their
-trials.  This module is everything they share.
+The experiments state and the lineage store (which also holds the
+regression sentinel's baselines) each keep tables next to the trials
+they index: one artifact to ship, and foreign keys into ``trial``
+cascade them away with their trials.  This module is everything they
+share.
 
 * **A schema version per subsystem**, in a one-row ``<name>_meta`` table,
   independent of the core schema's ``PRAGMA user_version``.

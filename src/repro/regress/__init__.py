@@ -1,19 +1,19 @@
 """repro.regress: the performance-regression sentinel subsystem.
 
-Turns the PerfDMF repository into a performance *version* store and closes
-the loop the paper leaves as future work: every stored trial can be judged
-against an expected baseline, statistically (Welch's t-test across threads
-plus a relative-threshold policy), and a detected regression flows into
-the knowledge pipeline as facts so the rulebase produces a *diagnosis* —
-"slower, here, and here is why" — instead of a bare flag.
+Closes the loop the paper leaves as future work: every stored trial can
+be judged against an expected baseline, statistically (Welch's t-test
+across threads plus a relative-threshold policy), and a detected
+regression flows into the knowledge pipeline as facts so the rulebase
+produces a *diagnosis* — "slower, here, and here is why" — instead of a
+bare flag.  Baselines are versions in the one history store,
+:class:`repro.lineage.LineageStore`; this package keeps only the
+detector and what it feeds.
 
 Layers::
 
-    baseline.py   baseline registry + regress-side schema migrations
     detect.py     statistical change detection (ThresholdPolicy → RegressionReport)
     facts.py      RegressionFact / RegressionSummaryFact generation + chaining
-    operation.py  RegressionOperation, the PerfExplorer-script-idiom face
-    sentinel.py   check()/watch() drivers with CI exit codes
+    sentinel.py   check() driver with CI exit codes
     report.py     text rendering for CLI and CI logs
 
 The matching ruleset lives in :mod:`repro.knowledge.regression_rules`
@@ -21,12 +21,6 @@ The matching ruleset lives in :mod:`repro.knowledge.regression_rules`
 ``repro-perf regress``.
 """
 
-from .baseline import (
-    REGRESS_SCHEMA_VERSION,
-    BaselineRecord,
-    BaselineRegistry,
-    ensure_regress_schema,
-)
 from .detect import (
     IMPROVED,
     OK,
@@ -38,29 +32,22 @@ from .detect import (
     perturb_trial,
 )
 from .facts import diagnose_regression, regression_facts
-from .operation import RegressionOperation
 from .report import render_regression_report
-from .sentinel import CheckOutcome, Verdict, check, watch
+from .sentinel import CheckOutcome, Verdict, check
 
 __all__ = [
-    "BaselineRecord",
-    "BaselineRegistry",
     "CheckOutcome",
     "EventDelta",
     "IMPROVED",
     "OK",
     "REGRESSED",
-    "REGRESS_SCHEMA_VERSION",
-    "RegressionOperation",
     "RegressionReport",
     "ThresholdPolicy",
     "Verdict",
     "check",
     "compare_trials",
     "diagnose_regression",
-    "ensure_regress_schema",
     "perturb_trial",
     "regression_facts",
     "render_regression_report",
-    "watch",
 ]

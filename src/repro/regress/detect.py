@@ -88,6 +88,21 @@ class ThresholdPolicy:
         if self.top_x < 1:
             raise AnalysisError("top_x must be >= 1")
 
+    @classmethod
+    def from_options(cls, metric: str | None = None,
+                     threshold: float | None = None,
+                     alpha: float | None = None) -> "ThresholdPolicy":
+        """The policy a CLI verb or service job asks for with its
+        metric/threshold/alpha options; None keeps the default."""
+        kw: dict = {}
+        if metric:
+            kw["metrics"] = (metric,)
+        if threshold is not None:
+            kw["min_relative_change"] = threshold
+        if alpha is not None:
+            kw["alpha"] = alpha
+        return cls(**kw)
+
 
 @dataclass(frozen=True)
 class EventDelta:
@@ -136,6 +151,17 @@ class EventDelta:
             "regressed": self.regressed,
             "improved": self.improved,
         }
+
+
+def one_per_event(deltas: list[EventDelta]) -> list[EventDelta]:
+    """The first delta of each event, in order: over worst-first deltas,
+    each event once with its worst metric.  Facts are built per event,
+    since per-metric duplicates would fire the same rule once per
+    metric."""
+    first: dict[str, EventDelta] = {}
+    for delta in deltas:
+        first.setdefault(delta.event, delta)
+    return list(first.values())
 
 
 @dataclass

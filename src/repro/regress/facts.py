@@ -28,7 +28,23 @@ from ..core.harness import RuleHarness
 from ..core.result import PerformanceResult
 from ..perfdmf import Trial
 from ..rules import Fact
-from .detect import RegressionReport
+from .detect import EventDelta, RegressionReport, one_per_event
+
+
+def _delta_fact(kind: str, report: RegressionReport,
+                delta: EventDelta) -> Fact:
+    return Fact(
+        kind,
+        trial=report.candidate_trial,
+        baseline=report.baseline_trial,
+        eventName=delta.event,
+        metric=delta.metric,
+        relativeChange=delta.relative_change,
+        severity=delta.severity,
+        pValue=delta.welch.p_value,
+        baselineMean=delta.baseline_mean,
+        candidateMean=delta.candidate_mean,
+    )
 
 
 def regression_facts(report: RegressionReport) -> list[Fact]:
@@ -44,48 +60,12 @@ def regression_facts(report: RegressionReport) -> list[Fact]:
             improvedEvents=len(report.improvements),
         )
     ]
-    # one fact per *event*, not per (event, metric) cell: top_offenders is
-    # ranked worst-first, so the first delta seen for an event is the one
-    # the rules should reason about — per-metric duplicates would fire the
-    # same recommendation five times for a single regressed loop
-    seen: set[str] = set()
-    for delta in report.top_offenders():
-        if delta.event in seen:
-            continue
-        seen.add(delta.event)
-        facts.append(
-            Fact(
-                "RegressionFact",
-                trial=report.candidate_trial,
-                baseline=report.baseline_trial,
-                eventName=delta.event,
-                metric=delta.metric,
-                relativeChange=delta.relative_change,
-                severity=delta.severity,
-                pValue=delta.welch.p_value,
-                baselineMean=delta.baseline_mean,
-                candidateMean=delta.candidate_mean,
-            )
-        )
-    seen.clear()
-    for delta in report.improvements:
-        if delta.event in seen:
-            continue
-        seen.add(delta.event)
-        facts.append(
-            Fact(
-                "ImprovementFact",
-                trial=report.candidate_trial,
-                baseline=report.baseline_trial,
-                eventName=delta.event,
-                metric=delta.metric,
-                relativeChange=delta.relative_change,
-                severity=delta.severity,
-                pValue=delta.welch.p_value,
-                baselineMean=delta.baseline_mean,
-                candidateMean=delta.candidate_mean,
-            )
-        )
+    # top_offenders is ranked worst-first, so each event's fact carries
+    # the metric the rules should reason about
+    facts += [_delta_fact("RegressionFact", report, delta)
+              for delta in one_per_event(report.top_offenders())]
+    facts += [_delta_fact("ImprovementFact", report, delta)
+              for delta in one_per_event(report.improvements)]
     return facts
 
 

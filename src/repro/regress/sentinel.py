@@ -1,8 +1,9 @@
-"""The sentinel driver: watch a PerfDMF experiment like a perf CI gate.
+"""The sentinel driver: gate a PerfDMF experiment like a perf CI step.
 
-``check`` compares one candidate trial against the active baseline and
-returns an exit-code-friendly outcome; ``watch`` sweeps every trial stored
-after the baseline, auto-promoting accepted improvements so the expected
+``check`` compares one candidate trial against the active baseline kept
+in the :class:`~repro.lineage.LineageStore` and returns an
+exit-code-friendly outcome.  With ``auto_promote``, an accepted
+improvement records the pair's next baseline version, so the expected
 performance ratchets forward — the Perun-style closed loop the paper
 leaves as future work.
 """
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 from .. import observe
 from ..core.harness import RuleHarness
+from ..lineage.store import LineageStore
 from ..perfdmf import PerfDMF, ProfileError
-from .baseline import BaselineRegistry
 from .detect import IMPROVED, OK, REGRESSED, RegressionReport, ThresholdPolicy, compare_trials
 from .facts import diagnose_regression
 
@@ -81,14 +82,13 @@ def check(
     policy: ThresholdPolicy | None = None,
     diagnose: bool = True,
     auto_promote: bool = False,
-    registry: BaselineRegistry | None = None,
 ) -> CheckOutcome:
     """Compare ``trial`` (default: the newest stored trial) to the baseline.
 
     With ``auto_promote``, a verdict of *improved* moves the baseline to
     the candidate — the sentinel accepts the new expected performance.
     """
-    registry = registry or BaselineRegistry(db)
+    store = LineageStore(db)
     policy = policy or ThresholdPolicy()
     with observe.span("regress.check", application=application,
                       experiment=experiment) as sp:
@@ -97,7 +97,7 @@ def check(
             raise ProfileError(
                 f"no trials stored under {application}/{experiment}")
         candidate_name = trial or trials[-1]
-        baseline_name = registry.baseline_name(application, experiment)
+        baseline_name = store.baseline_name(application, experiment)
         if baseline_name is None:
             raise ProfileError(
                 f"no baseline set for {application!r}/{experiment!r}; run "
@@ -118,7 +118,7 @@ def check(
         verdict = Verdict(report.verdict)
         promoted = False
         if auto_promote and verdict is Verdict.IMPROVED:
-            registry.set_baseline(
+            store.promote(
                 application, experiment, candidate_name,
                 reason=(
                     f"auto-promoted: {-report.total_relative_change:.1%} faster "
@@ -138,46 +138,3 @@ def check(
         observe.counter(f"regress.verdict.{verdict.value}").inc()
     return CheckOutcome(verdict, report, harness, promoted)
 
-
-def watch(
-    db: PerfDMF,
-    application: str,
-    experiment: str,
-    *,
-    policy: ThresholdPolicy | None = None,
-    auto_promote: bool = True,
-    diagnose: bool = False,
-    set_baseline_if_missing: bool = True,
-) -> list[CheckOutcome]:
-    """Compare every trial stored after the baseline, in storage order.
-
-    When no baseline exists yet and ``set_baseline_if_missing`` is on, the
-    oldest trial becomes the first baseline (a watch has to start
-    somewhere).  With ``auto_promote``, each accepted improvement becomes
-    the baseline for the trials after it.
-    """
-    registry = BaselineRegistry(db)
-    trials = db.trials(application, experiment)
-    if not trials:
-        raise ProfileError(f"no trials stored under {application}/{experiment}")
-    baseline_name = registry.baseline_name(application, experiment)
-    outcomes: list[CheckOutcome] = []
-    if baseline_name is None:
-        if not set_baseline_if_missing:
-            raise ProfileError(
-                f"no baseline set for {application!r}/{experiment!r}"
-            )
-        baseline_name = trials[0]
-        registry.set_baseline(
-            application, experiment, baseline_name,
-            reason="watch: first stored trial adopted as baseline",
-        )
-    start = trials.index(baseline_name) + 1 if baseline_name in trials else 0
-    for name in trials[start:]:
-        outcome = check(
-            db, application, experiment, name,
-            policy=policy, diagnose=diagnose,
-            auto_promote=auto_promote, registry=registry,
-        )
-        outcomes.append(outcome)
-    return outcomes

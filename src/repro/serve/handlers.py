@@ -211,21 +211,14 @@ def regress_check_job(
 ) -> dict[str, Any]:
     """Gate a stored trial against its baseline (the regression sentinel).
 
-    Not cacheable: the sentinel reads — and with ``promote`` moves — the
-    baseline registry, which is state outside the trial content hashes.
+    Not cacheable: the sentinel reads — and with ``promote`` records —
+    the pair's baseline versions, state outside the trial content hashes.
     """
     from ..regress import ThresholdPolicy, check
 
-    kw: dict[str, Any] = {}
-    if metric:
-        kw["metrics"] = (metric,)
-    if threshold is not None:
-        kw["min_relative_change"] = threshold
-    if alpha is not None:
-        kw["alpha"] = alpha
     outcome = check(
         ctx.db, app, exp, trial,
-        policy=ThresholdPolicy(**kw),
+        policy=ThresholdPolicy.from_options(metric, threshold, alpha),
         diagnose=diagnose,
         auto_promote=promote,
     )

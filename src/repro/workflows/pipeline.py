@@ -115,19 +115,20 @@ def regression_gate(
     verdict, with accepted improvements optionally promoted so the
     expected performance ratchets forward.
     """
-    from ..regress import BaselineRegistry, check
+    from ..lineage import LineageStore
+    from ..regress import check
 
     with observe.span("pipeline.regression_gate", application=application,
                       experiment=experiment, trial=trial.name) as sp:
         version_key().stamp(trial.metadata)
         repository.save_trial(application, experiment, trial, replace=True)
-        registry = BaselineRegistry(repository)
-        if registry.baseline_name(application, experiment) is None:
+        store = LineageStore(repository)
+        if store.baseline_name(application, experiment) is None:
             if not set_baseline_if_missing:
                 raise AnalysisError(
                     f"regression_gate: no baseline for {application}/{experiment}"
                 )
-            registry.set_baseline(
+            store.promote(
                 application, experiment, trial.name,
                 reason="regression_gate: first trial through the gate",
             )
@@ -139,7 +140,7 @@ def regression_gate(
         outcome = check(
             repository, application, experiment, trial.name,
             policy=policy, diagnose=diagnose,
-            auto_promote=auto_promote, registry=registry,
+            auto_promote=auto_promote,
         )
         sp.set(verdict=outcome.verdict.value, exit_code=outcome.exit_code)
     return GateResult(

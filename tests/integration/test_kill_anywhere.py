@@ -19,7 +19,7 @@ import numpy as np
 from repro.experiments.rigor import RigorPolicy
 from repro.lineage import LineageStore, PerfBisector, TrialRef
 from repro.perfdmf import PerfDMF, TrialBuilder
-from repro.regress import BaselineRegistry, watch
+from repro.regress import check
 from repro.serve.handlers import JobContext, run_trial_job
 
 KILLED = 87
@@ -98,8 +98,8 @@ def make_trial(name, scale=1.0):
 
 
 # -- baseline promotion: a v1 regress file (baseline t1, no reason column
-# yet), then a watch that migrates it and auto-promotes two successive
-# improvements.
+# yet), then the fold of its baseline rows into lineage versions and two
+# checks that auto-promote successive improvements.
 
 def baseline_setup(path):
     with PerfDMF(path) as db:
@@ -122,12 +122,21 @@ def baseline_setup(path):
 
 def baseline_op(path):
     with PerfDMF(path) as db:
-        watch(db, "App", "Exp", auto_promote=True)
+        LineageStore(db)  # the fold migration commits on its own
+        for candidate in ("t2", "t3"):
+            check(db, "App", "Exp", candidate, diagnose=False,
+                  auto_promote=True)
 
 
 def baseline_result(path):
     with PerfDMF(path) as db:
-        return BaselineRegistry(db).history("App", "Exp")
+        store = LineageStore(db)
+        tables = {r[0] for r in db.connection.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'")}
+        return store.baseline_name("App", "Exp"), tables, [
+            (v.version_id, v.parents, v.annotations,
+             [t.to_dict() for t in v.trials])
+            for v in store.baseline_chain("App", "Exp")]
 
 
 def test_baseline_promotion(tmp_path):

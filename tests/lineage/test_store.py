@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import cli
 from repro.lineage import (
     LINEAGE_SCHEMA_VERSION,
     LineageStore,
@@ -184,6 +185,84 @@ class TestWalks:
         # every step is a real parent link
         for a, b in zip(path, path[1:]):
             assert a in store.get(b).parents
+
+
+class TestCycles:
+    def snapshot(self, db):
+        return [db.connection.execute(f"SELECT * FROM {table}").fetchall()
+                for table in ("lineage_version", "lineage_parent")]
+
+    def test_self_parent_rejected(self, db):
+        store = LineageStore(db)
+        with pytest.raises(ProfileError, match="cycle"):
+            store.record("v1", parents=["v1"])
+        assert len(store) == 0
+        store.record("v1")
+        before = self.snapshot(db)
+        with pytest.raises(ProfileError, match="cycle"):
+            store.record("v1", parents=["v1"])
+        assert self.snapshot(db) == before
+        assert store.tips() == ["v1"]
+
+    def test_descendant_parent_rejected(self, db):
+        store = LineageStore(db)
+        store.record("v1")
+        store.record("v2", parents=["v1"])
+        store.record("v3", parents=["v2"])
+        before = self.snapshot(db)
+        for version, parent in (("v1", "v2"), ("v1", "v3"), ("v2", "v3")):
+            with pytest.raises(ProfileError, match="cycle"):
+                store.record(version, parents=[parent],
+                             annotations={"changed": True})
+        assert self.snapshot(db) == before
+        assert [r.version_id for r in store.history("v3")] == \
+            ["v3", "v2", "v1"]
+
+    def test_cli_cycle_exits_two(self, tmp_path, capsys):
+        path = str(tmp_path / "perf.db")
+        assert cli.main(["lineage", "record", "v1", "--db", path]) == 0
+        assert cli.main(["lineage", "record", "v2", "--parent", "v1",
+                         "--db", path]) == 0
+        assert cli.main(["lineage", "record", "v1", "--parent", "v2",
+                         "--db", path]) == 2
+        assert "cycle" in capsys.readouterr().err
+        assert cli.main(["lineage", "log", "--tip", "v2", "--db", path,
+                         "--json"]) == 0
+
+
+class TestHistoryLimit:
+    def build(self, db, shape):
+        store = LineageStore(db)
+        store.record("v0")
+        store.record("v1", parents=["v0"])
+        store.record("v2", parents=["v1"])
+        if shape == "merge":
+            store.record("side", parents=["v0"])
+            store.record("v3", parents=["v2", "side"])
+        else:
+            store.record("v3", parents=["v2"])
+        assert store.is_linear == (shape == "linear")
+        return store
+
+    @pytest.mark.parametrize("shape", ["linear", "merge"])
+    def test_limit_below_one_rejected(self, db, shape):
+        store = self.build(db, shape)
+        for limit in (0, -1):
+            with pytest.raises(ProfileError, match="at least 1"):
+                store.history("v3", limit=limit)
+        assert [r.version_id for r in store.history("v3", limit=1)] == \
+            ["v3"]
+        assert [r.version_id for r in store.history("v3", limit=2)] == \
+            ["v3", "v2"]
+
+    def test_cli_limit_zero_exits_two(self, tmp_path, capsys):
+        path = str(tmp_path / "perf.db")
+        cli.main(["lineage", "record", "v1", "--db", path])
+        cli.main(["lineage", "record", "v2", "--parent", "v1", "--db", path])
+        capsys.readouterr()
+        assert cli.main(["lineage", "log", "--limit", "0", "--db", path]) \
+            == 2
+        assert "limit must be at least 1" in capsys.readouterr().err
 
 
 @st.composite

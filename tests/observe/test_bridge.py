@@ -99,7 +99,8 @@ class TestDogfoodLoop:
         assert set(mean.events) == set(trial.event_names())
 
     def test_sequential_names_feed_the_sentinel(self, traced):
-        from repro.regress import BaselineRegistry, check
+        from repro.lineage import LineageStore
+        from repro.regress import check
 
         _run_traced_pipeline(traced)
         with PerfDMF() as db:
@@ -109,7 +110,7 @@ class TestDogfoodLoop:
             store_self_profile(traced, db, experiment="run-msa")
             assert db.trials(SELF_APPLICATION, "run-msa") == [
                 "run_0001", "run_0002"]
-            BaselineRegistry(db).set_baseline(
+            LineageStore(db).promote(
                 SELF_APPLICATION, "run-msa", "run_0001", reason="test")
             outcome = check(db, SELF_APPLICATION, "run-msa", diagnose=False)
         # run-to-run jitter may or may not trip the gate; what matters is

@@ -59,15 +59,15 @@ def test_stamping_does_not_mutate_originals(tmp_path, snapshots):
 
 def test_interval_trials_work_with_regression_sentinel(tmp_path, snapshots):
     """An individual interval can be baselined and checked like any trial."""
-    from repro.regress import BaselineRegistry
+    from repro.lineage import LineageStore
 
     derived = interval_experiment("exp", "run1")
     with PerfDMF(tmp_path / "perf.db") as db:
         store_interval_trials(db, "App", "exp", "run1", snapshots)
-        registry = BaselineRegistry(db)
-        registry.set_baseline("App", derived, "interval_0001",
-                              reason="iteration 1 is the steady state")
-        assert registry.baseline_name("App", derived) == "interval_0001"
+        store = LineageStore(db)
+        store.promote("App", derived, "interval_0001",
+                      reason="iteration 1 is the steady state")
+        assert store.baseline_name("App", derived) == "interval_0001"
 
 
 def test_retraced_run_replaces_stale_intervals(tmp_path):

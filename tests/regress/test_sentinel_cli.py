@@ -1,17 +1,12 @@
-"""Sentinel driver (check / watch / pipeline gate) and the CLI verbs."""
+"""Sentinel driver (check / pipeline gate) and the CLI verbs."""
 
 import numpy as np
 import pytest
 
 from repro import cli
+from repro.lineage import LineageStore
 from repro.perfdmf import PerfDMF, ProfileError, TrialBuilder
-from repro.regress import (
-    BaselineRegistry,
-    Verdict,
-    check,
-    perturb_trial,
-    watch,
-)
+from repro.regress import Verdict, check, perturb_trial
 from repro.workflows import regression_gate
 
 
@@ -46,7 +41,7 @@ class TestCheck:
 
     def test_self_check_is_ok_with_exit_zero(self, db):
         db.save_trial("A", "E", make_trial("t1"))
-        BaselineRegistry(db).set_baseline("A", "E", "t1")
+        LineageStore(db).promote("A", "E", "t1")
         outcome = check(db, "A", "E")
         assert outcome.verdict is Verdict.OK
         assert outcome.exit_code == 0
@@ -56,7 +51,7 @@ class TestCheck:
         db.save_trial("A", "E", base)
         db.save_trial("A", "E", perturb_trial(base, events=["hot_loop"],
                                               factor=2.0, name="t2"))
-        BaselineRegistry(db).set_baseline("A", "E", "t1")
+        LineageStore(db).promote("A", "E", "t1")
         outcome = check(db, "A", "E")  # newest trial = t2 by default
         assert outcome.verdict is Verdict.REGRESSED
         assert outcome.exit_code == 1
@@ -67,39 +62,25 @@ class TestCheck:
         base = make_trial("t1")
         db.save_trial("A", "E", base)
         db.save_trial("A", "E", perturb_trial(base, factor=0.5, name="t2"))
-        registry = BaselineRegistry(db)
-        registry.set_baseline("A", "E", "t1")
-        outcome = check(db, "A", "E", auto_promote=True, registry=registry)
+        store = LineageStore(db)
+        store.promote("A", "E", "t1")
+        outcome = check(db, "A", "E", auto_promote=True)
         assert outcome.verdict is Verdict.IMPROVED
         assert outcome.promoted
-        assert registry.baseline_name("A", "E") == "t2"
-        assert "auto-promoted" in registry.history("A", "E")[-1].reason
+        assert store.baseline_name("A", "E") == "t2"
+        tip = store.baseline_chain("A", "E")[-1]
+        assert tip.parents == ("baseline/A/E/1",)
+        assert "auto-promoted" in tip.annotations["reason"]
 
     def test_improvement_not_promoted_by_default(self, db):
         base = make_trial("t1")
         db.save_trial("A", "E", base)
         db.save_trial("A", "E", perturb_trial(base, factor=0.5, name="t2"))
-        registry = BaselineRegistry(db)
-        registry.set_baseline("A", "E", "t1")
-        outcome = check(db, "A", "E", registry=registry)
+        store = LineageStore(db)
+        store.promote("A", "E", "t1")
+        outcome = check(db, "A", "E")
         assert outcome.verdict is Verdict.IMPROVED and not outcome.promoted
-        assert registry.baseline_name("A", "E") == "t1"
-
-
-class TestWatch:
-    def test_adopts_first_trial_and_sweeps(self, db):
-        base = make_trial("t1")
-        db.save_trial("A", "E", base)
-        db.save_trial("A", "E", perturb_trial(base, factor=0.5, name="t2"))
-        db.save_trial("A", "E", perturb_trial(base, events=["hot_loop"],
-                                              factor=3.0, name="t3"))
-        outcomes = watch(db, "A", "E")
-        assert [o.verdict for o in outcomes] == [
-            Verdict.IMPROVED, Verdict.REGRESSED]
-        # t2 was promoted, so t3 is judged against t2 (worse than vs t1)
-        registry = BaselineRegistry(db)
-        assert registry.baseline_name("A", "E") == "t2"
-        assert outcomes[1].report.baseline_trial == "t2"
+        assert store.baseline_name("A", "E") == "t1"
 
 
 class TestPipelineGate:
@@ -108,7 +89,7 @@ class TestPipelineGate:
                                  application="A", experiment="E")
         assert result.verdict == "baseline-created"
         assert result.passed
-        assert BaselineRegistry(db).baseline_name("A", "E") == "t1"
+        assert LineageStore(db).baseline_name("A", "E") == "t1"
 
     def test_gate_fails_on_regression(self, db):
         base = make_trial("t1")
@@ -127,7 +108,7 @@ class TestPipelineGate:
         result = regression_gate(good, repository=db,
                                  application="A", experiment="E")
         assert result.verdict == "improved" and result.promoted
-        assert BaselineRegistry(db).baseline_name("A", "E") == "t2"
+        assert LineageStore(db).baseline_name("A", "E") == "t2"
 
 
 @pytest.fixture
