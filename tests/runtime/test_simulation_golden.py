@@ -15,7 +15,10 @@ was made dense, and the ``omp-regions``, ``genidlest-mpi/untraced``,
 machine before it was batched over loops, and the
 ``traced/genidlest-mpi-events``, ``traced/genidlest-mpi/2`` and
 ``traced/genidlest-mpi/5`` ones with the per-rank MPI loop before the
-ranks ran in lockstep; they must not be edited to make a change pass.
+ranks ran in lockstep, and the ``traced/genidlest-omp-events``,
+``traced/genidlest-omp/opt`` and ``omp-regions-events/*`` ones with the
+per-thread OpenMP constructs before the teams ran in lockstep; they must
+not be edited to make a change pass.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.core.operations.tracing import replay_trace
 from repro.knowledge import recommendations_of
 from repro.machine import WorkSignature, altix_300, uniform_machine
 from repro.runtime import (
+    EventTrace,
     LoopTask,
     OpenMPRuntime,
     Profiler,
@@ -68,12 +72,12 @@ def traced_digest(res, machine):
     return h.hexdigest()
 
 
-def trace_digest(trace):
+def trace_digest(trace, h=None):
     """sha256 over every trace event: kind, cpu, clock, name and attrs,
     with recorded charge vectors hashed by their nonzero counters (so the
     digest does not depend on how many counter slots the process has
     registered)."""
-    h = hashlib.sha256()
+    h = h or hashlib.sha256()
     cols = trace.columns()
     for key in ("kind", "cpu", "ts", "name_id"):
         h.update(cols[key].tobytes())
@@ -113,19 +117,19 @@ def _region_task(k):
     return LoopTask(work, access)
 
 
-def omp_region_run(schedule):
+def omp_region_run(schedule, **profiler_kwargs):
     """A master-only first touch (thread 5), then the same region-access
-    loop twice under ``schedule`` on the 8-node Altix 300."""
+    loop twice under ``schedule`` on the 8-node Altix 300; ``main`` is
+    entered on all 16 CPUs at once, so the team can step in lockstep."""
     machine = altix_300()
     pages = machine.new_page_table()
     for r in range(6):
         pages.allocate(f"r{r}", (r + 2) * 40_000)
-    prof = Profiler(machine)
+    prof = Profiler(machine, **profiler_kwargs)
     omp = OpenMPRuntime(machine, prof, pages)
     cpus = list(range(16))
     tasks = [_region_task(k) for k in range(37)]
-    for cpu in cpus:
-        prof.enter(cpu, "main")
+    prof.enter_set(cpus, "main")
     omp.single(region_event="init", body_event="init_body",
                work_items=tasks[:9], n_threads=16, cpus=cpus,
                master_thread=5)
@@ -133,8 +137,7 @@ def omp_region_run(schedule):
         omp.parallel_for(region_event="region", loop_event="loop",
                          tasks=tasks, n_threads=16,
                          schedule=Schedule.parse(schedule), cpus=cpus)
-    for cpu in cpus:
-        prof.exit(cpu, "main")
+    prof.exit_set(cpus, "main")
     return prof.to_trial("omp")
 
 
@@ -151,6 +154,11 @@ def genidlest_run(optimized):
 
 def traced_msa():
     return trace_application("msa", n_sequences=400, n_threads=16, seed=0)
+
+
+def traced_genidlest_omp(optimized):
+    return trace_application("genidlest", case=RIB90, version="openmp",
+                             optimized=optimized, n_procs=16, iterations=3)
 
 
 def traced_genidlest_mpi(n_procs=16, iterations=8):
@@ -175,6 +183,16 @@ def case_digest(case: str) -> str:
         n_procs = int(case.rsplit("/", 1)[1])
         return traced_digest(traced_genidlest_mpi(n_procs, 3),
                              default_machine(n_procs))
+    if case == "traced/genidlest-omp-events":
+        return trace_digest(traced_genidlest_omp(False).trace)
+    if case == "traced/genidlest-omp/opt":
+        return traced_digest(traced_genidlest_omp(True), default_machine(16))
+    if case.startswith("omp-regions-events/"):
+        trace = EventTrace(record_charges=True)
+        trial = omp_region_run(case.split("/", 1)[1], callpaths=True,
+                               trace=trace)
+        return trace_digest(trace, hashlib.sha256(
+            trial_digest(trial).encode()))
     if case.startswith("omp-regions/"):
         return trial_digest(omp_region_run(case.split("/", 1)[1]))
     if case == "genidlest-mpi/untraced":
@@ -234,6 +252,14 @@ GOLDEN = {
         "70af12249cb8d95119041c2844f5541bc8370d766c4093aaa400acb69b75b56c",
     "traced/msa-charges":
         "10863ad45d61e58a77110b9474cd52a035f0161578469b1ac2b00888eb5372fd",
+    "traced/genidlest-omp-events":
+        "5e6d561344373a9cf4e951b20534fee259e3f065bf35985a1a4b6ddb1d398c79",
+    "traced/genidlest-omp/opt":
+        "36dbe7dc6b73b6191f8ca47e8cc301d3bb6a8cc5d47542aab89a1f57b0d4e944",
+    "omp-regions-events/static,2":
+        "b0b370c75708fce6a9b926ce86f870381ddb01fdcfce2bdef6405871af867c01",
+    "omp-regions-events/static":
+        "c83ae4e291462422043472badf7d3731eedd6f11332f105a787257121d335ea7",
 }
 
 
