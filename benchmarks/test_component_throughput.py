@@ -192,8 +192,8 @@ def test_traced_genidlest_mpi_throughput(benchmark):
         golden.GOLDEN["traced/genidlest-mpi"]
 
 
-def test_traced_mpi_run_throughput(benchmark):
-    """The traced GenIDLEST MPI 16 x 8 run alone (simulation, profile,
+def _traced_run_throughput(benchmark, golden_case, **config):
+    """One traced GenIDLEST 16-thread run alone (simulation, profile,
     snapshots and event trace), its event stream checked against the
     golden digest."""
     from repro.apps.genidlest import RIB90, RunConfig, default_machine, run_genidlest
@@ -201,17 +201,28 @@ def test_traced_mpi_run_throughput(benchmark):
 
     def run():
         trace = EventTrace()
-        run_genidlest(RunConfig(case=RIB90, version="mpi", n_procs=16,
-                                iterations=8),
+        run_genidlest(RunConfig(case=RIB90, n_procs=16, **config),
                       profiler=SnapshotProfiler(default_machine(16),
                                                 trace=trace))
         return trace
 
     trace = benchmark(run)
-    assert golden.trace_digest(trace) == \
-        golden.GOLDEN["traced/genidlest-mpi-events"]
+    assert golden.trace_digest(trace) == golden.GOLDEN[golden_case]
     benchmark.extra_info["events"] = len(trace)
     benchmark.extra_info["events_per_s"] = len(trace) / benchmark.stats.stats.min
+
+
+def test_traced_mpi_run_throughput(benchmark):
+    """The MPI 16 x 8 run: ranks stepping in lockstep."""
+    _traced_run_throughput(benchmark, "traced/genidlest-mpi-events",
+                           version="mpi", iterations=8)
+
+
+def test_traced_omp_run_throughput(benchmark):
+    """The unoptimized OpenMP 16 x 3 run: teams stepping in lockstep
+    through static loops and master-only ``single`` constructs."""
+    _traced_run_throughput(benchmark, "traced/genidlest-omp-events",
+                           version="openmp", iterations=3)
 
 
 def test_batched_counter_rows_throughput(benchmark):

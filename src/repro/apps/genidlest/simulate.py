@@ -296,8 +296,8 @@ def _run_openmp(
     omp = OpenMPRuntime(machine, profiler, page_table)
     owners = [_blocks_of(t, n, mesh.n_blocks) for t in range(n)]
 
-    for cpu in cpus:
-        profiler.enter(cpu, EVENT_MAIN)
+    # entered on all threads at once, so each construct steps the team
+    profiler.enter_set(cpus, EVENT_MAIN)
 
     # --- initialization: where first-touch placement happens -------------
     if config.use_parallel_init:
@@ -364,8 +364,7 @@ def _run_openmp(
 
     for iteration in range(config.iterations):
         for _exchange in range(EXCHANGES_PER_ITERATION):
-            for cpu in cpus:
-                profiler.enter(cpu, EVENT_EXCHANGE)
+            profiler.enter_set(cpus, EVENT_EXCHANGE)
             if config.use_parallel_exchange:
                 omp.parallel_for(
                     region_event=EVENT_SENDRECV,
@@ -384,8 +383,7 @@ def _run_openmp(
                     n_threads=n,
                     cpus=cpus,
                 )
-            for cpu in cpus:
-                profiler.exit(cpu, EVENT_EXCHANGE)
+            profiler.exit_set(cpus, EVENT_EXCHANGE)
 
         # --- kernels, then the solver vector algebra ---------------------
         for event, calls, tasks in loops:
@@ -401,10 +399,10 @@ def _run_openmp(
         # all threads are synchronized at bicgstab's implicit barrier
         profiler.phase(f"iteration_{iteration}")
 
-    end = max(profiler.clock(c) for c in cpus)
-    for cpu in cpus:
-        profiler.advance_clock_to(cpu, end)
-        profiler.exit(cpu, EVENT_MAIN)
+    end = max(profiler.clocks(cpus))
+    with profiler.lockstep(cpus):
+        profiler.advance_set(cpus, [end] * n)
+        profiler.exit_set(cpus, EVENT_MAIN)
 
 
 # ---------------------------------------------------------------------------

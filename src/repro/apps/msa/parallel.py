@@ -134,8 +134,7 @@ def run_msa_trial(
     omp = OpenMPRuntime(machine, profiler)
     cpus = list(range(n_threads))
 
-    for cpu in cpus:
-        profiler.enter(cpu, EVENT_MAIN)
+    profiler.enter_set(cpus, EVENT_MAIN)
     loop = omp.parallel_for(
         region_event=EVENT_OUTER,
         loop_event=EVENT_INNER,
@@ -154,10 +153,10 @@ def run_msa_trial(
     profiler.enter(0, EVENT_PROGRESSIVE)
     profiler.charge(0, machine.processor.execute(merge_sig))
     profiler.exit(0, EVENT_PROGRESSIVE)
-    end = max(profiler.clock(c) for c in cpus)
-    for cpu in cpus:
-        profiler.advance_clock_to(cpu, end)
-        profiler.exit(cpu, EVENT_MAIN)
+    end = max(profiler.clocks(cpus))
+    with profiler.lockstep(cpus):
+        profiler.advance_set(cpus, [end] * n_threads)
+        profiler.exit_set(cpus, EVENT_MAIN)
     profiler.phase("progressive_alignment")
 
     trial = profiler.to_trial(

@@ -5,15 +5,29 @@ twice: once through the profiler's ``*_set`` methods (one lockstep step
 each, or several ops in one step), once as a loop of the scalar calls.
 Accumulators, clocks, interval snapshots and every trace column and
 payload must be bitwise equal.  The MPI neighbour exchange is checked the
-same way against ``isend``/``irecv``/``waitall`` per rank.
+same way against ``isend``/``irecv``/``waitall`` per rank, and OpenMP
+teams' static loops and ``single`` constructs against the per-thread
+calls they replace.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.machine import altix_300, uniform_machine
-from repro.runtime import EventTrace, MPIRuntime, SnapshotProfiler
+from repro.machine import WorkSignature, altix_300, uniform_machine
+from repro.runtime import (
+    EventTrace,
+    LoopTask,
+    MPIRuntime,
+    OpenMPRuntime,
+    ParallelForResult,
+    RegionAccess,
+    Schedule,
+    SnapshotProfiler,
+    task_rows,
+)
+from repro.runtime import trace as T
+from repro.runtime.openmp import _chunk_plan
 
 N_CPUS = 6
 NAMES = ("a", "b", "c")
@@ -213,3 +227,180 @@ def test_rank_set_exchange_equals_per_rank_calls(n, data):
     skews = data.draw(st.lists(st.floats(0.0, 1e-3), min_size=n, max_size=n))
     assert_same_runs(exchange(n, faces, skews, lockstep=True),
                      exchange(n, faces, skews, lockstep=False))
+
+
+def _team_task(k):
+    """Task ``k``: footprints from L1 to beyond TLB reach, overlapping page
+    ranges of four regions, every fourth task without a region access."""
+    work = WorkSignature(flops=1e4 * (k % 7 + 1), loads=3e3 * (k % 5 + 1),
+                         stores=500.0 * (k % 3),
+                         footprint_bytes=[8e3, 3e5, 2e6, 4e7][k % 4])
+    if k % 4 == 3:
+        return LoopTask(work)
+    return LoopTask(work, RegionAccess(
+        f"r{k % 4}", start_byte=(k * 9000) % 40000, length=20000 + k * 700,
+        latency_multiplier=1.0 + (k % 2) * 0.5))
+
+
+TEAM_TASKS = [_team_task(k) for k in range(12)]
+
+
+def reference_parallel_for(omp, seq, *, region_event, loop_event, tasks,
+                           n_threads, schedule, cpus):
+    """A static ``parallel_for`` as a loop of per-thread profiler calls."""
+    prof, trace = omp.profiler, omp.profiler.trace
+    schedule = Schedule.parse(schedule)
+    for t, cpu in enumerate(cpus):
+        if trace is not None:
+            trace.emit(T.FORK, cpu, prof.clock(cpu), region_event,
+                       {"thread": t, "n_threads": n_threads,
+                        "schedule": str(schedule), "seq": seq})
+        prof.enter(cpu, region_event, group="OPENMP")
+        prof.charge_idle(cpu, omp.fork_join_overhead_us / 2e6)
+    chunks = _chunk_plan(len(tasks), n_threads, schedule)
+    plan = sorted(range(len(chunks)), key=lambda ci: ci % n_threads)
+    rows = task_rows(
+        omp.machine, [tasks[i] for ci in plan for i in range(*chunks[ci])],
+        [cpus[ci % n_threads] for ci in plan for _ in range(*chunks[ci])],
+        omp.page_table)
+    compute, n_chunks, offset = [0.0] * n_threads, [0] * n_threads, 0
+    for ci in plan:
+        t, size = ci % n_threads, chunks[ci][1] - chunks[ci][0]
+        t0 = prof.clock(cpus[t])
+        prof.enter(cpus[t], loop_event, group="OPENMP_LOOP")
+        prof.charge_rows(cpus[t], rows[offset:offset + size])
+        prof.exit(cpus[t], loop_event)
+        compute[t] += prof.clock(cpus[t]) - t0
+        offset += size
+        n_chunks[t] += 1
+    release = max(prof.clock(c) for c in cpus)
+    if trace is not None:
+        for t, cpu in enumerate(cpus):
+            trace.emit(T.BARRIER, cpu, prof.clock(cpu), region_event,
+                       {"thread": t, "arrive": prof.clock(cpu),
+                        "release": release, "seq": seq})
+    barrier = [prof.advance_clock_to(cpu, release) for cpu in cpus]
+    for t, cpu in enumerate(cpus):
+        prof.charge_idle(cpu, omp.fork_join_overhead_us / 2e6)
+        prof.exit(cpu, region_event)
+        if trace is not None:
+            trace.emit(T.JOIN, cpu, prof.clock(cpu), region_event,
+                       {"thread": t, "seq": seq})
+    return ParallelForResult(region_event, loop_event, schedule, n_threads,
+                             compute, barrier, n_chunks)
+
+
+def reference_single(omp, seq, *, region_event, body_event, work_items,
+                     n_threads, cpus, master_thread):
+    """``single`` as a loop of per-thread profiler calls."""
+    prof, trace = omp.profiler, omp.profiler.trace
+    for t, cpu in enumerate(cpus):
+        if trace is not None:
+            trace.emit(T.FORK, cpu, prof.clock(cpu), region_event,
+                       {"thread": t, "n_threads": n_threads, "seq": seq})
+        prof.enter(cpu, region_event, group="OPENMP")
+    master = cpus[master_thread]
+    t0 = prof.clock(master)
+    prof.enter(master, body_event, group="OPENMP")
+    prof.charge_rows(master, task_rows(omp.machine, work_items,
+                                       [master] * len(work_items),
+                                       omp.page_table))
+    prof.exit(master, body_event)
+    elapsed = prof.clock(master) - t0
+    release = max(prof.clock(c) for c in cpus)
+    if trace is not None:
+        for t, cpu in enumerate(cpus):
+            trace.emit(T.BARRIER, cpu, prof.clock(cpu), region_event,
+                       {"thread": t, "arrive": prof.clock(cpu),
+                        "release": release, "seq": seq})
+    for t, cpu in enumerate(cpus):
+        prof.advance_clock_to(cpu, release)
+        prof.exit(cpu, region_event)
+        if trace is not None:
+            trace.emit(T.JOIN, cpu, prof.clock(cpu), region_event,
+                       {"thread": t, "seq": seq})
+    return elapsed
+
+
+@st.composite
+def team_constructs(draw):
+    """A team (distinct CPUs in any order) and a list of constructs over
+    prefixes of one task list, so repeated constructs can reuse rows."""
+    cpus = draw(st.lists(st.integers(0, 15), min_size=1, max_size=6,
+                         unique=True))
+    constructs = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["for", "single", "cut"]))
+        if kind == "for":
+            chunk = draw(st.none() | st.integers(1, 4))
+            constructs.append(("for", draw(st.integers(1, 12)),
+                               "static" if chunk is None else f"static,{chunk}"))
+        elif kind == "single":
+            constructs.append(("single", draw(st.integers(1, 12)),
+                               draw(st.integers(0, len(cpus) - 1))))
+        else:
+            constructs.append(("cut",))
+    return cpus, constructs
+
+
+def result_bytes(result):
+    """A construct's result with its floats as bytes."""
+    if not isinstance(result, ParallelForResult):
+        return np.float64(result).tobytes()
+    return [result.region_event, result.loop_event, repr(result.schedule),
+            result.n_threads, result.chunks,
+            np.array(result.compute_seconds).tobytes(),
+            np.array(result.barrier_seconds).tobytes()]
+
+
+def run_team(cpus, constructs, *, reference, parent_set, callpaths, trace):
+    machine = altix_300()
+    pages = machine.new_page_table()
+    for r in range(4):
+        pages.allocate(f"r{r}", 60_000 + 20_000 * r)
+    prof = SnapshotProfiler(machine, callpaths=callpaths, trace=trace)
+    omp = OpenMPRuntime(machine, prof, pages)
+    if parent_set:
+        prof.enter_set(cpus, "main")
+    else:
+        for cpu in cpus:
+            prof.enter(cpu, "main")
+    results = []
+    for construct in constructs:
+        if construct[0] == "cut":
+            prof.phase("cut")
+            continue
+        kind, n_tasks, arg = construct
+        tasks = TEAM_TASKS[:n_tasks]
+        if kind == "for":
+            call = reference_parallel_for if reference else omp.parallel_for
+            kwargs = dict(region_event="region", loop_event="loop",
+                          tasks=tasks, schedule=arg)
+        else:
+            call = reference_single if reference else omp.single
+            kwargs = dict(region_event="region", body_event="body",
+                          work_items=tasks, master_thread=arg)
+        args = (omp, next(omp._construct_seq)) if reference else ()
+        results.append(result_bytes(
+            call(*args, n_threads=len(cpus), cpus=cpus, **kwargs)))
+    clocks = {cpu: prof.clock(cpu) for cpu in cpus}
+    prof.exit_set(cpus, "main")
+    return (prof, clocks), results
+
+
+@settings(max_examples=80, deadline=None)
+@given(team=team_constructs(), parent_set=st.booleans(),
+       callpaths=st.booleans(), tracing=st.sampled_from([None, False, True]))
+def test_team_constructs_equal_the_per_thread_calls(team, parent_set,
+                                                    callpaths, tracing):
+    cpus, constructs = team
+
+    def run(reference):
+        trace = None if tracing is None else EventTrace(record_charges=tracing)
+        return run_team(cpus, constructs, reference=reference,
+                        parent_set=parent_set, callpaths=callpaths,
+                        trace=trace)
+
+    (got, results), (want, expected) = run(False), run(True)
+    assert results == expected
+    assert_same_runs(got, want)
