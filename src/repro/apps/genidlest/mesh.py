@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from ...core.result import AnalysisError
+
 #: Bytes per scalar field value (double precision).
 REAL_BYTES = 8
 
@@ -77,6 +79,18 @@ class CaseConfig:
 
 RIB45 = CaseConfig("45rib", (128, 80, 64), 8)
 RIB90 = CaseConfig("90rib", (128, 128, 128), 32)
+#: The paper's cases by name.
+CASES = {case.name: case for case in (RIB45, RIB90)}
+
+
+def case_config(name: str) -> CaseConfig:
+    """The case called ``name``; an unknown name is an ``AnalysisError``."""
+    try:
+        return CASES[name]
+    except KeyError:
+        raise AnalysisError(
+            f"unknown GenIDLEST case {name!r}; expected one of {list(CASES)}"
+        ) from None
 
 
 class MultiBlockMesh:

@@ -73,6 +73,26 @@ def TrialTotalResult(trial: Trial) -> PerformanceResult:
     return trial_total_result(trial)
 
 
+def trial_ratios(db, app: str, exp: str, trial_a: str, trial_b: str,
+                 metric: str = "TIME") -> list[tuple[float, str]]:
+    """The §III.B comparison of two stored trials: per-event inclusive
+    ``metric`` ratio of their means, as ``(ratio, event)`` rows, largest
+    first (the ``compare`` verb and the ``compare`` job)."""
+    mean_a = BasicStatisticsOperation(
+        TrialResult(db.load_trial(app, exp, trial_a))).mean()
+    mean_b = BasicStatisticsOperation(
+        TrialResult(db.load_trial(app, exp, trial_b))).mean()
+    ratio = TrialRatioOperation(mean_a, mean_b).process_data()[0]
+    if not ratio.has_metric(metric):
+        raise AnalysisError(
+            f"no shared metric {metric!r}; have {ratio.metrics}")
+    return sorted(
+        ((float(ratio.event_row(e, metric, inclusive=True)[0]), e)
+         for e in ratio.events),
+        reverse=True,
+    )
+
+
 __all__ = [
     "AnalysisError",
     "BasicStatisticsOperation",
@@ -106,4 +126,5 @@ __all__ = [
     "register_rulebase",
     "registered_rulebases",
     "trial_metadata_facts",
+    "trial_ratios",
 ]

@@ -34,11 +34,13 @@ from .regression_rules import (
     regression_rules,
 )
 from .rulebase import (
+    DIAGNOSE_SCRIPTS,
     RULEBASE_NAME,
     diagnose_genidlest,
     diagnose_load_balance,
     diagnose_locality,
     diagnose_stalls,
+    diagnose_stored,
     diagnose_timeline,
     openuh_rules,
     prl_rules,
@@ -65,6 +67,7 @@ __all__ = [
     "CREEP_STEP_THRESHOLD",
     "CREEP_TOTAL_THRESHOLD",
     "DEGRADATION_SEVERITY_THRESHOLD",
+    "DIAGNOSE_SCRIPTS",
     "IMBALANCE_RATIO_THRESHOLD",
     "RERUN_HEAVY_RATE",
     "experiment_rules",
@@ -81,6 +84,7 @@ __all__ = [
     "diagnose_load_balance",
     "diagnose_locality",
     "diagnose_stalls",
+    "diagnose_stored",
     "diagnose_timeline",
     "imbalance_facts",
     "inefficiency_facts",

@@ -35,6 +35,11 @@ class Recommendation:
             details=fields,
         )
 
+    def to_dict(self) -> dict:
+        """The wire shape: what service jobs and the sentinel return."""
+        return {"category": self.category, "event": self.event,
+                "severity": self.severity, "message": self.message}
+
 
 def recommendations_of(harness: RuleHarness) -> list[Recommendation]:
     """Structured recommendations, most severe first."""

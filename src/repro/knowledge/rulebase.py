@@ -21,7 +21,7 @@ from importlib import resources
 
 from ..core.facts import trial_metadata_facts
 from ..core.harness import RuleHarness, register_rulebase
-from ..core.result import PerformanceResult
+from ..core.result import AnalysisError, PerformanceResult
 from ..perfdmf import Trial
 from ..power.energy import LevelMeasurement
 from ..rules import Rule, parse_rules
@@ -178,6 +178,26 @@ def diagnose_genidlest(
     h.assertObjects(trial_metadata_facts(result))
     h.processRules()
     return h
+
+
+#: Scripts a stored trial can be diagnosed with, by name.
+DIAGNOSE_SCRIPTS = ("load-balance", "genidlest")
+
+
+def diagnose_stored(db, app: str, exp: str, trial: str, *,
+                    script: str = "genidlest",
+                    rules: str | None = None) -> RuleHarness:
+    """Load one stored trial and run the named script over it, with the
+    extra ``.prl`` file ``rules`` when given (the ``diagnose`` and
+    ``explain`` verbs and the ``diagnose`` job)."""
+    if script not in DIAGNOSE_SCRIPTS:
+        raise AnalysisError(f"unknown diagnosis script {script!r}; "
+                            f"expected one of {list(DIAGNOSE_SCRIPTS)}")
+    loaded = db.load_trial(app, exp, trial)
+    # Looked up when called, so wrappers installed on this module see it.
+    diagnose = (diagnose_load_balance if script == "load-balance"
+                else diagnose_genidlest)
+    return diagnose(loaded, harness=RuleHarness(rules) if rules else None)
 
 
 def diagnose_timeline(

@@ -61,15 +61,7 @@ class CheckOutcome:
             "promoted": self.promoted,
             "baseline_created": self.baseline_created,
             "report": self.report.to_dict(),
-            "recommendations": [
-                {
-                    "category": r.category,
-                    "event": r.event,
-                    "severity": r.severity,
-                    "message": r.message,
-                }
-                for r in self.recommendations
-            ],
+            "recommendations": [r.to_dict() for r in self.recommendations],
         }
 
 

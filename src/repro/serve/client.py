@@ -1,17 +1,21 @@
 """Thin clients for the analysis service.
 
-Two transports, one surface:
+Two transports, one surface.  Every method is written once, in
+:class:`_Surface`, over ``request(op, **fields)``; the transports differ
+only in how a request reaches :func:`repro.serve.protocol.dispatch`:
 
-* :class:`Client` — in-process, wrapping an :class:`AnalysisService`
-  directly.  For embedding the service in a test harness, a notebook, or
-  a long-lived tool.
-* :class:`SocketClient` — the same methods over the JSON-lines protocol
-  of :mod:`repro.serve.protocol`, for talking to ``repro-perf serve
+* :class:`Client` — in-process: calls ``dispatch`` on a wrapped
+  :class:`AnalysisService` directly, with no JSON encoding.  For
+  embedding the service in a test harness, a notebook, or a long-lived
+  tool.
+* :class:`SocketClient` — over the JSON-lines protocol of
+  :mod:`repro.serve.protocol`, for talking to ``repro-perf serve
   start`` in another process.
 
-Both return plain JSON-able dicts (the wire shapes), so code written
-against one works against the other; ``submit`` returns the job record
-(including its ``id``), and ``run`` is submit-and-wait.
+Both return the wire shapes, so code written against one works against
+the other; ``submit`` returns the job record (including its ``id``), and
+``run`` is submit-and-wait.  An error from the service raises what the
+service raised in-process, and :class:`AnalysisError` over a socket.
 
 Unless the caller supplies its own ``trace`` option, every submission
 mints a fresh :class:`~repro.observe.context.TraceContext`, so each job
@@ -25,7 +29,7 @@ from typing import Any
 
 from ..core.result import AnalysisError
 from ..observe.context import TraceContext
-from .protocol import connect_endpoint
+from .protocol import connect_endpoint, dispatch
 from .service import AnalysisService
 
 __all__ = ["Client", "SocketClient"]
@@ -39,129 +43,11 @@ def _with_trace(options: dict[str, Any]) -> dict[str, Any]:
     return options
 
 
-class Client:
-    """In-process client over a started :class:`AnalysisService`."""
+class _Surface:
+    """The client methods, written once over :meth:`request`."""
 
-    def __init__(self, service: AnalysisService) -> None:
-        self.service = service
-
-    def ping(self) -> dict[str, Any]:
-        return {"pong": True, "endpoint": "in-process"}
-
-    def submit(self, kind: str, params: dict[str, Any] | None = None,
-               **options) -> dict[str, Any]:
-        return self.service.submit(kind, params,
-                                   **_with_trace(options)).to_dict()
-
-    def submit_many(self, jobs: list[dict[str, Any]],
-                    **common_options) -> list[dict[str, Any]]:
-        """Admit a batch; one entry per request, in order.
-
-        Each entry is ``{"kind": ..., "params": ..., **options}``
-        (entry options override ``common_options``).  A rejected entry
-        becomes ``{"error": "..."}`` instead of a job record — one bad
-        request does not void the rest of the batch.
-        """
-        out: list[dict[str, Any]] = []
-        for req in jobs:
-            req = dict(req)
-            kind = req.pop("kind")
-            params = req.pop("params", None)
-            try:
-                out.append(self.service.submit(
-                    kind, params,
-                    **_with_trace({**common_options, **req})).to_dict())
-            except Exception as exc:  # noqa: BLE001 - per-entry boundary
-                out.append({"error": f"{type(exc).__name__}: {exc}"})
-        return out
-
-    def status(self, job_id: int | None = None) -> dict[str, Any]:
-        if job_id is not None:
-            return self.service.job(job_id).to_dict()
-        return {"jobs": [j.to_dict() for j in self.service.jobs()]}
-
-    def wait(self, job_id: int,
-             timeout: float | None = None) -> dict[str, Any]:
-        return self.service.wait(job_id, timeout=timeout).to_dict()
-
-    def run(self, kind: str, params: dict[str, Any] | None = None,
-            *, wait_timeout: float | None = 60.0,
-            **options) -> dict[str, Any]:
-        """Submit and block for the result record."""
-        job = self.service.submit(kind, params, **_with_trace(options))
-        job.wait(wait_timeout)
-        return job.to_dict()
-
-    def stats(self) -> dict[str, Any]:
-        return self.service.stats()
-
-    def metrics(self) -> str:
-        """Prometheus text exposition of the service's metrics."""
-        return self.service.metrics_text()
-
-    def health(self) -> dict[str, Any]:
-        return self.service.health()
-
-    def explain_job(self, job_id: int) -> dict[str, Any]:
-        """Where did the job's wall time go?  (See
-        :meth:`AnalysisService.explain_job`.)"""
-        return self.service.explain_job(job_id)
-
-    def lineage_scan(self, start: str | None = None,
-                     end: str | None = None, *,
-                     application: str | None = None,
-                     experiment: str | None = None,
-                     diagnose: bool = True,
-                     wait_timeout: float | None = 60.0) -> dict[str, Any]:
-        """Run a ``lineage-scan`` job and return its payload."""
-        record = self.run("lineage-scan", {
-            "start": start, "end": end, "application": application,
-            "experiment": experiment, "diagnose": diagnose,
-        }, wait_timeout=wait_timeout)
-        if record["status"] != "done":
-            raise AnalysisError(
-                f"lineage-scan {record['status']}: {record.get('error')}"
-            )
-        return record["result"]
-
-    def close(self) -> None:
-        """The service is not ours to stop; nothing to release."""
-
-
-class SocketClient:
-    """JSON-lines client for a served endpoint (``unix:...``/``tcp:...``).
-
-    One socket, sequential request/response; open more clients for
-    concurrent submission streams.
-    """
-
-    def __init__(self, endpoint: str, *,
-                 timeout: float | None = 30.0) -> None:
-        self.endpoint = endpoint
-        self._sock = connect_endpoint(endpoint, timeout=timeout)
-        self._rfile = self._sock.makefile("rb")
-
-    # -- wire --------------------------------------------------------------
     def request(self, op: str, **fields) -> dict[str, Any]:
-        """Send one op; raise :class:`AnalysisError` on a protocol error."""
-        payload = {"op": op, **fields}
-        self._sock.sendall(json.dumps(payload).encode() + b"\n")
-        line = self._rfile.readline()
-        if not line:
-            raise AnalysisError(
-                f"connection to {self.endpoint} closed mid-request"
-            )
-        response = json.loads(line)
-        if not response.get("ok"):
-            raise AnalysisError(
-                response.get("error", "unknown service error")
-            )
-        response.pop("ok", None)
-        return response
-
-    # -- surface (mirrors Client) ------------------------------------------
-    def ping(self) -> dict[str, Any]:
-        return self.request("ping")
+        raise NotImplementedError
 
     def submit(self, kind: str, params: dict[str, Any] | None = None,
                **options) -> dict[str, Any]:
@@ -170,14 +56,15 @@ class SocketClient:
 
     def submit_many(self, jobs: list[dict[str, Any]],
                     **common_options) -> list[dict[str, Any]]:
-        """Admit a batch in **one round trip** — N individual ``submit``
-        calls pay N socket round trips; the orchestrator's fan-out (and
-        any script submitting a sweep) pays one.  Entry shape and
-        per-entry error semantics match :meth:`Client.submit_many`.
+        """Admit a batch; one entry per request, in order, in **one
+        round trip** over a socket.
 
-        Each entry gets its **own** minted trace context (one trace per
-        job, not one per batch) unless the entry or ``common_options``
-        carries a ``trace`` already."""
+        Each entry is ``{"kind": ..., "params": ..., **options}``
+        (entry options override ``common_options``).  A rejected entry
+        becomes ``{"error": "..."}`` instead of a job record — one bad
+        request does not void the rest of the batch.  Each entry gets
+        its **own** minted trace context (one trace per job, not one per
+        batch) unless the entry or ``common_options`` carries one."""
         if "trace" not in common_options:
             jobs = [entry if "trace" in entry
                     else {**entry, "trace": TraceContext.mint().to_wire()}
@@ -197,6 +84,7 @@ class SocketClient:
     def run(self, kind: str, params: dict[str, Any] | None = None,
             *, wait_timeout: float | None = 60.0,
             **options) -> dict[str, Any]:
+        """Submit and block for the result record."""
         job = self.submit(kind, params, **options)
         if job["status"] in ("done", "failed", "timeout", "cancelled"):
             return job  # cache hit or immediate failure
@@ -206,12 +94,15 @@ class SocketClient:
         return self.request("stats")["stats"]
 
     def metrics(self) -> str:
+        """Prometheus text exposition of the service's metrics."""
         return self.request("metrics")["text"]
 
     def health(self) -> dict[str, Any]:
         return self.request("health")["health"]
 
     def explain_job(self, job_id: int) -> dict[str, Any]:
+        """Where did the job's wall time go?  (See
+        :meth:`AnalysisService.explain_job`.)"""
         return self.request("explain_job", id=job_id)["explain"]
 
     def lineage_scan(self, start: str | None = None,
@@ -232,7 +123,65 @@ class SocketClient:
         return record["result"]
 
     def diagnose(self) -> dict[str, Any]:
+        """The service-rules diagnosis of the service's own health."""
         return self.request("diagnose")
+
+    def close(self) -> None:
+        """Release the transport."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class Client(_Surface):
+    """In-process client over a started :class:`AnalysisService` (not
+    ours to stop: ``close`` releases nothing)."""
+
+    def __init__(self, service: AnalysisService) -> None:
+        self.service = service
+
+    def request(self, op: str, **fields) -> dict[str, Any]:
+        return dispatch(self.service, op, fields)
+
+    def ping(self) -> dict[str, Any]:
+        return {"pong": True, "endpoint": "in-process"}
+
+
+class SocketClient(_Surface):
+    """JSON-lines client for a served endpoint (``unix:...``/``tcp:...``).
+
+    One socket, sequential request/response; open more clients for
+    concurrent submission streams.
+    """
+
+    def __init__(self, endpoint: str, *,
+                 timeout: float | None = 30.0) -> None:
+        self.endpoint = endpoint
+        self._sock = connect_endpoint(endpoint, timeout=timeout)
+        self._rfile = self._sock.makefile("rb")
+
+    def request(self, op: str, **fields) -> dict[str, Any]:
+        """Send one op; raise :class:`AnalysisError` on a protocol error."""
+        payload = {"op": op, **fields}
+        self._sock.sendall(json.dumps(payload).encode() + b"\n")
+        line = self._rfile.readline()
+        if not line:
+            raise AnalysisError(
+                f"connection to {self.endpoint} closed mid-request"
+            )
+        response = json.loads(line)
+        if not response.get("ok"):
+            raise AnalysisError(
+                response.get("error", "unknown service error")
+            )
+        response.pop("ok", None)
+        return response
+
+    def ping(self) -> dict[str, Any]:
+        return self.request("ping")
 
     def shutdown(self) -> dict[str, Any]:
         return self.request("shutdown")
@@ -242,9 +191,3 @@ class SocketClient:
             self._rfile.close()
         finally:
             self._sock.close()
-
-    def __enter__(self) -> "SocketClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -110,15 +110,7 @@ def resolve_kind(name: str) -> JobKind:
 def _recommendations_payload(harness) -> list[dict[str, Any]]:
     from ..knowledge import recommendations_of
 
-    return [
-        {
-            "category": rec.category,
-            "event": rec.event,
-            "severity": rec.severity,
-            "message": rec.message,
-        }
-        for rec in recommendations_of(harness)
-    ]
+    return [rec.to_dict() for rec in recommendations_of(harness)]
 
 
 @job_kind("diagnose", cacheable=True,
@@ -133,15 +125,9 @@ def diagnose_job(
 ) -> dict[str, Any]:
     """Knowledge-based diagnosis of one stored trial (the CLI's
     ``diagnose`` verb as a service job)."""
-    from ..knowledge import render_report
-    from ..knowledge.rulebase import diagnose_genidlest, diagnose_load_balance
+    from ..knowledge import diagnose_stored, render_report
 
-    loaded = ctx.db.load_trial(app, exp, trial)
-    diagnose = (
-        diagnose_load_balance if script == "load-balance"
-        else diagnose_genidlest
-    )
-    harness = diagnose(loaded)
+    harness = diagnose_stored(ctx.db, app, exp, trial, script=script)
     return {
         "trial": trial,
         "script": script,
@@ -165,28 +151,9 @@ def compare_job(
     metric: str = "TIME",
 ) -> dict[str, Any]:
     """§III.B comparison: per-event inclusive ratio of two stored trials."""
-    from ..core.script import (
-        BasicStatisticsOperation,
-        TrialRatioOperation,
-        TrialResult,
-    )
+    from ..core.script import trial_ratios
 
-    a = ctx.db.load_trial(app, exp, trial_a)
-    b = ctx.db.load_trial(app, exp, trial_b)
-    mean_a = BasicStatisticsOperation(TrialResult(a)).mean()
-    mean_b = BasicStatisticsOperation(TrialResult(b)).mean()
-    ratio = TrialRatioOperation(mean_a, mean_b).process_data()[0]
-    if not ratio.has_metric(metric):
-        raise AnalysisError(
-            f"no shared metric {metric!r}; have {ratio.metrics}"
-        )
-    rows = sorted(
-        (
-            (float(ratio.event_row(e, metric, inclusive=True)[0]), e)
-            for e in ratio.events
-        ),
-        reverse=True,
-    )
+    rows = trial_ratios(ctx.db, app, exp, trial_a, trial_b, metric)
     return {
         "trial_a": trial_a,
         "trial_b": trial_b,
@@ -373,11 +340,10 @@ def run_trial_job(
             if noise > 0.0 else base.copy(name)
         )
     elif app == "genidlest":
-        from ..apps.genidlest import RIB45, RIB90, RunConfig, run_genidlest
+        from ..apps.genidlest import RunConfig, case_config, run_genidlest
 
         config = RunConfig(
-            case=RIB45 if str(factors.get("case", "90rib")) == "45rib"
-            else RIB90,
+            case=case_config(str(factors.get("case", "90rib"))),
             version=str(factors.get("version", "openmp")),
             optimized=bool(factors.get("optimized", False)),
             n_procs=int(factors.get("procs", 4)),
