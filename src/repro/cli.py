@@ -1016,8 +1016,6 @@ def _verb(sub, name: str, func, help: str,
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.apps.genidlest import CASES
-
     # Option groups several verbs share; per-verb defaults go to _options.
     trial = [("--app", {}), ("--exp", {}), ("--trial", {})]
     policy = [
@@ -1047,7 +1045,9 @@ def build_parser() -> argparse.ArgumentParser:
            ("--threads", dict(type=int, default=16)),
            ("--schedule", dict(default="static")),
            ("--seed", dict(type=int, default=0))]
-    genidlest = [("--case", dict(choices=list(CASES), default="90rib")),
+    # apps.genidlest.CASES, spelled out: importing the simulator here
+    # would slow the start of every verb.
+    genidlest = [("--case", dict(choices=["45rib", "90rib"], default="90rib")),
                  ("--version", dict(choices=["openmp", "mpi"],
                                     default="openmp")),
                  ("--procs", dict(type=int, default=16)),

@@ -93,13 +93,6 @@ class PerformanceAnalysisOperation(ABC):
                 f"{metric!r}; available: {result.metrics}"
             )
 
-    def _require_same_shape(self, a: PerformanceResult, b: PerformanceResult) -> None:
-        if a.events != b.events or a.thread_count != b.thread_count:
-            raise AnalysisError(
-                f"{type(self).__name__}: results {a.name!r} and {b.name!r} "
-                "have different event sets or thread counts"
-            )
-
 
 class _ResultList(list):
     """List with Java-style ``.get(i)`` so Fig. 1's

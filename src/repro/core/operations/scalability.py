@@ -37,9 +37,6 @@ class ScalingSeries:
     speedup: list[float]
     efficiency: list[float]
 
-    def as_rows(self) -> list[tuple[int, float, float, float]]:
-        return list(zip(self.threads, self.times, self.speedup, self.efficiency))
-
 
 class ScalabilityOperation(PerformanceAnalysisOperation):
     """Compute scaling series from trials ordered by parallelism.

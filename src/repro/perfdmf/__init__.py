@@ -19,9 +19,7 @@ from .loaders.tau import read_tau_profile, write_tau_profile
 from .model import (
     CALLPATH_SEPARATOR,
     MAIN_EVENT,
-    Application,
     Event,
-    Experiment,
     Metric,
     ProfileError,
     ThreadId,
@@ -40,10 +38,8 @@ from .snapshots import (
 )
 
 __all__ = [
-    "Application",
     "CALLPATH_SEPARATOR",
     "Event",
-    "Experiment",
     "MAIN_EVENT",
     "Metric",
     "PerfDMF",

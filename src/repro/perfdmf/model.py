@@ -23,7 +23,7 @@ deviations, correlations across threads) vectorized one-liners.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -534,36 +534,3 @@ class TrialBuilder:
         if validate:
             self._trial.validate()
         return self._trial
-
-
-@dataclass
-class Experiment:
-    """A parametric family of trials (e.g. a scaling study)."""
-
-    name: str
-    trials: dict[str, Trial] = field(default_factory=dict)
-    metadata: dict[str, Any] = field(default_factory=dict)
-
-    def add_trial(self, trial: Trial) -> None:
-        if trial.name in self.trials:
-            raise ProfileError(
-                f"experiment {self.name!r} already has trial {trial.name!r}"
-            )
-        self.trials[trial.name] = trial
-
-    def trial_names(self) -> list[str]:
-        return list(self.trials)
-
-
-@dataclass
-class Application:
-    """Top of the PerfDMF hierarchy."""
-
-    name: str
-    experiments: dict[str, Experiment] = field(default_factory=dict)
-    metadata: dict[str, Any] = field(default_factory=dict)
-
-    def get_or_create(self, experiment_name: str) -> Experiment:
-        if experiment_name not in self.experiments:
-            self.experiments[experiment_name] = Experiment(experiment_name)
-        return self.experiments[experiment_name]

@@ -37,7 +37,7 @@ __all__ = ["Client", "SocketClient"]
 
 def _with_trace(options: dict[str, Any]) -> dict[str, Any]:
     """Mint a trace context unless the caller brought one.  (Tracing is
-    disabled service-side via ``ServeConfig(tracing=False)``, not here.)"""
+    disabled service-side, with ``AnalysisService(tracing=False)``.)"""
     if "trace" not in options:
         options = {**options, "trace": TraceContext.mint().to_wire()}
     return options

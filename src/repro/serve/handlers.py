@@ -19,7 +19,7 @@ job immediately.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..core.result import AnalysisError
@@ -235,50 +235,6 @@ def trace_app_job(
     }
 
 
-def _pipeline_flags(params: dict[str, Any]) -> tuple[bool, bool]:
-    # Only the pure-analysis stage is cacheable; anything else (e.g. the
-    # regression gate, which stores trials and moves baselines) writes.
-    analysis_only = params.get("stage") == "automated_analysis"
-    return (analysis_only, not analysis_only)
-
-
-@job_kind("pipeline", cacheable=True, flags=_pipeline_flags,
-          trial_refs=(("app", "exp", "trial"),))
-def pipeline_job(
-    ctx: JobContext,
-    *,
-    stage: str,
-    app: str,
-    exp: str,
-    trial: str,
-    **stage_kwargs,
-) -> dict[str, Any]:
-    """Run a named :mod:`repro.workflows` pipeline stage over a stored
-    trial (``automated_analysis``, ``regression_gate``, or anything
-    registered via ``register_pipeline_stage``)."""
-    from ..workflows import pipeline_stage
-
-    fn = pipeline_stage(stage)
-    loaded = ctx.db.load_trial(app, exp, trial)
-    # Stages re-store the trial when handed a repository; the service
-    # already has it, so the pure-analysis stage runs detached.
-    repo = None if stage == "automated_analysis" else ctx.db
-    result = fn(loaded, repository=repo, application=app, experiment=exp,
-                **stage_kwargs)
-    payload: dict[str, Any] = {"stage": stage, "trial": trial}
-    harness = getattr(result, "harness", None)
-    if harness is not None:
-        payload["recommendations"] = _recommendations_payload(harness)
-    report = getattr(result, "report", None)
-    if isinstance(report, str):
-        payload["report"] = report
-    verdict = getattr(result, "verdict", None)
-    if verdict is not None:
-        payload["verdict"] = verdict
-        payload["exit_code"] = result.exit_code
-    return payload
-
-
 # -- experiment kinds (the repro.experiments orchestrator's jobs) ----------
 
 @job_kind("run-trial", writes=True)
@@ -468,7 +424,7 @@ def lineage_scan_job(
     return payload
 
 
-# -- synthetic kinds (load generation, fault injection, tests) -------------
+# -- synthetic kinds (load generation) -------------------------------------
 
 @job_kind("sleep")
 def sleep_job(ctx: JobContext, *, seconds: float = 0.01,
@@ -483,43 +439,3 @@ def sleep_job(ctx: JobContext, *, seconds: float = 0.01,
         )
     time.sleep(seconds)
     return {"slept": seconds, "tag": tag, "worker": ctx.worker}
-
-
-@job_kind("flaky")
-def flaky_job(ctx: JobContext, *, token: str, fail_times: int = 1,
-              fail_rate: float | None = None,
-              seconds: float = 0.0) -> dict[str, Any]:
-    """Fault injection, reproducible from the job's own parameters.
-
-    Two modes, both deterministic functions of ``(token, attempt)`` —
-    no process-global state, so thread and process vehicles behave
-    identically and a replayed job fails exactly the same way:
-
-    * ``fail_times`` (default) — attempts 1..N raise transiently, then
-      the job succeeds; exercises retry-with-backoff end to end.
-    * ``fail_rate`` — the attempt fails iff a uniform draw derived from
-      ``sha256(token:attempt)`` lands under the rate; a seeded Bernoulli
-      fault process for soak scenarios.
-    """
-    import hashlib
-
-    if seconds:
-        time.sleep(float(seconds))
-    attempt = ctx.attempt
-    if fail_rate is not None:
-        digest = hashlib.sha256(f"{token}:{attempt}".encode()).digest()
-        draw = int.from_bytes(digest[:8], "big") / 2.0 ** 64
-        if draw < float(fail_rate):
-            raise TransientJobError(
-                f"injected fault (draw {draw:.3f} < rate {fail_rate}) "
-                f"for {token!r} attempt {attempt}",
-                reason={"kind": "flaky", "token": token, "attempt": attempt,
-                        "draw": draw, "fail_rate": float(fail_rate)},
-            )
-    elif attempt <= int(fail_times):
-        raise TransientJobError(
-            f"injected fault {attempt}/{fail_times} for {token!r}",
-            reason={"kind": "flaky", "token": token, "attempt": attempt,
-                    "fail_times": int(fail_times)},
-        )
-    return {"token": token, "attempts": attempt, "worker": ctx.worker}

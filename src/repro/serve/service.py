@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from .. import observe
@@ -104,10 +104,6 @@ class ServeConfig:
     mode: str = "thread"  # or "process"
     queue_depth: int = 64
     default_timeout: float | None = 30.0
-    max_retries: int = 2
-    backoff: float = 0.05
-    cache_entries: int = 512
-    busy_timeout_ms: int = 5_000
     #: Distributed-trace stitching: every job carries a trace context and
     #: accumulates wall-clock timeline spans (client → queue → worker →
     #: handler → cache).  Off switches the whole subsystem to no-ops.
@@ -129,7 +125,7 @@ class AnalysisService:
         self._db: PerfDMF | None = None
         self._db_ro: PerfDMF | None = None
         self.queue = JobQueue(maxsize=config.queue_depth)
-        self.cache = ResultCache(max_entries=config.cache_entries)
+        self.cache = ResultCache()
         self.pool: WorkerPool | None = None
         self._jobs: dict[int, Job] = {}
         self._job_ids = itertools.count(1)
@@ -150,7 +146,7 @@ class AnalysisService:
         if self.pool is not None:
             return self
         cfg = self.config
-        self._db = PerfDMF(cfg.db_path, busy_timeout_ms=cfg.busy_timeout_ms)
+        self._db = PerfDMF(cfg.db_path)
         self._db_ro = self._db.read_view()
         self.cache.attach(self._db)
         self.pool = WorkerPool(
@@ -225,10 +221,9 @@ class AnalysisService:
             params=params,
             priority=priority,
             timeout=cfg.default_timeout if timeout is None else timeout,
-            max_retries=cfg.max_retries if max_retries is None
-            else max_retries,
-            backoff=cfg.backoff,
         )
+        if max_retries is not None:
+            spec = replace(spec, max_retries=max_retries)
         job = Job(id=next(self._job_ids), spec=spec)
         if cfg.tracing:
             ctx = TraceContext.from_wire(trace) if trace \
@@ -540,9 +535,6 @@ class AnalysisService:
         uptime = (time.monotonic() - self._started_at) \
             if self._started_at else 0.0
         return {
-            "uptime": uptime,
-            # Monotonic uptime under its canonical name; "uptime" stays
-            # for older consumers of the stats shape.
             "uptime_s": uptime,
             "db": self.config.db_path,
             "tracing": self.config.tracing,

@@ -2,15 +2,12 @@
 
 from .pipeline import (
     GateResult,
-    PIPELINE_STAGES,
     PipelineResult,
     TracedRunResult,
     automated_analysis,
     compile_and_profile,
     feedback_directed_inlining,
     iterative_profiling,
-    pipeline_stage,
-    register_pipeline_stage,
     regression_gate,
     trace_application,
 )
@@ -20,7 +17,6 @@ from .tuning import TuningOutcome, genidlest_tuning_loop, msa_tuning_loop
 __all__ = [
     "run_experiment",
     "GateResult",
-    "PIPELINE_STAGES",
     "PipelineResult",
     "TracedRunResult",
     "TuningOutcome",
@@ -30,8 +26,6 @@ __all__ = [
     "genidlest_tuning_loop",
     "iterative_profiling",
     "msa_tuning_loop",
-    "pipeline_stage",
-    "register_pipeline_stage",
     "regression_gate",
     "trace_application",
 ]

@@ -79,7 +79,7 @@ def automated_analysis(
 
 @dataclass
 class GateResult:
-    """Outcome of the ``regression_gate`` pipeline stage."""
+    """Outcome of :func:`regression_gate`."""
 
     trial: Trial
     verdict: str  # "ok" / "improved" / "regressed" / "baseline-created"
@@ -151,34 +151,6 @@ def regression_gate(
         harness=outcome.harness,
         promoted=outcome.promoted,
     )
-
-
-#: Named pipeline stages executable by name — what the analysis service's
-#: ``pipeline`` job kind dispatches on.  Each stage takes a Trial plus
-#: ``repository=``/``application=``/``experiment=`` keywords and returns a
-#: result object with a ``trial`` attribute.
-PIPELINE_STAGES: dict[str, Callable] = {}
-
-
-def register_pipeline_stage(name: str, stage: Callable) -> None:
-    """Register a stage so remote clients can invoke it by name."""
-    PIPELINE_STAGES[name] = stage
-
-
-def pipeline_stage(name: str) -> Callable:
-    """Resolve a registered stage; raises :class:`AnalysisError` with the
-    available names otherwise."""
-    try:
-        return PIPELINE_STAGES[name]
-    except KeyError:
-        raise AnalysisError(
-            f"unknown pipeline stage {name!r}; "
-            f"available: {sorted(PIPELINE_STAGES)}"
-        ) from None
-
-
-register_pipeline_stage("automated_analysis", automated_analysis)
-register_pipeline_stage("regression_gate", regression_gate)
 
 
 @dataclass

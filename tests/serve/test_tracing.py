@@ -119,8 +119,7 @@ def burst_service(tmp_path):
     (registered before the workers fork)."""
     job_kind("span-burst")(_span_burst)
     svc = AnalysisService(db_path=str(tmp_path / "perf.db"), workers=1,
-                          mode="process", default_timeout=30.0,
-                          backoff=0.0).start()
+                          mode="process", default_timeout=30.0).start()
     try:
         yield svc
     finally:

@@ -1,5 +1,9 @@
 """WorkerPool: vehicles, timeouts, retry plumbing, clean shutdown."""
 
+import ast
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -163,11 +167,25 @@ class TestHandlerRegistry:
         trace = resolve_kind("trace-app")
         assert trace.effective_flags({"store": False}) == (True, False)
         assert trace.effective_flags({"store": True}) == (False, True)
-        pipeline = resolve_kind("pipeline")
-        assert pipeline.effective_flags(
-            {"stage": "automated_analysis"}) == (True, False)
-        assert pipeline.effective_flags(
-            {"stage": "regression_gate"}) == (False, True)
+
+    def test_product_job_kinds(self):
+        # A fresh interpreter: none of the kinds tests register (flaky,
+        # span-burst) are visible, only what the package itself serves.
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(
+            os.path.dirname(os.path.abspath(repro.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.serve import HANDLERS; print(sorted(HANDLERS))"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert ast.literal_eval(proc.stdout) == [
+            "analyze-case", "compare", "diagnose", "lineage-scan",
+            "regress-check", "run-trial", "sleep", "trace-app",
+        ]
 
     def test_sleep_handler_reports_worker(self):
         out = resolve_kind("sleep").run(
