@@ -195,7 +195,7 @@ class TestFeedbackAblation:
         from repro.apps.genidlest.compiled import genidlest_compiled_program
         from repro.machine import uniform_machine
         from repro.openuh import compile_program
-        from repro.openuh.costmodel import CostModel
+        from repro.openuh.costmodel import ProcessorCostModel
 
         def experiment():
             machine = uniform_machine(1)
@@ -204,10 +204,10 @@ class TestFeedbackAblation:
             ).signature()
             measured = machine.processor.execute(sig)
             measured_cycles = measured[C.CPU_CYCLES]
-            static_model = CostModel()
-            static_pred = static_model.processor.predict(sig).total
+            static_model = ProcessorCostModel()
+            static_pred = static_model.predict(sig).total
             calibrated = static_model.calibrate(measured.as_dict())
-            calib_pred = calibrated.processor.predict(sig).total
+            calib_pred = calibrated.predict(sig).total
             return measured_cycles, static_pred, calib_pred
 
         measured, static_pred, calib_pred = run_once(experiment)

@@ -1145,7 +1145,7 @@ def build_parser() -> argparse.ArgumentParser:
               *served)
     p.add_argument("kind",
                    help="job kind (diagnose, compare, regress-check, "
-                        "trace-app, pipeline, sleep, ...)")
+                        "trace-app, run-trial, sleep, ...)")
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
                    help="job parameter (repeatable; value JSON-coerced)")
     p.add_argument("--params", help="job parameters as one JSON object")

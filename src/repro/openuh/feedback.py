@@ -16,10 +16,14 @@ a :class:`TuningPlan` the compiler/runtime layers apply on the next build:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..rules import Fact
-from .costmodel.model import GOAL_CACHE, GOAL_LOW_POWER, GOAL_SPEED, OptimizationGoal
+
+#: Cost-model goals a plan can ask the next build to optimise for.
+GOAL_SPEED = "speed"
+GOAL_CACHE = "cache"
+GOAL_LOW_POWER = "low-power"
 
 
 @dataclass(frozen=True)
@@ -30,7 +34,7 @@ class TuningPlan:
     parallelize_initialization: bool = False
     parallelize_regions: frozenset[str] = frozenset()
     optimization_level: str | None = None
-    goal: OptimizationGoal = GOAL_SPEED
+    goal: str = GOAL_SPEED
     #: Human-readable trail: which recommendation caused which decision.
     decisions: tuple[str, ...] = ()
 
@@ -44,7 +48,7 @@ class TuningPlan:
             lines.append(f"  parallelize region {region}")
         if self.optimization_level:
             lines.append(f"  optimization level -> {self.optimization_level}")
-        lines.append(f"  cost-model goal -> {self.goal.name}")
+        lines.append(f"  cost-model goal -> {self.goal}")
         for d in self.decisions:
             lines.append(f"  because: {d}")
         return "\n".join(lines)
@@ -133,11 +137,10 @@ class FeedbackOptimizer:
 
     def _apply_power(self, rec: Fact, plan: TuningPlan) -> TuningPlan:
         level = rec.get("suggested_level")
-        goal = GOAL_LOW_POWER if rec.get("target") == "power" else GOAL_SPEED
         return replace(
             plan,
             optimization_level=level or plan.optimization_level,
-            goal=goal if rec.get("target") == "power" else plan.goal,
+            goal=GOAL_LOW_POWER if rec.get("target") == "power" else plan.goal,
             decisions=plan.decisions
             + (
                 f"power/energy tradeoff -> level {level} "

@@ -93,7 +93,7 @@ def read_csv_profile(
                     calls=float(row["calls"]),
                     subroutines=float(row["subroutines"]),
                 )
-            except (ValueError, KeyError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise ProfileError(f"{path}:{lineno}: bad row: {exc}") from None
             rows += 1
     if rows == 0:

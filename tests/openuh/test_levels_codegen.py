@@ -14,15 +14,7 @@ from repro.openuh import (
     run_instrumented,
     score_region,
 )
-from repro.openuh.costmodel import (
-    CacheCostModel,
-    CostModel,
-    GOAL_CACHE,
-    GOAL_SPEED,
-    ParallelCostModel,
-    ProcessorCostModel,
-    perfect_nest_of,
-)
+from repro.openuh.costmodel import ProcessorCostModel, StaticAssumptions
 from repro.openuh.frontend import ProgramBuilder, add, aref, const, mul, var
 from repro.runtime import Profiler
 
@@ -170,61 +162,29 @@ class TestCostModels:
         calibrated = base.with_assumptions(assumed_miss_penalty_cycles=50.0)
         assert calibrated.predict(sig).memory_cycles > base.predict(sig).memory_cycles
 
-    def test_cache_model_ranks_smaller_footprint_better(self):
-        small = stencil_program(n=16)
-        large = stencil_program(n=256)
-        model = CacheCostModel()
-        ranked = model.compare_variants(
-            [
-                ("large", large.function("diff_coeff")),
-                ("small", small.function("diff_coeff")),
-            ]
-        )
-        assert ranked[0][0] == "small"
-        assert ranked[0][1] < ranked[1][1]
-
-    def test_parallel_model_prefers_outer_loop(self):
-        program = stencil_program()
-        nest = perfect_nest_of(program.function("diff_coeff"))
-        assert [l.var for l in nest] == ["i", "j"]
-        plan = ParallelCostModel().evaluate_nest(
-            nest, n_threads=8, cycles_per_innermost_iteration=50.0
-        )
-        assert plan.best.loop_var == "i"  # outer: one fork, not n forks
-        assert plan.predicted_speedup > 4
-
-    def test_parallel_model_imbalance_reduces_speedup(self):
-        program = stencil_program()
-        nest = perfect_nest_of(program.function("diff_coeff"))
-        even = ParallelCostModel().evaluate_nest(
-            nest, n_threads=8, cycles_per_innermost_iteration=50.0
-        )
-        skewed = ParallelCostModel(imbalance_factor=2.0).evaluate_nest(
-            nest, n_threads=8, cycles_per_innermost_iteration=50.0
-        )
-        assert skewed.predicted_speedup < even.predicted_speedup
-
-    def test_combined_model_goal_weighting(self):
-        program = stencil_program()
-        fn = program.function("diff_coeff")
-        sig = compile_program(program, "O2").signature()
-        speed = CostModel(goal=GOAL_SPEED)
-        cache = CostModel(goal=GOAL_CACHE)
-        s1 = speed.score_signature("x", sig, fn)
-        s2 = cache.score_signature("x", sig, fn)
-        assert s2.weighted > s1.weighted  # cache goal adds miss cycles
-
     def test_combined_model_calibration_from_counters(self):
-        model = CostModel()
-        calibrated = model.calibrate(
+        calibrated = ProcessorCostModel().calibrate(
             {
                 C.CPU_CYCLES: 1e9,
                 C.BACK_END_BUBBLE_ALL: 6e8,
                 C.L2_DATA_REFERENCES: 1e7,
                 C.L1D_CACHE_MISS_STALLS: 3e8,
-                "imbalance_ratio": 0.5,
             }
         )
-        assert calibrated.processor.assumptions.assumed_stall_fraction == pytest.approx(0.6)
-        assert calibrated.processor.assumptions.assumed_miss_penalty_cycles == pytest.approx(30.0)
-        assert calibrated.parallel.imbalance_factor == pytest.approx(1.5)
+        assert calibrated.assumptions.assumed_stall_fraction == pytest.approx(0.6)
+        assert calibrated.assumptions.assumed_miss_penalty_cycles == pytest.approx(30.0)
+
+    def test_calibration_without_counters_keeps_assumptions(self):
+        assert ProcessorCostModel().calibrate({}).assumptions == StaticAssumptions()
+
+    def test_calibration_clamps_stall_fraction(self):
+        calibrated = ProcessorCostModel().calibrate(
+            {C.CPU_CYCLES: 1e6, C.BACK_END_BUBBLE_ALL: 3e6}
+        )
+        assert calibrated.assumptions.assumed_stall_fraction == 1.0
+
+    def test_calibration_without_references_keeps_miss_penalty(self):
+        calibrated = ProcessorCostModel().calibrate(
+            {C.L2_DATA_REFERENCES: 0.0, C.L1D_CACHE_MISS_STALLS: 3e8}
+        )
+        assert calibrated.assumptions == StaticAssumptions()

@@ -169,6 +169,15 @@ class TestCsvFormat:
         with pytest.raises(ProfileError, match=":2:"):
             read_csv_profile(p)
 
+    def test_short_row_reports_line(self, tmp_path):
+        p = tmp_path / "short.csv"
+        p.write_text(
+            "event,group,metric,node,context,thread,exclusive,inclusive,calls,subroutines\n"
+            "main,TAU_DEFAULT,TIME,0,0\n"
+        )
+        with pytest.raises(ProfileError, match="short.csv:2"):
+            read_csv_profile(p)
+
 
 class TestCrossFormat:
     def test_tau_to_json_to_csv_identity(self, tmp_path):

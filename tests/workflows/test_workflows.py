@@ -31,7 +31,7 @@ class TestFeedbackOptimizer:
                   remote_ratio=0.9)]
         )
         assert plan.parallelize_initialization
-        assert plan.goal.name == "cache"
+        assert plan.goal == "cache"
 
     def test_sequential_bottleneck_maps_to_region(self):
         plan = FeedbackOptimizer().plan(
@@ -46,7 +46,7 @@ class TestFeedbackOptimizer:
                   suggested_level="O0")]
         )
         assert plan.optimization_level == "O0"
-        assert plan.goal.name == "low-power"
+        assert plan.goal == "low-power"
 
     def test_unknown_category_preserved_in_trail(self):
         plan = FeedbackOptimizer().plan(
