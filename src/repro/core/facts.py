@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from ..machine import counters as C
-from ..rules import Fact
+from ..rules import Fact, FactBatch
 from .result import AnalysisError, PerformanceResult
 
 #: higherLower values (Drools enum-ish strings in the paper's rules).
@@ -188,13 +188,14 @@ def trial_metadata_facts(result: PerformanceResult) -> list[Fact]:
     return facts
 
 
-def callgraph_facts(result: PerformanceResult) -> list[Fact]:
-    """``CallGraphEdge`` facts from the trial's recorded caller→callee edges.
+def callgraph_facts(result: PerformanceResult) -> FactBatch:
+    """``CallGraphEdge`` facts from the trial's recorded caller→callee edges,
+    as one batch.
 
     The imbalance rule's "events are nested" condition joins on these.
     """
     edges = result.metadata.get("callgraph", [])
-    return [
-        Fact("CallGraphEdge", parent=parent, child=child, trial=result.name)
-        for parent, child in edges
-    ]
+    return FactBatch("CallGraphEdge", {
+        "parent": [parent for parent, _ in edges],
+        "child": [child for _, child in edges],
+        "trial": [result.name] * len(edges)})

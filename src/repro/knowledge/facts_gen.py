@@ -33,7 +33,7 @@ from ..core.operations.statistics import BasicStatisticsOperation
 from ..core.result import AnalysisError, PerformanceResult
 from ..machine import counters as C
 from ..power.energy import LevelMeasurement
-from ..rules import Fact
+from ..rules import Fact, FactBatch, FactStream
 
 #: The paper's derived inefficiency metric name (§III.B first script).
 INEFFICIENCY_METRIC = "Inefficiency"
@@ -56,9 +56,13 @@ def _mean(result: PerformanceResult) -> PerformanceResult:
 
 def imbalance_facts(
     result: PerformanceResult, *, metric: str = C.TIME
-) -> list[Fact]:
+) -> FactStream:
     """§III.A script: per-event imbalance ratios + pairwise correlations +
-    callgraph edges, over the *per-thread* result."""
+    callgraph edges, over the *per-thread* result.
+
+    The facts come as one batch per type: the ``ImbalanceFact`` rows first,
+    then each ``CallGraphEdge`` row followed by its ``CorrelationFact``
+    row where both ends are profiled events."""
     if result.thread_count < 2:
         raise AnalysisError("imbalance analysis needs a multi-thread result")
     name = result.name
@@ -68,30 +72,35 @@ def imbalance_facts(
     stds = arr.std(axis=1)
     ratios = np.divide(stds, means, out=np.zeros_like(stds), where=means != 0)
     severities = event_severities(_mean(result))
-    facts = [
-        Fact("ImbalanceFact", trial=name, eventName=event, ratio=ratio,
-             severity=severity)
-        for event, ratio, severity in zip(
-            events, ratios.tolist(), severities.tolist())
-    ]
+    n = len(events)
+    imbalance = FactBatch("ImbalanceFact", {
+        "trial": [name] * n, "eventName": list(events),
+        "ratio": ratios.tolist(), "severity": severities.tolist()})
     index = {event: i for i, event in enumerate(events)}
-    for parent, child in result.metadata.get("callgraph", []):
-        facts.append(
-            Fact("CallGraphEdge", trial=name, parent=parent, child=child)
-        )
-        # correlation only where the rule will join (parent-child pairs)
-        p, c = index.get(parent), index.get(child)
-        if p is not None and c is not None:
-            facts.append(
-                Fact(
-                    "CorrelationFact",
-                    trial=name,
-                    eventA=parent,
-                    eventB=child,
-                    correlation=pearson(arr[p], arr[c]),
-                )
-            )
-    return facts
+    edges = result.metadata.get("callgraph", [])
+    parents = [parent for parent, _ in edges]
+    children = [child for _, child in edges]
+    # correlation only where the rule will join (parent-child pairs); each
+    # correlation row comes right after its edge
+    joined = [k for k, child in enumerate(children)
+              if child in index and parents[k] in index]
+    shift = np.zeros(len(edges), dtype=np.int64)
+    shift[joined] = 1
+    edge_positions = n + np.arange(len(edges)) + np.cumsum(shift) - shift
+    corr_a = [parents[k] for k in joined]
+    corr_b = [children[k] for k in joined]
+    corr_values = [pearson(arr[index[a]], arr[index[b]])
+                   for a, b in zip(corr_a, corr_b)]
+    return FactStream([
+        imbalance,
+        FactBatch("CallGraphEdge", {
+            "trial": [name] * len(edges), "parent": parents,
+            "child": children}, edge_positions.tolist()),
+        FactBatch("CorrelationFact", {
+            "trial": [name] * len(joined), "eventA": corr_a,
+            "eventB": corr_b, "correlation": corr_values},
+            (edge_positions[joined] + 1).tolist()),
+    ])
 
 
 def stall_rate_facts(result: PerformanceResult) -> list[Fact]:

@@ -74,7 +74,13 @@ def read_csv_profile(
         if missing:
             raise ProfileError(f"{path}: missing CSV columns {sorted(missing)}")
         rows = 0
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
+            filled = sum(row[name] is not None for name in reader.fieldnames)
+            if filled < len(reader.fieldnames):
+                # DictReader fills the columns a short row lacks with None
+                raise ProfileError(f"{path}:{lineno}: row has {filled} of "
+                                   f"{len(reader.fieldnames)} columns")
             try:
                 thread = ThreadId(int(row["node"]), int(row["context"]), int(row["thread"]))
                 trial.add_event(Event(row["event"], row["group"] or "TAU_DEFAULT"))
@@ -98,5 +104,8 @@ def read_csv_profile(
             rows += 1
     if rows == 0:
         raise ProfileError(f"{path}: no data rows")
-    trial.validate()
+    try:
+        trial.validate()
+    except ProfileError as exc:
+        raise ProfileError(f"{path}: {exc}") from None
     return trial

@@ -57,47 +57,77 @@ def trial_to_dict(trial: Trial) -> dict[str, Any]:
     }
 
 
+_KINDS = {dict: "a JSON object", list: "a JSON array", str: "a string"}
+
+
+def _typed(value: Any, kind: type, what: str) -> Any:
+    if not isinstance(value, kind):
+        raise ProfileError(
+            f"{what} must be {_KINDS[kind]}, not {type(value).__name__}")
+    return value
+
+
+def _entry(obj: dict[str, Any], key: str, what: str) -> Any:
+    if key not in _typed(obj, dict, what):
+        raise ProfileError(f"{what} has no {key!r}")
+    return obj[key]
+
+
+def _matrix(value: Any, what: str, shape: tuple[int, int]) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ProfileError(f"{what}: not a numeric matrix ({exc})") from None
+    if arr.shape != shape:
+        raise ProfileError(f"{what}: data shape {arr.shape} != {shape}")
+    return arr
+
+
 def trial_from_dict(doc: dict[str, Any]) -> Trial:
-    """Deserialize :func:`trial_to_dict` output back into a trial."""
+    """Deserialize :func:`trial_to_dict` output back into a trial.
+
+    Raises :class:`ProfileError` for any document that is not one."""
+    _typed(doc, dict, "profile document")
     version = doc.get("format_version", FORMAT_VERSION)
+    if not isinstance(version, int) or isinstance(version, bool):
+        raise ProfileError(f"format_version must be an integer, got {version!r}")
     if version > FORMAT_VERSION:
         raise ProfileError(f"unsupported profile format version {version}")
     for key in ("name", "threads", "events", "metrics", "data"):
         if key not in doc:
             raise ProfileError(f"profile document missing key {key!r}")
-    trial = Trial(doc["name"], doc.get("metadata"))
-    for ev in doc["events"]:
-        trial.add_event(Event(ev["name"], ev.get("group", "TAU_DEFAULT")))
-    for t in doc["threads"]:
-        trial.add_thread(ThreadId.parse(t))
+    metadata = doc.get("metadata")
+    trial = Trial(_typed(doc["name"], str, "trial name"),
+                  None if metadata is None else _typed(metadata, dict, "metadata"))
+    for ev in _typed(doc["events"], list, "events"):
+        trial.add_event(Event(
+            _typed(_entry(ev, "name", "event"), str, "event name"),
+            _typed(ev.get("group", "TAU_DEFAULT"), str, "event group")))
+    for t in _typed(doc["threads"], list, "threads"):
+        trial.add_thread(ThreadId.parse(_typed(t, str, "thread id")))
     n_e, n_t = trial.event_count, trial.thread_count
-    for m in doc["metrics"]:
+    data = _typed(doc["data"], dict, "data")
+    for m in _typed(doc["metrics"], list, "metrics"):
         metric = Metric(
-            m["name"], units=m.get("units", "counts"), derived=m.get("derived", False)
+            _typed(_entry(m, "name", "metric"), str, "metric name"),
+            units=_typed(m.get("units", "counts"), str, "metric units"),
+            derived=bool(m.get("derived", False)),
         )
         trial.add_metric(metric)
-        try:
-            block = doc["data"][metric.name]
-        except KeyError:
-            raise ProfileError(f"no data block for metric {metric.name!r}") from None
-        exc = np.asarray(block["exclusive"], dtype=float)
-        inc = np.asarray(block["inclusive"], dtype=float)
-        if exc.shape != (n_e, n_t) or inc.shape != (n_e, n_t):
-            raise ProfileError(
-                f"metric {metric.name!r}: data shape {exc.shape} != ({n_e},{n_t})"
-            )
-        trial._exclusive[metric.name][:, :] = exc
-        trial._inclusive[metric.name][:, :] = inc
+        if metric.name not in data:
+            raise ProfileError(f"no data block for metric {metric.name!r}")
+        block = f"data block {metric.name!r}"
+        trial._exclusive[metric.name][:, :] = _matrix(
+            _entry(data[metric.name], "exclusive", block),
+            f"metric {metric.name!r} exclusive", (n_e, n_t))
+        trial._inclusive[metric.name][:, :] = _matrix(
+            _entry(data[metric.name], "inclusive", block),
+            f"metric {metric.name!r} inclusive", (n_e, n_t))
     if "calls" in doc:
-        calls = np.asarray(doc["calls"], dtype=float)
-        if calls.shape != (n_e, n_t):
-            raise ProfileError("calls array shape mismatch")
-        trial._calls[:, :] = calls
+        trial._calls[:, :] = _matrix(doc["calls"], "calls array", (n_e, n_t))
     if "subroutines" in doc:
-        subrs = np.asarray(doc["subroutines"], dtype=float)
-        if subrs.shape != (n_e, n_t):
-            raise ProfileError("subroutines array shape mismatch")
-        trial._subrs[:, :] = subrs
+        trial._subrs[:, :] = _matrix(doc["subroutines"], "subroutines array",
+                                     (n_e, n_t))
     trial.validate()
     return trial
 
@@ -117,4 +147,7 @@ def read_json_profile(path: str | Path) -> Trial:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ProfileError(f"{path}: invalid JSON: {exc}") from None
-    return trial_from_dict(doc)
+    try:
+        return trial_from_dict(doc)
+    except ProfileError as exc:
+        raise ProfileError(f"{path}: {exc}") from None

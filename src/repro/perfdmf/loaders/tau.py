@@ -102,7 +102,10 @@ def read_tau_profile(
             raise ProfileError(f"no profile.n.c.t files in {mdir}")
         for path in files:
             _read_one_file(trial, path, metric_hint)
-    trial.validate()
+    try:
+        trial.validate()
+    except ProfileError as exc:
+        raise ProfileError(f"{directory}: {exc}") from None
     return trial
 
 
@@ -123,7 +126,7 @@ def _read_one_file(trial: Trial, path: Path, metric_hint: str | None) -> None:
     trial.add_thread(thread)
 
     seen = 0
-    for raw in lines[1:]:
+    for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -131,23 +134,21 @@ def _read_one_file(trial: Trial, path: Path, metric_hint: str | None) -> None:
             break
         lm = _LINE_RE.match(line)
         if lm is None:
-            raise ProfileError(f"{path}: unparseable profile line {line!r}")
+            raise ProfileError(f"{path}:{lineno}: unparseable profile line {line!r}")
+        try:
+            calls, subrs, excl, incl = (
+                float(lm.group(g)) for g in ("calls", "subrs", "excl", "incl"))
+        except ValueError:
+            raise ProfileError(
+                f"{path}:{lineno}: malformed number in {line!r}") from None
         name = lm.group("name").replace('\\"', '"').replace("\\\\", "\\")
         group = lm.group("group") or "TAU_DEFAULT"
-        trial.add_event(Event(name, group))
-        trial.set_value(
-            name,
-            metric,
-            thread,
-            exclusive=float(lm.group("excl")),
-            inclusive=float(lm.group("incl")),
-        )
-        trial.set_calls(
-            name,
-            thread,
-            calls=float(lm.group("calls")),
-            subroutines=float(lm.group("subrs")),
-        )
+        try:
+            trial.add_event(Event(name, group))
+            trial.set_value(name, metric, thread, exclusive=excl, inclusive=incl)
+            trial.set_calls(name, thread, calls=calls, subroutines=subrs)
+        except ProfileError as exc:
+            raise ProfileError(f"{path}:{lineno}: {exc}") from None
         seen += 1
     if seen != declared:
         raise ProfileError(

@@ -6,6 +6,8 @@ profile data.  This package is a from-scratch Python production system with
 the same moving parts:
 
 * :class:`~repro.rules.facts.Fact` / :class:`~repro.rules.facts.FactHandle`
+* :class:`~repro.rules.facts.FactBatch` / :class:`~repro.rules.facts.FactStream`
+  — facts of one type as columns, asserted without a per-row object
 * :class:`~repro.rules.conditions.Pattern` /
   :class:`~repro.rules.conditions.Constraint` /
   :class:`~repro.rules.conditions.Test` — the LHS language
@@ -36,7 +38,7 @@ from .dsl import (
     rules_to_prl,
 )
 from .engine import FiringRecord, RuleEngine, RuleEngineError
-from .facts import Fact, FactHandle
+from .facts import Fact, FactBatch, FactHandle, FactStream
 from .memory import WorkingMemory
 from .rule import Rule, RuleBuilder, RuleContext
 
@@ -48,7 +50,9 @@ __all__ = [
     "Constraint",
     "DSLSyntaxError",
     "Fact",
+    "FactBatch",
     "FactHandle",
+    "FactStream",
     "FiringRecord",
     "Pattern",
     "Rule",

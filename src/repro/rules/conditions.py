@@ -12,13 +12,15 @@ Patterns may *bind* the whole fact to a variable (``f : MeanEventFact(...)``)
 and may bind individual fields (``e := eventName``) for use in later patterns
 and in the rule action — the same dataflow Drools exposes.
 
-Matching itself lives in the engine.  By default the engine consults the
-working memory's alpha-memory hash indexes for equality-constrained fields
-(see :meth:`Pattern.index_plan`), falling back to the naive per-type scan;
-``RuleEngine(indexing=False)`` forces the naive matcher everywhere.  Both
-matchers verify every candidate through :meth:`Pattern.match_one`, so the
-index is purely an acceleration structure — the set of activations (and
-therefore the firing trace) is identical either way.
+Matching itself lives in the engine.  By default the engine takes a
+pattern's candidates from working memory's alpha memories (the rows that
+pass :meth:`Pattern.alpha_tests`) narrowed by hash indexes on
+equality-constrained fields (:meth:`Pattern.index_plan`);
+``RuleEngine(indexing=False)`` forces the naive per-type scan everywhere.
+Both matchers verify every candidate through :meth:`Pattern.match_one`, so
+the alpha memories and indexes are purely acceleration structures — the
+set of activations (and therefore the firing trace) is identical either
+way.
 """
 
 from __future__ import annotations
@@ -195,33 +197,49 @@ class Pattern:
             self.bind_as or any(c.bind for c in self.constraints)
         ):
             raise ConditionError("negated patterns cannot bind variables")
-        # Alpha-index plan: which equality constraints can be answered from
-        # a working-memory hash index.  Only *string* comparisons qualify —
-        # numeric "==" uses approximate float equality (`_approx_eq`), which
-        # a hash bucket cannot honor (1.0 and 1.0+1e-12 hash apart), so
-        # indexing numbers could drop matches the naive matcher finds.
-        object.__setattr__(self, "_eq_literal", tuple(
-            (c.fieldname, c.value)
-            for c in self.constraints
-            if c.op == "==" and not c.is_variable and isinstance(c.value, str)
-        ))
-        object.__setattr__(self, "_eq_variable", tuple(
-            (c.fieldname, c.value)
-            for c in self.constraints
-            if c.op == "==" and c.is_variable
-        ))
+        # Alpha tests: the leading constraints a row can be tested on
+        # without bindings — literal comparisons, and field presence for
+        # ``any`` constraints — up to and including the first one that
+        # reads a variable (which only contributes its field's presence:
+        # a row failing a later test would still reach it in match_one,
+        # and an unbound variable must raise there as it does here).
+        alpha: list[tuple[str, Callable | None, Any]] = []
+        # Index probes: string equality constraints the alpha tests do not
+        # decide.  Only *string* comparisons qualify — numeric "==" uses
+        # approximate float equality (`_approx_eq`), which a hash bucket
+        # cannot honor (1.0 and 1.0+1e-12 hash apart), so indexing numbers
+        # could drop matches the naive matcher finds.
+        probes: list[tuple[str, Any, bool]] = []
+        reads_variable = False
+        for c in self.constraints:
+            if not reads_variable:
+                literal = not c.is_variable and c.op != "any"
+                alpha.append((c.fieldname,
+                              OPERATORS[c.op] if literal else None,
+                              c.value if literal else None))
+                reads_variable = c.is_variable
+                if literal:
+                    continue
+            if c.op == "==" and (c.is_variable or isinstance(c.value, str)):
+                probes.append((c.fieldname, c.value, c.is_variable))
+        object.__setattr__(self, "_alpha", tuple(alpha))
+        object.__setattr__(self, "_probes", tuple(probes))
 
-    def index_plan(self) -> tuple[tuple[tuple[str, str], ...],
-                                  tuple[tuple[str, str], ...]]:
-        """(literal, variable) equality constraints usable as index probes.
+    def alpha_tests(self) -> tuple[tuple[str, Callable | None, Any], ...]:
+        """``(field, operator, literal)`` tests that decide a row without
+        bindings, in constraint order; a ``None`` operator tests only that
+        the field is present.  Working memory evaluates them once per row
+        for the indexed matcher; ``match_one`` still checks every
+        survivor."""
+        return self._alpha
 
-        ``literal`` entries are ``(field, value)`` pairs known at rule-build
-        time; ``variable`` entries are ``(field, variable-name)`` pairs whose
-        probe value only exists once earlier patterns have bound the
-        variable (a string-valued binding enables the probe, anything else
-        falls back to the type scan).
-        """
-        return self._eq_literal, self._eq_variable
+    def index_plan(self) -> tuple[tuple[str, Any, bool], ...]:
+        """``(field, value, is_variable)`` equality constraints usable as
+        index probes.  A literal ``value`` is known at rule-build time; a
+        variable's probe value only exists once earlier patterns have
+        bound it (a string-valued binding enables the probe, anything else
+        falls back to the alpha rows)."""
+        return self._probes
 
     @property
     def specificity(self) -> int:

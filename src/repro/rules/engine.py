@@ -15,10 +15,11 @@ declaration order of the rule's patterns, and constraints referencing earlier
 bindings prune the cross product.  With ``indexing=True`` (the default) the
 engine accelerates two layers of that loop without changing its semantics:
 
-* candidate selection consults the working memory's alpha-memory hash
-  indexes for equality-constrained string fields (literal values and
-  string-valued join variables), picking the smallest available bucket
-  instead of scanning the whole type, and
+* candidate selection takes a pattern's rows from working memory's alpha
+  memory — its binding-free tests, evaluated over the type's columns once
+  per row instead of once per partial match — narrowed by the smallest
+  hash bucket among its string-equality probes (literal values and
+  string-valued join variables), and
 * :meth:`_refresh_agenda` skips rules none of whose condition fact types
   changed since the rule last matched (dirty-type tracking via
   :meth:`WorkingMemory.type_version`).
@@ -38,23 +39,13 @@ from typing import Callable, Iterable, Sequence
 from .. import observe
 from .agenda import Activation, Agenda
 from .conditions import Bindings, Pattern, Test
-from .facts import Fact, FactHandle
+from .facts import Fact, FactBatch, FactHandle, FactStream
 from .memory import WorkingMemory
 from .rule import Rule, RuleContext
 
 
 class RuleEngineError(Exception):
     """Raised for engine misuse or runaway rulebases."""
-
-
-class _Unprobeable:
-    """Sentinel for join variables that cannot drive an index probe."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<unprobeable>"
-
-
-_UNPROBEABLE = _Unprobeable()
 
 
 @dataclass
@@ -85,9 +76,9 @@ class RuleEngine:
         When True, :meth:`emit` also prints to stdout (the paper's rules print
         their diagnoses; benchmarks capture them instead).
     indexing:
-        When True (default), candidate facts are fetched from alpha-memory
-        hash indexes where a pattern's equality constraints allow it, and
-        agenda refresh skips rules whose condition types are unchanged.
+        When True (default), candidate facts come from alpha memories and
+        hash indexes over the working memory's columns, and agenda refresh
+        skips rules whose condition types are unchanged.
         Semantics are identical either way; ``indexing=False`` forces the
         naive matcher (useful for differential testing and debugging).
     """
@@ -147,12 +138,14 @@ class RuleEngine:
     def insert(self, fact_type: str, /, **fields) -> FactHandle:
         return self.assert_fact(Fact(fact_type, **fields))
 
-    def assert_facts(self, facts: Iterable[Fact]) -> list[FactHandle]:
-        """Bulk assertion: one working-memory batch insert (index
-        maintenance deferred until a rule probes the indexed field)."""
+    def assert_facts(
+        self, facts: FactStream | FactBatch | Iterable[Fact]
+    ) -> Sequence[FactHandle]:
+        """Bulk assertion: one working-memory batch insert (see
+        :meth:`WorkingMemory.assert_facts`)."""
         handles = self.memory.assert_facts(facts)
         if self._asserting is not None:
-            self._asserting.extend(h.seq for h in handles)
+            self._asserting.extend(handles.seqs)
         return handles
 
     def retract(self, handle: FactHandle) -> None:
@@ -198,37 +191,27 @@ class RuleEngine:
     ) -> list[FactHandle]:
         """Candidate facts for ``cond`` given ``bindings``.
 
-        With indexing, probes the alpha memories for every string-equality
-        constraint (literal or string-bound join variable) and keeps the
-        smallest bucket; otherwise — and whenever no probe applies — falls
-        back to the per-type scan.  The bucket is a superset of the matches
-        among its type (never a false negative), and every candidate is
-        re-verified by ``match_one``, so both paths yield the same matches.
+        With indexing, working memory answers from the pattern's alpha
+        memory (the rows passing its binding-free tests), narrowed by the
+        smallest hash bucket among its string-equality probes (literal or
+        string-bound join variable); otherwise it is the per-type scan.
+        Either set is a superset of the matches among its type (never a
+        false negative), and every candidate is re-verified by
+        ``match_one``, so both paths yield the same matches.
         """
         if not self.indexing:
             return self.memory.of_type(cond.fact_type)
-        literal, variable = cond.index_plan()
-        best: list[FactHandle] | None = None
-        for fieldname, value in literal:
-            bucket = self.memory.lookup(cond.fact_type, fieldname, value)
-            if best is None or len(bucket) < len(best):
-                best = bucket
-                if not best:
-                    return best
-        for fieldname, varname in variable:
-            value = bindings.get(varname, _UNPROBEABLE)
-            # Only string joins are hash-exact; numeric "==" is approximate
-            # (see Pattern.index_plan), so anything else skips the probe.
-            if not isinstance(value, str):
-                continue
-            bucket = self.memory.lookup(cond.fact_type, fieldname, value)
-            if best is None or len(bucket) < len(best):
-                best = bucket
-                if not best:
-                    return best
-        if best is None:
-            return self.memory.of_type(cond.fact_type)
-        return best
+        probes = []
+        for fieldname, value, is_variable in cond.index_plan():
+            if is_variable:
+                value = bindings.get(value)
+                # Only string joins are hash-exact; numeric "==" is
+                # approximate (see Pattern.index_plan), so anything else
+                # skips the probe.
+                if not isinstance(value, str):
+                    continue
+            probes.append((fieldname, value))
+        return self.memory.candidates(cond, probes)
 
     def _match_rule(self, rule: Rule) -> list[Activation]:
         """All activations of ``rule`` against current working memory."""
@@ -470,10 +453,8 @@ class RuleEngine:
         return lines
 
     def _fact_by_seq(self, seq: int) -> Fact | None:
-        for handle in self.memory:
-            if handle.seq == seq:
-                return handle.fact
-        return None
+        handle = self.memory.handle(seq)
+        return handle.fact if handle is not None and handle.live else None
 
 
 def _summarize_bindings(bindings: Bindings) -> dict:

@@ -117,6 +117,47 @@ class TestImbalanceDiagnosis:
         )
         assert corr["correlation"] == pytest.approx(-1.0)
 
+    def test_batch_rows_equal_per_fact_construction(self):
+        """Every row of the batched stream, as working memory builds it,
+        equals (``value_equals`` and ``repr``) the fact the one-object-per-
+        row script built, at the same rank."""
+        from repro.core.operations.correlation import pearson
+        from repro.core.facts import event_severities
+        from repro.core.operations.statistics import BasicStatisticsOperation
+
+        trial = synthetic_imbalanced_trial()
+        trial.metadata["callgraph"] = [
+            ["main", "outer"], ["outer", "ext_0"], ["outer", "inner"],
+            ["ext_1", "inner"], ["inner", "main"]]
+        result = PerformanceResult(trial)
+        arr = result.exclusive(C.TIME)
+        means, stds = arr.mean(axis=1), arr.std(axis=1)
+        ratios = np.divide(stds, means, out=np.zeros_like(stds),
+                           where=means != 0)
+        severities = event_severities(BasicStatisticsOperation(result).mean())
+        expected = [
+            Fact("ImbalanceFact", trial="imb", eventName=event, ratio=ratio,
+                 severity=severity)
+            for event, ratio, severity in zip(
+                result.events, ratios.tolist(), severities.tolist())]
+        index = {event: i for i, event in enumerate(result.events)}
+        for parent, child in trial.metadata["callgraph"]:
+            expected.append(Fact("CallGraphEdge", trial="imb", parent=parent,
+                                 child=child))
+            p, c = index.get(parent), index.get(child)
+            if p is not None and c is not None:
+                expected.append(Fact("CorrelationFact", trial="imb",
+                                     eventA=parent, eventB=child,
+                                     correlation=pearson(arr[p], arr[c])))
+
+        harness = RuleHarness()
+        harness.assertObjects(imbalance_facts(result))
+        handles = sorted(harness.engine.memory, key=lambda h: h.seq)
+        assert len(handles) == len(expected) == 11
+        for handle, fact in zip(handles, expected):
+            assert handle.fact.value_equals(fact)
+            assert repr(handle.fact) == repr(fact)
+
     def test_single_thread_rejected(self):
         t = (
             TrialBuilder("one")

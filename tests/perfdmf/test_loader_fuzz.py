@@ -1,0 +1,172 @@
+"""Malformed profile files: every reader either loads a trial or raises
+``ProfileError`` naming the file.
+
+The named cases are inputs each reader once let through as a bare
+``KeyError``, ``TypeError``, ``AttributeError`` or ``ValueError``.  The
+properties apply 1–5 random character edits to the files of a written
+3-event × 2-thread trial.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.perfdmf import (
+    ProfileError,
+    TrialBuilder,
+    read_csv_profile,
+    read_json_profile,
+    read_tau_profile,
+    trial_to_dict,
+    write_csv_profile,
+    write_json_profile,
+    write_tau_profile,
+)
+
+
+def small_trial():
+    exc = np.array([[10.0, 20.0], [5.0, 5.0], [1.5, 2.5]])
+    return (TrialBuilder("fuzz", {"case": "fuzz"})
+            .with_events(["main", "loop", "main => loop"])
+            .with_threads(2)
+            .with_metric("TIME", exc, exc * 2, units="usec")
+            .with_metric("L3_MISSES", exc * 100, exc * 200)
+            .with_calls(np.full((3, 2), 3.0), np.full((3, 2), 1.0))
+            .build())
+
+
+def write_doc(tmp_path, doc) -> Path:
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestJsonNamedCases:
+    def _doc(self):
+        return trial_to_dict(small_trial())
+
+    def _assert_rejected(self, tmp_path, doc, match):
+        path = write_doc(tmp_path, doc)
+        with pytest.raises(ProfileError, match=match) as err:
+            read_json_profile(path)
+        assert str(path) in str(err.value)
+
+    def test_non_object_document(self, tmp_path):
+        self._assert_rejected(tmp_path, [1, 2], "JSON object")
+
+    def test_non_integer_format_version(self, tmp_path):
+        doc = self._doc()
+        doc["format_version"] = "x"
+        self._assert_rejected(tmp_path, doc, "format_version")
+
+    def test_event_without_name(self, tmp_path):
+        doc = self._doc()
+        del doc["events"][1]["name"]
+        self._assert_rejected(tmp_path, doc, "name")
+
+    def test_metric_without_name(self, tmp_path):
+        doc = self._doc()
+        del doc["metrics"][0]["name"]
+        self._assert_rejected(tmp_path, doc, "name")
+
+    def test_data_block_without_exclusive(self, tmp_path):
+        doc = self._doc()
+        del doc["data"]["TIME"]["exclusive"]
+        self._assert_rejected(tmp_path, doc, "exclusive")
+
+
+def test_tau_malformed_number_names_file_and_line(tmp_path):
+    write_tau_profile(small_trial(), tmp_path / "prof")
+    path = tmp_path / "prof" / "MULTI__TIME" / "profile.0.0.1"
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].replace(" 3 ", " 1.2.3 ", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ProfileError, match=rf"{path}:4: .*1\.2\.3"):
+        read_tau_profile(tmp_path / "prof")
+
+
+# -- fuzz: 1-5 character edits of a written trial ---------------------------
+
+ALPHABET = st.sampled_from(list('0123456789.eE+-",:[]{} \nabcxyz_=>\\#'))
+
+
+@st.composite
+def edits(draw):
+    """1-5 (position fraction, kind, character) edits."""
+    return draw(st.lists(
+        st.tuples(st.floats(0, 1), st.sampled_from(["insert", "replace", "delete"]),
+                  ALPHABET),
+        min_size=1, max_size=5))
+
+
+def mutate(text: str, ops) -> str:
+    for where, kind, char in ops:
+        i = min(int(where * len(text)), max(len(text) - 1, 0))
+        if kind == "insert":
+            text = text[:i] + char + text[i:]
+        elif kind == "replace":
+            text = text[:i] + char + text[i + 1:]
+        else:
+            text = text[:i] + text[i + 1:]
+    return text
+
+
+def loads_or_names_file(read, path, shown):
+    """``read(path)`` gives a trial or a ProfileError that names ``shown``."""
+    try:
+        read(path)
+    except ProfileError as exc:
+        assert str(shown) in str(exc), str(exc)
+
+
+FUZZ = settings(max_examples=120, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    root = tmp_path_factory.mktemp("seed")
+    trial = small_trial()
+    write_json_profile(trial, root / "t.json")
+    write_csv_profile(trial, root / "t.csv")
+    write_tau_profile(trial, root / "tau")
+    return root
+
+
+@FUZZ
+@given(ops=edits())
+def test_json_reader_fuzz(written, ops):
+    text = mutate((written / "t.json").read_text(), ops)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.json"
+        path.write_text(text)
+        loads_or_names_file(read_json_profile, path, path)
+
+
+@FUZZ
+@given(ops=edits())
+def test_csv_reader_fuzz(written, ops):
+    text = mutate((written / "t.csv").read_text(), ops)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_text(text)
+        loads_or_names_file(read_csv_profile, path, path)
+
+
+@FUZZ
+@given(ops=edits(), which=st.integers(0, 3))
+def test_tau_reader_fuzz(written, ops, which):
+    files = sorted((written / "tau").rglob("profile.*"))
+    target = files[which]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "tau"
+        for path in files:
+            copy = root / path.relative_to(written / "tau")
+            copy.parent.mkdir(parents=True, exist_ok=True)
+            text = path.read_text()
+            copy.write_text(mutate(text, ops) if path == target else text)
+        loads_or_names_file(read_tau_profile, root, root)

@@ -175,7 +175,8 @@ class TestCsvFormat:
             "event,group,metric,node,context,thread,exclusive,inclusive,calls,subroutines\n"
             "main,TAU_DEFAULT,TIME,0,0\n"
         )
-        with pytest.raises(ProfileError, match="short.csv:2"):
+        with pytest.raises(ProfileError,
+                           match=r"short.csv:2: row has 5 of 10 columns"):
             read_csv_profile(p)
 
 

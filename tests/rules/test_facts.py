@@ -70,3 +70,35 @@ class TestFactHandle:
         h2 = FactHandle(Fact("T"))
         assert h1 == h1 and h1 != h2
         assert len({h1, h2, h1}) == 2
+
+    def test_seq_reservations_never_overlap_across_threads(self):
+        """Concurrent engines reserve disjoint sequence ranges: a lost
+        update in the allocator would hand two ranges the same numbers."""
+        import sys
+        import threading
+
+        from repro.rules.facts import reserve_seqs
+
+        ranges: list[range] = []
+        lock = threading.Lock()
+
+        def reserve():
+            mine = [range(base, base + n) for n in (1, 7, 3) * 100
+                    for base in [reserve_seqs(n)]]
+            with lock:
+                ranges.extend(mine)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reserve) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        seqs = [s for r in ranges for s in r]
+        assert len(ranges) == 8 * 300
+        assert len(seqs) == len(set(seqs))

@@ -11,7 +11,14 @@ including rulebases whose actions retract and modify facts mid-run.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rules import Fact, RuleBuilder, RuleEngine, WorkingMemory
+from repro.rules import (
+    Fact,
+    FactBatch,
+    FactStream,
+    RuleBuilder,
+    RuleEngine,
+    WorkingMemory,
+)
 
 
 # --------------------------------------------------------------------------
@@ -396,3 +403,178 @@ def test_diagnosis_identical_with_and_without_indexing():
     assert [r.rule_name for r in a.engine.trace] == [
         r.rule_name for r in b.engine.trace
     ]
+
+
+# --------------------------------------------------------------------------
+# property: a batch-asserted soup behaves exactly like one-at-a-time facts
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def typed_soups(draw):
+    """A fact soup whose facts of one type share their fields (a batch
+    holds every field for every row)."""
+    optional = {t: (draw(st.booleans()), draw(st.booleans())) for t in TYPES}
+    out = []
+    for _ in range(draw(st.integers(2, 25))):
+        fact_type = draw(fact_types)
+        has_link, has_sev = optional[fact_type]
+        fields = {"name": draw(names)}
+        if has_link:
+            fields["link"] = draw(names)
+        if has_sev:
+            fields["sev"] = draw(numbers)
+        out.append(Fact(fact_type, **fields))
+    return out
+
+
+@st.composite
+def alpha_rules(draw, index):
+    """Rules whose literal tests the alpha memory decides: numeric
+    comparisons, ``in``, and a literal after a join variable."""
+    builder = RuleBuilder(f"a{index}", salience=draw(st.integers(-1, 1)))
+    builder.when("f", draw(fact_types),
+                 ("sev", draw(st.sampled_from([">", ">=", "<", "!="])),
+                  draw(numbers)),
+                 ("name", "in", draw(st.lists(names, max_size=3))),
+                 "n := name")
+    if draw(st.booleans()):
+        builder.when("g", draw(fact_types), ("link", "==", "$n"),
+                     ("sev", "<=", draw(numbers)))
+    return builder.then_log("alpha hit {n}").build()
+
+
+def as_stream(facts):
+    """The soup as one stream: a batch per type, each row at the
+    position the fact has in the soup."""
+    rows: dict[str, list[tuple[int, Fact]]] = {}
+    for position, fact in enumerate(facts):
+        rows.setdefault(fact.fact_type, []).append((position, fact))
+    return FactStream([
+        FactBatch(fact_type,
+                  {name: [f[name] for _, f in typed] for name in typed[0][1]},
+                  [position for position, _ in typed])
+        for fact_type, typed in rows.items()
+    ])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batch_assertion_matches_one_at_a_time(data):
+    """Same rules + soup, asserted as type batches with interleaved
+    positions or as single facts, with and without indexing → identical
+    firing trace, final memory and output, including a retract and a
+    modify between runs of rows no rule may have reached yet."""
+    rules = [data.draw(random_rules(index=i))
+             for i in range(data.draw(st.integers(0, 3)))]
+    rules += [data.draw(alpha_rules(index=i))
+              for i in range(data.draw(st.integers(1, 3)))]
+    facts = data.draw(typed_soups())
+    retract_at = data.draw(st.integers(0, len(facts) - 1))
+    modify_at = data.draw(st.integers(0, len(facts) - 1))
+    outcomes = []
+    for batched in (True, False):
+        for indexing in (True, False):
+            engine = RuleEngine(max_firings=50_000, indexing=indexing)
+            engine.add_rules(rules)
+            copies = [Fact(f.fact_type, **f.as_dict()) for f in facts]
+            if batched:
+                handles = engine.assert_facts(as_stream(copies))
+            else:
+                handles = [engine.assert_fact(f) for f in copies]
+            base = handles[0].seq
+            engine.run(max_cycles=1)
+            if handles[retract_at].live:
+                engine.retract(handles[retract_at])
+            if handles[modify_at].live:
+                engine.modify(handles[modify_at], name="alpha", sev=3)
+            engine.run()
+            outcomes.append((_normalized_trace(engine, base),
+                             _final_memory(engine), engine.output))
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+
+
+@pytest.mark.parametrize("indexing", [True, False])
+def test_string_join_matches_float_field(indexing):
+    """Approximate ``==`` parses a numeric string, so a float field joins
+    a string binding; the index must not hide the float row."""
+    engine = RuleEngine(indexing=indexing)
+    engine.add_rule(RuleBuilder("j").when("f", "X", "n := name")
+                    .when("g", "Y", ("link", "==", "$n"))
+                    .then_log("hit {n}").build())
+    engine.assert_fact(Fact("X", name="1.0"))
+    engine.assert_fact(Fact("Y", link=1.0))
+    engine.run()
+    assert engine.output == ["[j] hit 1.0"]
+
+
+class TestFactBatches:
+    def test_rows_reached_only_on_demand(self):
+        engine = RuleEngine()
+        engine.add_rule(RuleBuilder("hot").when("f", "E", ("sev", ">", 2))
+                        .then_log("hot").build())
+        handles = engine.assert_facts(FactBatch(
+            "E", {"name": ["a", "b", "c"], "sev": [1, 5, 2]}))
+        engine.run()
+        store = engine.memory._stores["E"]
+        assert [h is not None for h in store.handles] == [False, True, False]
+        first = handles[0]
+        assert handles[0] is first  # cached: one handle per row
+        assert first.fact["name"] == "a"
+
+    @pytest.mark.parametrize("indexing", [True, False])
+    def test_fact_and_batch_rows_share_a_store(self, indexing):
+        """Rows asserted as facts and as batches of one type, with
+        different fields, answer one pattern together in seq order."""
+        engine = RuleEngine(indexing=indexing)
+        engine.add_rule(RuleBuilder("hot").when("f", "E", ("sev", ">", 1),
+                                                "n := name")
+                        .then_log("{n}").build())
+        engine.insert("E", name="a", sev=2)
+        engine.insert("E", name="b")
+        engine.assert_facts(FactBatch("E", {"name": ["c", "d"]}))
+        engine.assert_facts(FactBatch("E", {"name": ["e", "f"],
+                                            "sev": [5, 0]}))
+        engine.insert("E", name="g", sev=3, extra=True)
+        engine.run()
+        assert sorted(engine.output) == ["[hot] a", "[hot] e", "[hot] g"]
+        assert [(f["name"], f.get("sev")) for f in engine.facts("E")] == [
+            ("a", 2), ("b", None), ("c", None), ("d", None), ("e", 5),
+            ("f", 0), ("g", 3)]
+
+    def test_stream_iterates_in_position_order(self):
+        stream = FactStream([
+            FactBatch("A", {"x": [1, 3]}, [0, 2]),
+            FactBatch("B", {"y": [2]}, [1]),
+        ])
+        assert len(stream) == 3
+        assert [(f.fact_type, dict(f.items())) for f in stream] == [
+            ("A", {"x": 1}), ("B", {"y": 2}), ("A", {"x": 3})]
+
+    def test_stream_rows_take_consecutive_seqs_by_position(self):
+        wm = WorkingMemory()
+        handles = wm.assert_facts(FactStream([
+            FactBatch("A", {"x": [1, 3]}, [0, 2]),
+            FactBatch("B", {"y": [2]}, [1]),
+        ]))
+        base = handles.seqs[0]
+        assert [(h.seq - base, h.fact.fact_type) for h in wm.of_type("A")] == [
+            (0, "A"), (2, "A")]
+        assert wm.handle(base + 1).fact["y"] == 2
+
+    @pytest.mark.parametrize("batches", [
+        [FactBatch("A", {"x": [1]}, [1])],                  # gap at 0
+        [FactBatch("A", {"x": [1]}, [0]),
+         FactBatch("B", {"y": [2]}, [0])],                  # position twice
+        [FactBatch("A", {"x": [1]}, [0]),
+         FactBatch("A", {"x": [2]}, [1])],                  # type twice
+    ])
+    def test_bad_streams_rejected(self, batches):
+        with pytest.raises(ValueError):
+            FactStream(batches)
+
+    def test_batch_rejects_ragged_columns_and_unordered_positions(self):
+        with pytest.raises(ValueError):
+            FactBatch("A", {"x": [1, 2], "y": [1]})
+        with pytest.raises(ValueError):
+            FactBatch("A", {"x": [1, 2]}, [1, 0])

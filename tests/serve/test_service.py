@@ -6,6 +6,7 @@ an order of magnitude faster than cold, an injected transient fault that
 retries to success, and queue/cache metrics visible in ``stats()``.
 """
 
+import statistics
 import time
 import uuid
 
@@ -74,15 +75,20 @@ class TestAcceptanceScenario:
         assert cold.wait(30.0) and cold.status == "done"
         cold_seconds = cold.queue_wait + cold.exec_seconds
 
-        start = time.monotonic()
-        warm = service.submit("diagnose", DIAG)
-        assert warm.wait(5.0)
-        warm_seconds = time.monotonic() - start
-        assert warm.cache_hit
-        assert warm.result == cold.result
+        # a steady-state hit: the median of consecutive hits, so one slow
+        # first hit (a cold code path) neither fails nor hides anything
+        hits = []
+        for _ in range(5):
+            start = time.monotonic()
+            warm = service.submit("diagnose", DIAG)
+            assert warm.wait(5.0)
+            hits.append(time.monotonic() - start)
+            assert warm.cache_hit
+            assert warm.result == cold.result
+        warm_seconds = statistics.median(hits)
         assert warm_seconds < cold_seconds / 10, (
-            f"cache hit took {warm_seconds:.4f}s vs cold "
-            f"{cold_seconds:.4f}s"
+            f"cache hit took {warm_seconds:.4f}s (median of {len(hits)}) "
+            f"vs cold {cold_seconds:.4f}s"
         )
 
     def test_injected_fault_retries_to_success(self, service):
