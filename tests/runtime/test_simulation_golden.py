@@ -17,8 +17,11 @@ machine before it was batched over loops, and the
 ``traced/genidlest-mpi/5`` ones with the per-rank MPI loop before the
 ranks ran in lockstep, and the ``traced/genidlest-omp-events``,
 ``traced/genidlest-omp/opt`` and ``omp-regions-events/*`` ones with the
-per-thread OpenMP constructs before the teams ran in lockstep; they must
-not be edited to make a change pass.
+per-thread OpenMP constructs before the teams ran in lockstep, and the
+``omp-regions-events/dynamic,3``, ``omp-regions-events/guided,2`` and
+``traced/msa-dynamic`` ones with the per-chunk dynamic and guided
+dispatch before those loops ran from a dispatch plan; they must not be
+edited to make a change pass.
 """
 
 from __future__ import annotations
@@ -174,6 +177,10 @@ def case_digest(case: str) -> str:
         return trial_digest(genidlest_run(case.endswith("/opt")))
     if case == "traced/msa":
         return traced_digest(traced_msa(), uniform_machine(16))
+    if case == "traced/msa-dynamic":
+        return traced_digest(trace_application(
+            "msa", n_sequences=400, n_threads=16, seed=0,
+            schedule="dynamic,1"), uniform_machine(16))
     if case == "traced/genidlest-mpi":
         return traced_digest(traced_genidlest_mpi(), default_machine(16))
     if case == "traced/genidlest-mpi-events":
@@ -260,6 +267,12 @@ GOLDEN = {
         "b0b370c75708fce6a9b926ce86f870381ddb01fdcfce2bdef6405871af867c01",
     "omp-regions-events/static":
         "c83ae4e291462422043472badf7d3731eedd6f11332f105a787257121d335ea7",
+    "omp-regions-events/dynamic,3":
+        "f6be2a2048e9508c85e1d28eee8ef5ab45a4e0db64e840ef6a83bc2658944cc8",
+    "omp-regions-events/guided,2":
+        "7de13abd7c5590fea32619f7c6037ee45cf425145b515ca41ee0c1bafe48a8ad",
+    "traced/msa-dynamic":
+        "eabcecfb9062b5b9d8fb34bb89d57142846964879c86facb320d5d6cf02014dc",
 }
 
 
