@@ -17,6 +17,13 @@ compute cost to the *loop event* and barrier waiting to the enclosing
 rule keys on (a thread that leaves the inner loop early waits longer in the
 outer region → strong negative correlation between the two events across
 threads).
+
+The team runs each phase of a construct in lockstep, one profiler step
+for all threads.  A static loop's chunk owners are fixed; a dynamic or
+guided loop first computes its dispatch plan (which thread takes each
+chunk, from the chunk costs alone), then runs round ``r`` of it, every
+thread's ``r``-th chunk, as one step.  The trace still records a dynamic
+loop chunk by chunk in dispatch order.
 """
 
 from __future__ import annotations
@@ -29,9 +36,13 @@ from typing import Sequence
 import numpy as np
 
 from ..machine import Machine, PageTable
+from ..machine import counters as C
 from . import trace as T
 from .exec import LoopTask, task_rows
 from .tau import Profiler
+
+#: Slot of the TIME counter, which advances the virtual clocks.
+_TIME = C.counter_slot(C.TIME)
 
 
 class OpenMPError(Exception):
@@ -205,6 +216,42 @@ class OpenMPRuntime:
             self._rows_memo[key] = (tuple(tasks), rows)
         return rows
 
+    def _dispatch(self, tasks: Sequence[LoopTask], cpus: list[int],
+                  chunks: list[tuple[int, int]]) -> list[list[tuple[int, np.ndarray]]]:
+        """Each thread's (dispatch index, rows) chunks of a dynamic or
+        guided loop, in order.  Chunks go in order to the thread free
+        earliest (virtual-clock greedy, which is what the real runtime's
+        idle-thread queue converges to; ties to the lower thread), whose
+        clock then takes the profiler's additions: the dispatch idle, then
+        each row's TIME.  Rows whose placement depends on the thread are
+        computed on the chosen CPU at dispatch, so first touches keep the
+        dispatch order."""
+        pages = self.page_table
+        placed = pages is not None and any(task.access for task in tasks)
+        if not placed:
+            rows = task_rows(self.machine, tasks, ())
+            seconds = (rows[:, _TIME] / 1e6).tolist()
+        overhead_s = self.dispatch_overhead_us / 1e6
+        idle = 0.0 if not overhead_s else float(
+            self.machine.processor.idle_vector(overhead_s).as_array()[_TIME]) / 1e6
+        heap = [(clock, t) for t, clock in enumerate(self.profiler.clocks(cpus))]
+        heapq.heapify(heap)
+        plan: list[list[tuple[int, np.ndarray]]] = [[] for _ in cpus]
+        for j, (start, stop) in enumerate(chunks):
+            clock, t = heapq.heappop(heap)
+            clock += idle
+            if placed:
+                block = task_rows(self.machine, tasks[start:stop],
+                                  [cpus[t]] * (stop - start), pages)
+                spans = (block[:, _TIME] / 1e6).tolist()
+            else:
+                block, spans = rows[start:stop], seconds[start:stop]
+            for span in spans:
+                clock += span
+            plan[t].append((j, block))
+            heapq.heappush(heap, (clock, t))
+        return plan
+
     # The team steps through each phase of a construct in lockstep; each
     # phase is one block, so the trace keeps the per-thread order of a
     # loop over the threads.
@@ -290,61 +337,49 @@ class OpenMPRuntime:
         n_chunks = [0] * n_threads
         fork_join_s = self.fork_join_overhead_us / 2e6
 
-        static = schedule.kind == "static"
-        if static:
+        if schedule.kind == "static":
             # Chunk i goes to thread i (contiguous even blocks) or to
             # thread i mod n (round robin).  All rows are computed before
             # the fork, in the thread-major order the loop runs them in.
-            plan = sorted(range(len(chunks)), key=lambda ci: ci % n_threads)
+            order = sorted(range(len(chunks)), key=lambda ci: ci % n_threads)
             rows = self._rows(
-                [tasks[i] for ci in plan for i in range(*chunks[ci])],
-                [cpus[ci % n_threads] for ci in plan for _ in range(*chunks[ci])],
+                [tasks[i] for ci in order for i in range(*chunks[ci])],
+                [cpus[ci % n_threads] for ci in order for _ in range(*chunks[ci])],
             )
-            sizes = [chunks[ci][1] - chunks[ci][0] for ci in plan]
-            block = dict(zip(plan, np.split(rows, np.cumsum(sizes)[:-1])))
-        else:  # rows come per chunk: check every access before the fork
-            accesses = [task.access for task in tasks if task.access]
-            for a in accesses if self.page_table is not None else ():
+            sizes = [chunks[ci][1] - chunks[ci][0] for ci in order]
+            plan = [[] for _ in cpus]
+            for j, (ci, block) in enumerate(zip(
+                    order, np.split(rows, np.cumsum(sizes)[:-1]))):
+                plan[ci % n_threads].append((j, block))
+            dispatch_s = 0.0
+        else:  # the plan computes rows after the fork: check accesses first
+            for a in (task.access for task in tasks if task.access) \
+                    if self.page_table is not None else ():
                 self.page_table.span(a.region, a.start_byte, a.length)
-            placed = self.page_table is not None and bool(accesses)
+            plan = None
+            dispatch_s = self.dispatch_overhead_us / 1e6
         seq = next(self._construct_seq)
         self._fork(cpus, region_event, {"n_threads": n_threads,
                    "schedule": str(schedule), "seq": seq}, fork_join_s)
+        if plan is None:
+            plan = self._dispatch(tasks, cpus, chunks)
 
-        if static:
-            # one step per round of chunks: thread t runs chunk first + t
-            with prof.lockstep(cpus):
-                for first in range(0, len(chunks), n_threads):
-                    step = range(first, min(first + n_threads, len(chunks)))
-                    elapsed = self._step(cpus[:len(step)], loop_event,
-                                         "OPENMP_LOOP", [block[ci] for ci in step])
-                    for t, seconds in enumerate(elapsed):
-                        compute[t] += seconds
-                        n_chunks[t] += 1
-        else:
-            # dynamic/guided: chunks dispatched in order to the earliest-
-            # available thread (virtual-clock greedy, which is what the
-            # real runtime's idle-thread queue converges to).  Where no
-            # task's placement depends on the thread, the rows are known
-            # before dispatch.
-            rows = task_rows(self.machine, tasks, ()) if not placed else None
-            heap = [(prof.clock(cpus[t]), t) for t in range(n_threads)]
-            heapq.heapify(heap)
-            for start, stop in chunks:
-                _, t = heapq.heappop(heap)
-                prof.charge_idle(cpus[t], self.dispatch_overhead_us / 1e6)
-                chunk_rows = rows[start:stop] if not placed else task_rows(
-                    self.machine, tasks[start:stop],
-                    [cpus[t]] * (stop - start), self.page_table,
-                )
-                t0 = prof.clock(cpus[t])
-                prof.enter(cpus[t], loop_event, group="OPENMP_LOOP")
-                prof.charge_rows(cpus[t], chunk_rows)
-                prof.exit(cpus[t], loop_event)
-                compute[t] += prof.clock(cpus[t]) - t0
-                compute[t] += self.dispatch_overhead_us / 1e6
-                n_chunks[t] += 1
-                heapq.heappush(heap, (prof.clock(cpus[t]), t))
+        # Round r: every thread with an r-th chunk pays the dispatch
+        # overhead and runs it.  One held-back step over all rounds, keyed
+        # by each chunk's place in the thread-major or dispatch order,
+        # records the chunks as the per-thread or per-chunk loop did.
+        with prof.lockstep(cpus):
+            for r in range(max(map(len, plan))):
+                team = [t for t in range(n_threads) if len(plan[t]) > r]
+                team_cpus = [cpus[t] for t in team]
+                with prof.lockstep(team_cpus, [plan[t][r][0] for t in team]):
+                    prof.charge_idle_set(team_cpus, [dispatch_s] * len(team))
+                    elapsed = self._step(team_cpus, loop_event, "OPENMP_LOOP",
+                                         [plan[t][r][1] for t in team])
+                for t, seconds in zip(team, elapsed):
+                    compute[t] += seconds
+                    compute[t] += dispatch_s
+                    n_chunks[t] += 1
 
         # Implicit barrier: everyone waits for the slowest thread.
         release, barrier = self._barrier(cpus, region_event, seq)

@@ -130,8 +130,10 @@ class Profiler:
     The ``*_set`` methods do what a loop of the scalar call over distinct
     CPUs does, as one elementwise step over CPUs in lockstep (else as that
     loop): each cell gets its own CPU's additions in the same order, so
-    results are bit-identical; inside :meth:`lockstep` the trace records
-    them CPU by CPU, as the loop would.
+    results are bit-identical; a block of many rows on few CPUs is folded
+    in one ``np.add.accumulate`` pass, the same additions in the same
+    order.  Inside :meth:`lockstep` the trace records them CPU by CPU, as
+    the loop would.
     """
 
     def __init__(
@@ -363,16 +365,13 @@ class Profiler:
             if path_event >= 0:
                 self._exclusive[path_event, columns] += counters
 
-    def charge_rows(self, cpu: int, rows: np.ndarray) -> None:
-        """Charge each counter row of ``rows`` in order, as one
-        :meth:`charge` per row: rows are never summed first, which would
-        reassociate the additions."""
-        for row in rows:
-            self.charge(cpu, _wrap(row))
-
     def charge_set(self, cpus, rows, *, _idle: bool = False) -> None:
-        """:meth:`charge_rows` ``rows[i]`` on ``cpus[i]``; row counts may
-        differ.  Step ``k`` charges row ``k`` on every CPU that has one."""
+        """Charge each counter row of ``rows[i]`` in order on ``cpus[i]``,
+        as one :meth:`charge` per row; row counts may differ.  Step ``k``
+        charges row ``k`` on every CPU that has one.  Rows are never summed
+        first, which would reassociate the additions."""
+        if not len(cpus):
+            return
         cpu_set = self._set(cpus)
         states = cpu_set.states
         top = _lockstep_top(states)
@@ -395,15 +394,19 @@ class Profiler:
         depth = len(states[0].stack)
         clocks = np.array([s.clock_seconds for s in states])
         seconds = block[..., _TIME] / 1e6
-        ts = np.empty(seconds.shape)
-        for k in range(block.shape[1]):
-            live, cols = slice(None), cpu_set.cols
-            if lengths is not None:
-                live = np.flatnonzero(lengths > k)
-                cols = cpu_set.columns[live]
-            ts[live, k] = clocks[live]
-            self._fold(top.event, top.path_event, cols, depth, block[live, k])
-            clocks[live] += seconds[live, k]
+        if block.shape[1] >= 8 * len(states):  # long and narrow: one pass
+            ts, clocks = self._fold_block(top, cpu_set.cols, depth, block,
+                                          lengths, clocks, seconds)
+        else:
+            ts = np.empty(seconds.shape)
+            for k in range(block.shape[1]):
+                live, cols = slice(None), cpu_set.cols
+                if lengths is not None:
+                    live = np.flatnonzero(lengths > k)
+                    cols = cpu_set.columns[live]
+                ts[live, k] = clocks[live]
+                self._fold(top.event, top.path_event, cols, depth, block[live, k])
+                clocks[live] += seconds[live, k]
         for state, clock in zip(states, clocks.tolist()):
             state.clock_seconds = clock
         if self.trace is not None:
@@ -417,6 +420,39 @@ class Profiler:
                     payload["vector"] = _wrap(row)
             self.trace.emit_many(T.CHARGE, np.repeat(cpus, counts).tolist(),
                                  ts[charged].tolist(), top.name, attrs)
+
+    def _fold_block(self, top: _OpenRegion, cols, depth: int,
+                    block: np.ndarray, lengths, clocks: np.ndarray,
+                    seconds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The per-step :meth:`_fold` of ``block`` on ``cols`` (and the
+        clock advance) in one pass: ``np.add.accumulate`` along the step
+        axis adds each row to the running cell in order, the same left
+        fold (``add.reduce`` would pair).  A CPU keeps the prefix at its
+        own row count.  Returns the charge timestamps and final clocks."""
+        n, steps = block.shape[:2]
+        cells = [self._exclusive[top.event, cols][:, None], self._open[cols, :depth]]
+        if self._path_open is not None:
+            cells.append(self._path_open[cols, :depth])
+            if top.path_event >= 0:
+                cells.append(self._exclusive[top.path_event, cols][:, None])
+        start = np.concatenate(cells, axis=1)
+        folds = np.empty((n, steps + 1) + start.shape[1:])
+        folds[:, 0] = start
+        folds[:, 1:] = block[:, :, None]
+        times = np.empty((n, steps + 1))
+        times[:, 0] = clocks
+        times[:, 1:] = seconds
+        np.add.accumulate(folds, axis=1, out=folds)
+        np.add.accumulate(times, axis=1, out=times)
+        last = np.full(n, steps) if lengths is None else lengths
+        final = folds[np.arange(n), last]
+        self._exclusive[top.event, cols] = final[:, 0]
+        self._open[cols, :depth] = final[:, 1:1 + depth]
+        if self._path_open is not None:
+            self._path_open[cols, :depth] = final[:, 1 + depth:1 + 2 * depth]
+            if top.path_event >= 0:
+                self._exclusive[top.path_event, cols] = final[:, -1]
+        return times[:, :-1], times[np.arange(n), last]
 
     def charge_idle_set(self, cpus, seconds) -> None:
         """:meth:`charge_idle` ``seconds[i]`` on ``cpus[i]``."""
@@ -482,10 +518,14 @@ class Profiler:
         live = [(cpu, gap) for cpu, gap in gaps if gap > 0]
         self.charge_idle_set([cpu for cpu, _ in live], [gap for _, gap in live])
 
-    def lockstep(self, cpus):
+    def lockstep(self, cpus, keys=None):
         """Context in which the trace records the ``*_set`` steps' events
-        CPU by CPU in the order of ``cpus``, as a loop over them would."""
-        return nullcontext() if self.trace is None else self.trace.lockstep(cpus)
+        CPU by CPU in the order of ``cpus``, as a loop over them would, or
+        in the order of their ``keys`` (see :meth:`EventTrace.lockstep
+        <repro.runtime.trace.EventTrace.lockstep>`)."""
+        if self.trace is None:
+            return nullcontext()
+        return self.trace.lockstep(cpus, keys)
 
     # -- phases -----------------------------------------------------------
     def phase(self, label: str) -> None:

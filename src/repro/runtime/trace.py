@@ -31,6 +31,7 @@ off stays within noise of the untraced runtime (see
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from itertools import repeat
 from typing import Any, Iterator, Sequence
@@ -207,7 +208,7 @@ class EventTrace:
         self._charge_cols: dict[str, Any] | None = None
         self._charge_cols_len = -1
         # inside lockstep(): the held-back (kind code, cpu, ts, name, attrs)
-        # events and each one's CPU position, reordered when the step ends
+        # events and each one's CPU key, reordered when the step ends
         self._step: tuple[list, list, dict[int, int]] | None = None
 
     # -- recording ---------------------------------------------------------
@@ -240,9 +241,9 @@ class EventTrace:
         columns = ([KIND_CODES[kind]] * n, cpus, ts, [name] * n,
                    [None] * n if attrs is None else attrs)
         if self._step is not None:
-            events, keys, position = self._step
+            events, held, key_of = self._step
             events.extend(zip(*columns))
-            keys.extend(map(position.get, cpus, repeat(len(position))))
+            held.extend(map(key_of.get, cpus, repeat(sys.maxsize)))
         else:
             self._append(*columns)
 
@@ -260,22 +261,27 @@ class EventTrace:
         self._attrs.extend(attrs)
 
     @contextmanager
-    def lockstep(self, cpus: Sequence[int]):
-        """Hold back the events emitted inside, then record them CPU by
-        CPU in the order of ``cpus`` (each CPU's in emission order; other
-        CPUs' last), which is what a loop over the CPUs records when a
-        step runs them all at once.  Nested steps join the outer one."""
+    def lockstep(self, cpus: Sequence[int], keys: Sequence[int] | None = None):
+        """Hold back the events emitted inside, then record them by their
+        CPU's key, ``keys[i]`` for ``cpus[i]`` (each CPU's in emission
+        order; other CPUs' last).  The default key, a CPU's position in
+        ``cpus``, gives what a loop over the CPUs records when a step runs
+        them all at once.  Nested steps join the outer one, and a nested
+        step's ``keys`` replace its CPUs' keys there."""
         if self._step is not None:
+            if keys is not None:
+                self._step[2].update(zip(cpus, keys))
             yield
             return
         events: list = []
-        keys: list[int] = []
-        self._step = (events, keys, {cpu: i for i, cpu in enumerate(cpus)})
+        held: list[int] = []
+        self._step = (events, held, dict(zip(
+            cpus, range(len(cpus)) if keys is None else keys)))
         try:
             yield
         finally:
             self._step = None
-            order = np.argsort(np.array(keys, dtype=np.intp), kind="stable")
+            order = np.argsort(np.array(held, dtype=np.intp), kind="stable")
             if events:
                 self._append(*map(list, zip(*[events[i] for i in order])))
 

@@ -5,16 +5,22 @@ twice: once through the profiler's ``*_set`` methods (one lockstep step
 each, or several ops in one step), once as a loop of the scalar calls.
 Accumulators, clocks, interval snapshots and every trace column and
 payload must be bitwise equal.  The MPI neighbour exchange is checked the
-same way against ``isend``/``irecv``/``waitall`` per rank, and OpenMP
+same way against ``isend``/``irecv``/``waitall`` per rank, OpenMP
 teams' static loops and ``single`` constructs against the per-thread
-calls they replace.
+calls they replace, and dynamic and guided loops, run from a dispatch
+plan in rounds, against the per-chunk dispatch loop.  Long blocks on few
+CPUs, which ``charge_set`` folds in one pass, are drawn on both sides of
+the threshold.
 """
+
+import heapq
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.machine import WorkSignature, altix_300, uniform_machine
+from repro.machine.counters import _wrap
 from repro.runtime import (
     EventTrace,
     LoopTask,
@@ -43,18 +49,45 @@ rows_of = st.integers(0, 3).flatmap(lambda n: st.lists(
     .map(_row), min_size=n, max_size=n))
 
 
+def seeded_rows(lo, hi):
+    """Lists of ``lo``–``hi`` random rows whose entries span 15 decades,
+    so any reassociated fold changes the low bits."""
+    def rows(n, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.random((n, 6)) * 10.0 ** rng.integers(-6, 9, (n, 6))).tolist()
+    return st.builds(rows, st.integers(lo, hi), st.integers(0, 2**32 - 1))
+
+
+#: One-CPU blocks of 8–70 rows and ragged few-CPU blocks reach the
+#: one-pass fold (rows >= 8 x CPUs); the shorter ones stay per step.
+long_rows = st.one_of(seeded_rows(8, 70), seeded_rows(0, 24))
+
+
+def charge_rows(prof, cpu, rows):
+    """One scalar ``charge`` per row, in order."""
+    for row in rows:
+        prof.charge(cpu, _wrap(row))
+
+
 @st.composite
-def scripts(draw):
+def scripts(draw, rows=rows_of, max_cpus=None, max_steps=24, opened=False):
     """Valid scripts: exits close the innermost region, charges land on
-    open regions; ``block`` steps run enter, charge and exit on one set."""
-    stacks = {cpu: [] for cpu in range(N_CPUS)}
+    open regions; ``block`` steps run enter, charge and exit on one set
+    (of at most ``max_cpus`` CPUs, drawing each CPU's ``rows``).  An
+    ``opened`` script first enters ``a`` on every CPU and charges it, so
+    later folds start from nonzero cells."""
+    stacks = {cpu: ["a"] if opened else [] for cpu in range(N_CPUS)}
     steps = []
-    for _ in range(draw(st.integers(1, 24))):
+    if opened:
+        every = list(range(N_CPUS))
+        steps += [("enter", every, "a"),
+                  ("charge", every, [draw(seeded_rows(1, 2)) for _ in every])]
+    for _ in range(draw(st.integers(1, max_steps))):
         kind = draw(st.sampled_from(["enter", "exit", "charge", "cut",
                                      "block"]))
         if kind in ("enter", "block"):
             cpus = sorted(draw(st.sets(st.integers(0, N_CPUS - 1),
-                                       min_size=1)))
+                                       min_size=1, max_size=max_cpus)))
             name = draw(st.sampled_from(NAMES))
             if kind == "enter":
                 for cpu in cpus:
@@ -62,7 +95,7 @@ def scripts(draw):
                 steps.append(("enter", cpus, name))
             else:
                 steps.append(("block", cpus, name,
-                              [draw(rows_of) for _ in cpus]))
+                              [draw(rows) for _ in cpus]))
         elif kind == "exit":
             tops = {}
             for cpu, stack in stacks.items():
@@ -78,8 +111,9 @@ def scripts(draw):
         elif kind == "charge":
             live = [cpu for cpu, stack in stacks.items() if stack]
             if live:
-                cpus = sorted(draw(st.sets(st.sampled_from(live), min_size=1)))
-                steps.append(("charge", cpus, [draw(rows_of) for _ in cpus]))
+                cpus = sorted(draw(st.sets(st.sampled_from(live), min_size=1,
+                                           max_size=max_cpus)))
+                steps.append(("charge", cpus, [draw(rows) for _ in cpus]))
         else:
             steps.append(("cut",))
     return steps, stacks
@@ -103,9 +137,9 @@ def run_script(script, stacks, *, lockstep, callpaths, trace):
                 if step[0] in ("enter", "block"):
                     prof.enter(cpu, step[2])
                 if step[0] == "charge":
-                    prof.charge_rows(cpu, _array(step[2][i]))
+                    charge_rows(prof, cpu, _array(step[2][i]))
                 if step[0] == "block":
-                    prof.charge_rows(cpu, _array(step[3][i]))
+                    charge_rows(prof, cpu, _array(step[3][i]))
                 if step[0] in ("exit", "block"):
                     prof.exit(cpu, step[2])
             continue
@@ -165,6 +199,20 @@ def assert_same_runs(a, b):
 @given(script=scripts(), callpaths=st.booleans(),
        tracing=st.sampled_from([None, False, True]))
 def test_set_steps_equal_the_scalar_loop(script, callpaths, tracing):
+    steps, stacks = script
+
+    def run(lockstep):
+        trace = None if tracing is None else EventTrace(record_charges=tracing)
+        return run_script(steps, stacks, lockstep=lockstep,
+                          callpaths=callpaths, trace=trace)
+
+    assert_same_runs(run(True), run(False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(script=scripts(rows=long_rows, max_cpus=3, max_steps=12, opened=True),
+       callpaths=st.booleans(), tracing=st.sampled_from([None, True]))
+def test_long_blocks_fold_like_the_scalar_loop(script, callpaths, tracing):
     steps, stacks = script
 
     def run(lockstep):
@@ -243,11 +291,14 @@ def _team_task(k):
 
 
 TEAM_TASKS = [_team_task(k) for k in range(12)]
+#: The same work with no region access, so no row depends on its thread.
+PLAIN_TASKS = [LoopTask(task.work) for task in TEAM_TASKS]
 
 
 def reference_parallel_for(omp, seq, *, region_event, loop_event, tasks,
                            n_threads, schedule, cpus):
-    """A static ``parallel_for`` as a loop of per-thread profiler calls."""
+    """A ``parallel_for`` as a loop of per-thread profiler calls; dynamic
+    and guided chunks go one by one to the thread free earliest."""
     prof, trace = omp.profiler, omp.profiler.trace
     schedule = Schedule.parse(schedule)
     for t, cpu in enumerate(cpus):
@@ -258,21 +309,38 @@ def reference_parallel_for(omp, seq, *, region_event, loop_event, tasks,
         prof.enter(cpu, region_event, group="OPENMP")
         prof.charge_idle(cpu, omp.fork_join_overhead_us / 2e6)
     chunks = _chunk_plan(len(tasks), n_threads, schedule)
-    plan = sorted(range(len(chunks)), key=lambda ci: ci % n_threads)
-    rows = task_rows(
-        omp.machine, [tasks[i] for ci in plan for i in range(*chunks[ci])],
-        [cpus[ci % n_threads] for ci in plan for _ in range(*chunks[ci])],
-        omp.page_table)
-    compute, n_chunks, offset = [0.0] * n_threads, [0] * n_threads, 0
-    for ci in plan:
-        t, size = ci % n_threads, chunks[ci][1] - chunks[ci][0]
+    compute, n_chunks = [0.0] * n_threads, [0] * n_threads
+
+    def run_chunk(t, rows):
         t0 = prof.clock(cpus[t])
         prof.enter(cpus[t], loop_event, group="OPENMP_LOOP")
-        prof.charge_rows(cpus[t], rows[offset:offset + size])
+        charge_rows(prof, cpus[t], rows)
         prof.exit(cpus[t], loop_event)
         compute[t] += prof.clock(cpus[t]) - t0
-        offset += size
         n_chunks[t] += 1
+
+    if schedule.kind == "static":
+        plan = sorted(range(len(chunks)), key=lambda ci: ci % n_threads)
+        rows = task_rows(
+            omp.machine, [tasks[i] for ci in plan for i in range(*chunks[ci])],
+            [cpus[ci % n_threads] for ci in plan for _ in range(*chunks[ci])],
+            omp.page_table)
+        offset = 0
+        for ci in plan:
+            size = chunks[ci][1] - chunks[ci][0]
+            run_chunk(ci % n_threads, rows[offset:offset + size])
+            offset += size
+    else:
+        dispatch_s = omp.dispatch_overhead_us / 1e6
+        heap = [(prof.clock(cpu), t) for t, cpu in enumerate(cpus)]
+        heapq.heapify(heap)
+        for start, stop in chunks:
+            _, t = heapq.heappop(heap)
+            prof.charge_idle(cpus[t], dispatch_s)
+            run_chunk(t, task_rows(omp.machine, tasks[start:stop],
+                                   [cpus[t]] * (stop - start), omp.page_table))
+            compute[t] += dispatch_s
+            heapq.heappush(heap, (prof.clock(cpus[t]), t))
     release = max(prof.clock(c) for c in cpus)
     if trace is not None:
         for t, cpu in enumerate(cpus):
@@ -302,9 +370,9 @@ def reference_single(omp, seq, *, region_event, body_event, work_items,
     master = cpus[master_thread]
     t0 = prof.clock(master)
     prof.enter(master, body_event, group="OPENMP")
-    prof.charge_rows(master, task_rows(omp.machine, work_items,
-                                       [master] * len(work_items),
-                                       omp.page_table))
+    charge_rows(prof, master, task_rows(omp.machine, work_items,
+                                        [master] * len(work_items),
+                                        omp.page_table))
     prof.exit(master, body_event)
     elapsed = prof.clock(master) - t0
     release = max(prof.clock(c) for c in cpus)
@@ -323,21 +391,26 @@ def reference_single(omp, seq, *, region_event, body_event, work_items,
 
 
 @st.composite
-def team_constructs(draw):
+def team_constructs(draw, schedules=("static",)):
     """A team (distinct CPUs in any order) and a list of constructs over
-    prefixes of one task list, so repeated constructs can reuse rows."""
+    prefixes of one task list (with or without region accesses), so
+    repeated constructs can reuse rows; loops take one of ``schedules``,
+    with or without a chunk."""
     cpus = draw(st.lists(st.integers(0, 15), min_size=1, max_size=6,
                          unique=True))
     constructs = []
     for _ in range(draw(st.integers(1, 6))):
         kind = draw(st.sampled_from(["for", "single", "cut"]))
+        plain = draw(st.booleans())
         if kind == "for":
+            schedule = draw(st.sampled_from(schedules))
             chunk = draw(st.none() | st.integers(1, 4))
             constructs.append(("for", draw(st.integers(1, 12)),
-                               "static" if chunk is None else f"static,{chunk}"))
+                               schedule if chunk is None
+                               else f"{schedule},{chunk}", plain))
         elif kind == "single":
             constructs.append(("single", draw(st.integers(1, 12)),
-                               draw(st.integers(0, len(cpus) - 1))))
+                               draw(st.integers(0, len(cpus) - 1)), plain))
         else:
             constructs.append(("cut",))
     return cpus, constructs
@@ -353,13 +426,14 @@ def result_bytes(result):
             np.array(result.barrier_seconds).tobytes()]
 
 
-def run_team(cpus, constructs, *, reference, parent_set, callpaths, trace):
+def run_team(cpus, constructs, *, reference, parent_set, callpaths, trace,
+             paged=True, dispatch_us=1.0):
     machine = altix_300()
-    pages = machine.new_page_table()
-    for r in range(4):
+    pages = machine.new_page_table() if paged else None
+    for r in range(4 if paged else 0):
         pages.allocate(f"r{r}", 60_000 + 20_000 * r)
     prof = SnapshotProfiler(machine, callpaths=callpaths, trace=trace)
-    omp = OpenMPRuntime(machine, prof, pages)
+    omp = OpenMPRuntime(machine, prof, pages, dispatch_overhead_us=dispatch_us)
     if parent_set:
         prof.enter_set(cpus, "main")
     else:
@@ -370,8 +444,8 @@ def run_team(cpus, constructs, *, reference, parent_set, callpaths, trace):
         if construct[0] == "cut":
             prof.phase("cut")
             continue
-        kind, n_tasks, arg = construct
-        tasks = TEAM_TASKS[:n_tasks]
+        kind, n_tasks, arg, plain = construct
+        tasks = (PLAIN_TASKS if plain else TEAM_TASKS)[:n_tasks]
         if kind == "for":
             call = reference_parallel_for if reference else omp.parallel_for
             kwargs = dict(region_event="region", loop_event="loop",
@@ -400,6 +474,27 @@ def test_team_constructs_equal_the_per_thread_calls(team, parent_set,
         return run_team(cpus, constructs, reference=reference,
                         parent_set=parent_set, callpaths=callpaths,
                         trace=trace)
+
+    (got, results), (want, expected) = run(False), run(True)
+    assert results == expected
+    assert_same_runs(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(team=team_constructs(schedules=("dynamic", "guided")),
+       paged=st.booleans(), dispatch_us=st.sampled_from([0.0, 2.7, 150.0]),
+       parent_set=st.booleans(), callpaths=st.booleans(),
+       tracing=st.sampled_from([None, False, True]))
+def test_planned_dispatch_equals_the_per_chunk_loop(team, paged, dispatch_us,
+                                                    parent_set, callpaths,
+                                                    tracing):
+    cpus, constructs = team
+
+    def run(reference):
+        trace = None if tracing is None else EventTrace(record_charges=tracing)
+        return run_team(cpus, constructs, reference=reference,
+                        parent_set=parent_set, callpaths=callpaths,
+                        trace=trace, paged=paged, dispatch_us=dispatch_us)
 
     (got, results), (want, expected) = run(False), run(True)
     assert results == expected

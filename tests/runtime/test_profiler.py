@@ -233,7 +233,8 @@ class TestDenseAccumulators:
 
 
 class TestChargeRows:
-    """``charge_rows`` is the fold of one ``charge`` per row, in order."""
+    """A one-CPU ``charge_set`` block is the fold of one ``charge`` per
+    row, in order (nine rows: the one-pass fold)."""
 
     @staticmethod
     def rows():
@@ -260,8 +261,8 @@ class TestChargeRows:
         vectors = self.rows()
         batched_trace, single_trace = EventTrace(), EventTrace()
         batched, batched_clock = self.run(
-            lambda p: p.charge_rows(
-                1, np.stack([v.as_array() for v in vectors])),
+            lambda p: p.charge_set(
+                [1], [np.stack([v.as_array() for v in vectors])]),
             callpaths, batched_trace)
         single, single_clock = self.run(
             lambda p: [p.charge(1, v) for v in vectors],
@@ -281,12 +282,12 @@ class TestChargeRows:
     def test_rows_outside_region_rejected(self):
         p = Profiler(uniform_machine(1))
         with pytest.raises(MeasurementError, match="outside any region"):
-            p.charge_rows(0, np.zeros((2, len(vec().as_array()))))
+            p.charge_set([0], [np.zeros((2, len(vec().as_array())))])
 
     def test_narrow_rows_are_widened(self):
         p = Profiler(uniform_machine(1))
         p.enter(0, "main")
         p.charge(0, CounterVector({C.TIME: 1.0, f"TEST_ONLY_{uuid.uuid4().hex}": 2.0}))
-        p.charge_rows(0, np.stack([vec(3.0).as_array()[:1]] * 2))
+        p.charge_set([0], [np.stack([vec(3.0).as_array()[:1]] * 2)])
         p.exit(0, "main")
         assert p.to_trial("t").get_exclusive("main", C.TIME, 0) == 7.0
