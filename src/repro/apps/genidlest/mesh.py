@@ -18,7 +18,6 @@ exchange.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from ...core.result import AnalysisError
@@ -66,8 +65,6 @@ class CaseConfig:
     name: str
     grid: tuple[int, int, int]
     n_blocks: int
-    #: Virtual cache block size target (bytes) for Schwarz subdomains.
-    cache_block_bytes: int = 192 * 1024
 
     def __post_init__(self) -> None:
         ni, nj, nk = self.grid
@@ -135,16 +132,3 @@ class MultiBlockMesh:
         """
         pairs = len(self.exchange_pairs())
         return pairs * 2 - 2 if buffered else pairs
-
-    def virtual_cache_blocks(self, block_id: int) -> int:
-        """How many Schwarz subdomains one block splits into."""
-        block = self.blocks[block_id]
-        per_field = self.config.cache_block_bytes // REAL_BYTES
-        return max(1, math.ceil(block.cells / per_field))
-
-    def block_of_cell_plane(self, k: int) -> int:
-        """Which block owns global k-plane ``k``."""
-        per_block_k = self.blocks[0].nk
-        if not 0 <= k < self.config.grid[2]:
-            raise ValueError(f"k={k} outside grid")
-        return k // per_block_k

@@ -73,11 +73,9 @@ class SequenceSet:
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def total_cells(self) -> int:
-        """Total DP cells of the full pairwise comparison (i<j)."""
-        lengths = self.lengths.astype(np.int64)
-        suffix = np.cumsum(lengths[::-1])[::-1]
-        return int((lengths[:-1] * suffix[1:]).sum())
+#: Log-normal shape of the sequence lengths: larger values widen the length
+#: distribution and worsen static-schedule imbalance.
+LENGTH_SIGMA = 0.45
 
 
 def generate_sequences(
@@ -85,24 +83,23 @@ def generate_sequences(
     *,
     seed: int = 0,
     mean_length: float = 350.0,
-    sigma: float = 0.45,
     min_length: int = 40,
     max_length: int = 2000,
     name: str | None = None,
 ) -> SequenceSet:
     """Generate ``n`` synthetic protein sequences.
 
-    ``sigma`` is the log-normal shape parameter — larger values widen the
-    length distribution and worsen static-schedule imbalance.
+    Lengths are log-normal with shape :data:`LENGTH_SIGMA` around
+    ``mean_length``.
     """
     if n < 1:
         raise ValueError("need at least one sequence")
     if min_length < 1 or max_length < min_length:
         raise ValueError("bad length bounds")
     rng = np.random.default_rng(seed)
-    mu = np.log(mean_length) - sigma**2 / 2.0
+    mu = np.log(mean_length) - LENGTH_SIGMA**2 / 2.0
     lengths = np.clip(
-        rng.lognormal(mu, sigma, size=n).astype(int), min_length, max_length
+        rng.lognormal(mu, LENGTH_SIGMA, size=n).astype(int), min_length, max_length
     )
     lengths.flags.writeable = False
     return SequenceSet._undrawn(

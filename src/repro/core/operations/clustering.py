@@ -31,8 +31,12 @@ def _observation_matrix(
     return data
 
 
+#: Lloyd iterations before :func:`kmeans` stops without converging.
+KMEANS_MAX_ITER = 100
+
+
 def kmeans(
-    data: np.ndarray, k: int, *, seed: int = 0, max_iter: int = 100
+    data: np.ndarray, k: int, *, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Lloyd's algorithm with k-means++ seeding.
 
@@ -61,7 +65,7 @@ def kmeans(
     # per row so the argmin only needs the cross and centroid terms.  This
     # keeps the iteration at an (n, k) matmul instead of materializing the
     # (n, k, d) difference cube.
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dists = (centroids**2).sum(axis=1) - 2.0 * (data @ centroids.T)
         new_labels = dists.argmin(axis=1)
         if (new_labels == labels).all() and _ > 0:

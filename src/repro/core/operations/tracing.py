@@ -552,24 +552,12 @@ class CriticalPathResult:
     makespan: float
 
     @property
-    def per_event_seconds(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for seg in self.segments:
-            if not seg.idle:
-                out[seg.event] = out.get(seg.event, 0.0) + seg.seconds
-        return out
-
-    @property
     def compute_seconds(self) -> float:
         return sum(s.seconds for s in self.segments if not s.idle)
 
     @property
     def wait_seconds(self) -> float:
         return sum(s.seconds for s in self.segments if s.idle)
-
-    @property
-    def cpus_visited(self) -> list[int]:
-        return sorted({s.cpu for s in self.segments})
 
 
 @dataclass(frozen=True)

@@ -233,6 +233,9 @@ class Orchestrator:
         :meth:`ExperimentResult.export_trace`.
     """
 
+    #: Sleep between status polls that found no progress.
+    POLL_INTERVAL_S = 0.01
+
     def __init__(
         self,
         client,
@@ -241,7 +244,6 @@ class Orchestrator:
         *,
         max_in_flight: int = 8,
         case_retries: int = 1,
-        poll_interval: float = 0.01,
         analyze: bool = True,
         trace: bool = False,
         progress: Callable[[str], None] | None = None,
@@ -251,7 +253,6 @@ class Orchestrator:
         self.plan = plan
         self.max_in_flight = max(1, int(max_in_flight))
         self.case_retries = max(0, int(case_retries))
-        self.poll_interval = poll_interval
         self.analyze = analyze
         self.trace = trace and hasattr(client, "explain_job")
         self._progress = progress or (lambda msg: None)
@@ -306,7 +307,7 @@ class Orchestrator:
                     continue
                 progressed = self._poll(run_id, active, result)
                 if not progressed:
-                    time.sleep(self.poll_interval)
+                    time.sleep(self.POLL_INTERVAL_S)
         result.wall_seconds = time.monotonic() - started
         if self.trace:
             result.spans.append(make_span(

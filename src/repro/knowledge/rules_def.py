@@ -359,11 +359,15 @@ def sequential_bottleneck_rule(
     )
 
 
-def thread_population_rule(*, separation_threshold: float = 2.0) -> Rule:
+#: How many times apart cluster totals must be for distinct populations.
+THREAD_SEPARATION_THRESHOLD = 2.0
+
+
+def thread_population_rule() -> Rule:
     """Data-mining corroboration: k-means finds distinct thread populations.
 
     When clustering splits the threads into groups whose total times differ
-    by more than ``separation_threshold``×, the run has structurally
+    by more than :data:`THREAD_SEPARATION_THRESHOLD`×, the run has structurally
     different thread roles — either intended (master/worker) or a symptom
     (bad schedule, NUMA victim threads).
     """
@@ -393,7 +397,7 @@ def thread_population_rule(*, separation_threshold: float = 2.0) -> Rule:
             "sizes := sizes",
             "k := k",
             "m := metric",
-            ("separation", ">", separation_threshold),
+            ("separation", ">", THREAD_SEPARATION_THRESHOLD),
         )
         .then(action)
         .build()

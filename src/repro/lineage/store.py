@@ -593,13 +593,3 @@ class LineageStore:
             and (experiment is None or t.experiment == experiment)
             and (role is None or t.role == role)
         ]
-
-    def versions_of_trial(self, application: str, experiment: str,
-                          trial: str) -> list[str]:
-        """Which recorded versions a stored trial is attached to."""
-        trial_id = self.db.trial_id(application, experiment, trial)
-        return [r[0] for r in self.db.connection.execute(
-            "SELECT v.version_id FROM lineage_trial lt "
-            "JOIN lineage_version v ON lt.version_row = v.id "
-            "WHERE lt.trial_id = ? ORDER BY v.id", (trial_id,),
-        ).fetchall()]

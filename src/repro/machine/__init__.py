@@ -15,14 +15,7 @@ Provides:
 """
 
 from . import counters
-from .cache import (
-    AccessSummary,
-    CacheHierarchy,
-    CacheLevel,
-    CacheResult,
-    LevelResult,
-    itanium2_hierarchy,
-)
+from .cache import CacheHierarchy, CacheLevel, itanium2_hierarchy
 from .counters import ALL_COUNTERS, STALL_COMPONENTS, CounterVector
 from .machines import Machine, altix_300, altix_3600, uniform_machine
 from .numa import (
@@ -38,13 +31,10 @@ from .topology import LatencyModel, NUMATopology
 __all__ = [
     "ALL_COUNTERS",
     "AccessCost",
-    "AccessSummary",
     "CacheHierarchy",
     "CacheLevel",
-    "CacheResult",
     "CounterVector",
     "LatencyModel",
-    "LevelResult",
     "Machine",
     "MemoryPlacementCost",
     "MemoryRegion",

@@ -46,61 +46,6 @@ class CacheLevel:
             raise ValueError(f"cache level {self.name}: capacity < line size")
 
 
-@dataclass(frozen=True)
-class AccessSummary:
-    """Summary of one region execution's memory behaviour.
-
-    Attributes
-    ----------
-    accesses:
-        Total loads + stores issued.
-    footprint_bytes:
-        Distinct bytes touched (the working set).
-    reuse:
-        Temporal locality knob in [0, 1]: 1 = ideal reuse (only compulsory
-        misses when the working set fits), 0 = streaming (every access is
-        effectively cold).
-    """
-
-    accesses: float
-    footprint_bytes: float
-    reuse: float = 0.9
-
-    def __post_init__(self) -> None:
-        if self.accesses < 0 or self.footprint_bytes < 0:
-            raise ValueError("accesses and footprint must be non-negative")
-        if not 0.0 <= self.reuse <= 1.0:
-            raise ValueError(f"reuse must be in [0,1], got {self.reuse}")
-
-
-@dataclass(frozen=True)
-class LevelResult:
-    """Per-level outcome of one :meth:`CacheHierarchy.access` evaluation."""
-
-    name: str
-    references: float
-    misses: float
-
-    @property
-    def miss_ratio(self) -> float:
-        return self.misses / self.references if self.references else 0.0
-
-
-@dataclass(frozen=True)
-class CacheResult:
-    """Full-hierarchy outcome: per-level references/misses + memory traffic."""
-
-    levels: tuple[LevelResult, ...]
-    memory_accesses: float  # misses out of the last level
-    stall_cycles: float  # hierarchy-induced stall estimate (excl. NUMA)
-
-    def level(self, name: str) -> LevelResult:
-        for lr in self.levels:
-            if lr.name == name:
-                return lr
-        raise KeyError(f"no cache level {name!r}")
-
-
 class CacheHierarchy:
     """An ordered stack of :class:`CacheLevel` objects."""
 
@@ -117,18 +62,6 @@ class CacheHierarchy:
         self._capacity_bytes = np.array([[l.capacity_bytes] for l in levels], float)
         latencies = [0.0] + [l.latency_cycles for l in levels]
         self._hit_cycles = [max(b - a, 0.0) for a, b in zip(latencies, latencies[1:])]
-
-    def access(self, summary: AccessSummary) -> CacheResult:
-        """Evaluate the analytical model for one region execution."""
-        rows = self.access_rows(*np.array(
-            [[summary.accesses], [summary.footprint_bytes], [summary.reuse]]
-        ))
-        return CacheResult(
-            tuple(LevelResult(level.name, float(r[0]), float(m[0]))
-                  for level, r, m in zip(self.levels, rows.references, rows.misses)),
-            float(rows.memory_accesses[0]),
-            float(rows.stall_cycles[0]),
-        )
 
     def access_rows(
         self, accesses: np.ndarray, footprint: np.ndarray, reuse: np.ndarray

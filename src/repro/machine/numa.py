@@ -79,9 +79,6 @@ class MemoryRegion:
         self._costs: dict[tuple[int, int, int], tuple[int, float, float]] = {}
         self._histogram: np.ndarray | None = None
 
-    def placed_fraction(self) -> float:
-        return float(self.n_pages - self._unplaced) / self.n_pages
-
     def node_histogram(self, n_nodes: int) -> np.ndarray:
         """Pages owned per node (unplaced pages excluded; read-only)."""
         hist = self._histogram
@@ -175,27 +172,6 @@ class PageTable:
         if placed:
             self._placement_changed(region)
         return placed
-
-    def touch_partitioned(self, name: str, nodes_in_order: list[int]) -> None:
-        """Touch a region in equal contiguous chunks, one per entry.
-
-        Models a parallel initialization loop: thread *i* (on
-        ``nodes_in_order[i]``) initializes the *i*-th block, pinning those
-        pages to its node.
-        """
-        region = self.region(name)
-        k = len(nodes_in_order)
-        if k == 0:
-            raise PlacementError("nodes_in_order must be non-empty")
-        chunk = -(-region.size_bytes // k)
-        for i, node in enumerate(nodes_in_order):
-            start = i * chunk
-            if start >= region.size_bytes:
-                break
-            self.touch(
-                name, node, start_byte=start,
-                length=min(chunk, region.size_bytes - start),
-            )
 
     # -- accounting -----------------------------------------------------------
     def charge_accesses(

@@ -47,7 +47,9 @@ class WorkSignature:
     footprint_bytes:
         Distinct bytes touched.
     reuse:
-        Temporal locality knob in [0, 1] (see :class:`AccessSummary`).
+        Temporal locality knob in [0, 1]: 1 = ideal reuse (only
+        compulsory misses when the working set fits), 0 = streaming (every
+        access is effectively cold).
     mispredict_rate:
         Fraction of branches mispredicted.
     fp_dependency:
@@ -312,10 +314,6 @@ class ProcessorModel:
             rows[:, slot] = column
         rows += 0.0  # -0.0 → +0.0
         return rows
-
-    # -- convenience ----------------------------------------------------------
-    def time_seconds(self, vector: CounterVector) -> float:
-        return vector[C.CPU_CYCLES] / self.clock_hz
 
     #: Spin-wait instruction profile: a barrier wait runs a tight
     #: load-compare-branch loop, not a halted pipeline.  Issued IPC and the

@@ -52,16 +52,16 @@ class NUMATopology:
         Number of NUMA nodes (each with ``cpus_per_node`` processors).
     cpus_per_node:
         2 on the Altix systems in the paper.
-    router_radix:
-        Fan-out of the NUMAlink router tree above the C-bricks.
     """
+
+    #: Fan-out of the NUMAlink router tree above the C-bricks.
+    ROUTER_RADIX = 4
 
     def __init__(
         self,
         n_nodes: int,
         *,
         cpus_per_node: int = 2,
-        router_radix: int = 4,
         latency: LatencyModel | None = None,
     ) -> None:
         if n_nodes < 1:
@@ -70,7 +70,6 @@ class NUMATopology:
             raise ValueError("need at least one cpu per node")
         self.n_nodes = n_nodes
         self.cpus_per_node = cpus_per_node
-        self.router_radix = router_radix
         self.latency = latency or LatencyModel()
         self.graph = self._build_graph()
 
@@ -101,10 +100,10 @@ class NUMATopology:
         level = 0
         while len(level_members) > 1:
             parents = []
-            for i in range(0, len(level_members), self.router_radix):
-                router = ("router", level, i // self.router_radix)
+            for i in range(0, len(level_members), self.ROUTER_RADIX):
+                router = ("router", level, i // self.ROUTER_RADIX)
                 g.add_node(router)
-                for child in level_members[i : i + self.router_radix]:
+                for child in level_members[i : i + self.ROUTER_RADIX]:
                     g.add_edge(child, router)
                 parents.append(router)
             level_members = parents
@@ -139,21 +138,7 @@ class NUMATopology:
     def max_hops(self) -> int:
         return int(self.hop_matrix.max())
 
-    def local_latency(self) -> float:
-        return self.latency.memory_latency(0)
-
-    def remote_latency(self, node_a: int, node_b: int) -> float:
-        return self.latency.memory_latency(self.hops(node_a, node_b))
-
     def worst_case_remote_latency(self) -> float:
         """The paper's system-dependent worst-case remote access latency."""
         return self.latency.memory_latency(self.max_hops)
 
-    def mean_remote_latency_from(self, node: int) -> float:
-        """Average latency from ``node`` to every *other* node."""
-        if self.n_nodes == 1:
-            return self.local_latency()
-        others = [b for b in range(self.n_nodes) if b != node]
-        return float(
-            np.mean([self.latency.memory_latency(self.hops(node, b)) for b in others])
-        )

@@ -17,10 +17,12 @@ from typing import Callable
 class EventLog:
     """Append-only list of structured events with a pluggable console."""
 
-    def __init__(self, *, max_events: int = 100_000) -> None:
+    #: Events past this many are counted in ``dropped``, not kept.
+    MAX_EVENTS = 100_000
+
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._events: list[dict] = []
-        self._max_events = max_events
         self.dropped = 0
         #: Where echo'd lines go; swap for a list-appender in tests.
         self.console_sink: Callable[[str], None] = print
@@ -29,7 +31,7 @@ class EventLog:
         """Record one event; returns the stored record."""
         record = {"name": name, "ts": time.time(), **fields}
         with self._lock:
-            if len(self._events) >= self._max_events:
+            if len(self._events) >= self.MAX_EVENTS:
                 self.dropped += 1
             else:
                 self._events.append(record)

@@ -168,7 +168,6 @@ def run_instrumented(
     profiler: Profiler,
     cpu: int,
     *,
-    function: str | None = None,
     calls: int = 1,
 ) -> None:
     """Execute the entry function ``calls`` times on one simulated CPU.
@@ -179,7 +178,7 @@ def run_instrumented(
     """
     if calls < 1:
         raise IRError("calls must be >= 1")
-    name = function or compiled.program.entry
+    name = compiled.program.entry
     if name is None:
         raise IRError("program has no entry function")
     fn = compiled.program.function(name)

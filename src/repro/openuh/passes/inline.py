@@ -54,23 +54,23 @@ def static_cost(fn: Function) -> int:
 class Inlining(Pass):
     """Inline callees below ``threshold`` static ops (or listed as hot)."""
 
+    #: Inlining rounds per function (nested calls inline one level a round).
+    MAX_DEPTH = 4
+
     def __init__(
         self,
         threshold: int = 64,
         hot_callsites: set[str] | None = None,
-        *,
-        max_depth: int = 4,
     ) -> None:
         self.threshold = threshold
         self.hot_callsites = set(hot_callsites or ())
-        self.max_depth = max_depth
         self._program: Program | None = None
 
     def run(self, program: Program) -> PassReport:
         self._program = program
         report = PassReport(self.name)
         for fn in program.functions.values():
-            for _ in range(self.max_depth):
+            for _ in range(self.MAX_DEPTH):
                 if not self._inline_block(fn, fn.body, report):
                     break
         return report

@@ -405,12 +405,6 @@ class PerfDMF:
         (``"delete"``).  The serve layer's result cache hangs off this."""
         self._listeners.append(listener)
 
-    def remove_change_listener(self, listener) -> None:
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
-
     def _notify(self, action: str, application: str, experiment: str,
                 trial: str) -> None:
         for listener in list(self._listeners):

@@ -107,13 +107,6 @@ class Event:
         """The innermost region of a callpath event (or the name itself)."""
         return self.name.rsplit(CALLPATH_SEPARATOR, 1)[-1]
 
-    @property
-    def parent_path(self) -> str | None:
-        """The calling path of a callpath event, None for flat events."""
-        if not self.is_callpath:
-            return None
-        return self.name.rsplit(CALLPATH_SEPARATOR, 1)[0]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Event({self.name!r}, group={self.group!r})"
 

@@ -72,7 +72,6 @@ def measure_signature(
     machine: Machine,
     *,
     n_processors: int = 1,
-    power_model: PowerModel | None = None,
 ) -> LevelMeasurement:
     """Execute one per-processor work signature and estimate power/energy.
 
@@ -82,9 +81,8 @@ def measure_signature(
     """
     if n_processors < 1:
         raise ValueError("need at least one processor")
-    pm = power_model or PowerModel()
     counters = machine.processor.execute(work)
-    est = pm.processor_power(counters.as_dict())
+    est = PowerModel().processor_power(counters.as_dict())
     seconds = counters[C.TIME] / 1e6
     return LevelMeasurement(
         level=level,

@@ -14,11 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
 from ..machine import counters as C
-from ..perfdmf import Trial
-from .components import Component, ITANIUM2_COMPONENTS, validate_components
+from .components import ITANIUM2_COMPONENTS
 
 #: Itanium 2 Madison published TDP (watts).
 ITANIUM2_TDP_W = 130.0
@@ -46,19 +43,19 @@ class PowerEstimate:
 class PowerModel:
     """Counter-driven component power model (Eqs. 1–2)."""
 
+    #: The components Eq. 1 sums over.
+    components = ITANIUM2_COMPONENTS
+
     def __init__(
         self,
         *,
-        components: tuple[Component, ...] = ITANIUM2_COMPONENTS,
         max_power_w: float = ITANIUM2_TDP_W,
         idle_power_w: float = ITANIUM2_IDLE_W,
     ) -> None:
-        validate_components(components)
         if max_power_w <= 0 or idle_power_w < 0:
             raise ValueError("power parameters must be positive")
         if idle_power_w >= max_power_w:
             raise ValueError("idle power must be below max power")
-        self.components = components
         self.max_power_w = max_power_w
         self.idle_power_w = idle_power_w
         #: Dynamic budget distributed over components (TDP minus idle).
@@ -80,50 +77,3 @@ class PowerModel:
         watts = sum(per_component.values()) + self.idle_power_w
         seconds = counters.get(C.TIME, 0.0) / 1e6
         return PowerEstimate(watts, seconds, per_component)
-
-    # -- over trials ----------------------------------------------------------
-    def thread_counters(self, trial: Trial, thread: int) -> dict[str, float]:
-        """Whole-run counters of one thread (main event, inclusive)."""
-        main = trial.main_event()
-        e = trial.event_index(main)
-        return {
-            metric: float(trial.inclusive_array(metric)[e, thread])
-            for metric in trial.metric_names()
-        }
-
-    def trial_power(self, trial: Trial) -> PowerEstimate:
-        """Machine-level power: per-thread Eq. 2 summed over processors.
-
-        The reported ``seconds`` is the max thread runtime (wall clock);
-        watts is the sum over processors (the paper's multiprocessor rule).
-        """
-        per_thread = [
-            self.processor_power(self.thread_counters(trial, t))
-            for t in range(trial.thread_count)
-        ]
-        total_watts = sum(p.watts for p in per_thread)
-        wall = max((p.seconds for p in per_thread), default=0.0)
-        merged: dict[str, float] = {}
-        for p in per_thread:
-            for name, w in p.component_watts.items():
-                merged[name] = merged.get(name, 0.0) + w
-        return PowerEstimate(total_watts, wall, merged)
-
-    def trial_energy_joules(self, trial: Trial) -> float:
-        """Energy = Σ per-processor power × that processor's busy time."""
-        total = 0.0
-        for t in range(trial.thread_count):
-            est = self.processor_power(self.thread_counters(trial, t))
-            total += est.joules
-        return total
-
-    def trial_flops(self, trial: Trial) -> float:
-        main = trial.main_event()
-        e = trial.event_index(main)
-        if not trial.has_metric(C.FP_OPS):
-            return 0.0
-        return float(trial.inclusive_array(C.FP_OPS)[e].sum())
-
-    def trial_flops_per_joule(self, trial: Trial) -> float:
-        joules = self.trial_energy_joules(trial)
-        return self.trial_flops(trial) / joules if joules > 0 else 0.0

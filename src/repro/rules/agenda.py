@@ -19,7 +19,7 @@ retracted and re-asserted (new handle → new key).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from .conditions import Bindings
 from .facts import FactHandle
@@ -106,9 +106,6 @@ class Agenda:
             heapq.heappush(self._heap, (activation.sort_key(), key))
         return True
 
-    def offer_all(self, activations: Sequence[Activation]) -> int:
-        return sum(1 for a in activations if self.offer(a))
-
     def pop(
         self, validator: Callable[[Activation], bool] | None = None
     ) -> Activation | None:
@@ -161,6 +158,3 @@ class Agenda:
     def pending(self) -> list[Activation]:
         """Snapshot of queued activations in firing order (for inspection)."""
         return sorted(self._activations.values(), key=Activation.sort_key)
-
-    def fired_count(self) -> int:
-        return len(self._fired)

@@ -308,8 +308,7 @@ def constraint(
     op: str = "any",
     value: Any = None,
     *,
-    var: bool = False,
     bind: str | None = None,
 ) -> Constraint:
     """Convenience constructor mirroring the DSL's field syntax."""
-    return Constraint(fieldname=fieldname, op=op, value=value, is_variable=var, bind=bind)
+    return Constraint(fieldname=fieldname, op=op, value=value, bind=bind)

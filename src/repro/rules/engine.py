@@ -389,9 +389,6 @@ class RuleEngine:
     def facts(self, fact_type: str) -> list[Fact]:
         return self.memory.facts_of_type(fact_type)
 
-    def find_facts(self, fact_type: str, **field_values) -> list[Fact]:
-        return self.memory.find(fact_type, **field_values)
-
     def explain(self, fact_type: str = "Recommendation") -> list[str]:
         """Render the firing trace (which rules fired, on what facts)."""
         lines = []

@@ -108,12 +108,6 @@ class Fact:
         inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self._fields.items()))
         return f"Fact({self.fact_type}, {inner})"
 
-    @classmethod
-    def from_mapping(cls, fact_type: str, mapping: Mapping[str, Any]) -> "Fact":
-        """Build a fact from any mapping (e.g. a parsed JSON object)."""
-        return cls(fact_type, **dict(mapping))
-
-
 _seq_lock = threading.Lock()
 _next_seq = 1
 

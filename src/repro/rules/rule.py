@@ -134,14 +134,6 @@ class Rule:
                 "(tests need bindings from earlier patterns)"
             )
 
-    def positive_pattern_count(self) -> int:
-        """Number of non-negated patterns (the arity of a match tuple)."""
-        return sum(
-            1
-            for c in self.conditions
-            if isinstance(c, Pattern) and not c.negated
-        )
-
     def describe(self) -> str:
         lines = [f"rule {self.name!r} (salience {self.salience})"]
         for c in self.conditions:
@@ -218,23 +210,6 @@ class RuleBuilder:
     def then(self, action: Callable[[RuleContext], None]) -> "RuleBuilder":
         self._action = action
         return self
-
-    def then_insert(self, fact_type: str, /, **field_exprs) -> "RuleBuilder":
-        """Action that asserts one fact; values that are callables receive the
-        bindings dict, strings starting with ``$`` copy a binding."""
-
-        def action(ctx: RuleContext) -> None:
-            fields = {}
-            for k, v in field_exprs.items():
-                if callable(v):
-                    fields[k] = v(ctx.bindings)
-                elif isinstance(v, str) and v.startswith("$"):
-                    fields[k] = ctx[v[1:]]
-                else:
-                    fields[k] = v
-            ctx.insert(fact_type, **fields)
-
-        return self.then(action)
 
     def then_log(self, template: str) -> "RuleBuilder":
         """Action that formats ``template`` with the bindings and logs it."""

@@ -88,6 +88,8 @@ class MPIRuntime:
         CPU each rank runs on; defaults to ranks 0..n-1 on CPUs 0..n-1.
     """
 
+    comm = CommModel()
+
     def __init__(
         self,
         machine: Machine,
@@ -95,14 +97,12 @@ class MPIRuntime:
         n_ranks: int,
         *,
         cpus: list[int] | None = None,
-        comm: CommModel | None = None,
     ) -> None:
         if n_ranks < 1:
             raise MPIError("need at least one rank")
         self.machine = machine
         self.profiler = profiler
         self.n_ranks = n_ranks
-        self.comm = comm or CommModel()
         if cpus is None:
             cpus = list(range(n_ranks))
         if len(cpus) != n_ranks or len(set(cpus)) != n_ranks:
@@ -272,14 +272,6 @@ class MPIRuntime:
                         for q in reqs]}
                     for rank, start, end, reqs
                     in zip(ranks, starts, ends, requests)])
-
-    def send_recv(
-        self, rank: int, dest: int, source: int, nbytes: float, *, tag: int = 0
-    ) -> tuple[Request, Request]:
-        """Post the paired isend/irecv of a ghost-cell exchange."""
-        s = self.isend(rank, dest, nbytes, tag=tag)
-        r = self.irecv(rank, source, nbytes, tag=tag)
-        return s, r
 
     # -- collectives ----------------------------------------------------------
     def barrier(self, *, event: str = "MPI_Barrier()") -> None:

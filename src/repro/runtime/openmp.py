@@ -151,9 +151,10 @@ class OpenMPRuntime:
     dispatch_overhead_us:
         Cost a thread pays to grab one chunk from the dynamic/guided queue
         (lock + fetch).  Static schedules pay nothing per chunk.
-    fork_join_overhead_us:
-        Per-parallel-region fork + join cost on every thread.
     """
+
+    #: Per-parallel-region fork + join cost on every thread.
+    fork_join_overhead_us = 4.0
 
     def __init__(
         self,
@@ -162,15 +163,13 @@ class OpenMPRuntime:
         page_table: PageTable | None = None,
         *,
         dispatch_overhead_us: float = 1.0,
-        fork_join_overhead_us: float = 4.0,
     ) -> None:
-        if dispatch_overhead_us < 0 or fork_join_overhead_us < 0:
+        if dispatch_overhead_us < 0:
             raise OpenMPError("overheads must be non-negative")
         self.machine = machine
         self.profiler = profiler
         self.page_table = page_table
         self.dispatch_overhead_us = dispatch_overhead_us
-        self.fork_join_overhead_us = fork_join_overhead_us
         #: Sequence numbers grouping one construct's fork/barrier/join set.
         self._construct_seq = itertools.count(0)
         #: Rows by (task ids, CPUs), kept with the tasks while the page

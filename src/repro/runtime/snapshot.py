@@ -56,11 +56,8 @@ _EMPTY = _Capture(np.zeros((0, 0, 0)), np.zeros((0, 0, 0)),
 class SnapshotProfiler(Profiler):
     """Profiler that cuts interval profile snapshots at phase boundaries.
 
-    Parameters
-    ----------
-    interval_prefix:
-        Sub-trial names are ``f"{interval_prefix}_{index:04d}"`` so interval
-        sequences sort lexicographically.
+    Sub-trial names are ``interval_{index:04d}`` so interval sequences sort
+    lexicographically.
     """
 
     def __init__(
@@ -69,10 +66,8 @@ class SnapshotProfiler(Profiler):
         *,
         callpaths: bool = False,
         trace: EventTrace | None = None,
-        interval_prefix: str = "interval",
     ) -> None:
         super().__init__(machine, callpaths=callpaths, trace=trace)
-        self.interval_prefix = interval_prefix
         self.snapshots: list[Trial] = []
         self._prev: _Capture = _EMPTY
 
@@ -117,7 +112,7 @@ class SnapshotProfiler(Profiler):
             },
         }
         trial = self._materialize(
-            f"{self.interval_prefix}_{index:04d}", meta,
+            f"interval_{index:04d}", meta,
             exclusive=_delta(cur.exclusive, prev.exclusive),
             inclusive=_delta(cur.inclusive, prev.inclusive),
             calls=_delta(cur.calls, prev.calls),

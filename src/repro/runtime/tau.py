@@ -547,10 +547,6 @@ class Profiler:
             self.trace.phase(label, ts, index=index)
 
     # -- output -----------------------------------------------------------
-    @property
-    def callgraph_edges(self) -> set[tuple[str, str]]:
-        return set(self._edges)
-
     def to_trial(
         self, name: str, metadata: Mapping | None = None, *, validate: bool = True
     ) -> Trial:

@@ -380,14 +380,6 @@ class EventTrace:
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
 
-    def of_kind(self, *kinds: str) -> list[TraceEvent]:
-        want = {KIND_CODES[k] for k in kinds}
-        return [
-            self.event_at(i)
-            for i, code in enumerate(self._kinds)
-            if code in want
-        ]
-
     def cpu_ids(self) -> list[int]:
         """CPUs that appear in the trace, sorted (PHASE's -1 excluded)."""
         return sorted(c for c in set(self._cpus) if c >= 0)
@@ -430,6 +422,3 @@ class EventTrace:
             if code in mpi_codes and attrs and "rank" in attrs:
                 mapping.setdefault(cpu, attrs["rank"])
         return mapping
-
-    def phase_marks(self) -> list[TraceEvent]:
-        return self.of_kind(PHASE)

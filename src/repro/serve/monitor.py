@@ -198,14 +198,18 @@ def _monotone(values: Iterable[float], cmp) -> bool:
     return all(cmp(a, b) for a, b in zip(values, values[1:]))
 
 
+#: Trend thresholds: relative queue-wait p95 growth, absolute cache hit
+#: rate drop, worker respawns, and the fewest snapshots a trend needs.
+LATENCY_GROWTH = 0.5
+HIT_RATE_DROP = 0.10
+RESPAWN_CHURN = 2
+MIN_SNAPSHOTS = 3
+
+
 def service_trend_facts(
     snapshots: list[dict[str, Any]],
     *,
     window: int = 5,
-    min_snapshots: int = 3,
-    latency_growth: float = 0.5,
-    hit_rate_drop: float = 0.10,
-    respawn_churn: int = 2,
 ) -> list[Fact]:
     """Trend facts over a window of stats snapshots (oldest first).
 
@@ -213,15 +217,17 @@ def service_trend_facts(
     *material* (past the threshold) to fire — a single noisy reading
     does not:
 
-    * ``queue-wait-p95`` growing ≥ ``latency_growth`` relative (0.5 =
+    * ``queue-wait-p95`` growing ≥ :data:`LATENCY_GROWTH` relative (0.5 =
       +50 %) and never shrinking → latency trend;
-    * ``cache.hit_rate`` dropping ≥ ``hit_rate_drop`` absolute and never
-      rising → cache decay;
-    * ``workers.respawns`` climbing by ≥ ``respawn_churn`` → churn
+    * ``cache.hit_rate`` dropping ≥ :data:`HIT_RATE_DROP` absolute and
+      never rising → cache decay;
+    * ``workers.respawns`` climbing by ≥ :data:`RESPAWN_CHURN` → churn
       (respawn counts are cumulative, so any rise is monotone already).
+
+    Each needs at least :data:`MIN_SNAPSHOTS` readings.
     """
     snapshots = snapshots[-window:]
-    if len(snapshots) < min_snapshots:
+    if len(snapshots) < MIN_SNAPSHOTS:
         return []
     facts: list[Fact] = []
 
@@ -237,20 +243,20 @@ def service_trend_facts(
         ))
 
     p95 = _series(snapshots, "queue_wait", "p95")
-    if (len(p95) >= min_snapshots and p95[0] > 0
+    if (len(p95) >= MIN_SNAPSHOTS and p95[0] > 0
             and _monotone(p95, lambda a, b: a <= b)
-            and p95[-1] >= p95[0] * (1.0 + latency_growth)):
+            and p95[-1] >= p95[0] * (1.0 + LATENCY_GROWTH)):
         trend("queue-wait-p95", "growing", p95)
 
     hit_rate = _series(snapshots, "cache", "hit_rate")
-    if (len(hit_rate) >= min_snapshots
+    if (len(hit_rate) >= MIN_SNAPSHOTS
             and _monotone(hit_rate, lambda a, b: a >= b)
-            and hit_rate[0] - hit_rate[-1] >= hit_rate_drop):
+            and hit_rate[0] - hit_rate[-1] >= HIT_RATE_DROP):
         trend("cache-hit-rate", "decaying", hit_rate)
 
     respawns = _series(snapshots, "workers", "respawns")
-    if (len(respawns) >= min_snapshots
-            and respawns[-1] - respawns[0] >= respawn_churn):
+    if (len(respawns) >= MIN_SNAPSHOTS
+            and respawns[-1] - respawns[0] >= RESPAWN_CHURN):
         trend("worker-respawns", "growing", respawns)
 
     return facts
@@ -258,7 +264,7 @@ def service_trend_facts(
 
 def diagnose_trends(db: PerfDMF, *,
                     experiment: str = DEFAULT_EXPERIMENT,
-                    window: int = 5, **thresholds):
+                    window: int = 5):
     """Replay stored snapshots through ``service-rules``; returns the
     fired harness (same shape as ``AnalysisService.diagnose_service``)."""
     from ..core.harness import RuleHarness
@@ -266,7 +272,7 @@ def diagnose_trends(db: PerfDMF, *,
     snapshots = load_snapshots(db, experiment=experiment, last=window)
     harness = RuleHarness("service-rules")
     harness.assertObjects(
-        service_trend_facts(snapshots, window=window, **thresholds)
+        service_trend_facts(snapshots, window=window)
     )
     harness.processRules()
     return harness

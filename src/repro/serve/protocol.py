@@ -81,8 +81,12 @@ def connect_endpoint(endpoint: str, timeout: float | None = 10.0):
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     else:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.settimeout(timeout)
-    sock.connect(addr)
+    try:
+        sock.settimeout(timeout)
+        sock.connect(addr)
+    except OSError:
+        sock.close()
+        raise
     return sock
 
 
@@ -205,7 +209,8 @@ class ServeServer:
             if not isinstance(request, dict):
                 raise ValueError("request must be a JSON object")
         except ValueError as exc:
-            return {"ok": False, "error": f"bad request: {exc}"}
+            return {"ok": False, "error": f"bad request: {exc}",
+                    "kind": "ValueError"}
         op = request.get("op")
         try:
             if op == "ping":
@@ -225,6 +230,27 @@ class ServeServer:
 
 # -- the service's ops ------------------------------------------------------
 
+def _field(request: dict, name: str, kind: type, *,
+           required: bool = False) -> Any:
+    """``request[name]`` as a ``kind``, ``None`` when absent.  Numbers are
+    coerced (``"3"`` is priority 3).  A missing required field, or a value
+    that is no ``kind``, is a ``ValueError`` naming the field."""
+    value = request.get(name)
+    if value is None:
+        if required:
+            raise ValueError(f"bad request: missing field {name!r}")
+        return None
+    if kind in (int, float):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    elif isinstance(value, kind):
+        return value
+    raise ValueError(f"bad request: field {name!r} must be {kind.__name__}, "
+                     f"not {type(value).__name__}")
+
+
 def _submit_options(opts: dict) -> dict:
     """``AnalysisService.submit`` keywords from a ``submit`` request or
     a ``submit_many`` entry; a misspelt option is an error, not a
@@ -233,16 +259,17 @@ def _submit_options(opts: dict) -> dict:
                            "max_retries", "block", "queue_timeout", "trace"}
     if unknown:
         raise ValueError(f"unknown submit option(s) {sorted(unknown)}")
-    return {"priority": int(opts.get("priority", 0)),
-            "timeout": opts.get("timeout"),
-            "max_retries": opts.get("max_retries"),
+    return {"priority": _field(opts, "priority", int) or 0,
+            "timeout": _field(opts, "timeout", float),
+            "max_retries": _field(opts, "max_retries", int),
             "block": bool(opts.get("block", False)),
-            "queue_timeout": opts.get("queue_timeout"),
+            "queue_timeout": _field(opts, "queue_timeout", float),
             "trace": opts.get("trace")}
 
 
 def _op_submit(service: AnalysisService, request: dict) -> dict:
-    job = service.submit(request["kind"], request.get("params") or {},
+    job = service.submit(_field(request, "kind", str, required=True),
+                         _field(request, "params", dict) or {},
                          **_submit_options(request))
     return {"job": job.to_dict()}
 
@@ -251,10 +278,8 @@ def _op_submit_many(service: AnalysisService, request: dict) -> dict:
     """Batched admission: N submissions, one round trip.  Per-entry
     failures come back as ``{"error": ...}`` rows; the batch itself
     only fails on a malformed request."""
-    jobs = request.get("jobs")
-    if not isinstance(jobs, list):
-        raise ValueError("submit_many needs a 'jobs' list")
-    common = request.get("options") or {}
+    jobs = _field(request, "jobs", list, required=True)
+    common = _field(request, "options", dict) or {}
     out = []
     for entry in jobs:
         if not isinstance(entry, dict) or "kind" not in entry:
@@ -263,7 +288,8 @@ def _op_submit_many(service: AnalysisService, request: dict) -> dict:
         opts = {**common, **{k: v for k, v in entry.items()
                              if k not in ("kind", "params")}}
         try:
-            job = service.submit(entry["kind"], entry.get("params") or {},
+            job = service.submit(_field(entry, "kind", str),
+                                 _field(entry, "params", dict) or {},
                                  **_submit_options(opts))
             out.append(job.to_dict())
         except Exception as exc:  # noqa: BLE001 - per-entry boundary
@@ -272,8 +298,9 @@ def _op_submit_many(service: AnalysisService, request: dict) -> dict:
 
 
 def _op_status(service: AnalysisService, request: dict) -> dict:
-    if request.get("id") is not None:
-        return {"job": service.job(int(request["id"])).to_dict()}
+    job_id = _field(request, "id", int)
+    if job_id is not None:
+        return {"job": service.job(job_id).to_dict()}
     jobs = service.jobs()
     return {
         "jobs": [j.to_dict() for j in jobs],
@@ -282,7 +309,8 @@ def _op_status(service: AnalysisService, request: dict) -> dict:
 
 
 def _op_wait(service: AnalysisService, request: dict) -> dict:
-    job = service.wait(int(request["id"]), timeout=request.get("timeout"))
+    job = service.wait(_field(request, "id", int, required=True),
+                       timeout=_field(request, "timeout", float))
     return {"job": job.to_dict(), "done": job.done}
 
 
@@ -308,8 +336,8 @@ OPS = {
     "metrics": lambda service, request: {"text": service.metrics_text(),
                                          "content_type": CONTENT_TYPE},
     "health": lambda service, request: {"health": service.health()},
-    "explain_job": lambda service, request: {
-        "explain": service.explain_job(int(request["id"]))},
+    "explain_job": lambda service, request: {"explain": service.explain_job(
+        _field(request, "id", int, required=True))},
     "diagnose": _op_diagnose,
 }
 

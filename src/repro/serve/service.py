@@ -570,8 +570,6 @@ class AnalysisService:
         self,
         *,
         queue_wait_p95_threshold: float = QUEUE_WAIT_P95_THRESHOLD,
-        failure_rate_threshold: float = FAILURE_RATE_THRESHOLD,
-        backpressure_threshold: float = BACKPRESSURE_THRESHOLD,
     ) -> list[Fact]:
         """The service's health as rule-engine facts.
 
@@ -604,13 +602,13 @@ class AnalysisService:
         if self._queue_wait.count and p95 > queue_wait_p95_threshold:
             degraded.append(("queue-latency", p95, queue_wait_p95_threshold))
         if finished >= _MIN_FINISHED_FOR_RATES and \
-                failure_rate > failure_rate_threshold:
+                failure_rate > FAILURE_RATE_THRESHOLD:
             degraded.append(("failure-rate", failure_rate,
-                             failure_rate_threshold))
+                             FAILURE_RATE_THRESHOLD))
         if admissions >= _MIN_FINISHED_FOR_RATES and \
-                reject_rate > backpressure_threshold:
+                reject_rate > BACKPRESSURE_THRESHOLD:
             degraded.append(("backpressure", reject_rate,
-                             backpressure_threshold))
+                             BACKPRESSURE_THRESHOLD))
         for reason, value, threshold in degraded:
             facts.append(Fact(
                 "ServiceDegradedFact",
@@ -625,13 +623,13 @@ class AnalysisService:
                           threshold=threshold)
         return facts
 
-    def diagnose_service(self, **thresholds):
+    def diagnose_service(self):
         """Run the ``service-rules`` rulebase over the current health
         facts; returns the fired harness (recommendations & explanations)."""
         from ..core.harness import RuleHarness
 
         harness = RuleHarness("service-rules")
-        harness.assertObjects(self.service_facts(**thresholds))
+        harness.assertObjects(self.service_facts())
         harness.processRules()
         return harness
 

@@ -315,7 +315,6 @@ class WorkerPool:
         mode: str = "thread",
         local_runner: Callable[..., dict[str, Any]] | None = None,
         db_path: str | None = None,
-        name_prefix: str = "worker",
     ) -> None:
         if mode not in ("thread", "process"):
             raise ValueError(f"unknown worker mode {mode!r}")
@@ -329,7 +328,6 @@ class WorkerPool:
         self._dispatch = dispatch
         self._local_runner = local_runner
         self._db_path = db_path
-        self._name_prefix = name_prefix
         self._threads: list[threading.Thread] = []
         self._vehicles: list = []
         self._started = False
@@ -346,7 +344,7 @@ class WorkerPool:
             # every lazy import already satisfied.
             _preload_handler_modules()
         for i in range(self.workers):
-            name = f"{self._name_prefix}-{i}"
+            name = f"worker-{i}"
             vehicle = self._make_vehicle(name)
             self._vehicles.append(vehicle)
             t = threading.Thread(

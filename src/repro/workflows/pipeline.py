@@ -89,10 +89,6 @@ class GateResult:
     promoted: bool = False
 
     @property
-    def passed(self) -> bool:
-        return self.exit_code == 0
-
-    @property
     def recommendations(self):
         return recommendations_of(self.harness) if self.harness else []
 
@@ -105,15 +101,13 @@ def regression_gate(
     experiment: str = "exp",
     policy=None,
     auto_promote: bool = True,
-    set_baseline_if_missing: bool = True,
     diagnose: bool = True,
 ) -> GateResult:
     """The perf-CI stage: store ``trial``, judge it against the baseline.
 
-    First trial through the gate becomes the baseline (when
-    ``set_baseline_if_missing``); later trials return the sentinel's
-    verdict, with accepted improvements optionally promoted so the
-    expected performance ratchets forward.
+    First trial through the gate becomes the baseline; later trials
+    return the sentinel's verdict, with accepted improvements optionally
+    promoted so the expected performance ratchets forward.
     """
     from ..lineage import LineageStore
     from ..regress import check
@@ -124,10 +118,6 @@ def regression_gate(
         repository.save_trial(application, experiment, trial, replace=True)
         store = LineageStore(repository)
         if store.baseline_name(application, experiment) is None:
-            if not set_baseline_if_missing:
-                raise AnalysisError(
-                    f"regression_gate: no baseline for {application}/{experiment}"
-                )
             store.promote(
                 application, experiment, trial.name,
                 reason="regression_gate: first trial through the gate",

@@ -57,23 +57,9 @@ class TestMesh:
         assert len(pairs) == 16
         assert {p[0] for p in pairs} == set(range(8))
 
-    def test_virtual_cache_blocks(self):
-        m = MultiBlockMesh(RIB45)
-        n = m.virtual_cache_blocks(0)
-        assert n >= 1
-        # each sub-block must fit the cache-block budget
-        assert m.blocks[0].cells / n <= RIB45.cache_block_bytes / 8
-
     def test_indivisible_grid_rejected(self):
         with pytest.raises(ValueError, match="not divisible"):
             CaseConfig("bad", (16, 16, 10), 4)
-
-    def test_block_of_cell_plane(self):
-        m = MultiBlockMesh(RIB45)
-        assert m.block_of_cell_plane(0) == 0
-        assert m.block_of_cell_plane(63) == 7
-        with pytest.raises(ValueError):
-            m.block_of_cell_plane(64)
 
 
 class TestKernels:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.msa import (
-    SequenceSet,
     clustalw,
     distance_matrix,
     distance_tasks,
@@ -39,11 +38,6 @@ class TestSequences:
     def test_alphabet(self):
         s = generate_sequences(5, seed=1)
         assert set("".join(s.sequences)) <= set("ARNDCQEGHILKMFPSTWYV")
-
-    def test_total_cells(self):
-        s = SequenceSet("t", ("AA", "AAA", "A"))
-        # pairs: (2,3)=6, (2,1)=2, (3,1)=3 -> 11
-        assert s.total_cells() == 11
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -121,7 +121,6 @@ class TestTrials:
         assert [t.trial for t in rec.trials] == ["t1", "t2"]
         assert [t.trial for t in rec.baselines] == ["t2"]
         assert store.trials_for("v", role="trial")[0].trial == "t1"
-        assert store.versions_of_trial("App", "Exp", "t1") == ["v"]
 
     def test_attach_is_idempotent(self, db):
         store = LineageStore(db)

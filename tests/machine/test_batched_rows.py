@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.machine import (
     PAGE_SIZE,
-    AccessSummary,
     MemoryPlacementCost,
     ProcessorModel,
     WorkSignature,
@@ -87,13 +86,15 @@ def test_execute_is_a_row_of_the_batch():
 
 
 def test_cache_access_matches_reference():
-    for footprint in [0.0, *EDGES, 1e9]:
-        for reuse in (0.0, 0.5, 1.0):
-            result = MODEL.cache.access(
-                AccessSummary(1e6, footprint_bytes=footprint, reuse=reuse)
-            )
-            levels, memory, stalls = reference_cache(
-                MODEL.cache, 1e6, footprint, reuse
-            )
-            assert [(lr.references, lr.misses) for lr in result.levels] == levels
-            assert (result.memory_accesses, result.stall_cycles) == (memory, stalls)
+    cases = [(footprint, reuse) for footprint in [0.0, *EDGES, 1e9]
+             for reuse in (0.0, 0.5, 1.0)]
+    footprints, reuses = (np.array(column) for column in zip(*cases))
+    rows = MODEL.cache.access_rows(np.full(len(cases), 1e6), footprints, reuses)
+    for i, (footprint, reuse) in enumerate(cases):
+        levels, memory, stalls = reference_cache(
+            MODEL.cache, 1e6, footprint, reuse
+        )
+        got = [(r[i], m[i]) for r, m in zip(rows.references, rows.misses)]
+        assert np.array(got).tobytes() == np.array(levels).tobytes()
+        assert np.array([rows.memory_accesses[i], rows.stall_cycles[i]]
+                        ).tobytes() == np.array([memory, stalls]).tobytes()

@@ -1,12 +1,13 @@
 """Tests for the analytical cache model."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.machine import (
-    AccessSummary,
     CacheHierarchy,
     CacheLevel,
+    WorkSignature,
     itanium2_hierarchy,
 )
 
@@ -43,62 +44,73 @@ class TestConstruction:
             CacheLevel("x", 32, 64, 1)
 
 
+def access(hierarchy, accesses, footprint, reuse=0.9):
+    """One region execution through ``access_rows``: per-level
+    (references, misses), memory accesses and stall cycles."""
+    rows = hierarchy.access_rows(
+        np.array([accesses], float), np.array([footprint], float),
+        np.array([reuse], float))
+    levels = [(float(r[0]), float(m[0]))
+              for r, m in zip(rows.references, rows.misses)]
+    return levels, float(rows.memory_accesses[0]), float(rows.stall_cycles[0])
+
+
+def miss_ratio(level):
+    references, misses = level
+    return misses / references if references else 0.0
+
+
 class TestAccessSummary:
     def test_validation(self):
+        """The work signature that carries a region's access summary
+        (accesses, footprint, reuse) rejects out-of-range values."""
         with pytest.raises(ValueError):
-            AccessSummary(-1, 100)
+            WorkSignature(loads=-1, footprint_bytes=100)
         with pytest.raises(ValueError):
-            AccessSummary(1, 100, reuse=1.5)
+            WorkSignature(loads=1, footprint_bytes=100, reuse=1.5)
 
 
 class TestModelBehaviour:
     def test_zero_accesses(self):
-        r = itanium2_hierarchy().access(AccessSummary(0, 0))
-        assert r.memory_accesses == 0 and r.stall_cycles == 0
+        _, memory, stalls = access(itanium2_hierarchy(), 0, 0)
+        assert memory == 0 and stalls == 0
 
     def test_small_hot_set_stays_in_l1(self):
         """A 4KB working set with high reuse barely misses L1."""
         h = itanium2_hierarchy()
-        r = h.access(AccessSummary(accesses=1e6, footprint_bytes=4 * KB, reuse=1.0))
-        l1 = r.level("L1D")
-        assert l1.miss_ratio < 0.001
-        assert r.memory_accesses < l1.references * 0.001
+        levels, memory, _ = access(h, 1e6, 4 * KB, reuse=1.0)
+        assert miss_ratio(levels[0]) < 0.001
+        assert memory < levels[0][0] * 0.001
 
     def test_streaming_defeats_all_levels(self):
         """reuse=0 makes every access effectively cold."""
         h = itanium2_hierarchy()
-        r = h.access(AccessSummary(accesses=1e6, footprint_bytes=64 * MB, reuse=0.0))
-        assert r.level("L1D").miss_ratio > 0.99
-        assert r.memory_accesses > 0.99e6
+        levels, memory, _ = access(h, 1e6, 64 * MB, reuse=0.0)
+        assert miss_ratio(levels[0]) > 0.99
+        assert memory > 0.99e6
 
     def test_l3_captures_medium_working_set(self):
         """A 1MB set misses L1/L2 heavily but hits in 6MB L3."""
         h = itanium2_hierarchy()
-        r = h.access(AccessSummary(accesses=1e6, footprint_bytes=1 * MB, reuse=0.95))
-        assert r.level("L2").miss_ratio > 0.5
-        l3 = r.level("L3")
-        assert l3.miss_ratio < 0.2
-        assert r.memory_accesses < 0.2e6
+        (_, l2, l3), memory, _ = access(h, 1e6, 1 * MB, reuse=0.95)
+        assert miss_ratio(l2) > 0.5
+        assert miss_ratio(l3) < 0.2
+        assert memory < 0.2e6
 
     def test_misses_monotone_in_footprint(self):
         """Bigger working sets never miss less (same access count)."""
         h = itanium2_hierarchy()
         prev = -1.0
         for fp in [8 * KB, 64 * KB, 512 * KB, 4 * MB, 32 * MB]:
-            r = h.access(AccessSummary(1e6, fp, reuse=0.9))
-            assert r.memory_accesses >= prev
-            prev = r.memory_accesses
+            _, memory, _ = access(h, 1e6, fp, reuse=0.9)
+            assert memory >= prev
+            prev = memory
 
     def test_misses_decrease_with_reuse(self):
         h = itanium2_hierarchy()
-        r_low = h.access(AccessSummary(1e6, 512 * KB, reuse=0.1))
-        r_high = h.access(AccessSummary(1e6, 512 * KB, reuse=0.99))
-        assert r_high.memory_accesses < r_low.memory_accesses
-
-    def test_unknown_level_lookup(self):
-        r = itanium2_hierarchy().access(AccessSummary(10, 10))
-        with pytest.raises(KeyError):
-            r.level("L9")
+        _, low, _ = access(h, 1e6, 512 * KB, reuse=0.1)
+        _, high, _ = access(h, 1e6, 512 * KB, reuse=0.99)
+        assert high < low
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,11 +122,11 @@ class TestModelBehaviour:
 def test_conservation_properties(accesses, footprint, reuse):
     """Invariants: 0 <= misses <= references at every level; references
     cascade (level i+1 refs == level i misses); memory <= total accesses."""
-    h = itanium2_hierarchy()
-    r = h.access(AccessSummary(accesses, footprint, reuse))
-    assert r.levels[0].references == pytest.approx(accesses)
-    for upper, lower in zip(r.levels, r.levels[1:]):
-        assert 0 <= upper.misses <= upper.references + 1e-9
-        assert lower.references == pytest.approx(upper.misses)
-    assert 0 <= r.memory_accesses <= accesses + 1e-9
-    assert r.stall_cycles >= 0
+    levels, memory, stalls = access(itanium2_hierarchy(), accesses,
+                                    footprint, reuse)
+    assert levels[0][0] == pytest.approx(accesses)
+    for (up_refs, up_misses), (low_refs, _) in zip(levels, levels[1:]):
+        assert 0 <= up_misses <= up_refs + 1e-9
+        assert low_refs == pytest.approx(up_misses)
+    assert 0 <= memory <= accesses + 1e-9
+    assert stalls >= 0

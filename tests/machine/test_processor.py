@@ -77,7 +77,6 @@ class TestProcessorModel:
         p = ProcessorModel()
         v = p.execute(compute_sig())
         assert v[C.TIME] == pytest.approx(v[C.CPU_CYCLES] / p.clock_hz * 1e6)
-        assert p.time_seconds(v) == pytest.approx(v[C.TIME] / 1e6)
 
     def test_issued_at_least_completed(self):
         v = ProcessorModel().execute(compute_sig(issue_inflation=1.3))

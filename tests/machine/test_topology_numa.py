@@ -17,7 +17,7 @@ class TestTopology:
         t = NUMATopology(1, cpus_per_node=4)
         assert t.n_cpus == 4
         assert t.max_hops == 0
-        assert t.local_latency() == t.latency.local_cycles
+        assert t.latency.memory_latency(0) == t.latency.local_cycles
 
     def test_altix300_shape(self):
         t = NUMATopology(8, cpus_per_node=2)
@@ -48,13 +48,16 @@ class TestTopology:
     def test_worst_case_latency(self):
         t = NUMATopology(8, latency=LatencyModel(local_cycles=200, per_hop_cycles=50))
         assert t.worst_case_remote_latency() == 200 + 50 * t.max_hops
-        assert t.remote_latency(0, 0) == 200
+        assert t.latency.memory_latency(0) == 200
 
     def test_mean_remote_latency(self):
+        """Every other node is farther than local memory; a one-node
+        machine has only local memory."""
         t = NUMATopology(4)
-        m = t.mean_remote_latency_from(0)
-        assert m > t.local_latency()
-        assert NUMATopology(1).mean_remote_latency_from(0) == t.local_latency()
+        local = t.latency.memory_latency(0)
+        remote = [t.latency.memory_latency(t.hops(0, b)) for b in range(1, 4)]
+        assert np.mean(remote) > local
+        assert NUMATopology(1).worst_case_remote_latency() == local
 
     def test_latency_model_validation(self):
         with pytest.raises(ValueError):
@@ -87,7 +90,9 @@ class TestPageTable:
     def test_partitioned_touch_distributes(self):
         pt = self._pt(4)
         pt.allocate("u", 8 * PAGE_SIZE)
-        pt.touch_partitioned("u", [0, 1, 2, 3])
+        for node in range(4):
+            pt.touch("u", node, start_byte=2 * node * PAGE_SIZE,
+                     length=2 * PAGE_SIZE)
         hist = pt.region("u").node_histogram(4)
         assert (hist == 2).all()
 
@@ -102,9 +107,10 @@ class TestPageTable:
 
         parallel = PageTable(topo)
         parallel.allocate("u", 16 * PAGE_SIZE)
-        parallel.touch_partitioned("u", [0, 1, 2, 3])
-
         quarter = 4 * PAGE_SIZE
+        for node in range(4):  # each thread initializes its own quarter
+            parallel.touch("u", node, start_byte=node * quarter, length=quarter)
+
         # node 3 works on the last quarter of the array
         cost_serial = serial.charge_accesses(
             "u", 3, 1e6, start_byte=3 * quarter, length=quarter
@@ -138,7 +144,7 @@ class TestPageTable:
             pt.charge_accesses("u", 0, 1000.0, length=0)
         with pytest.raises(PlacementError, match="empty range"):
             pt.charge_accesses("u", 0, 1.0, start_byte=4 * PAGE_SIZE)
-        assert pt.region("u").placed_fraction() == 0.0
+        assert (pt.region("u").owner == -1).all()
         assert pt.charge_accesses("u", 0, 0.0, length=0).total_accesses == 0
 
     def test_latency_includes_local_component(self):
@@ -221,7 +227,7 @@ class TestPageTable:
         assert region.node_histogram(4).tolist() == [0, 3, 1, 0]
         pt.reset_region("u")
         assert region.node_histogram(4).tolist() == [0, 0, 0, 0]
-        assert region.placed_fraction() == 0.0
+        assert (region.owner == -1).all()
 
     def test_owner_is_read_only(self):
         pt = self._pt()

@@ -63,7 +63,7 @@ class TestRuleEngineTelemetry:
         engine.add_rule(
             RuleBuilder("seed", no_loop=True)
             .when("f", "A")
-            .then_insert("B", src="$f")
+            .then(lambda ctx: ctx.insert("B", src=ctx["f"]))
             .build()
         )
         engine.add_rule(

@@ -34,13 +34,11 @@ class TestEvent:
         e = Event("main")
         assert not e.is_callpath
         assert e.leaf == "main"
-        assert e.parent_path is None
 
     def test_callpath_event(self):
         e = Event("main => outer => inner")
         assert e.is_callpath
         assert e.leaf == "inner"
-        assert e.parent_path == "main => outer"
 
     def test_equality_by_name(self):
         assert Event("x", "A") == Event("x", "B")

@@ -93,15 +93,14 @@ class TestPowerModel:
             PowerModel(max_power_w=10, idle_power_w=20)
 
     def test_trial_power_sums_processors(self):
-        from repro.apps.msa import run_msa_trial
-
-        r = run_msa_trial(n_sequences=40, n_threads=4, schedule="dynamic,1")
-        pm = PowerModel()
-        est = pm.trial_power(r.trial)
-        single = pm.processor_power(pm.thread_counters(r.trial, 0))
-        assert est.watts > single.watts  # more processors, more power
-        assert est.watts < 4 * ITANIUM2_TDP_W
-        assert pm.trial_energy_joules(r.trial) > 0
+        work = WorkSignature(flops=1e8, loads=1e8, stores=5e7,
+                             footprint_bytes=1e6)
+        single = measure_signature("O2", work, uniform_machine(1))
+        four = measure_signature("O2", work, uniform_machine(1),
+                                 n_processors=4)
+        assert four.watts > single.watts  # more processors, more power
+        assert four.watts < 4 * ITANIUM2_TDP_W
+        assert four.joules > 0
 
 
 class TestTable1Machinery:

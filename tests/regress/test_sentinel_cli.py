@@ -88,7 +88,7 @@ class TestPipelineGate:
         result = regression_gate(make_trial("t1"), repository=db,
                                  application="A", experiment="E")
         assert result.verdict == "baseline-created"
-        assert result.passed
+        assert result.exit_code == 0
         assert LineageStore(db).baseline_name("A", "E") == "t1"
 
     def test_gate_fails_on_regression(self, db):
@@ -98,7 +98,7 @@ class TestPipelineGate:
         result = regression_gate(bad, repository=db,
                                  application="A", experiment="E")
         assert result.verdict == "regressed"
-        assert not result.passed and result.exit_code == 1
+        assert result.exit_code == 1
         assert result.recommendations
 
     def test_gate_ratchets_forward(self, db):

@@ -27,7 +27,8 @@ class TestConflictResolution:
         agenda = Agenda()
         low = activation(make_rule("low", salience=1), Fact("T"))
         high = activation(make_rule("high", salience=9), Fact("T"))
-        agenda.offer_all([low, high])
+        for act in [low, high]:
+            agenda.offer(act)
         assert agenda.pop().rule.name == "high"
         assert agenda.pop().rule.name == "low"
 
@@ -36,7 +37,8 @@ class TestConflictResolution:
         rule = make_rule("r")
         older = activation(rule, Fact("T"))
         newer = activation(rule, Fact("T"))  # later FactHandle => higher seq
-        agenda.offer_all([older, newer])
+        for act in [older, newer]:
+            agenda.offer(act)
         assert agenda.pop() is newer
 
     def test_specificity_breaks_remaining_ties(self):
@@ -44,7 +46,8 @@ class TestConflictResolution:
         f = FactHandle(Fact("T"))
         loose = Activation(make_rule("loose", n_constraints=1), (f,), {})
         tight = Activation(make_rule("tight", n_constraints=4), (f,), {})
-        agenda.offer_all([loose, tight])
+        for act in [loose, tight]:
+            agenda.offer(act)
         assert agenda.pop().rule.name == "tight"
 
     def test_name_is_the_final_deterministic_tiebreak(self):
@@ -52,7 +55,8 @@ class TestConflictResolution:
         f = FactHandle(Fact("T"))
         a = Activation(make_rule("aaa"), (f,), {})
         b = Activation(make_rule("bbb"), (f,), {})
-        agenda.offer_all([b, a])
+        for act in [b, a]:
+            agenda.offer(act)
         assert agenda.pop().rule.name == "aaa"
 
 
@@ -84,7 +88,8 @@ class TestRefractionAndLiveness:
         agenda = Agenda()
         live = activation(make_rule("a"), Fact("T"))
         dead = activation(make_rule("b"), Fact("T"))
-        agenda.offer_all([live, dead])
+        for act in [live, dead]:
+            agenda.offer(act)
         dead.handles[0].live = False
         assert agenda.invalidate_dead() == 1
         assert len(agenda) == 1
@@ -95,7 +100,8 @@ class TestRefractionAndLiveness:
             activation(make_rule("low", salience=1), Fact("T")),
             activation(make_rule("high", salience=5), Fact("T")),
         ]
-        agenda.offer_all(acts)
+        for act in acts:
+            agenda.offer(act)
         names = [a.rule.name for a in agenda.pending()]
         assert names == ["high", "low"]
         assert len(agenda) == 2  # snapshot does not consume
@@ -107,4 +113,4 @@ class TestRefractionAndLiveness:
         agenda.pop()
         agenda.reset_refraction()
         assert agenda.offer(act)
-        assert agenda.fired_count() == 0
+        assert agenda.pop() is act

@@ -44,7 +44,7 @@ class TestPaperFig2:
         rules = parse_rules(PAPER_FIG2)
         assert len(rules) == 1
         assert rules[0].name == "Stalls per Cycle"
-        assert rules[0].positive_pattern_count() == 1
+        assert [c.fact_type for c in rules[0].conditions] == ["MeanEventFact"]
 
     def test_fires_on_matching_fact(self):
         eng = RuleEngine()

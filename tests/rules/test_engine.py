@@ -109,7 +109,7 @@ class TestEngineBasics:
         eng.add_rule(
             RuleBuilder("classify")
             .when("f", "Event", ("sev", ">", 0.25), "n := name")
-            .then_insert("HotSpot", event="$n")
+            .then(lambda ctx: ctx.insert("HotSpot", event=ctx["n"]))
             .build()
         )
         eng.add_rule(
@@ -120,7 +120,7 @@ class TestEngineBasics:
         )
         eng.insert("Event", name="matxvec", sev=0.4)
         eng.run()
-        assert eng.find_facts("HotSpot", event="matxvec")
+        assert [f["event"] for f in eng.facts("HotSpot")] == ["matxvec"]
         assert any("optimize matxvec" in line for line in eng.output)
 
     def test_join_two_patterns_with_variable(self):

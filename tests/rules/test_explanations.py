@@ -12,13 +12,14 @@ def chain_engine():
     eng.add_rule(
         RuleBuilder("classify", salience=10)
         .when("e", "Event", ("sev", ">", 0.2), "n := name")
-        .then_insert("HotSpot", event="$n")
+        .then(lambda ctx: ctx.insert("HotSpot", event=ctx["n"]))
         .build()
     )
     eng.add_rule(
         RuleBuilder("recommend")
         .when("h", "HotSpot", "e := event")
-        .then_insert("Recommendation", category="hot", event="$e")
+        .then(lambda ctx: ctx.insert("Recommendation", category="hot",
+                                     event=ctx["e"]))
         .build()
     )
     return eng

@@ -48,11 +48,6 @@ class TestFact:
         assert not Fact("T", a=1).value_equals(Fact("T", a=2))
         assert not Fact("T", a=1).value_equals(Fact("U", a=1))
 
-    def test_from_mapping(self):
-        f = Fact.from_mapping("T", {"x": 1.5})
-        assert f["x"] == 1.5 and f.fact_type == "T"
-
-
 class TestFactHandle:
     def test_sequence_is_monotonic(self):
         h1 = FactHandle(Fact("T"))

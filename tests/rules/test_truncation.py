@@ -11,7 +11,7 @@ def _chain_rules(depth):
         rules.append(
             RuleBuilder(f"step{i}", no_loop=True)
             .when("f", f"F{i}")
-            .then_insert(f"F{i + 1}")
+            .then(lambda ctx, derived=f"F{i + 1}": ctx.insert(derived))
             .build()
         )
     return rules

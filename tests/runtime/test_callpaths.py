@@ -60,7 +60,6 @@ class TestCallpathMode:
         ev = next(e for e in t.events if e.name == "main => alpha => helper")
         assert ev.is_callpath
         assert ev.leaf == "helper"
-        assert ev.parent_path == "main => alpha"
 
     def test_flat_mode_unchanged(self):
         t = run_two_parents(False)

@@ -123,8 +123,8 @@ class TestPointToPoint:
         # ring exchange
         reqs = []
         for rank in range(3):
-            s, r = mpi.send_recv(rank, (rank + 1) % 3, (rank - 1) % 3, 4096)
-            reqs.append(r)
+            mpi.isend(rank, (rank + 1) % 3, 4096)
+            reqs.append(mpi.irecv(rank, (rank - 1) % 3, 4096))
         for rank in range(3):
             mpi.waitall(rank, [reqs[rank]])
         close_main(mpi)

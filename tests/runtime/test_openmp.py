@@ -133,7 +133,7 @@ class TestParallelFor:
         _, p = run_loop(uniform_tasks(8), 4, "static")
         t = p.to_trial("t")
         assert t.has_event("parallel_region") and t.has_event("work_loop")
-        assert ("parallel_region", "work_loop") in p.callgraph_edges
+        assert ["parallel_region", "work_loop"] in t.metadata["callgraph"]
         # loop exclusive time ≈ loop inclusive time (leaf event)
         e = t.event_index("work_loop")
         np.testing.assert_allclose(

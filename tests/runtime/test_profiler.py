@@ -56,7 +56,6 @@ class TestRegionAccounting:
         t = p.to_trial("t")
         assert ["main", "outer"] in t.metadata["callgraph"]
         assert ["outer", "inner"] in t.metadata["callgraph"]
-        assert ("main", "outer") in p.callgraph_edges
 
     def test_unbalanced_exit_detected(self):
         p = Profiler(uniform_machine(1))

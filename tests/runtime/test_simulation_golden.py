@@ -20,8 +20,9 @@ ranks ran in lockstep, and the ``traced/genidlest-omp-events``,
 per-thread OpenMP constructs before the teams ran in lockstep, and the
 ``omp-regions-events/dynamic,3``, ``omp-regions-events/guided,2`` and
 ``traced/msa-dynamic`` ones with the per-chunk dynamic and guided
-dispatch before those loops ran from a dispatch plan; they must not be
-edited to make a change pass.
+dispatch before those loops ran from a dispatch plan, and the
+``traced/msa-dynamic-events`` one (the event order of that traced run)
+with the dispatch plan; they must not be edited to make a change pass.
 """
 
 from __future__ import annotations
@@ -181,6 +182,10 @@ def case_digest(case: str) -> str:
         return traced_digest(trace_application(
             "msa", n_sequences=400, n_threads=16, seed=0,
             schedule="dynamic,1"), uniform_machine(16))
+    if case == "traced/msa-dynamic-events":
+        return trace_digest(trace_application(
+            "msa", n_sequences=400, n_threads=16, seed=0,
+            schedule="dynamic,1").trace)
     if case == "traced/genidlest-mpi":
         return traced_digest(traced_genidlest_mpi(), default_machine(16))
     if case == "traced/genidlest-mpi-events":
@@ -273,6 +278,8 @@ GOLDEN = {
         "7de13abd7c5590fea32619f7c6037ee45cf425145b515ca41ee0c1bafe48a8ad",
     "traced/msa-dynamic":
         "eabcecfb9062b5b9d8fb34bb89d57142846964879c86facb320d5d6cf02014dc",
+    "traced/msa-dynamic-events":
+        "0b484c8159ba2b4e1528411bac602ec11e664d3c9ff67263cfa8d03eebcf9ee9",
 }
 
 

@@ -7,6 +7,7 @@ from repro.machine import CounterVector, uniform_machine
 from repro.machine import counters as C
 from repro.runtime import EventTrace, Profiler, SnapshotProfiler
 from repro.runtime.tau import MeasurementError
+from repro.runtime.trace import PHASE
 
 
 def _charge(prof, cpu, us):
@@ -95,7 +96,7 @@ def test_phase_marks_recorded_in_trace():
     prof.phase("p0")
     prof.exit(0, "main")
     prof.phase("p1")
-    marks = trace.phase_marks()
+    marks = [e for e in trace.events if e.kind == PHASE]
     assert [m.name for m in marks] == ["p0", "p1"]
     assert len(prof.snapshots) == 2
 
@@ -107,7 +108,7 @@ def test_base_profiler_phase_is_trace_mark_only():
     _charge(prof, 0, 100.0)
     prof.phase("p0")
     prof.exit(0, "main")
-    assert [m.name for m in trace.phase_marks()] == ["p0"]
+    assert [e.name for e in trace.events if e.kind == PHASE] == ["p0"]
     assert not hasattr(prof, "snapshots")
 
 

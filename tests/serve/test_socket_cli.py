@@ -17,7 +17,7 @@ from .conftest import DIAG, make_trial
 from repro import cli
 from repro.core.result import AnalysisError
 from repro.serve import AnalysisService, ServeServer, SocketClient
-from repro.serve.protocol import parse_endpoint
+from repro.serve.protocol import MAX_LINE, parse_endpoint
 
 
 @pytest.fixture
@@ -131,6 +131,97 @@ class TestSocketClient:
             sock.close()
         assert not bad["ok"] and "bad request" in bad["error"]
         assert not unknown["ok"] and "unknown op" in unknown["error"]
+        assert bad["kind"] == "ValueError"
+        assert unknown["kind"] == "AnalysisError"  # a handler's own error
+
+
+def raw_connection(server):
+    """A plain unix socket to ``server`` and a line reader over it."""
+    _, path = parse_endpoint(server.endpoint)
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(10.0)
+    sock.connect(path)
+    return sock, sock.makefile("rb")
+
+
+#: Frames with a missing or wrongly typed field, and the field each names.
+BAD_FIELDS = [
+    (b'{"op": "submit"}', "kind"),
+    (b'{"op": "wait"}', "id"),
+    (b'{"op": "explain_job"}', "id"),
+    (b'{"op": "submit", "kind": "sleep", "params": [1]}', "params"),
+    (b'{"op": "wait", "id": 1, "timeout": "soon"}', "timeout"),
+    (b'{"op": "status", "id": [7]}', "id"),
+    (b'{"op": "submit", "kind": "sleep", "priority": "high"}', "priority"),
+    (b'{"op": "submit_many", "jobs": {}}', "jobs"),
+]
+
+
+class TestProtocolFrames:
+    """Bad frames from one connection while another has a job in flight:
+    each gets a named error reply or a clean close, and the service keeps
+    serving."""
+
+    def test_bad_frames_do_not_disturb_a_job_in_flight(self, served):
+        _, server = served
+        with SocketClient(server.endpoint) as good:
+            job = good.submit("sleep", {"seconds": 0.3})
+            sock, reader = raw_connection(server)
+            try:
+                replies = []
+                for frame in [b"\xff\xfe garbage \x00", b"[1, 2]",
+                              b'"just a string"'] + [f for f, _ in BAD_FIELDS]:
+                    sock.sendall(frame + b"\n")
+                    replies.append(json.loads(reader.readline()))
+                # The connection survives its bad frames.
+                sock.sendall(b'{"op": "ping"}\n')
+                assert json.loads(reader.readline())["pong"]
+            finally:
+                reader.close()
+                sock.close()
+            for reply in replies:
+                assert not reply["ok"]
+                assert reply["kind"] == "ValueError"
+                assert reply["error"].startswith("bad request")
+            for reply, (_, field) in zip(replies[3:], BAD_FIELDS):
+                assert repr(field) in reply["error"], reply
+            assert job["status"] in ("queued", "running")
+            assert good.wait(job["id"], timeout=10.0)["status"] == "done"
+        with SocketClient(server.endpoint) as fresh:
+            assert fresh.ping()["pong"]
+
+    def test_oversized_line_is_refused_and_closed(self, served):
+        _, server = served
+        with SocketClient(server.endpoint) as good:
+            job = good.submit("sleep", {"seconds": 0.2})
+            sock, reader = raw_connection(server)
+            try:
+                sock.sendall(b"x" * (MAX_LINE + 1))
+                reply = json.loads(reader.readline())
+                assert reader.readline() == b""  # then the server hangs up
+            finally:
+                reader.close()
+                sock.close()
+            assert not reply["ok"] and str(MAX_LINE) in reply["error"]
+            assert good.wait(job["id"], timeout=10.0)["status"] == "done"
+        with SocketClient(server.endpoint) as fresh:
+            assert fresh.ping()["pong"]
+
+    def test_truncated_frame_is_a_clean_close(self, served):
+        _, server = served
+        with SocketClient(server.endpoint) as good:
+            job = good.submit("sleep", {"seconds": 0.2})
+            sock, reader = raw_connection(server)
+            try:
+                sock.sendall(b'{"op": "ping"')  # no newline
+                sock.shutdown(socket.SHUT_WR)
+                assert reader.readline() == b""  # no reply, just EOF
+            finally:
+                reader.close()
+                sock.close()
+            assert good.wait(job["id"], timeout=10.0)["status"] == "done"
+        with SocketClient(server.endpoint) as fresh:
+            assert fresh.ping()["pong"]
 
 
 class TestServeCli:
