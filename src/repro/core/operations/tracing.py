@@ -133,7 +133,6 @@ def _replay_columnar(trace: T.EventTrace, machine: Machine) -> Profiler | None:
     kind_col = cols["kind"]
     cpu_col = cols["cpu"]
     nid_col = cols["name_id"]
-    attrs_col = trace.attrs_column()
     names = trace.name_table()
 
     K_ENTER = T.KIND_CODES[T.ENTER]
@@ -174,20 +173,19 @@ def _replay_columnar(trace: T.EventTrace, machine: Machine) -> Profiler | None:
     order_nids, first_pos = np.unique(enter_nids, return_index=True)
     for nid, pos in zip(order_nids.tolist(), first_pos.tolist()):
         first_enter_row[nid] = int(enter_rows[pos])
-    for nid, row in sorted(first_enter_row.items(), key=lambda kv: kv[1]):
-        a = attrs_col[row]
-        group = a.get("group", "TAU_DEFAULT") if a else "TAU_DEFAULT"
+    first_enters = sorted(first_enter_row.items(), key=lambda kv: kv[1])
+    groups = trace.field_at([row for _, row in first_enters], "group",
+                            "TAU_DEFAULT")
+    for (nid, _), group in zip(first_enters, groups):
         prof._register_event(names[nid], group)
 
     # CALLS validation: the event must have been registered (first ENTER
     # anywhere) before the CALLS event, and counts must be non-negative.
-    calls_rows = rows[kind_col[rows] == K_CALLS]
-    for row in calls_rows.tolist():
+    calls_rows = rows[kind_col[rows] == K_CALLS].tolist()
+    count_of = dict(zip(calls_rows, trace.field_at(calls_rows, "count", 0.0)))
+    for row in calls_rows:
         first = first_enter_row.get(int(nid_col[row]))
-        if first is None or first > row:
-            return None
-        a = attrs_col[row]
-        if a is not None and a.get("count", 0.0) < 0:
+        if first is None or first > row or count_of[row] < 0:
             return None
 
     # Folded totals go straight into the profiler's dense accumulators,
@@ -292,9 +290,7 @@ def _replay_columnar(trace: T.EventTrace, machine: Machine) -> Profiler | None:
                 if k[li] == K_ENTER:
                     folds[nid] = folds.get(nid, 0.0) + 1.0
                 else:
-                    a = attrs_col[int(gsel[li])]
-                    count = a.get("count", 0.0) if a else 0.0
-                    folds[nid] = folds.get(nid, 0.0) + count
+                    folds[nid] = folds.get(nid, 0.0) + count_of[int(gsel[li])]
             for nid, total in folds.items():
                 prof._calls[row_of[nid], col] = total
 
@@ -405,14 +401,6 @@ def _replay_columnar(trace: T.EventTrace, machine: Machine) -> Profiler | None:
 
 # -- wait-state detection --------------------------------------------------
 
-def _rows_of_kind(trace: T.EventTrace, *kinds: str) -> "np.ndarray":
-    """Row indices of the given event kinds, straight off the kind column —
-    scanning a million-event trace for its few hundred wait/collective rows
-    never materializes the enter/exit/charge records."""
-    want = np.asarray([T.KIND_CODES[k] for k in kinds], dtype=np.int16)
-    return np.nonzero(np.isin(trace.columns()["kind"], want))[0]
-
-
 @dataclass(frozen=True)
 class WaitState:
     """One diagnosed wait-state instance.
@@ -433,25 +421,42 @@ class WaitState:
     construct: str = "mpi"
 
 
+def _arrivals(trace: T.EventTrace, *kinds: str) -> dict:
+    """The ``COLLECTIVE``/``BARRIER`` events of ``kinds`` grouped by (kind,
+    name, seq), in trace order: each member's (cpu, rank or thread,
+    arrive, release), arrive and release defaulting to its timestamp."""
+    cols = trace.kind_columns(kinds, ("rank", "thread", "arrive", "release",
+                                      "seq"))
+    groups: dict = {}
+    for kind, name, seq, cpu, ts, rank, thread, arrive, release in zip(
+            cols["kind"], cols["name"], cols["seq"], cols["cpu"], cols["ts"],
+            cols["rank"], cols["thread"], cols["arrive"], cols["release"]):
+        groups.setdefault((kind, name, seq), []).append((
+            cpu, rank if kind == T.COLLECTIVE else thread,
+            ts if arrive is None else arrive, ts if release is None else release))
+    return groups
+
+
 def _barrier_states(
     groups: dict, *, construct: str, min_wait: float
 ) -> list[WaitState]:
     out: list[WaitState] = []
-    for (name, _seq), members in sorted(groups.items(), key=lambda kv: kv[0][1]):
+    for (_, name, _seq), members in sorted(groups.items(),
+                                           key=lambda kv: kv[0][2]):
         if len(members) < 2:
             continue
-        straggler = max(members, key=lambda m: m["arrive"])
-        worst = min(members, key=lambda m: m["arrive"])
-        wait = straggler["arrive"] - worst["arrive"]
+        straggler = max(members, key=lambda m: m[2])
+        worst = min(members, key=lambda m: m[2])
+        wait = straggler[2] - worst[2]
         if wait > min_wait:
             out.append(WaitState(
                 kind="barrier-straggler",
-                rank=straggler["rank"],
-                victim=worst["rank"],
+                rank=straggler[1],
+                victim=worst[1],
                 wait_seconds=wait,
                 event=name,
-                t_start=worst["arrive"],
-                t_end=straggler["arrive"],
+                t_start=worst[2],
+                t_end=straggler[2],
                 construct=construct,
             ))
     return out
@@ -462,61 +467,42 @@ def detect_wait_states(
 ) -> list[WaitState]:
     """Scan a trace for late-sender / late-receiver / straggler patterns."""
     states: list[WaitState] = []
-    mpi_groups: dict = {}
-    omp_groups: dict = {}
-    for i in _rows_of_kind(trace, T.WAIT, T.COLLECTIVE, T.BARRIER).tolist():
-        ev = trace.event_at(i)
-        if ev.kind == T.WAIT:
-            rank = ev.get("rank")
-            start = ev.get("start", ev.ts)
-            end = ev.get("end", ev.ts)
-            for req in ev.get("requests", ()):
-                if req.get("kind") != "recv":
-                    continue
-                ready = req.get("ready_at")
-                partner = req.get("partner")
-                if ready is None or partner is None:
-                    continue
-                if ready - start > min_wait_seconds:
-                    # Receiver blocked until the partner's message landed.
-                    states.append(WaitState(
-                        kind="late-sender",
-                        rank=partner,
-                        victim=rank,
-                        wait_seconds=ready - start,
-                        event=ev.name,
-                        t_start=start,
-                        t_end=min(ready, end),
-                    ))
-                elif start - ready > min_wait_seconds:
-                    # Message sat fully transferred before the receiver
-                    # entered its wait (the eager-protocol late-receiver
-                    # symptom: the receiver itself is late).
-                    states.append(WaitState(
-                        kind="late-receiver",
-                        rank=rank,
-                        victim=partner,
-                        wait_seconds=start - ready,
-                        event=ev.name,
-                        t_start=ready,
-                        t_end=start,
-                    ))
-        elif ev.kind == T.COLLECTIVE:
-            key = (ev.name, ev.get("seq"))
-            mpi_groups.setdefault(key, []).append(
-                {"rank": ev.get("rank"), "arrive": ev.get("arrive", ev.ts),
-                 "release": ev.get("release", ev.ts), "cpu": ev.cpu}
-            )
-        elif ev.kind == T.BARRIER:
-            key = (ev.name, ev.get("seq"))
-            omp_groups.setdefault(key, []).append(
-                {"rank": ev.get("thread"), "arrive": ev.get("arrive", ev.ts),
-                 "release": ev.get("release", ev.ts), "cpu": ev.cpu}
-            )
+    reqs = trace.request_columns()
+    for name, rank, start, end, kind, partner, ready in zip(
+            reqs["name"], reqs["rank"], reqs["start"], reqs["end"],
+            reqs["kind"], reqs["partner"], reqs["ready_at"]):
+        if kind != "recv" or ready is None or partner is None:
+            continue
+        if ready - start > min_wait_seconds:
+            # Receiver blocked until the partner's message landed.
+            states.append(WaitState(
+                kind="late-sender",
+                rank=partner,
+                victim=rank,
+                wait_seconds=ready - start,
+                event=name,
+                t_start=start,
+                t_end=min(ready, end),
+            ))
+        elif start - ready > min_wait_seconds:
+            # Message sat fully transferred before the receiver entered
+            # its wait (the eager-protocol late-receiver symptom: the
+            # receiver itself is late).
+            states.append(WaitState(
+                kind="late-receiver",
+                rank=rank,
+                victim=partner,
+                wait_seconds=start - ready,
+                event=name,
+                t_start=ready,
+                t_end=start,
+            ))
     states.extend(_barrier_states(
-        mpi_groups, construct="mpi", min_wait=min_wait_seconds))
+        _arrivals(trace, T.COLLECTIVE), construct="mpi",
+        min_wait=min_wait_seconds))
     states.extend(_barrier_states(
-        omp_groups, construct="openmp", min_wait=min_wait_seconds))
+        _arrivals(trace, T.BARRIER), construct="openmp",
+        min_wait=min_wait_seconds))
     states.sort(key=lambda s: s.t_start)
     return states
 
@@ -577,39 +563,28 @@ def _blocking_intervals(trace: T.EventTrace) -> dict[int, list[_Blocking]]:
     def add(cpu: int, b: _Blocking) -> None:
         out.setdefault(cpu, []).append(b)
 
-    groups: dict = {}
-    for i in _rows_of_kind(trace, T.WAIT, T.COLLECTIVE, T.BARRIER).tolist():
-        ev = trace.event_at(i)
-        if ev.kind == T.WAIT:
-            start = ev.get("start", ev.ts)
-            end = ev.get("end", ev.ts)
-            if end - start <= 0:
-                continue
-            # The message that completed last is the one the wait was for.
-            recvs = [r for r in ev.get("requests", ())
-                     if r.get("kind") == "recv" and r.get("ready_at") is not None]
-            if not recvs:
-                continue
-            last = max(recvs, key=lambda r: r["ready_at"])
-            origin_cpu = rank_cpu.get(last.get("partner"))
-            if origin_cpu is None:
-                continue
-            add(ev.cpu, _Blocking(start, end, origin_cpu,
-                                  last.get("posted_at") or 0.0))
-        elif ev.kind in (T.COLLECTIVE, T.BARRIER):
-            groups.setdefault((ev.kind, ev.name, ev.get("seq")), []).append(ev)
-    for members in groups.values():
+    # The message that completed last is the one a wait was for.
+    last: dict[int, tuple] = {}
+    reqs = trace.request_columns()
+    for row, cpu, start, end, kind, partner, ready, posted in zip(
+            reqs["row"], reqs["cpu"], reqs["start"], reqs["end"],
+            reqs["kind"], reqs["partner"], reqs["ready_at"],
+            reqs["posted_at"]):
+        if end - start > 0 and kind == "recv" and ready is not None and (
+                row not in last or ready > last[row][0]):
+            last[row] = (ready, cpu, start, end, partner, posted)
+    for _, cpu, start, end, partner, posted in last.values():
+        origin_cpu = rank_cpu.get(partner)
+        if origin_cpu is not None:
+            add(cpu, _Blocking(start, end, origin_cpu, posted or 0.0))
+    for members in _arrivals(trace, T.COLLECTIVE, T.BARRIER).values():
         if len(members) < 2:
             continue
-        straggler = max(members, key=lambda e: e.get("arrive", e.ts))
-        s_arrive = straggler.get("arrive", straggler.ts)
-        for ev in members:
-            if ev is straggler:
-                continue
-            arrive = ev.get("arrive", ev.ts)
-            release = ev.get("release", ev.ts)
-            if release - arrive > 0:
-                add(ev.cpu, _Blocking(arrive, release, straggler.cpu, s_arrive))
+        straggler = max(members, key=lambda m: m[2])
+        for member in members:
+            cpu, _, arrive, release = member
+            if member is not straggler and release - arrive > 0:
+                add(cpu, _Blocking(arrive, release, straggler[0], straggler[2]))
     for lst in out.values():
         lst.sort(key=lambda b: b.end)
     return out
@@ -621,17 +596,11 @@ def critical_path(trace: T.EventTrace) -> CriticalPathResult:
     interval caused by a message or barrier dependency."""
     eps = 1e-12
     charges: dict[int, list[tuple[float, float, str, bool]]] = {}
-    cols = trace.columns()
-    ts_col, cpu_col, nid_col = cols["ts"], cols["cpu"], cols["name_id"]
-    names = trace.name_table()
-    attrs_col = trace.attrs_column()
-    for i in _rows_of_kind(trace, T.CHARGE).tolist():
-        a = attrs_col[i]
-        sec = a.get("seconds", 0.0) if a else 0.0
-        ts = float(ts_col[i])
-        charges.setdefault(int(cpu_col[i]), []).append(
-            (ts, ts + sec, names[nid_col[i]], bool(a.get("idle")) if a else False)
-        )
+    cols = trace.kind_columns((T.CHARGE,), ("seconds", "idle"))
+    for cpu, ts, name, sec, idle in zip(cols["cpu"], cols["ts"], cols["name"],
+                                        cols["seconds"], cols["idle"]):
+        charges.setdefault(cpu, []).append(
+            (ts, ts + (sec or 0.0), name, bool(idle)))
     if not charges:
         return CriticalPathResult([], 0.0)
     blocking = _blocking_intervals(trace)

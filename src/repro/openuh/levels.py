@@ -101,12 +101,6 @@ class CompiledProgram:
         return lower_function(self.program, fn, self.options,
                               expand_calls=expand_calls)
 
-    def report_for(self, pass_name: str) -> PassReport | None:
-        for r in self.reports:
-            if r.pass_name == pass_name:
-                return r
-        return None
-
 
 def compile_program(program: Program, level: str = "O2") -> CompiledProgram:
     """Clone, optimize, and prepare ``program`` at the given level."""

@@ -27,7 +27,6 @@ from .conditions import (
     Constraint,
     Pattern,
     Test,
-    constraint,
 )
 from .dsl import (
     DSLSyntaxError,
@@ -63,7 +62,6 @@ __all__ = [
     "SerializationError",
     "Test",
     "WorkingMemory",
-    "constraint",
     "load_prl",
     "parse_rules",
     "rule_to_prl",

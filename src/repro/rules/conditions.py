@@ -302,13 +302,3 @@ class Pattern:
             body = f"not {body}"
         return body
 
-
-def constraint(
-    fieldname: str,
-    op: str = "any",
-    value: Any = None,
-    *,
-    bind: str | None = None,
-) -> Constraint:
-    """Convenience constructor mirroring the DSL's field syntax."""
-    return Constraint(fieldname=fieldname, op=op, value=value, bind=bind)

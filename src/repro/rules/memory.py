@@ -429,18 +429,6 @@ class WorkingMemory:
         """Version at which ``fact_type`` was last mutated (0 = never)."""
         return self._type_versions.get(fact_type, 0)
 
-    def find(self, fact_type: str, **field_values) -> list[Fact]:
-        """Live facts of ``fact_type`` whose fields equal ``field_values``.
-
-        A convenience for tests and post-run inspection (e.g. collecting all
-        ``Recommendation`` facts the rulebase produced).
-        """
-        out = []
-        for fact in self.facts_of_type(fact_type):
-            if all(fact.get(k, _MISSING) == v for k, v in field_values.items()):
-                out.append(fact)
-        return out
-
     def extend(self, facts: Iterable[Fact]) -> Sequence[FactHandle]:
         return self.assert_facts(facts)
 

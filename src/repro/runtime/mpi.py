@@ -54,6 +54,8 @@ class CommModel:
 #: Per posted kind: its PMPI event, trace event kind and plural noun.
 _POSTS = {"send": ("MPI_Isend()", T.SEND, "sends"),
           "recv": ("MPI_Irecv()", T.RECV, "receives")}
+#: Per posted kind: the trace attrs key of its partner rank.
+_PARTNER = {"send": "dest", "recv": "source"}
 
 
 @dataclass(eq=False, slots=True)
@@ -169,49 +171,58 @@ class MPIRuntime:
         for rank in itertools.chain(ranks, *(partners for _, partners, _ in ops)):
             self._check_rank(rank)
         cpus = [self.cpus[r] for r in ranks]
+        n, stride = len(ranks), len(ops)
         first = self._next_request_id
-        self._next_request_id += len(ranks) * len(ops)
+        self._next_request_id += n * stride
         requests: list[list[Request]] = [[] for _ in ranks]
-        with self.profiler.lockstep(cpus):
+        prof, trace = self.profiler, self._trace
+        idle = self.machine.processor.idle_vector(self.POST_OVERHEAD_S).as_array()
+        with prof.lockstep(cpus):
             for j, (kind, partners, tag) in enumerate(ops):
                 event, trace_kind, noun = _POSTS[kind]
                 if any(map(operator.eq, ranks, partners)):
                     raise MPIError(f"self-{noun} are not modeled")
-                self.profiler.enter_set(cpus, event, group="MPI")
-                self.profiler.charge_idle_set(
-                    cpus, [self.POST_OVERHEAD_S] * len(cpus))
-                self.profiler.exit_set(cpus, event)
-                posted = self.profiler.clocks(cpus)
-                attrs = []
-                for i, (rank, partner, at) in enumerate(zip(ranks, partners, posted)):
-                    req = Request(kind, rank, partner=partner, nbytes=nbytes[i],
-                                  tag=tag, id=first + i * len(ops) + j)
-                    requests[i].append(req)
-                    attrs.append(self._send(req, at) if kind == "send"
-                                 else self._recv(req))
-                if self._trace is not None:
-                    self._trace.emit_many(trace_kind, cpus, posted, event, attrs)
+                prof.leaf_set(cpus, event, idle, group="MPI", _idle=True)
+                posted = prof.clocks(cpus)
+                ids = range(first + j, first + n * stride, stride)
+                if kind == "send":
+                    # Nonblocking sends complete locally once the payload is
+                    # handed to the NIC, which the post overhead charges.
+                    reqs = [Request(kind, rank, partner=partner, nbytes=size,
+                                    tag=tag, id=i, complete_at=at,
+                                    matched=True, posted_at=at)
+                            for rank, partner, size, i, at
+                            in zip(ranks, partners, nbytes, ids, posted)]
+                    ready = self._send(reqs)
+                else:
+                    reqs = [Request(kind, rank, partner=partner, nbytes=size,
+                                    tag=tag, id=i)
+                            for rank, partner, size, i
+                            in zip(ranks, partners, nbytes, ids)]
+                    for rank, req in zip(ranks, reqs):
+                        self._pending[rank].append(req)
+                for mine, req in zip(requests, reqs):
+                    mine.append(req)
+                if trace is not None:
+                    attrs = {"rank": list(ranks), _PARTNER[kind]: list(partners),
+                             "bytes": list(nbytes), "tag": [tag] * n}
+                    if kind == "send":
+                        attrs["ready_at"] = ready
+                    attrs["req_id"] = list(ids)
+                    trace.emit_many(trace_kind, cpus, posted, event, attrs)
         return requests
 
-    def _send(self, req: Request, posted: float) -> dict:
-        """Put a posted send's message in flight; returns its trace attrs."""
-        ready_at = posted + self.comm.transfer_seconds(
-            req.nbytes, self._hops(req.rank, req.partner))
-        self._in_flight.setdefault(
-            (req.partner, req.rank, req.tag), []).append((ready_at, posted))
-        # Nonblocking send completes locally once the payload is handed to
-        # the NIC; we charge that in the post overhead.
-        req.complete_at = posted
-        req.matched = True
-        req.posted_at = posted
-        return {"rank": req.rank, "dest": req.partner, "bytes": req.nbytes,
-                "tag": req.tag, "ready_at": ready_at, "req_id": req.id}
-
-    def _recv(self, req: Request) -> dict:
-        """Queue a posted receive for matching; returns its trace attrs."""
-        self._pending[req.rank].append(req)
-        return {"rank": req.rank, "source": req.partner, "bytes": req.nbytes,
-                "tag": req.tag, "req_id": req.id}
+    def _send(self, reqs: list[Request]) -> list[float]:
+        """Put posted sends' messages in flight; returns when each lands
+        at its receiver."""
+        ready = []
+        for req in reqs:
+            at = req.posted_at + self.comm.transfer_seconds(
+                req.nbytes, self._hops(req.rank, req.partner))
+            self._in_flight.setdefault(
+                (req.partner, req.rank, req.tag), []).append((at, req.posted_at))
+            ready.append(at)
+        return ready
 
     def _match(self, req: Request) -> None:
         """Complete a posted receive with the oldest matching message."""
@@ -262,16 +273,10 @@ class MPIRuntime:
             self.profiler.advance_set(cpus, targets)
             self.profiler.exit_set(cpus, "MPI_Waitall()")
             if self._trace is not None:
-                ends = self.profiler.clocks(cpus)
-                self._trace.emit_many(T.WAIT, cpus, starts, "MPI_Waitall()", [
-                    {"rank": rank, "start": start, "end": end, "requests": [
-                        {"kind": q.kind, "partner": q.partner,
-                         "bytes": q.nbytes, "tag": q.tag,
-                         "ready_at": q.complete_at, "posted_at": q.posted_at,
-                         "req_id": q.id}
-                        for q in reqs]}
-                    for rank, start, end, reqs
-                    in zip(ranks, starts, ends, requests)])
+                self._trace.emit_many(T.WAIT, cpus, starts, "MPI_Waitall()", {
+                    "rank": list(ranks), "start": starts,
+                    "end": self.profiler.clocks(cpus),
+                    "requests": [list(reqs) for reqs in requests]})
 
     # -- collectives ----------------------------------------------------------
     def barrier(self, *, event: str = "MPI_Barrier()") -> None:
@@ -294,11 +299,11 @@ class MPIRuntime:
         seq = next(self._collective_seq)
         with self.profiler.lockstep(cpus):
             if self._trace is not None:
-                self._trace.emit_many(T.COLLECTIVE, cpus, clocks, event, [
-                    {"rank": r, "arrive": clock, "release": target,
-                     "seq": seq, **extra}
-                    for r, clock in enumerate(clocks)
-                ])
+                n = len(cpus)
+                self._trace.emit_many(T.COLLECTIVE, cpus, clocks, event, {
+                    "rank": list(range(n)), "arrive": clocks,
+                    "release": [target] * n, "seq": [seq] * n,
+                    **{key: [value] * n for key, value in extra.items()}})
             self.profiler.enter_set(cpus, event, group="MPI")
             self.profiler.advance_set(cpus, [target] * len(cpus))
             self.profiler.exit_set(cpus, event)

@@ -100,12 +100,6 @@ class ParallelForResult:
     chunks: list[int]
 
     @property
-    def makespan_seconds(self) -> float:
-        return max(
-            c + b for c, b in zip(self.compute_seconds, self.barrier_seconds)
-        )
-
-    @property
     def imbalance_ratio(self) -> float:
         """stddev/mean of per-thread compute time — the paper's imbalance
         statistic (> 0.25 triggers the rule)."""
@@ -260,10 +254,11 @@ class OpenMPRuntime:
         prof = self.profiler
         with prof.lockstep(cpus):
             if self._trace is not None:
+                n = len(cpus)
                 self._trace.emit_many(
                     T.FORK, cpus, prof.clocks(cpus), region_event,
-                    [{"thread": t, **attrs} for t in range(len(cpus))],
-                )
+                    {"thread": list(range(n)),
+                     **{key: [value] * n for key, value in attrs.items()}})
             prof.enter_set(cpus, region_event, group="OPENMP")
             prof.charge_idle_set(cpus, [idle] * len(cpus))
 
@@ -284,10 +279,10 @@ class OpenMPRuntime:
         arrive = self.profiler.clocks(cpus)
         release = max(arrive)
         if self._trace is not None:
-            self._trace.emit_many(T.BARRIER, cpus, arrive, region_event, [
-                {"thread": t, "arrive": at, "release": release, "seq": seq}
-                for t, at in enumerate(arrive)
-            ])
+            n = len(cpus)
+            self._trace.emit_many(T.BARRIER, cpus, arrive, region_event, {
+                "thread": list(range(n)), "arrive": arrive,
+                "release": [release] * n, "seq": [seq] * n})
         return release, [release - at for at in arrive]
 
     def _join(self, cpus: list[int], region_event: str, seq: int, *,
@@ -301,10 +296,10 @@ class OpenMPRuntime:
             prof.charge_idle_set(cpus, [idle] * len(cpus))
             prof.exit_set(cpus, region_event)
             if self._trace is not None:
+                n = len(cpus)
                 self._trace.emit_many(
                     T.JOIN, cpus, prof.clocks(cpus), region_event,
-                    [{"thread": t, "seq": seq} for t in range(len(cpus))],
-                )
+                    {"thread": list(range(n)), "seq": [seq] * n})
 
     # -- the main primitive ------------------------------------------------
     def parallel_for(

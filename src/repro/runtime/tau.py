@@ -239,9 +239,8 @@ class Profiler:
     def enter(self, cpu: int, event: str, *, group: str = "TAU_DEFAULT") -> None:
         state = self._cpu(cpu)
         if self.trace is not None:
-            self.trace.emit(
-                T.ENTER, cpu, state.clock_seconds, event, {"group": group}
-            )
+            self.trace.emit_many(T.ENTER, (cpu,), (state.clock_seconds,),
+                                 event, {"group": (group,)})
         self._enter([state], state.column,
                     state.stack[-1] if state.stack else None, event, group)
 
@@ -255,7 +254,7 @@ class Profiler:
             return
         if self.trace is not None:
             self.trace.emit_many(T.ENTER, cpus, self.clocks(cpus), event,
-                                 [{"group": group}] * len(cpus))
+                                 {"group": [group] * len(cpus)})
         self._enter(cpu_set.states, cpu_set.cols, parent, event, group)
 
     def _enter(self, states: list[_CPUState], columns, parent, event: str,
@@ -298,7 +297,7 @@ class Profiler:
                 f"[{self._open_stack(state)}]"
             )
         if self.trace is not None:
-            self.trace.emit(T.EXIT, cpu, state.clock_seconds, event)
+            self.trace.emit_many(T.EXIT, (cpu,), (state.clock_seconds,), event)
         self._exit([state], state.column, top)
 
     def exit_set(self, cpus, event: str) -> None:
@@ -338,10 +337,11 @@ class Profiler:
             counters = self._fit(counters)
         seconds = float(counters[_TIME]) / 1e6
         if self.trace is not None:
-            attrs: dict = {"seconds": seconds, "idle": _idle}
+            attrs: dict = {"seconds": (seconds,), "idle": (_idle,)}
             if self.trace.record_charges:
-                attrs["vector"] = vector.copy()
-            self.trace.emit(T.CHARGE, cpu, state.clock_seconds, top.name, attrs)
+                attrs["vector"] = np.array(counters, ndmin=2)
+            self.trace.emit_many(T.CHARGE, (cpu,), (state.clock_seconds,),
+                                 top.name, attrs)
         self._fold(top.event, top.path_event, state.column, len(state.stack),
                    counters)
         state.clock_seconds += seconds
@@ -410,16 +410,19 @@ class Profiler:
         for state, clock in zip(states, clocks.tolist()):
             state.clock_seconds = clock
         if self.trace is not None:
-            counts = lengths if lengths is not None else np.full(
-                len(cpus), block.shape[1])
-            charged = np.arange(block.shape[1]) < counts[:, None]
-            attrs = [{"seconds": sec, "idle": _idle}
-                     for sec in seconds[charged].tolist()]
+            if lengths is None:  # every CPU charged every row
+                counts, charged = block.shape[1], slice(None)
+                block = block.reshape(-1, block.shape[-1])
+            else:
+                counts = lengths
+                charged = np.arange(block.shape[1]) < lengths[:, None]
+                block = block[charged]
+            seconds = seconds[charged].ravel().tolist()
+            attrs = {"seconds": seconds, "idle": [_idle] * len(seconds)}
             if self.trace.record_charges:
-                for payload, row in zip(attrs, block[charged]):
-                    payload["vector"] = _wrap(row)
+                attrs["vector"] = block
             self.trace.emit_many(T.CHARGE, np.repeat(cpus, counts).tolist(),
-                                 ts[charged].tolist(), top.name, attrs)
+                                 ts[charged].ravel().tolist(), top.name, attrs)
 
     def _fold_block(self, top: _OpenRegion, cols, depth: int,
                     block: np.ndarray, lengths, clocks: np.ndarray,
@@ -453,6 +456,39 @@ class Profiler:
             if top.path_event >= 0:
                 self._exclusive[top.path_event, cols] = final[:, -1]
         return times[:, :-1], times[np.arange(n), last]
+
+    def leaf_set(self, cpus, event: str, row: np.ndarray, *,
+                 group: str = "TAU_DEFAULT", _idle: bool = False) -> None:
+        """:meth:`enter_set` ``event``, charge the counter ``row`` on
+        each of ``cpus``, then :meth:`exit_set`: one leaf call per CPU, with
+        the accumulator updates and trace blocks of those three steps."""
+        cpu_set = self._set(cpus)
+        parent = _lockstep_top(cpu_set.states)
+        if parent is False:
+            self.enter_set(cpus, event, group=group)
+            self.charge_set(cpus, [row[None]] * len(cpus), _idle=_idle)
+            self.exit_set(cpus, event)
+            return
+        states, cols = cpu_set.states, cpu_set.cols
+        if len(row) != self._width:
+            row = self._fit(row)
+        seconds = float(row[_TIME]) / 1e6
+        before = self.clocks(cpus) if self.trace is not None else None
+        self._enter(states, cols, parent, event, group)
+        top = states[0].stack[-1]
+        self._fold(top.event, top.path_event, cols, len(states[0].stack), row)
+        for state in states:
+            state.clock_seconds += seconds
+        self._exit(states, cols, top)
+        if self.trace is not None:
+            n = len(cpus)
+            self.trace.emit_many(T.ENTER, cpus, before, event,
+                                 {"group": [group] * n})
+            attrs = {"seconds": [seconds] * n, "idle": [_idle] * n}
+            if self.trace.record_charges:
+                attrs["vector"] = row[None].repeat(n, axis=0)
+            self.trace.emit_many(T.CHARGE, cpus, before, event, attrs)
+            self.trace.emit_many(T.EXIT, cpus, self.clocks(cpus), event)
 
     def charge_idle_set(self, cpus, seconds) -> None:
         """:meth:`charge_idle` ``seconds[i]`` on ``cpus[i]``."""

@@ -86,12 +86,6 @@ class TestPowerModel:
             est.watts - ITANIUM2_IDLE_W
         )
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PowerModel(max_power_w=-1)
-        with pytest.raises(ValueError):
-            PowerModel(max_power_w=10, idle_power_w=20)
-
     def test_trial_power_sums_processors(self):
         work = WorkSignature(flops=1e8, loads=1e8, stores=5e7,
                              footprint_bytes=1e6)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.rules import ConditionError, Constraint, Fact, Pattern, Test, constraint
+from repro.rules import ConditionError, Constraint, Fact, Pattern, Test
 from repro.rules.facts import FactHandle
 
 
@@ -62,7 +62,7 @@ class TestPattern:
         assert p.match_one(Fact("B"), {}) is None
 
     def test_binding_extends_without_mutating(self):
-        p = Pattern("T", [constraint("x", bind="xv")], bind_as="f")
+        p = Pattern("T", [Constraint("x", "any", bind="xv")], bind_as="f")
         start = {"pre": 1}
         fact = Fact("T", x=10)
         out = p.match_one(fact, start)
@@ -70,7 +70,7 @@ class TestPattern:
         assert start == {"pre": 1}
 
     def test_inconsistent_rebinding_fails(self):
-        p = Pattern("T", [constraint("x", bind="v")])
+        p = Pattern("T", [Constraint("x", "any", bind="v")])
         assert p.match_one(Fact("T", x=2), {"v": 1}) is None
         assert p.match_one(Fact("T", x=1), {"v": 1}) is not None
 
@@ -78,7 +78,7 @@ class TestPattern:
         with pytest.raises(ConditionError):
             Pattern("T", negated=True, bind_as="f")
         with pytest.raises(ConditionError):
-            Pattern("T", [constraint("x", bind="v")], negated=True)
+            Pattern("T", [Constraint("x", "any", bind="v")], negated=True)
 
     def test_candidates_skips_dead_handles(self):
         p = Pattern("T")
@@ -90,7 +90,7 @@ class TestPattern:
     def test_describe_roundtrip_info(self):
         p = Pattern(
             "MeanEventFact",
-            [constraint("severity", ">", 0.1), constraint("e", bind="ev")],
+            [Constraint("severity", ">", 0.1), Constraint("e", "any", bind="ev")],
             bind_as="f",
         )
         text = p.describe()

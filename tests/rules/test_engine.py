@@ -45,16 +45,6 @@ class TestWorkingMemory:
         wm.retract(h)
         assert len(wm) == 0
 
-    def test_find_by_field(self):
-        wm = WorkingMemory()
-        wm.assert_fact(Fact("E", name="loop1", sev=0.2))
-        wm.assert_fact(Fact("E", name="loop2", sev=0.3))
-        assert [f["sev"] for f in wm.find("E", name="loop2")] == [0.3]
-        assert wm.find("E", name="loop3") == []
-        # facts missing the field never match, even against None
-        wm.assert_fact(Fact("E", sev=0.4))
-        assert wm.find("E", name=None) == []
-
     def test_clear(self):
         wm = WorkingMemory()
         wm.extend([Fact("A"), Fact("B")])
