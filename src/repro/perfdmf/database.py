@@ -10,15 +10,23 @@ trials here and PerfExplorer scripts load them back by
 (application, experiment, trial) coordinates, exactly like the paper's
 ``Utilities.getTrial("Fluid Dynamic", "rib 45", "1_8")``.
 
-Schema version 1 (``PRAGMA user_version``): ``event`` and ``thread`` rows,
-whose ``ORDER BY id`` is the axis order, and on each ``metric`` row the
-``exclusive``/``inclusive`` ``(E, T)`` matrices as C-order little-endian
-float64 blobs.  The ``trial`` row holds the ``calls``/``subroutines`` blobs
-and ``content_hash``, a sha256 taken once at save over the metadata JSON,
-the event/thread/metric rows and the blobs; its ``AUTOINCREMENT`` id is
-never reused.  A read-write open migrates a version-0 file (a ``value`` row
-per metric × event × thread, a ``callcount`` row per event × thread) in one
-transaction; a read-only open of one raises :class:`ProfileError`.
+Schema version 2 (``PRAGMA user_version``): ``event`` and ``thread`` rows,
+whose ``ORDER BY id`` is the axis order; ``metric`` rows (name, units,
+derived) in metric order; and on the ``trial`` row one value blob and
+``content_hash``.  The blob codes the ``(2M + 2, E, T)`` stack of each
+metric's exclusive, then each metric's inclusive, then calls, then
+subroutines.  Each (matrix, event) row has a ``uint8`` kind: 0 stores all
+T values; 1, every thread bit-for-bit equal, stores one; 2, an inclusive
+row bit-for-bit equal to its exclusive row (a leaf event), stores none and
+wins over 1.  The blob is the kinds, then the kind-1 values, then the
+kind-0 rows, little-endian float64; rows compare as ``uint64``, so -0.0
+and denormals stay exact.  ``content_hash`` is a sha256 taken once at save
+over the metadata JSON, the event/thread/metric rows and the blob; the
+``AUTOINCREMENT`` trial id is never reused.  A read-write open migrates a
+version-0 file (a ``value`` row per metric × event × thread, a
+``callcount`` row per event × thread) or a version-1 file (a float64 blob
+per matrix) in one transaction, recomputing the hashes; a read-only open
+of one, or any open of a newer version, raises :class:`ProfileError`.
 
 Concurrency model (what :mod:`repro.serve` builds on):
 
@@ -72,7 +80,7 @@ def _stmt(kind: str, rows: int) -> None:
         observe.counter(f"perfdmf.stmt.{kind}").inc()
         observe.counter(f"perfdmf.rows.{kind}").inc(rows)
 
-_SCHEMA_VERSION = 1
+_SCHEMA_VERSION = 2
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS application (
@@ -92,7 +100,7 @@ CREATE TABLE IF NOT EXISTS trial (
     exp_id  INTEGER NOT NULL REFERENCES experiment(id) ON DELETE CASCADE,
     name    TEXT NOT NULL,
     metadata TEXT NOT NULL DEFAULT '{}',
-    calls   BLOB NOT NULL, subroutines BLOB NOT NULL,
+    data    BLOB NOT NULL,
     content_hash TEXT NOT NULL,
     UNIQUE (exp_id, name)
 );
@@ -102,7 +110,6 @@ CREATE TABLE IF NOT EXISTS metric (
     name     TEXT NOT NULL,
     units    TEXT NOT NULL DEFAULT 'counts',
     derived  INTEGER NOT NULL DEFAULT 0,
-    exclusive BLOB NOT NULL, inclusive BLOB NOT NULL,
     UNIQUE (trial_id, name)
 );
 CREATE TABLE IF NOT EXISTS event (
@@ -147,13 +154,46 @@ def transaction(db: "PerfDMF", fn: Callable[[sqlite3.Connection], T],
             time.sleep(0.005)
 
 
-def _blob(array: np.ndarray) -> bytes:
-    return np.ascontiguousarray(array, dtype="<f8").tobytes()
+def _stack(exclusive: list, inclusive: list, calls, subrs) -> np.ndarray:
+    """A trial's matrices as the ``(2M + 2, E, T)`` stack the blob codes."""
+    return np.stack([*exclusive, *inclusive, calls, subrs], dtype="<f8")
 
 
-def _matrix(blob: bytes, shape: tuple[int, int]) -> np.ndarray:
-    # astype copies: the trial gets a writable array in native byte order
-    return np.frombuffer(blob, dtype="<f8").reshape(shape).astype(float)
+def _encode(stack: np.ndarray) -> bytes:
+    """The value blob of a stack: kinds, kind-1 values, kind-0 rows."""
+    m = (len(stack) - 2) // 2
+    bits = stack.view(np.uint64)
+    kinds = ((bits == bits[..., :1]).all(axis=2)
+             & (stack.shape[2] > 0)).astype(np.uint8)
+    kinds[m:2 * m][(bits[m:2 * m] == bits[:m]).all(axis=2)] = 2
+    return b"".join((kinds.tobytes(), stack[kinds == 1, :1].tobytes(),
+                     stack[kinds == 0].tobytes()))
+
+
+def _decode(blob: bytes, shape: tuple[int, int, int], where: str) -> np.ndarray:
+    """The ``(K, E, T)`` stack coded in ``blob``; a kind byte or a length
+    that does not fit ``shape`` raises :class:`ProfileError`."""
+    k, e, t = shape
+    m = (k - 2) // 2
+    limit = np.ones((k, e), np.uint8)
+    limit[m:2 * m] = 2
+    kinds = np.frombuffer(blob, np.uint8, min(len(blob), k * e))
+    if (kinds > limit.ravel()[:kinds.size]).any():
+        raise ProfileError(f"corrupt value blob for trial {where}: a kind "
+                           "byte outside 0/1, or 2 off an inclusive row")
+    one, full = kinds == 1, kinds == 0
+    n1, n0 = int(one.sum()), int(full.sum())
+    want = k * e + 8 * (n1 + n0 * t)
+    if len(blob) != want:
+        raise ProfileError(f"corrupt value blob for trial {where}: "
+                           f"{len(blob)} bytes, want {want}")
+    values = np.frombuffer(blob, "<f8", offset=k * e)
+    out = np.empty(shape)
+    out[one.reshape(k, e)] = values[:n1, None]
+    out[full.reshape(k, e)] = values[n1:].reshape(n0, t)
+    leaf = kinds.reshape(k, e)[m:2 * m] == 2
+    out[m:2 * m][leaf] = out[:m][leaf]
+    return out
 
 
 def _axes(conn, trial_id: int) -> tuple[list, list]:
@@ -166,49 +206,68 @@ def _axes(conn, trial_id: int) -> tuple[list, list]:
 
 
 def _insert_trial(conn, trial_id, exp_id, name, meta_json, events, threads,
-                  metrics, calls, subrs) -> int:
-    """Insert a trial row (``trial_id`` None: a new id) and its ``(name,
-    units, derived, exclusive, inclusive)`` metric rows, hashing the same
-    bytes with the ``(name, group)`` events and ``(n, c, t)`` threads."""
-    h = hashlib.sha256(json.dumps(
-        [meta_json, events, threads, [m[:3] for m in metrics]]).encode())
-    for blob in [b for m in metrics for b in m[3:]] + [calls, subrs]:
-        h.update(blob)
+                  metrics, stack) -> int:
+    """Insert a trial row (``trial_id`` None: a new id) holding ``stack``'s
+    value blob and its ``(name, units, derived)`` metric rows, hashing the
+    stored bytes with the ``(name, group)`` events and ``(n, c, t)``
+    threads."""
+    blob = _encode(stack)
+    h = hashlib.sha256(meta_json.encode())
+    h.update(json.dumps([events, threads, metrics]).encode())
+    h.update(blob)
     trial_id = conn.execute(
-        "INSERT INTO trial VALUES (?, ?, ?, ?, ?, ?, ?)",
-        (trial_id, exp_id, name, meta_json, calls, subrs, h.hexdigest()),
-    ).lastrowid
+        "INSERT INTO trial VALUES (?, ?, ?, ?, ?, ?)",
+        (trial_id, exp_id, name, meta_json, blob, h.hexdigest())).lastrowid
     conn.executemany(
-        "INSERT INTO metric (trial_id, name, units, derived, exclusive, "
-        "inclusive) VALUES (?, ?, ?, ?, ?, ?)",
-        [(trial_id, *m) for m in metrics])
+        "INSERT INTO metric (trial_id, name, units, derived) "
+        "VALUES (?, ?, ?, ?)", [(trial_id, *m) for m in metrics])
     return trial_id
 
 
-def _fold_rows_into_blobs(conn) -> None:
-    """Schema 0 → 1 for every trial in ``v0_trial``/``v0_metric``: value
-    rows ordered by (event_id, thread_id) are the C-order matrix."""
+def _migrate(conn, version: int) -> None:
+    """Schema 0 or 1 → 2 for every trial in ``old_trial``/``old_metric``.
+    Version-0 value rows ordered by (event_id, thread_id) are the C-order
+    matrix; version 1 holds one float64 blob per matrix."""
     for trial_id, exp_id, name, meta_json in conn.execute(
-            "SELECT id, exp_id, name, metadata FROM v0_trial").fetchall():
+            "SELECT id, exp_id, name, metadata FROM old_trial").fetchall():
         events, threads = _axes(conn, trial_id)
+        shape = (len(events), len(threads))
+        metrics = conn.execute(
+            "SELECT id, name, units, derived FROM old_metric "
+            "WHERE trial_id = ? ORDER BY id", (trial_id,)).fetchall()
+        if version == 0:
+            def pair(sql: str, key: int) -> np.ndarray:
+                return np.array(conn.execute(
+                    sql + " ORDER BY event_id, thread_id", (key,)).fetchall(),
+                    dtype="<f8").reshape(*shape, 2).transpose(2, 0, 1)
 
-        def pair(sql: str, key: int) -> tuple[bytes, bytes]:
-            grid = np.array(conn.execute(
-                sql + " ORDER BY event_id, thread_id", (key,)).fetchall(),
-                dtype="<f8").reshape(len(events), len(threads), 2)
-            return _blob(grid[..., 0]), _blob(grid[..., 1])
+            pairs = [pair("SELECT exclusive, inclusive FROM value "
+                          "WHERE metric_id = ?", mid) for mid, *_ in metrics]
+            counts = pair("SELECT calls, subroutines FROM callcount WHERE "
+                          "event_id IN (SELECT id FROM event WHERE "
+                          "trial_id = ?)", trial_id)
+        else:
+            def pair(sql: str, key: int) -> list[np.ndarray]:
+                return [np.frombuffer(blob, "<f8").reshape(shape)
+                        for blob in conn.execute(sql, (key,)).fetchone()]
 
-        metrics = [(m, units, derived, *pair(
-            "SELECT exclusive, inclusive FROM value WHERE metric_id = ?", mid))
-            for mid, m, units, derived in conn.execute(
-                "SELECT id, name, units, derived FROM v0_metric "
-                "WHERE trial_id = ? ORDER BY id", (trial_id,)).fetchall()]
-        calls, subrs = pair(
-            "SELECT calls, subroutines FROM callcount WHERE event_id IN "
-            "(SELECT id FROM event WHERE trial_id = ?)", trial_id)
+            pairs = [pair("SELECT exclusive, inclusive FROM old_metric "
+                          "WHERE id = ?", mid) for mid, *_ in metrics]
+            counts = pair("SELECT calls, subroutines FROM old_trial "
+                          "WHERE id = ?", trial_id)
         _insert_trial(conn, trial_id, exp_id, name, meta_json, events,
-                      threads, metrics, calls, subrs)
-    for table in ("value", "callcount", "v0_metric", "v0_trial"):
+                      threads, [m[1:] for m in metrics],
+                      _stack([p[0] for p in pairs], [p[1] for p in pairs],
+                             *counts))
+    # carry the old id sequence over, so a deleted trial's id stays unused
+    seq = conn.execute("SELECT seq FROM sqlite_sequence "
+                       "WHERE name = 'old_trial'").fetchone()
+    if seq:
+        conn.execute("DELETE FROM sqlite_sequence WHERE name = 'trial'")
+        conn.execute("INSERT INTO sqlite_sequence VALUES ('trial', ?)", seq)
+    for table in ("value", "callcount") if version == 0 else ():
+        conn.execute(f"DROP TABLE {table}")
+    for table in ("old_metric", "old_trial"):
         conn.execute(f"DROP TABLE {table}")
 
 
@@ -258,17 +317,24 @@ class PerfDMF:
 
     def _open_schema(self, conn: sqlite3.Connection) -> None:
         """Create the schema in a new database, or migrate a version-0
-        (row-per-cell) file to blobs."""
-        version = "PRAGMA user_version"
-        if conn.execute(version).fetchone()[0] == _SCHEMA_VERSION:
+        (row-per-cell) or version-1 (blob-per-matrix) file to version 2."""
+        version = conn.execute("PRAGMA user_version").fetchone()[0]
+        if version == _SCHEMA_VERSION:
             return
-        v0 = conn.execute(
+        if version > _SCHEMA_VERSION:
+            raise ProfileError(
+                f"{self._path} uses PerfDMF schema version {version}; this "
+                f"build reads version {_SCHEMA_VERSION}")
+        old = version or conn.execute(
             "SELECT 1 FROM sqlite_master WHERE name = 'value'").fetchone()
+        if version == 1 and any(row[1] == "data" for row in conn.execute(
+                "PRAGMA table_info(trial)")):
+            old = False  # a version-2 file an older build re-stamped 1
         if self._read_only:
-            if v0:
+            if old:
                 raise ProfileError(
-                    f"{self._path} uses the version-0 row schema; open it "
-                    "read-write once to migrate it")
+                    f"{self._path} uses PerfDMF schema version {version}; "
+                    "open it read-write once to migrate it")
             return
         # Renaming with these settings leaves the other tables' REFERENCES
         # trial(id) clauses naming the new trial table.
@@ -276,16 +342,17 @@ class PerfDMF:
         conn.execute("PRAGMA legacy_alter_table = ON")
         try:
             with self._transaction():
-                if conn.execute(version).fetchone()[0] == _SCHEMA_VERSION:
+                if conn.execute("PRAGMA user_version").fetchone()[0] \
+                        == _SCHEMA_VERSION:
                     # another opener migrated while this one waited
                     return
-                if v0:
+                if old:
                     for table in ("trial", "metric"):
-                        conn.execute(f"ALTER TABLE {table} RENAME TO v0_{table}")
+                        conn.execute(f"ALTER TABLE {table} RENAME TO old_{table}")
                 for statement in _SCHEMA.split(";"):
                     conn.execute(statement)
-                if v0:
-                    _fold_rows_into_blobs(conn)
+                if old:
+                    _migrate(conn, version)
                 conn.execute(f"PRAGMA user_version = {_SCHEMA_VERSION}")
         finally:
             conn.execute("PRAGMA legacy_alter_table = OFF")
@@ -446,13 +513,12 @@ class PerfDMF:
         ) as sp:
             events = [(ev.name, ev.group) for ev in trial.events]
             threads = [(th.node, th.context, th.thread) for th in trial.threads]
-            metrics = [(m.name, m.units, int(m.derived),
-                        _blob(trial.exclusive_array(m.name)),
-                        _blob(trial.inclusive_array(m.name)))
-                       for m in trial.metrics]
+            metrics = [(m.name, m.units, int(m.derived)) for m in trial.metrics]
             metadata = json.dumps(trial.metadata, default=str)
-            calls = _blob(trial.calls_array())
-            subrs = _blob(trial.subroutines_array())
+            names = trial.metric_names()
+            stack = _stack([trial.exclusive_array(m) for m in names],
+                           [trial.inclusive_array(m) for m in names],
+                           trial.calls_array(), trial.subroutines_array())
 
             def store(conn: sqlite3.Connection) -> int:
                 app_id = self._get_or_create("application", {"name": application})
@@ -469,7 +535,7 @@ class PerfDMF:
                     conn.execute("DELETE FROM trial WHERE id = ?", (existing[0],))
                 trial_id = _insert_trial(
                     conn, None, exp_id, trial.name, metadata, events, threads,
-                    metrics, calls, subrs)
+                    metrics, stack)
                 conn.executemany(
                     "INSERT INTO event (trial_id, name, grp) VALUES (?, ?, ?)",
                     [(trial_id, *ev) for ev in events])
@@ -512,24 +578,22 @@ class PerfDMF:
 
     def _load_trial(self, application: str, experiment: str, trial: str) -> Trial:
         conn = self.connection
-        trial_id, meta_json, calls, subrs = self._trial_row(
-            application, experiment, trial,
-            "t.id, t.metadata, t.calls, t.subroutines")
+        trial_id, meta_json, blob = self._trial_row(
+            application, experiment, trial, "t.id, t.metadata, t.data")
         out = Trial(trial, json.loads(meta_json))
         events, threads = _axes(conn, trial_id)
         out.add_events(Event(name, grp) for name, grp in events)
         out.add_threads(ThreadId(*row) for row in threads)
         metrics = conn.execute(
-            "SELECT name, units, derived, exclusive, inclusive FROM metric "
-            "WHERE trial_id = ? ORDER BY id", (trial_id,),
-        ).fetchall()
-        shape = (len(events), len(threads))
-        for name, units, derived, exc, inc in metrics:
+            "SELECT name, units, derived FROM metric WHERE trial_id = ? "
+            "ORDER BY id", (trial_id,)).fetchall()
+        m = len(metrics)
+        stack = _decode(blob, (2 * m + 2, len(events), len(threads)),
+                        f"{application}/{experiment}/{trial}")
+        for k, (name, units, derived) in enumerate(metrics):
             out.add_metric(Metric(name, units=units, derived=bool(derived)))
-            out._exclusive[name] = _matrix(exc, shape)
-            out._inclusive[name] = _matrix(inc, shape)
-        out._calls = _matrix(calls, shape)
-        out._subrs = _matrix(subrs, shape)
+            out._exclusive[name], out._inclusive[name] = stack[k], stack[m + k]
+        out._calls, out._subrs = stack[2 * m], stack[2 * m + 1]
         _stmt("select", 1 + len(events) + len(threads) + len(metrics))
         return out
 

@@ -1,11 +1,14 @@
-"""Blob storage: bitwise round trips, the stored content hash, and the
-migration from the version-0 row schema (one row per value cell)."""
+"""Blob storage: bitwise round trips, the stored content hash, the
+row-coded value blob of schema version 2, and the migrations from the
+version-0 row schema (one row per value cell) and the version-1 schema
+(one float64 blob per matrix)."""
 
 import json
 import sqlite3
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.perfdmf import PerfDMF, ProfileError, TrialBuilder
 
@@ -53,6 +56,42 @@ CREATE TABLE callcount (
 CREATE INDEX idx_value_event ON value(event_id);
 CREATE INDEX idx_value_thread ON value(thread_id);
 CREATE INDEX idx_callcount_thread ON callcount(thread_id);
+"""
+
+#: The version-1 schema: a float64 blob per matrix on the metric and
+#: trial rows, as files written before the row-coded blob hold it.
+V1_SCHEMA = """
+CREATE TABLE application (
+    id INTEGER PRIMARY KEY, name TEXT NOT NULL UNIQUE,
+    metadata TEXT NOT NULL DEFAULT '{}');
+CREATE TABLE experiment (
+    id INTEGER PRIMARY KEY,
+    app_id INTEGER NOT NULL REFERENCES application(id) ON DELETE CASCADE,
+    name TEXT NOT NULL, metadata TEXT NOT NULL DEFAULT '{}',
+    UNIQUE (app_id, name));
+CREATE TABLE trial (
+    id INTEGER PRIMARY KEY AUTOINCREMENT,
+    exp_id INTEGER NOT NULL REFERENCES experiment(id) ON DELETE CASCADE,
+    name TEXT NOT NULL, metadata TEXT NOT NULL DEFAULT '{}',
+    calls BLOB NOT NULL, subroutines BLOB NOT NULL,
+    content_hash TEXT NOT NULL, UNIQUE (exp_id, name));
+CREATE TABLE metric (
+    id INTEGER PRIMARY KEY,
+    trial_id INTEGER NOT NULL REFERENCES trial(id) ON DELETE CASCADE,
+    name TEXT NOT NULL, units TEXT NOT NULL DEFAULT 'counts',
+    derived INTEGER NOT NULL DEFAULT 0,
+    exclusive BLOB NOT NULL, inclusive BLOB NOT NULL,
+    UNIQUE (trial_id, name));
+CREATE TABLE event (
+    id INTEGER PRIMARY KEY,
+    trial_id INTEGER NOT NULL REFERENCES trial(id) ON DELETE CASCADE,
+    name TEXT NOT NULL, grp TEXT NOT NULL DEFAULT 'TAU_DEFAULT',
+    UNIQUE (trial_id, name));
+CREATE TABLE thread (
+    id INTEGER PRIMARY KEY,
+    trial_id INTEGER NOT NULL REFERENCES trial(id) ON DELETE CASCADE,
+    node INTEGER NOT NULL, context INTEGER NOT NULL, thread INTEGER NOT NULL,
+    UNIQUE (trial_id, node, context, thread));
 """
 
 
@@ -152,6 +191,63 @@ def v0_file(tmp_path):
     return path, trials, ids
 
 
+def save_v1(conn, application, experiment, trial):
+    """Store ``trial`` the way schema version 1 did: one C-order
+    little-endian float64 blob per matrix (its hash is a placeholder)."""
+    def blob(array):
+        return array.astype("<f8").tobytes()
+
+    conn.execute("INSERT OR IGNORE INTO application (name) VALUES (?)",
+                 (application,))
+    app_id = conn.execute("SELECT id FROM application WHERE name = ?",
+                          (application,)).fetchone()[0]
+    conn.execute("INSERT OR IGNORE INTO experiment (app_id, name) "
+                 "VALUES (?, ?)", (app_id, experiment))
+    exp_id = conn.execute("SELECT id FROM experiment WHERE name = ?",
+                          (experiment,)).fetchone()[0]
+    trial_id = conn.execute(
+        "INSERT INTO trial (exp_id, name, metadata, calls, subroutines, "
+        "content_hash) VALUES (?, ?, ?, ?, ?, 'v1')",
+        (exp_id, trial.name, json.dumps(trial.metadata),
+         blob(trial.calls_array()), blob(trial.subroutines_array()))
+    ).lastrowid
+    conn.executemany("INSERT INTO metric (trial_id, name, units, derived, "
+                     "exclusive, inclusive) VALUES (?, ?, ?, ?, ?, ?)", [
+                         (trial_id, m.name, m.units, int(m.derived),
+                          blob(trial.exclusive_array(m.name)),
+                          blob(trial.inclusive_array(m.name)))
+                         for m in trial.metrics])
+    conn.executemany("INSERT INTO event (trial_id, name, grp) "
+                     "VALUES (?, ?, ?)",
+                     [(trial_id, e.name, e.group) for e in trial.events])
+    conn.executemany("INSERT INTO thread (trial_id, node, context, thread) "
+                     "VALUES (?, ?, ?, ?)",
+                     [(trial_id, t.node, t.context, t.thread)
+                      for t in trial.threads])
+    return trial_id
+
+
+@pytest.fixture
+def v1_file(tmp_path):
+    """A version-1 file holding three trials (blobs keep -0.0) and the
+    id sequence of a fourth, deleted one."""
+    path = tmp_path / "v1.db"
+    conn = sqlite3.connect(path)
+    conn.execute("PRAGMA foreign_keys = ON")
+    conn.executescript(V1_SCHEMA)
+    trials = {("A", "E1", "t1"): make_trial("t1", seed=1),
+              ("A", "E1", "t2"): make_trial("t2", seed=2, n_events=1),
+              ("A", "E2", "t1"): make_trial("t1", seed=3, n_threads=1)}
+    ids = {key: save_v1(conn, key[0], key[1], trial)
+           for key, trial in trials.items()}
+    deleted = save_v1(conn, "A", "E2", make_trial("gone"))
+    conn.execute("DELETE FROM trial WHERE id = ?", (deleted,))
+    conn.execute("PRAGMA user_version = 1")
+    conn.commit()
+    conn.close()
+    return path, trials, ids, deleted
+
+
 class TestMigration:
     def test_read_write_open_migrates_every_trial_bitwise(self, v0_file):
         path, trials, ids = v0_file
@@ -173,10 +269,10 @@ class TestMigration:
         PerfDMF(path).close()
         conn = sqlite3.connect(path)
         names = {r[0] for r in conn.execute("SELECT name FROM sqlite_master")}
-        assert conn.execute("PRAGMA user_version").fetchone()[0] == 1
+        assert conn.execute("PRAGMA user_version").fetchone()[0] == 2
         assert conn.execute("PRAGMA foreign_key_check").fetchall() == []
         conn.close()
-        assert not {"value", "callcount", "v0_trial", "v0_metric",
+        assert not {"value", "callcount", "old_trial", "old_metric",
                     "idx_value_event", "idx_value_thread",
                     "idx_callcount_thread"} & names
 
@@ -205,6 +301,112 @@ class TestMigration:
             assert view.trials("A", "E1") == ["t1", "t2"]
 
 
+class TestV1Migration:
+    def test_read_write_open_migrates_every_trial_bitwise(self, v1_file):
+        path, trials, ids, _ = v1_file
+        with PerfDMF(path) as db:
+            for (app, exp, name), trial in trials.items():
+                assert db.trial_id(app, exp, name) == ids[app, exp, name]
+                assert_bitwise_equal(trial, db.load_trial(app, exp, name))
+
+    def test_migrated_hash_equals_hash_of_a_fresh_save(self, v1_file):
+        path, trials, _, _ = v1_file
+        with PerfDMF(path) as db, PerfDMF() as fresh:
+            for (app, exp, name), trial in trials.items():
+                fresh.save_trial(app, exp, trial)
+                assert db.content_hash(app, exp, name) == \
+                    fresh.content_hash(app, exp, name)
+
+    def test_blob_columns_are_gone_and_version_is_2(self, v1_file):
+        path, _, _, _ = v1_file
+        PerfDMF(path).close()
+        conn = sqlite3.connect(path)
+        tables = {r[0] for r in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'")}
+        columns = {table: {r[1] for r in conn.execute(
+            f"PRAGMA table_info({table})")} for table in ("trial", "metric")}
+        assert conn.execute("PRAGMA user_version").fetchone()[0] == 2
+        assert conn.execute("PRAGMA foreign_key_check").fetchall() == []
+        conn.close()
+        assert not {"old_trial", "old_metric"} & tables
+        assert not {"calls", "subroutines"} & columns["trial"]
+        assert not {"exclusive", "inclusive"} & columns["metric"]
+
+    def test_a_deleted_trials_id_stays_unused(self, v1_file):
+        path, _, _, deleted = v1_file
+        with PerfDMF(path) as db:
+            assert db.save_trial("A", "E3", make_trial("new")) > deleted
+
+    def test_read_only_open_of_an_unmigrated_file_says_what_to_do(
+            self, v1_file):
+        path = v1_file[0]
+        with pytest.raises(ProfileError, match="open it read-write once"):
+            PerfDMF(path, read_only=True)
+        PerfDMF(path).close()
+        with PerfDMF(path, read_only=True) as view:
+            assert view.trials("A", "E1") == ["t1", "t2"]
+
+
+@pytest.mark.parametrize("read_only", [False, True])
+def test_a_newer_schema_is_refused_not_restamped(tmp_path, read_only):
+    path = tmp_path / "new.db"
+    PerfDMF(path).close()
+    conn = sqlite3.connect(path)
+    conn.execute("PRAGMA user_version = 7")
+    conn.close()
+    with pytest.raises(ProfileError, match=rf"{path}.* version 7.* version 2"):
+        PerfDMF(path, read_only=read_only)
+    conn = sqlite3.connect(path)
+    assert conn.execute("PRAGMA user_version").fetchone()[0] == 7
+    conn.close()
+
+
+def test_a_version_2_file_restamped_1_by_an_older_build_is_not_migrated(
+        tmp_path):
+    # builds that knew only version 1 set user_version 1 on every open
+    path = tmp_path / "perf.db"
+    with PerfDMF(path) as db:
+        db.save_trial("A", "E", make_trial())
+    conn = sqlite3.connect(path)
+    conn.execute("PRAGMA user_version = 1")
+    conn.close()
+    with PerfDMF(path, read_only=True) as view:
+        assert_bitwise_equal(make_trial(), view.load_trial("A", "E", "t"))
+    with PerfDMF(path) as db:
+        assert_bitwise_equal(make_trial(), db.load_trial("A", "E", "t"))
+    conn = sqlite3.connect(path)
+    assert conn.execute("PRAGMA user_version").fetchone()[0] == 2
+    conn.close()
+
+
+class TestCorruptBlob:
+    @pytest.fixture
+    def db(self):
+        with PerfDMF() as db:
+            db.save_trial("A", "E", make_trial())
+            yield db
+
+    def test_truncated_blob_is_a_named_error(self, db):
+        db.connection.execute(
+            "UPDATE trial SET data = substr(data, 1, length(data) - 3)")
+        size, = db.connection.execute(
+            "SELECT length(data) FROM trial").fetchone()
+        with pytest.raises(ProfileError, match=rf"A/E/t: {size} bytes, "
+                           rf"want {size + 3}"):
+            db.load_trial("A", "E", "t")
+
+    # 3 metrics × 5 events: kind rows 0-14 are exclusive, 15-29 inclusive,
+    # 30-34 calls and 35-39 subroutines; 2 is valid on inclusive rows only
+    @pytest.mark.parametrize("row, kind", [(0, 7), (0, 2), (30, 2), (39, 3)])
+    def test_bad_kind_byte_is_a_named_error(self, db, row, kind):
+        blob = bytearray(db.connection.execute(
+            "SELECT data FROM trial").fetchone()[0])
+        blob[row] = kind
+        db.connection.execute("UPDATE trial SET data = ?", (bytes(blob),))
+        with pytest.raises(ProfileError, match="A/E/t: a kind byte"):
+            db.load_trial("A", "E", "t")
+
+
 class TestBlobStore:
     def test_save_load_is_bitwise(self):
         trial = make_trial()
@@ -214,16 +416,24 @@ class TestBlobStore:
         assert_bitwise_equal(trial, loaded)
         loaded.exclusive_array("TIME")[0, 0] = 1.0  # loaded arrays are writable
 
-    def test_values_are_little_endian_float64_blobs(self):
-        trial = make_trial()
+    def test_blob_is_kinds_then_constants_then_full_rows(self):
+        exc = np.array([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]])
+        inc = np.array([[10.0, 20.0, 30.0], [5.0, 5.0, 5.0]])
+        calls = np.array([[1.0, 1.0, 1.0], [2.0, 3.0, 4.0]])
+        subrs = np.array([[-0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        trial = (TrialBuilder("t").with_events(["main", "leaf"])
+                 .with_threads(3).with_metric("TIME", exc, inc)
+                 .with_calls(calls, subrs).build())
         with PerfDMF() as db:
             db.save_trial("A", "E", trial)
-            exc, = db.connection.execute(
-                "SELECT exclusive FROM metric WHERE name = 'TIME'").fetchone()
-            calls, = db.connection.execute(
-                "SELECT calls FROM trial").fetchone()
-        assert exc == trial.exclusive_array("TIME").astype("<f8").tobytes()
-        assert calls == trial.calls_array().astype("<f8").tobytes()
+            blob, = db.connection.execute("SELECT data FROM trial").fetchone()
+        # (matrix, event) rows: exclusive, inclusive, calls, subroutines;
+        # the leaf's constant inclusive row is kind 2, not 1, and the
+        # signed zeros are not one value
+        assert blob == (bytes([0, 1, 0, 2, 1, 0, 0, 1])
+                        + np.array([5.0, 1.0, 0.0], "<f8").tobytes()
+                        + np.stack([exc[0], inc[0], calls[1], subrs[0]])
+                        .astype("<f8").tobytes())
 
     def test_empty_trial_roundtrips(self):
         trial = TrialBuilder("empty").build()
@@ -246,6 +456,57 @@ class TestBlobStore:
             second = db.save_trial("A", "E", make_trial(seed=1), replace=True)
             third = db.save_trial("A", "E", make_trial(), replace=True)
             assert first < second < third
+
+
+VALUES = st.sampled_from([0.0, -0.0, 5e-324, 1.0, 3.5]) \
+    | st.floats(0.0, 1e12, allow_nan=False)
+
+
+@st.composite
+def row_coded_trials(draw):
+    """Trials mixing full, constant, signed-zero and leaf rows, with any
+    axis possibly empty."""
+    n_events, n_threads = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+
+    def matrix(exclusive=None):
+        rows = []
+        for e in range(n_events):
+            shape = draw(st.sampled_from(
+                ["full", "constant", "signed zero"]
+                + ["leaf"] * (exclusive is not None)))
+            if shape == "full":
+                rows.append(draw(st.lists(VALUES, min_size=n_threads,
+                                          max_size=n_threads)))
+            elif shape == "constant":
+                rows.append([draw(VALUES)] * n_threads)
+            elif shape == "signed zero":
+                rows.append([-0.0 if i % 2 else 0.0 for i in range(n_threads)])
+            else:
+                rows.append(list(exclusive[e]))
+        return np.array(rows, dtype=float).reshape(n_events, n_threads)
+
+    trial = (TrialBuilder("prop", {"threads": n_threads})
+             .with_events([f"e{i}" for i in range(n_events)])
+             .with_threads(n_threads).build())
+    for k in range(draw(st.integers(0, 2))):
+        trial.add_metric(f"M{k}", derived=True)
+        trial._exclusive[f"M{k}"][:] = exc = matrix()
+        trial._inclusive[f"M{k}"][:] = matrix(exclusive=exc)
+    trial._calls[:], trial._subrs[:] = matrix(), matrix()
+    return trial
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trial=row_coded_trials())
+def test_row_coded_round_trip_is_bitwise_and_rehashes_the_same(trial):
+    with PerfDMF() as db:
+        db.save_trial("A", "E", trial)
+        first = db.content_hash("A", "E", "prop")
+        loaded = db.load_trial("A", "E", "prop")
+        assert_bitwise_equal(trial, loaded)
+        db.save_trial("A", "E", loaded, replace=True)
+        assert db.content_hash("A", "E", "prop") == first
 
 
 class TestContentHash:
