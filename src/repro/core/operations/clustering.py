@@ -114,8 +114,8 @@ class KMeansOperation(PerformanceAnalysisOperation):
         builder = PerformanceResult.like(
             src, name=f"{src.name}:kmeans{self.k}({self.metric})", n_threads=self.k
         )
-        builder.set_metric(self.metric, centroids.T, derived=True)
-        self.outputs = [builder.build()]
+        builder.with_metric(self.metric, centroids.T, derived=True)
+        self.outputs = [PerformanceResult(builder.build(validate=False))]
         return self.outputs
 
     def labels(self) -> np.ndarray:
@@ -178,8 +178,8 @@ class PCAOperation(PerformanceAnalysisOperation):
         builder = PerformanceResult.like(
             src, name=f"{src.name}:pca({self.metric})", n_threads=k
         )
-        builder.set_metric(f"loading:{self.metric}", vt[:k].T, derived=True)
-        self.outputs = [builder.build()]
+        builder.with_metric(f"loading:{self.metric}", vt[:k].T, derived=True)
+        self.outputs = [PerformanceResult(builder.build(validate=False))]
         return self.outputs
 
     def scores(self) -> np.ndarray:

@@ -59,17 +59,17 @@ class DifferenceOperation(PerformanceAnalysisOperation):
         ia = [a.trial.event_index(e) for e in events]
         ib = [b.trial.event_index(e) for e in events]
         builder = PerformanceResult.like(
-            a, name=f"({a.name} - {b.name})", events=events, metrics=metrics
+            a, name=f"({a.name} - {b.name})", events=events
         )
         for m in metrics:
-            builder.set_metric(
+            builder.with_metric(
                 m,
                 a.exclusive(m)[ia] - b.exclusive(m)[ib],
                 a.inclusive(m)[ia] - b.inclusive(m)[ib],
                 derived=True,
             )
-        builder.set_calls(a.calls()[ia] - b.calls()[ib])
-        self.outputs = [builder.build()]
+        builder.with_calls(a.calls()[ia] - b.calls()[ib])
+        self.outputs = [PerformanceResult(builder.build(validate=False))]
         return self.outputs
 
 
@@ -94,11 +94,11 @@ class TrialRatioOperation(PerformanceAnalysisOperation):
         ia = [a.trial.event_index(e) for e in events]
         ib = [b.trial.event_index(e) for e in events]
         builder = PerformanceResult.like(
-            a, name=f"({a.name} / {b.name})", events=events, metrics=metrics
+            a, name=f"({a.name} / {b.name})", events=events
         )
         for m in metrics:
             bx, bi = b.exclusive(m)[ib], b.inclusive(m)[ib]
-            builder.set_metric(
+            builder.with_metric(
                 m,
                 np.divide(a.exclusive(m)[ia], bx,
                           out=np.zeros((len(events), a.thread_count)), where=bx != 0),
@@ -106,7 +106,7 @@ class TrialRatioOperation(PerformanceAnalysisOperation):
                           out=np.zeros((len(events), a.thread_count)), where=bi != 0),
                 derived=True,
             )
-        self.outputs = [builder.build()]
+        self.outputs = [PerformanceResult(builder.build(validate=False))]
         return self.outputs
 
 
@@ -142,11 +142,11 @@ class MergeTrialsOperation(PerformanceAnalysisOperation):
                 idx = [r.trial.event_index(e) for e in events]
                 exc_parts.append(r.exclusive(m)[idx])
                 inc_parts.append(r.inclusive(m)[idx])
-            builder.set_metric(m, np.hstack(exc_parts), np.hstack(inc_parts))
+            builder.with_metric(m, np.hstack(exc_parts), np.hstack(inc_parts))
         calls_parts = []
         for r in self.inputs:
             idx = [r.trial.event_index(e) for e in events]
             calls_parts.append(r.calls()[idx])
-        builder.set_calls(np.hstack(calls_parts))
-        self.outputs = [builder.build()]
+        builder.with_calls(np.hstack(calls_parts))
+        self.outputs = [PerformanceResult(builder.build(validate=False))]
         return self.outputs

@@ -84,14 +84,10 @@ class CorrelationOperation(PerformanceAnalysisOperation):
             for j in range(i + 1, n):
                 r = pearson(arr[i], arr[j])
                 matrix[i, j] = matrix[j, i] = r
-        out = (
-            PerformanceResult.like(
-                src, name=f"{src.name}:corr({self.metric})", n_threads=n
-            )
-            .set_metric(f"correlation:{self.metric}", matrix, derived=True)
-            .build()
-        )
-        self.outputs = [out]
+        builder = PerformanceResult.like(
+            src, name=f"{src.name}:corr({self.metric})", n_threads=n
+        ).with_metric(f"correlation:{self.metric}", matrix, derived=True)
+        self.outputs = [PerformanceResult(builder.build(validate=False))]
         return self.outputs
 
     def matrix(self) -> np.ndarray:

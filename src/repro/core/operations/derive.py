@@ -21,6 +21,20 @@ from ..result import AnalysisError, PerformanceResult
 from .base import PerformanceAnalysisOperation
 
 
+def _with_derived(
+    src: PerformanceResult, name: str, exc: np.ndarray, inc: np.ndarray
+) -> PerformanceResult:
+    """``src`` with every input metric carried through and the derived
+    metric ``name`` last (it replaces an input metric of that name)."""
+    builder = PerformanceResult.like(src, name=f"{src.name}:{name}")
+    for m in src.metrics:
+        if m != name:
+            builder.with_metric(m, src.exclusive(m), src.inclusive(m))
+    builder.with_metric(name, exc, inc, derived=True)
+    builder.with_calls(src.calls())
+    return PerformanceResult(builder.build(validate=False))
+
+
 class DeriveMetricOperation(PerformanceAnalysisOperation):
     """Derive ``metric1 <op> metric2`` as a new metric."""
 
@@ -65,12 +79,7 @@ class DeriveMetricOperation(PerformanceAnalysisOperation):
         src = self.inputs[0]
         exc = self._apply(src.exclusive(self.metric1), src.exclusive(self.metric2))
         inc = self._apply(src.inclusive(self.metric1), src.inclusive(self.metric2))
-        builder = PerformanceResult.like(src, name=f"{src.name}:{self.derived_name}")
-        for m in src.metrics:  # carry every input metric through
-            builder.set_metric(m, src.exclusive(m), src.inclusive(m))
-        builder.set_metric(self.derived_name, exc, inc, derived=True)
-        builder.set_calls(src.calls())
-        self.outputs = [builder.build()]
+        self.outputs = [_with_derived(src, self.derived_name, exc, inc)]
         return self.outputs
 
 
@@ -93,17 +102,11 @@ class ScaleMetricOperation(PerformanceAnalysisOperation):
 
     def process_data(self) -> list[PerformanceResult]:
         src = self.inputs[0]
-        builder = PerformanceResult.like(src, name=f"{src.name}:{self.derived_name}")
-        for m in src.metrics:
-            builder.set_metric(m, src.exclusive(m), src.inclusive(m))
-        builder.set_metric(
-            self.derived_name,
+        self.outputs = [_with_derived(
+            src, self.derived_name,
             src.exclusive(self.metric) * self.factor,
             src.inclusive(self.metric) * self.factor,
-            derived=True,
-        )
-        builder.set_calls(src.calls())
-        self.outputs = [builder.build()]
+        )]
         return self.outputs
 
 
@@ -133,9 +136,4 @@ def derive_chain(
         i = result.inclusive(metric) * coeff
         exc = e if exc is None else exc + e
         inc = i if inc is None else inc + i
-    builder = PerformanceResult.like(result, name=f"{result.name}:{name}")
-    for m in result.metrics:
-        builder.set_metric(m, result.exclusive(m), result.inclusive(m))
-    builder.set_metric(name, exc, inc, derived=True)
-    builder.set_calls(result.calls())
-    return builder.build()
+    return _with_derived(result, name, exc, inc)

@@ -32,11 +32,11 @@ class ExtractEventOperation(PerformanceAnalysisOperation):
             src, name=f"{src.name}:events", events=self.events
         )
         for metric in src.metrics:
-            builder.set_metric(
+            builder.with_metric(
                 metric, src.exclusive(metric)[idx], src.inclusive(metric)[idx]
             )
-        builder.set_calls(src.calls()[idx])
-        self.outputs = [builder.build()]
+        builder.with_calls(src.calls()[idx])
+        self.outputs = [PerformanceResult(builder.build(validate=False))]
         return self.outputs
 
 
@@ -53,13 +53,11 @@ class ExtractMetricOperation(PerformanceAnalysisOperation):
 
     def process_data(self) -> list[PerformanceResult]:
         src = self.inputs[0]
-        builder = PerformanceResult.like(
-            src, name=f"{src.name}:metrics", metrics=self.metrics
-        )
+        builder = PerformanceResult.like(src, name=f"{src.name}:metrics")
         for metric in self.metrics:
-            builder.set_metric(metric, src.exclusive(metric), src.inclusive(metric))
-        builder.set_calls(src.calls())
-        self.outputs = [builder.build()]
+            builder.with_metric(metric, src.exclusive(metric), src.inclusive(metric))
+        builder.with_calls(src.calls())
+        self.outputs = [PerformanceResult(builder.build(validate=False))]
         return self.outputs
 
 
@@ -84,11 +82,11 @@ class ExtractRankOperation(PerformanceAnalysisOperation):
             n_threads=self.last - self.first + 1,
         )
         for metric in src.metrics:
-            builder.set_metric(
+            builder.with_metric(
                 metric, src.exclusive(metric)[:, sl], src.inclusive(metric)[:, sl]
             )
-        builder.set_calls(src.calls()[:, sl])
-        self.outputs = [builder.build()]
+        builder.with_calls(src.calls()[:, sl])
+        self.outputs = [PerformanceResult(builder.build(validate=False))]
         return self.outputs
 
 

@@ -154,12 +154,12 @@ class ScalabilityOperation(PerformanceAnalysisOperation):
                 events=[src.main_event()],
                 n_threads=1,
             )
-            builder.set_metric(
+            builder.with_metric(
                 "speedup", np.array([[series.speedup[i]]]), derived=True
             )
-            builder.set_metric(
+            builder.with_metric(
                 "efficiency", np.array([[series.efficiency[i]]]), derived=True
             )
-            outputs.append(builder.build())
+            outputs.append(PerformanceResult(builder.build(validate=False)))
         self.outputs = outputs
         return outputs

@@ -54,13 +54,13 @@ class BasicStatisticsOperation(PerformanceAnalysisOperation):
             src, name=f"{src.name}:{stat}", n_threads=1
         )
         for metric in src.metrics:
-            builder.set_metric(
+            builder.with_metric(
                 metric,
                 reduce(src.exclusive(metric)),
                 reduce(src.inclusive(metric)),
             )
-        builder.set_calls(reduce(src.calls()))
-        return builder.build()
+        builder.with_calls(reduce(src.calls()))
+        return PerformanceResult(builder.build(validate=False))
 
     def _single(self, stat: str) -> PerformanceResult:
         # Single-statistic accessors reduce just their own statistic: the
@@ -104,8 +104,8 @@ class RatioOperation(PerformanceAnalysisOperation):
                 ratios.append(
                     np.divide(std, mean, out=np.zeros_like(std), where=mean != 0)
                 )
-            builder.set_metric(metric, ratios[0], ratios[1], derived=True)
-        self.outputs = [builder.build()]
+            builder.with_metric(metric, ratios[0], ratios[1], derived=True)
+        self.outputs = [PerformanceResult(builder.build(validate=False))]
         return self.outputs
 
 

@@ -14,11 +14,9 @@ to one synthetic thread.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from ..perfdmf import MAIN_EVENT, Event, Metric, ProfileError, Trial
+from ..perfdmf import Event, Trial, TrialBuilder
 
 
 class AnalysisError(Exception):
@@ -118,18 +116,21 @@ class PerformanceResult:
         *,
         name: str,
         events: list[str] | None = None,
-        metrics: list[str] | None = None,
         n_threads: int | None = None,
-    ) -> "_ResultBuilder":
-        """Start building a result shaped like ``source`` (optionally with a
-        different event/metric/thread set)."""
-        return _ResultBuilder(
-            name=name,
-            events=list(events if events is not None else source.events),
-            metrics=list(metrics if metrics is not None else source.metrics),
-            n_threads=n_threads if n_threads is not None else source.thread_count,
-            metadata=dict(source.metadata),
-            source=source,
+    ) -> TrialBuilder:
+        """A builder for a result shaped like ``source``: its metadata, its
+        events (or ``events``, keeping the source's groups) and as many
+        threads (or ``n_threads``).  Operations add the metrics and wrap
+        ``build(validate=False)`` in a :class:`PerformanceResult`: derived
+        values such as differences may be negative."""
+        groups = {e.name: e.group for e in source.trial.events}
+        return (
+            TrialBuilder(name, source.metadata)
+            .with_events(
+                Event(ev, groups.get(ev, "TAU_DEFAULT"))
+                for ev in (source.events if events is None else events)
+            )
+            .with_threads(source.thread_count if n_threads is None else n_threads)
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -137,65 +138,6 @@ class PerformanceResult:
             f"PerformanceResult({self.name!r}: {len(self.events)} events x "
             f"{len(self.metrics)} metrics x {self.thread_count} threads)"
         )
-
-
-class _ResultBuilder:
-    """Assembles a new PerformanceResult from dense arrays."""
-
-    def __init__(self, *, name, events, metrics, n_threads, metadata, source):
-        if not events:
-            raise AnalysisError("result must have at least one event")
-        if n_threads < 1:
-            raise AnalysisError("result must have at least one thread")
-        self._trial = Trial(name, metadata)
-        self._source = source
-        group_of = {}
-        if source is not None:
-            group_of = {e.name: e.group for e in source.trial.events}
-        # one registration call per axis: the value tables are allocated
-        # once instead of regrown per event and per thread
-        self._trial.add_events(
-            Event(ev, group_of.get(ev, "TAU_DEFAULT")) for ev in events
-        )
-        self._trial.add_threads(range(n_threads))
-        self._metrics = list(metrics)
-        self._n_threads = n_threads
-
-    def set_metric(
-        self,
-        metric: str,
-        exclusive: np.ndarray,
-        inclusive: np.ndarray | None = None,
-        *,
-        derived: bool = False,
-        units: str = "counts",
-    ) -> "_ResultBuilder":
-        exclusive = np.asarray(exclusive, dtype=float)
-        expected = (self._trial.event_count, self._n_threads)
-        if exclusive.shape != expected:
-            raise AnalysisError(
-                f"metric {metric!r}: shape {exclusive.shape} != {expected}"
-            )
-        self._trial.add_metric(Metric(metric, units=units, derived=derived))
-        self._trial._exclusive[metric][:, :] = exclusive
-        inc = exclusive if inclusive is None else np.asarray(inclusive, dtype=float)
-        if inc.shape != expected:
-            raise AnalysisError(f"metric {metric!r}: inclusive shape mismatch")
-        self._trial._inclusive[metric][:, :] = inc
-        return self
-
-    def set_calls(self, calls: np.ndarray) -> "_ResultBuilder":
-        calls = np.asarray(calls, dtype=float)
-        expected = (self._trial.event_count, self._n_threads)
-        if calls.shape != expected:
-            raise AnalysisError(f"calls shape {calls.shape} != {expected}")
-        self._trial._calls[:, :] = calls
-        return self
-
-    def build(self) -> PerformanceResult:
-        if not self._trial.metric_names():
-            raise AnalysisError("result has no metrics; call set_metric")
-        return PerformanceResult(self._trial)
 
 
 def trial_result(trial: Trial) -> PerformanceResult:

@@ -580,22 +580,21 @@ class PerfDMF:
         conn = self.connection
         trial_id, meta_json, blob = self._trial_row(
             application, experiment, trial, "t.id, t.metadata, t.data")
-        out = Trial(trial, json.loads(meta_json))
         events, threads = _axes(conn, trial_id)
-        out.add_events(Event(name, grp) for name, grp in events)
-        out.add_threads(ThreadId(*row) for row in threads)
         metrics = conn.execute(
             "SELECT name, units, derived FROM metric WHERE trial_id = ? "
             "ORDER BY id", (trial_id,)).fetchall()
         m = len(metrics)
         stack = _decode(blob, (2 * m + 2, len(events), len(threads)),
                         f"{application}/{experiment}/{trial}")
-        for k, (name, units, derived) in enumerate(metrics):
-            out.add_metric(Metric(name, units=units, derived=bool(derived)))
-            out._exclusive[name], out._inclusive[name] = stack[k], stack[m + k]
-        out._calls, out._subrs = stack[2 * m], stack[2 * m + 1]
         _stmt("select", 1 + len(events) + len(threads) + len(metrics))
-        return out
+        return Trial.from_arrays(
+            trial, json.loads(meta_json),
+            [Event(name, grp) for name, grp in events],
+            [ThreadId(*row) for row in threads],
+            [Metric(name, units=units, derived=bool(derived))
+             for name, units, derived in metrics],
+            stack[:m], stack[m:2 * m], stack[2 * m], stack[2 * m + 1])
 
     # -- content addressing ---------------------------------------------------
     def content_hash(self, application: str, experiment: str, trial: str) -> str:

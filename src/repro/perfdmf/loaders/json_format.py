@@ -73,14 +73,11 @@ def _entry(obj: dict[str, Any], key: str, what: str) -> Any:
     return obj[key]
 
 
-def _matrix(value: Any, what: str, shape: tuple[int, int]) -> np.ndarray:
+def _matrix(value: Any, what: str) -> np.ndarray:
     try:
-        arr = np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ProfileError(f"{what}: not a numeric matrix ({exc})") from None
-    if arr.shape != shape:
-        raise ProfileError(f"{what}: data shape {arr.shape} != {shape}")
-    return arr
 
 
 def trial_from_dict(doc: dict[str, Any]) -> Trial:
@@ -96,38 +93,37 @@ def trial_from_dict(doc: dict[str, Any]) -> Trial:
     for key in ("name", "threads", "events", "metrics", "data"):
         if key not in doc:
             raise ProfileError(f"profile document missing key {key!r}")
+    name = _typed(doc["name"], str, "trial name")
     metadata = doc.get("metadata")
-    trial = Trial(_typed(doc["name"], str, "trial name"),
-                  None if metadata is None else _typed(metadata, dict, "metadata"))
-    for ev in _typed(doc["events"], list, "events"):
-        trial.add_event(Event(
-            _typed(_entry(ev, "name", "event"), str, "event name"),
-            _typed(ev.get("group", "TAU_DEFAULT"), str, "event group")))
-    for t in _typed(doc["threads"], list, "threads"):
-        trial.add_thread(ThreadId.parse(_typed(t, str, "thread id")))
-    n_e, n_t = trial.event_count, trial.thread_count
+    if metadata is not None:
+        _typed(metadata, dict, "metadata")
+    events = [
+        Event(_typed(_entry(ev, "name", "event"), str, "event name"),
+              _typed(ev.get("group", "TAU_DEFAULT"), str, "event group"))
+        for ev in _typed(doc["events"], list, "events")]
+    threads = [ThreadId.parse(_typed(t, str, "thread id"))
+               for t in _typed(doc["threads"], list, "threads")]
     data = _typed(doc["data"], dict, "data")
+    metrics, exclusive, inclusive = [], [], []
     for m in _typed(doc["metrics"], list, "metrics"):
         metric = Metric(
             _typed(_entry(m, "name", "metric"), str, "metric name"),
             units=_typed(m.get("units", "counts"), str, "metric units"),
             derived=bool(m.get("derived", False)),
         )
-        trial.add_metric(metric)
         if metric.name not in data:
             raise ProfileError(f"no data block for metric {metric.name!r}")
         block = f"data block {metric.name!r}"
-        trial._exclusive[metric.name][:, :] = _matrix(
-            _entry(data[metric.name], "exclusive", block),
-            f"metric {metric.name!r} exclusive", (n_e, n_t))
-        trial._inclusive[metric.name][:, :] = _matrix(
-            _entry(data[metric.name], "inclusive", block),
-            f"metric {metric.name!r} inclusive", (n_e, n_t))
-    if "calls" in doc:
-        trial._calls[:, :] = _matrix(doc["calls"], "calls array", (n_e, n_t))
-    if "subroutines" in doc:
-        trial._subrs[:, :] = _matrix(doc["subroutines"], "subroutines array",
-                                     (n_e, n_t))
+        metrics.append(metric)
+        exclusive.append(_matrix(_entry(data[metric.name], "exclusive", block),
+                                 f"metric {metric.name!r} exclusive"))
+        inclusive.append(_matrix(_entry(data[metric.name], "inclusive", block),
+                                 f"metric {metric.name!r} inclusive"))
+    counts = [_matrix(doc[key], f"{key} array") if key in doc
+              else np.zeros((len(events), len(threads)))
+              for key in ("calls", "subroutines")]
+    trial = Trial.from_arrays(name, metadata, events, threads, metrics,
+                              exclusive, inclusive, *counts)
     trial.validate()
     return trial
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -117,12 +117,33 @@ class Event:
         return hash(self.name)
 
 
+def _index(keys: Sequence, what: str) -> dict:
+    """Key → position; a repeated key raises :class:`ProfileError`."""
+    index = {key: i for i, key in enumerate(keys)}
+    if len(index) != len(keys):
+        dup = next(key for i, key in enumerate(keys) if index[key] != i)
+        raise ProfileError(
+            f"duplicate {what} {dup!r}" if isinstance(dup, str)
+            else f"duplicate {what} {dup}")
+    return index
+
+
+def _dense(values: np.ndarray, shape: tuple[int, int], label: str) -> np.ndarray:
+    """``values`` as a C-contiguous float64 array (a copy only if it is not
+    one) of the given ``shape``."""
+    arr = np.ascontiguousarray(values, dtype=np.float64)
+    if arr.shape != shape:
+        raise ProfileError(f"{label} array shape {arr.shape} != {shape}")
+    return arr
+
+
 class Trial:
     """One run's complete profile.
 
-    Construct empty and fill through :meth:`set_value`/:meth:`set_calls`, or
-    build in bulk with :class:`TrialBuilder`.  Arrays auto-grow as events,
-    metrics, and threads are introduced.
+    Construct empty and fill cell by cell through :meth:`set_value`/
+    :meth:`set_calls`, whose arrays grow as events, metrics, and threads are
+    introduced; or install whole ``(events, threads)`` arrays at once with
+    :meth:`from_arrays` (directly, or through :class:`TrialBuilder`).
 
     Attributes
     ----------
@@ -152,6 +173,44 @@ class Trial:
         self._calls: np.ndarray = np.zeros((0, 0))
         self._subrs: np.ndarray = np.zeros((0, 0))
 
+    @classmethod
+    def from_arrays(
+        cls,
+        name: str,
+        metadata: Mapping[str, Any] | None,
+        events: Iterable[Event],
+        threads: Iterable[ThreadId],
+        metrics: Iterable[Metric],
+        exclusive: Sequence[np.ndarray],
+        inclusive: Sequence[np.ndarray],
+        calls: np.ndarray,
+        subroutines: np.ndarray,
+    ) -> "Trial":
+        """A trial holding whole ``(events, threads)`` arrays, where
+        ``exclusive[k]`` and ``inclusive[k]`` belong to ``metrics[k]``.
+
+        Arrays that are C-contiguous float64 are kept as given, not copied;
+        any other is converted.  A repeated event, thread or metric name, or
+        an array of another shape, raises :class:`ProfileError`.
+        """
+        out = cls(name, metadata)
+        out._events, out._threads = list(events), list(threads)
+        out._metrics = list(metrics)
+        out._event_index = _index([e.name for e in out._events], "event")
+        out._thread_index = _index(out._threads, "thread")
+        out._metric_index = _index([m.name for m in out._metrics], "metric")
+        if not len(exclusive) == len(inclusive) == len(out._metrics):
+            raise ProfileError(f"{len(out._metrics)} metrics but {len(exclusive)} "
+                               f"exclusive and {len(inclusive)} inclusive arrays")
+        shape = (len(out._events), len(out._threads))
+        for metric, exc, inc in zip(out._metrics, exclusive, inclusive):
+            label = f"metric {metric.name!r}"
+            out._exclusive[metric.name] = _dense(exc, shape, f"{label} exclusive")
+            out._inclusive[metric.name] = _dense(inc, shape, f"{label} inclusive")
+        out._calls = _dense(calls, shape, "calls")
+        out._subrs = _dense(subroutines, shape, "subroutines")
+        return out
+
     # -- registration -----------------------------------------------------
     def add_event(self, event: Event | str, group: str = "TAU_DEFAULT") -> int:
         if isinstance(event, str):
@@ -162,7 +221,7 @@ class Trial:
         idx = len(self._events)
         self._events.append(event)
         self._event_index[event.name] = idx
-        self._grow_events()
+        self._grow()
         return idx
 
     def add_metric(self, metric: Metric | str, *, units: str = "counts", derived: bool = False) -> int:
@@ -190,66 +249,22 @@ class Trial:
         idx = len(self._threads)
         self._threads.append(thread)
         self._thread_index[thread] = idx
-        self._grow_threads()
+        self._grow()
         return idx
 
-    def add_events(self, events: Iterable[Event | str], group: str = "TAU_DEFAULT") -> list[int]:
-        """Bulk event registration: one array growth for the whole batch
-        (``add_event`` reallocates the value tables per call, which is
-        quadratic when loaders register thousands of events one by one)."""
-        indices = []
-        for event in events:
-            if isinstance(event, str):
-                event = Event(event, group)
-            idx = self._event_index.get(event.name)
-            if idx is None:
-                idx = len(self._events)
-                self._events.append(event)
-                self._event_index[event.name] = idx
-            indices.append(idx)
-        self._grow_events()
-        return indices
+    def _grow(self) -> None:
+        """Zero-pad every array to the registries' ``(events, threads)``."""
+        shape = (len(self._events), len(self._threads))
 
-    def add_threads(
-        self, threads: Iterable[ThreadId | tuple[int, int, int] | int]
-    ) -> list[int]:
-        """Bulk thread registration: one array growth for the whole batch."""
-        indices = []
-        for thread in threads:
-            if isinstance(thread, int):
-                thread = ThreadId(0, 0, thread)
-            elif isinstance(thread, tuple):
-                thread = ThreadId(*thread)
-            idx = self._thread_index.get(thread)
-            if idx is None:
-                idx = len(self._threads)
-                self._threads.append(thread)
-                self._thread_index[thread] = idx
-            indices.append(idx)
-        self._grow_threads()
-        return indices
+        def grown(arr: np.ndarray) -> np.ndarray:
+            out = np.zeros(shape)
+            out[:arr.shape[0], :arr.shape[1]] = arr
+            return out
 
-    def _grow_events(self) -> None:
-        n_e, n_t = len(self._events), len(self._threads)
         for store in (self._exclusive, self._inclusive):
-            for m, arr in store.items():
-                if arr.shape[0] < n_e:
-                    store[m] = np.vstack([arr, np.zeros((n_e - arr.shape[0], n_t))])
-        for attr in ("_calls", "_subrs"):
-            arr = getattr(self, attr)
-            if arr.shape[0] < n_e:
-                setattr(self, attr, np.vstack([arr, np.zeros((n_e - arr.shape[0], n_t))]))
-
-    def _grow_threads(self) -> None:
-        n_e, n_t = len(self._events), len(self._threads)
-        for store in (self._exclusive, self._inclusive):
-            for m, arr in store.items():
-                if arr.shape[1] < n_t:
-                    store[m] = np.hstack([arr, np.zeros((n_e, n_t - arr.shape[1]))])
-        for attr in ("_calls", "_subrs"):
-            arr = getattr(self, attr)
-            if arr.shape[1] < n_t:
-                setattr(self, attr, np.hstack([arr, np.zeros((n_e, n_t - arr.shape[1]))]))
+            for metric, arr in store.items():
+                store[metric] = grown(arr)
+        self._calls, self._subrs = grown(self._calls), grown(self._subrs)
 
     # -- value access -------------------------------------------------------
     def set_value(
@@ -443,18 +458,13 @@ class Trial:
 
     def copy(self, name: str | None = None) -> "Trial":
         """Deep copy (used by operations that transform trials)."""
-        out = Trial(name or self.name, self.metadata)
-        out._events = list(self._events)
-        out._event_index = dict(self._event_index)
-        out._metrics = list(self._metrics)
-        out._metric_index = dict(self._metric_index)
-        out._threads = list(self._threads)
-        out._thread_index = dict(self._thread_index)
-        out._exclusive = {m: a.copy() for m, a in self._exclusive.items()}
-        out._inclusive = {m: a.copy() for m, a in self._inclusive.items()}
-        out._calls = self._calls.copy()
-        out._subrs = self._subrs.copy()
-        return out
+        return Trial.from_arrays(
+            name or self.name, self.metadata,
+            self._events, self._threads, self._metrics,
+            [self._exclusive[m.name].copy() for m in self._metrics],
+            [self._inclusive[m.name].copy() for m in self._metrics],
+            self._calls.copy(), self._subrs.copy(),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -466,23 +476,47 @@ class Trial:
 class TrialBuilder:
     """Bulk construction of trials from dense arrays.
 
-    The runtime simulator produces per-(event, thread) arrays directly; this
-    builder installs them without per-cell Python overhead.
+    Register the axes with :meth:`with_events` and :meth:`with_threads`,
+    then give whole ``(events, threads)`` arrays per metric and for the call
+    counts.  Each array is shape-checked and copied when given, so the
+    trial shares no memory with the caller's arrays; :meth:`build` installs
+    them through :meth:`Trial.from_arrays`.
     """
 
     def __init__(self, name: str, metadata: Mapping[str, Any] | None = None) -> None:
-        self._trial = Trial(name, metadata)
+        if not name:
+            raise ProfileError("trial name must be non-empty")
+        self._name = name
+        self._metadata = dict(metadata or {})
+        self._events: list[Event] = []
+        self._threads: list[ThreadId] = []
+        self._metrics: list[Metric] = []
+        self._exclusive: list[np.ndarray] = []
+        self._inclusive: list[np.ndarray] = []
+        self._calls: np.ndarray | None = None
+        self._subrs: np.ndarray | None = None
 
     def with_threads(self, count: int, *, node_of=None) -> "TrialBuilder":
         """Register ``count`` threads. ``node_of(i)`` maps flat index → node."""
-        self._trial.add_threads(
+        self._threads.extend(
             ThreadId(node_of(i) if node_of else 0, 0, i) for i in range(count)
         )
         return self
 
-    def with_events(self, names: Iterable[str], group: str = "TAU_DEFAULT") -> "TrialBuilder":
-        self._trial.add_events(names, group)
+    def with_events(
+        self, names: Iterable[Event | str], group: str = "TAU_DEFAULT"
+    ) -> "TrialBuilder":
+        """Register events; a name (not an :class:`Event`) gets ``group``."""
+        self._events.extend(
+            Event(ev, group) if isinstance(ev, str) else ev for ev in names
+        )
         return self
+
+    def _checked(self, values: np.ndarray, label: str) -> np.ndarray:
+        """A C-contiguous float64 copy of ``values`` in the registered
+        ``(events, threads)`` shape."""
+        return _dense(np.array(values, dtype=np.float64, order="C"),
+                      (len(self._events), len(self._threads)), label)
 
     def with_metric(
         self,
@@ -491,39 +525,35 @@ class TrialBuilder:
         inclusive: np.ndarray | None = None,
         *,
         units: str = "counts",
+        derived: bool = False,
     ) -> "TrialBuilder":
         """Install full (E, T) arrays for one metric.
 
         ``inclusive`` defaults to ``exclusive`` (flat profiles).
         """
-        t = self._trial
-        exclusive = np.asarray(exclusive, dtype=float)
-        expected = (t.event_count, t.thread_count)
-        if exclusive.shape != expected:
-            raise ProfileError(
-                f"metric {metric!r}: array shape {exclusive.shape} != {expected} "
-                "(register events/threads first)"
-            )
-        inclusive = exclusive if inclusive is None else np.asarray(inclusive, dtype=float)
-        if inclusive.shape != expected:
-            raise ProfileError(f"metric {metric!r}: inclusive shape mismatch")
-        t.add_metric(Metric(metric, units=units))
-        t._exclusive[metric][:, :] = exclusive
-        t._inclusive[metric][:, :] = inclusive
+        exc = self._checked(exclusive, f"metric {metric!r} exclusive")
+        inc = exc.copy() if inclusive is None else self._checked(
+            inclusive, f"metric {metric!r} inclusive")
+        self._metrics.append(Metric(metric, units=units, derived=derived))
+        self._exclusive.append(exc)
+        self._inclusive.append(inc)
         return self
 
     def with_calls(self, calls: np.ndarray, subroutines: np.ndarray | None = None) -> "TrialBuilder":
-        t = self._trial
-        calls = np.asarray(calls, dtype=float)
-        expected = (t.event_count, t.thread_count)
-        if calls.shape != expected:
-            raise ProfileError(f"calls array shape {calls.shape} != {expected}")
-        t._calls[:, :] = calls
+        self._calls = self._checked(calls, "calls")
         if subroutines is not None:
-            t._subrs[:, :] = np.asarray(subroutines, dtype=float)
+            self._subrs = self._checked(subroutines, "subroutines")
         return self
 
     def build(self, *, validate: bool = True) -> Trial:
+        """The trial; call counts not given are zero."""
+        shape = (len(self._events), len(self._threads))
+        trial = Trial.from_arrays(
+            self._name, self._metadata, self._events, self._threads,
+            self._metrics, self._exclusive, self._inclusive,
+            np.zeros(shape) if self._calls is None else self._calls,
+            np.zeros(shape) if self._subrs is None else self._subrs,
+        )
         if validate:
-            self._trial.validate()
-        return self._trial
+            trial.validate()
+        return trial

@@ -349,24 +349,28 @@ def perturb_trial(
     """
     if noise > 0.0 and rng is None:
         raise AnalysisError("perturb_trial: noise requires an explicit rng")
-    out = trial.copy(name or f"{trial.name}_perturbed")
     idx = (
-        [out.event_index(e) for e in events]
+        [trial.event_index(e) for e in events]
         if events is not None
-        else list(range(out.event_count))
+        else list(range(trial.event_count))
     )
-    for metric in out.metric_names():
+    exclusive, inclusive = [], []
+    for metric in trial.metric_names():
         # one noise field per metric, shared by exclusive and inclusive so
         # the exclusive <= inclusive profile invariant survives
         jitter = (
-            rng.lognormal(0.0, noise, size=out._exclusive[metric].shape)
+            rng.lognormal(0.0, noise, size=(trial.event_count, trial.thread_count))
             if noise > 0.0
             else None
         )
-        for store in (out._exclusive, out._inclusive):
-            arr = store[metric]
+        for store, arr in ((exclusive, trial.exclusive_array(metric).copy()),
+                           (inclusive, trial.inclusive_array(metric).copy())):
             if factor != 1.0:
                 arr[idx, :] *= factor
             if jitter is not None:
                 arr *= jitter
-    return out
+            store.append(arr)
+    return Trial.from_arrays(
+        name or f"{trial.name}_perturbed", trial.metadata,
+        trial.events, trial.threads, trial.metrics, exclusive, inclusive,
+        trial.calls_array().copy(), trial.subroutines_array().copy())

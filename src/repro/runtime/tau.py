@@ -27,7 +27,7 @@ import numpy as np
 from ..machine import CounterVector, Machine
 from ..machine import counters as C
 from ..machine.counters import _wrap, counter_name, counter_width, widen
-from ..perfdmf import Event, Trial, TrialBuilder
+from ..perfdmf import Event, Metric, ThreadId, Trial
 from . import trace as T
 
 #: Slot of the TIME counter, which advances the virtual clocks.
@@ -635,20 +635,19 @@ class Profiler:
         meta.setdefault("callgraph", sorted([list(e) for e in self._edges]))
         meta.update(self.machine.metadata())
 
-        builder = TrialBuilder(name, meta)
-        builder._trial.add_events(Event(ev, self._groups[ev]) for ev in events)
-        builder._trial.add_threads(
-            (self.machine.node_of_cpu(cpu), 0, cpu) for cpu in cpus
-        )
         columns = [self._columns[cpu] for cpu in cpus]
         exclusive = exclusive[:, columns]
         inclusive = inclusive[:, columns]
-        for slot in slots:
-            metric = counter_name(slot)
-            exc, inc = exclusive[:, :, slot], inclusive[:, :, slot]
-            units = "usec" if metric == C.TIME else "counts"
-            builder.with_metric(metric, exc, inc, units=units)
-        calls_arr = calls[:n_e][:, columns]
-        subrs_arr = subrs[:n_e][:, columns]
-        builder.with_calls(calls_arr, subrs_arr)
-        return builder.build(validate=validate)
+        trial = Trial.from_arrays(
+            name, meta,
+            [Event(ev, self._groups[ev]) for ev in events],
+            [ThreadId(self.machine.node_of_cpu(cpu), 0, cpu) for cpu in cpus],
+            [Metric(counter_name(slot), "usec" if slot == _TIME else "counts")
+             for slot in slots],
+            [exclusive[:, :, slot] for slot in slots],
+            [inclusive[:, :, slot] for slot in slots],
+            calls[:n_e][:, columns], subrs[:n_e][:, columns],
+        )
+        if validate:
+            trial.validate()
+        return trial

@@ -119,6 +119,14 @@ class TestDeriveMetricOperation:
         d = DeriveMetricOperation(r, "BACK_END_BUBBLE_ALL", "CPU_CYCLES", "/").processData().get(0)
         assert d.has_metric("BACK_END_BUBBLE_ALL") and d.has_metric("CPU_CYCLES")
 
+    def test_deriving_a_metric_the_input_holds_replaces_it(self):
+        r = TrialMeanResult(make_trial())
+        once = DeriveMetricOperation(r, "TIME", "CPU_CYCLES", "/").processData().get(0)
+        twice = DeriveMetricOperation(once, "TIME", "CPU_CYCLES", "/").processData().get(0)
+        assert twice.metrics == once.metrics
+        np.testing.assert_array_equal(twice.exclusive("(TIME / CPU_CYCLES)"),
+                                      once.exclusive("(TIME / CPU_CYCLES)"))
+
 
 class TestScaleAndChain:
     def test_scale(self):

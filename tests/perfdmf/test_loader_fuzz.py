@@ -78,6 +78,32 @@ class TestJsonNamedCases:
         del doc["data"]["TIME"]["exclusive"]
         self._assert_rejected(tmp_path, doc, "exclusive")
 
+    def test_metric_listed_twice(self, tmp_path):
+        # both entries once read the one "TIME" data block, and loaded as
+        # a single metric
+        doc = self._doc()
+        doc["metrics"].append(dict(doc["metrics"][0]))
+        self._assert_rejected(tmp_path, doc, "duplicate metric 'TIME'")
+
+    @pytest.mark.parametrize("axis, message", [
+        ("events", "duplicate event 'main'"),
+        ("threads", "duplicate thread 0.0.0"),
+    ])
+    def test_axis_entry_listed_twice(self, tmp_path, axis, message):
+        # the data carries a row (event) or column (thread) for the repeat,
+        # so the document is consistent in shape
+        doc = self._doc()
+        doc[axis].append(doc[axis][0])
+        matrices = [block[kind] for block in doc["data"].values()
+                    for kind in ("exclusive", "inclusive")]
+        for matrix in matrices + [doc["calls"], doc["subroutines"]]:
+            if axis == "events":
+                matrix.append(list(matrix[0]))
+            else:
+                for row in matrix:
+                    row.append(row[0])
+        self._assert_rejected(tmp_path, doc, message)
+
 
 def test_tau_malformed_number_names_file_and_line(tmp_path):
     write_tau_profile(small_trial(), tmp_path / "prof")

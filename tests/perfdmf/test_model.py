@@ -184,12 +184,83 @@ class TestTrialBuilder:
         )
         assert [t.node for t in trial.threads] == [0, 0, 1, 1]
 
+    def test_subroutines_shape_checked(self):
+        # a (2, 1) column once broadcast across all three threads
+        b = TrialBuilder("b").with_events(["main", "loop"]).with_threads(3)
+        with pytest.raises(ProfileError, match=r"subroutines array shape \(2, 1\)"):
+            b.with_calls(np.ones((2, 3)), np.array([[1.0], [2.0]]))
+
+    def test_repeated_metric_rejected_at_build(self):
+        b = (TrialBuilder("b").with_events(["e"]).with_threads(1)
+             .with_metric("TIME", np.ones((1, 1)))
+             .with_metric("TIME", np.zeros((1, 1))))
+        with pytest.raises(ProfileError, match="duplicate metric 'TIME'"):
+            b.build()
+
     def test_build_validates(self):
         b = TrialBuilder("b").with_events(["e"]).with_threads(1)
         b.with_metric("TIME", np.array([[5.0]]), np.array([[1.0]]))
         with pytest.raises(ProfileError):
             b.build()
         assert b.build(validate=False) is not None
+
+
+def arrays_trial(events=("main", "loop"), threads=(0, 1), metrics=("TIME",),
+                 **arrays):
+    shape = (len(events), len(threads))
+    return Trial.from_arrays(
+        "t", {"k": "v"}, [Event(e) for e in events],
+        [ThreadId(0, 0, t) for t in threads], [Metric(m) for m in metrics],
+        arrays.get("exclusive", [np.ones(shape)] * len(metrics)),
+        arrays.get("inclusive", [np.full(shape, 2.0)] * len(metrics)),
+        arrays.get("calls", np.ones(shape)),
+        arrays.get("subroutines", np.zeros(shape)))
+
+
+class TestFromArrays:
+    def test_keeps_contiguous_float64_arrays(self):
+        exc, calls = np.ones((2, 2)), np.ones((2, 2))
+        t = arrays_trial(exclusive=[exc], calls=calls)
+        assert t.exclusive_array("TIME") is exc
+        assert t.calls_array() is calls
+        assert t.metadata == {"k": "v"}
+        assert t.get_inclusive("loop", "TIME", 1) == 2.0
+
+    def test_converts_strided_and_integer_arrays(self):
+        block = np.arange(12.0).reshape(2, 2, 3)
+        t = arrays_trial(exclusive=[block[:, :, 1]],
+                         calls=np.ones((2, 2), dtype=np.int64))
+        exc = t.exclusive_array("TIME")
+        assert exc.flags.c_contiguous and exc.dtype == np.float64
+        np.testing.assert_array_equal(exc, block[:, :, 1])
+        assert t.calls_array().dtype == np.float64
+
+    @pytest.mark.parametrize("axis, message", [
+        ("events", "duplicate event 'main'"),
+        ("threads", "duplicate thread 0.0.1"),
+        ("metrics", "duplicate metric 'TIME'"),
+    ])
+    def test_repeated_name_rejected(self, axis, message):
+        repeated = {"events": ("main", "loop", "main"), "threads": (0, 1, 1),
+                    "metrics": ("TIME", "TIME")}
+        with pytest.raises(ProfileError, match=message):
+            arrays_trial(**{axis: repeated[axis]})
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ProfileError,
+                           match=r"subroutines array shape \(2, 1\) != \(2, 2\)"):
+            arrays_trial(subroutines=np.zeros((2, 1)))
+
+    def test_one_array_pair_per_metric(self):
+        with pytest.raises(ProfileError, match="2 metrics but 1 exclusive"):
+            arrays_trial(metrics=("TIME", "L3"), exclusive=[np.ones((2, 2))])
+
+    def test_per_cell_api_grows_a_bulk_trial(self):
+        t = arrays_trial()
+        t.set_value("new", "TIME", 5, exclusive=3.0, inclusive=4.0)
+        assert t.exclusive_array("TIME").shape == (3, 3)
+        assert t.get_inclusive("main", "TIME", 0) == 2.0
+        t.validate()
 
 
 @settings(max_examples=30, deadline=None)
