@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from ..machine import counters as C
-from ..rules import Fact, FactBatch
+from ..rules import Categorical, Fact, FactBatch, LazyValue
 from .result import AnalysisError, PerformanceResult
 
 #: higherLower values (Drools enum-ish strings in the paper's rules).
@@ -171,31 +171,32 @@ class MeanEventFact:
         return facts
 
 
-def trial_metadata_facts(result: PerformanceResult) -> list[Fact]:
-    """One ``TrialMetadata`` fact per metadata entry.
+def trial_metadata_facts(result: PerformanceResult) -> FactBatch:
+    """One ``TrialMetadata`` fact per metadata entry, as one batch.
 
     PerfDMF/PerfExplorer 2.0 expose the performance *context* to rules so
     conclusions can be justified by configuration (machine, schedule,
-    problem size...).  Non-scalar values are stringified.
+    problem size...).  Non-scalar values are stringified with ``repr``
+    when something first reads them: a large callgraph's text is built
+    only if a rule test or a fact reaches its row.
     """
-    facts = []
-    for key, value in result.metadata.items():
-        if not isinstance(value, (str, int, float, bool)):
-            value = repr(value)
-        facts.append(
-            Fact("TrialMetadata", trial=result.name, name=key, value=value)
-        )
-    return facts
+    metadata = result.metadata
+    return FactBatch("TrialMetadata", {
+        "trial": [result.name] * len(metadata),
+        "name": list(metadata),
+        "value": [value if isinstance(value, (str, int, float, bool))
+                  else LazyValue(repr, value) for value in metadata.values()]})
 
 
 def callgraph_facts(result: PerformanceResult) -> FactBatch:
     """``CallGraphEdge`` facts from the trial's recorded caller→callee edges,
-    as one batch.
+    as one batch whose names are coded against the trial's events.
 
     The imbalance rule's "events are nested" condition joins on these.
     """
     edges = result.metadata.get("callgraph", [])
+    events = result.events
     return FactBatch("CallGraphEdge", {
-        "parent": [parent for parent, _ in edges],
-        "child": [child for _, child in edges],
+        "parent": Categorical([parent for parent, _ in edges], events),
+        "child": Categorical([child for _, child in edges], events),
         "trial": [result.name] * len(edges)})

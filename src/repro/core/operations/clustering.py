@@ -23,11 +23,16 @@ from .base import PerformanceAnalysisOperation
 def _observation_matrix(
     result: PerformanceResult, metric: str, *, normalize: bool
 ) -> np.ndarray:
-    data = result.exclusive(metric).T.astype(float)  # threads × events
+    # threads × events, a C-ordered copy: each thread's row is contiguous,
+    # so the Lloyd steps' row gathers and per-row reductions read memory in
+    # order, and normalizing in place leaves the trial's array as it was
+    data = np.array(result.exclusive(metric).T, dtype=float, order="C")
     if normalize:
-        span = data.max(axis=0) - data.min(axis=0)
+        low = data.min(axis=0)
+        span = data.max(axis=0) - low
         span[span == 0] = 1.0
-        data = (data - data.min(axis=0)) / span
+        data -= low
+        data /= span
     return data
 
 
@@ -42,6 +47,17 @@ def kmeans(
 
     Returns (labels, centroids, inertia).  Deterministic for a given seed.
     """
+    labels, centroids = _lloyd(data, k, seed)
+    return labels, centroids, _inertia(data, labels, centroids)
+
+
+def _inertia(data: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
+    """Sum of squared distances from each observation to its centroid."""
+    return float(((data - centroids[labels]) ** 2).sum())
+
+
+def _lloyd(data: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`kmeans` without the inertia: (labels, centroids)."""
     n, d = data.shape
     if not 1 <= k <= n:
         raise AnalysisError(f"k={k} invalid for {n} observations")
@@ -75,10 +91,7 @@ def kmeans(
             members = data[labels == c]
             if len(members):
                 centroids[c] = members.mean(axis=0)
-    inertia = float(
-        ((data - centroids[labels]) ** 2).sum()
-    )
-    return labels, centroids, inertia
+    return labels, centroids
 
 
 class KMeansOperation(PerformanceAnalysisOperation):
@@ -103,14 +116,15 @@ class KMeansOperation(PerformanceAnalysisOperation):
         self.k = k
         self.seed = seed
         self.normalize = normalize
+        self._data: np.ndarray | None = None
         self._labels: np.ndarray | None = None
-        self._inertia: float | None = None
+        self._centroids: np.ndarray | None = None
 
     def process_data(self) -> list[PerformanceResult]:
         src = self.inputs[0]
         data = _observation_matrix(src, self.metric, normalize=self.normalize)
-        labels, centroids, inertia = kmeans(data, self.k, seed=self.seed)
-        self._labels, self._inertia = labels, inertia
+        labels, centroids = _lloyd(data, self.k, self.seed)
+        self._data, self._labels, self._centroids = data, labels, centroids
         builder = PerformanceResult.like(
             src, name=f"{src.name}:kmeans{self.k}({self.metric})", n_threads=self.k
         )
@@ -124,9 +138,9 @@ class KMeansOperation(PerformanceAnalysisOperation):
         return self._labels
 
     def inertia(self) -> float:
-        if self._inertia is None:
+        if self._labels is None:
             self.process_data()
-        return self._inertia
+        return _inertia(self._data, self._labels, self._centroids)
 
     def cluster_sizes(self) -> list[int]:
         labels = self.labels()

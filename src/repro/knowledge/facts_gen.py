@@ -33,7 +33,7 @@ from ..core.operations.statistics import BasicStatisticsOperation
 from ..core.result import AnalysisError, PerformanceResult
 from ..machine import counters as C
 from ..power.energy import LevelMeasurement
-from ..rules import Fact, FactBatch, FactStream
+from ..rules import Categorical, Fact, FactBatch, FactStream
 
 #: The paper's derived inefficiency metric name (§III.B first script).
 INEFFICIENCY_METRIC = "Inefficiency"
@@ -62,7 +62,8 @@ def imbalance_facts(
 
     The facts come as one batch per type: the ``ImbalanceFact`` rows first,
     then each ``CallGraphEdge`` row followed by its ``CorrelationFact``
-    row where both ends are profiled events."""
+    row where both ends are profiled events.  The edge and correlation
+    name columns are categorical, coded against the trial's events."""
     if result.thread_count < 2:
         raise AnalysisError("imbalance analysis needs a multi-thread result")
     name = result.name
@@ -76,21 +77,18 @@ def imbalance_facts(
     imbalance = FactBatch("ImbalanceFact", {
         "trial": [name] * n, "eventName": list(events),
         "ratio": ratios.tolist(), "severity": severities.tolist()})
-    index = {event: i for i, event in enumerate(events)}
     edges = result.metadata.get("callgraph", [])
-    parents = [parent for parent, _ in edges]
-    children = [child for _, child in edges]
+    parents = Categorical([parent for parent, _ in edges], events)
+    children = Categorical([child for _, child in edges], events)
     # correlation only where the rule will join (parent-child pairs); each
     # correlation row comes right after its edge
-    joined = [k for k, child in enumerate(children)
-              if child in index and parents[k] in index]
+    joined = np.flatnonzero((parents.codes < n) & (children.codes < n))
     shift = np.zeros(len(edges), dtype=np.int64)
     shift[joined] = 1
     edge_positions = n + np.arange(len(edges)) + np.cumsum(shift) - shift
-    corr_a = [parents[k] for k in joined]
-    corr_b = [children[k] for k in joined]
-    corr_values = [pearson(arr[index[a]], arr[index[b]])
-                   for a, b in zip(corr_a, corr_b)]
+    corr_a, corr_b = parents.take(joined), children.take(joined)
+    corr_values = [pearson(arr[a], arr[b]) for a, b in
+                   zip(corr_a.codes.tolist(), corr_b.codes.tolist())]
     return FactStream([
         imbalance,
         FactBatch("CallGraphEdge", {

@@ -7,7 +7,9 @@ the same moving parts:
 
 * :class:`~repro.rules.facts.Fact` / :class:`~repro.rules.facts.FactHandle`
 * :class:`~repro.rules.facts.FactBatch` / :class:`~repro.rules.facts.FactStream`
-  — facts of one type as columns, asserted without a per-row object
+  — facts of one type as columns, asserted without a per-row object;
+  :class:`~repro.rules.facts.Categorical` name columns and
+  :class:`~repro.rules.facts.LazyValue` cells
 * :class:`~repro.rules.conditions.Pattern` /
   :class:`~repro.rules.conditions.Constraint` /
   :class:`~repro.rules.conditions.Test` — the LHS language
@@ -37,7 +39,14 @@ from .dsl import (
     rules_to_prl,
 )
 from .engine import FiringRecord, RuleEngine, RuleEngineError
-from .facts import Fact, FactBatch, FactHandle, FactStream
+from .facts import (
+    Categorical,
+    Fact,
+    FactBatch,
+    FactHandle,
+    FactStream,
+    LazyValue,
+)
 from .memory import WorkingMemory
 from .rule import Rule, RuleBuilder, RuleContext
 
@@ -45,6 +54,7 @@ __all__ = [
     "Activation",
     "Agenda",
     "Bindings",
+    "Categorical",
     "ConditionError",
     "Constraint",
     "DSLSyntaxError",
@@ -53,6 +63,7 @@ __all__ = [
     "FactHandle",
     "FactStream",
     "FiringRecord",
+    "LazyValue",
     "Pattern",
     "Rule",
     "RuleBuilder",
