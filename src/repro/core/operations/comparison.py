@@ -63,7 +63,7 @@ class DifferenceOperation(PerformanceAnalysisOperation):
         )
         for m in metrics:
             builder.with_metric(
-                m,
+                a.trial.metric(m),
                 a.exclusive(m)[ia] - b.exclusive(m)[ib],
                 a.inclusive(m)[ia] - b.inclusive(m)[ib],
                 derived=True,
@@ -136,12 +136,12 @@ class MergeTrialsOperation(PerformanceAnalysisOperation):
         builder = PerformanceResult.like(
             first, name=f"merge({len(self.inputs)})", n_threads=total_threads
         )
-        for m in first.metrics:
+        for m in first.trial.metrics:
             exc_parts, inc_parts = [], []
             for r in self.inputs:
                 idx = [r.trial.event_index(e) for e in events]
-                exc_parts.append(r.exclusive(m)[idx])
-                inc_parts.append(r.inclusive(m)[idx])
+                exc_parts.append(r.exclusive(m.name)[idx])
+                inc_parts.append(r.inclusive(m.name)[idx])
             builder.with_metric(m, np.hstack(exc_parts), np.hstack(inc_parts))
         calls_parts = []
         for r in self.inputs:

@@ -27,9 +27,9 @@ def _with_derived(
     """``src`` with every input metric carried through and the derived
     metric ``name`` last (it replaces an input metric of that name)."""
     builder = PerformanceResult.like(src, name=f"{src.name}:{name}")
-    for m in src.metrics:
-        if m != name:
-            builder.with_metric(m, src.exclusive(m), src.inclusive(m))
+    for m in src.trial.metrics:
+        if m.name != name:
+            builder.with_metric(m, src.exclusive(m.name), src.inclusive(m.name))
     builder.with_metric(name, exc, inc, derived=True)
     builder.with_calls(src.calls())
     return PerformanceResult(builder.build(validate=False))

@@ -31,10 +31,9 @@ class ExtractEventOperation(PerformanceAnalysisOperation):
         builder = PerformanceResult.like(
             src, name=f"{src.name}:events", events=self.events
         )
-        for metric in src.metrics:
-            builder.with_metric(
-                metric, src.exclusive(metric)[idx], src.inclusive(metric)[idx]
-            )
+        for metric in src.trial.metrics:
+            builder.with_metric(metric, src.exclusive(metric.name)[idx],
+                                src.inclusive(metric.name)[idx])
         builder.with_calls(src.calls()[idx])
         self.outputs = [PerformanceResult(builder.build(validate=False))]
         return self.outputs
@@ -55,7 +54,8 @@ class ExtractMetricOperation(PerformanceAnalysisOperation):
         src = self.inputs[0]
         builder = PerformanceResult.like(src, name=f"{src.name}:metrics")
         for metric in self.metrics:
-            builder.with_metric(metric, src.exclusive(metric), src.inclusive(metric))
+            builder.with_metric(src.trial.metric(metric), src.exclusive(metric),
+                                src.inclusive(metric))
         builder.with_calls(src.calls())
         self.outputs = [PerformanceResult(builder.build(validate=False))]
         return self.outputs
@@ -81,10 +81,9 @@ class ExtractRankOperation(PerformanceAnalysisOperation):
             name=f"{src.name}:ranks[{self.first}:{self.last}]",
             n_threads=self.last - self.first + 1,
         )
-        for metric in src.metrics:
-            builder.with_metric(
-                metric, src.exclusive(metric)[:, sl], src.inclusive(metric)[:, sl]
-            )
+        for metric in src.trial.metrics:
+            builder.with_metric(metric, src.exclusive(metric.name)[:, sl],
+                                src.inclusive(metric.name)[:, sl])
         builder.with_calls(src.calls()[:, sl])
         self.outputs = [PerformanceResult(builder.build(validate=False))]
         return self.outputs

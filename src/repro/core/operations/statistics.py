@@ -53,11 +53,11 @@ class BasicStatisticsOperation(PerformanceAnalysisOperation):
         builder = PerformanceResult.like(
             src, name=f"{src.name}:{stat}", n_threads=1
         )
-        for metric in src.metrics:
+        for metric in src.trial.metrics:
             builder.with_metric(
                 metric,
-                reduce(src.exclusive(metric)),
-                reduce(src.inclusive(metric)),
+                reduce(src.exclusive(metric.name)),
+                reduce(src.inclusive(metric.name)),
             )
         builder.with_calls(reduce(src.calls()))
         return PerformanceResult(builder.build(validate=False))

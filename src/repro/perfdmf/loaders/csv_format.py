@@ -15,6 +15,8 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
+import numpy as np
+
 from ..model import Event, Metric, ProfileError, ThreadId, Trial
 
 COLUMNS = [
@@ -64,48 +66,82 @@ def write_csv_profile(trial: Trial, path: str | Path) -> Path:
 def read_csv_profile(
     path: str | Path, *, name: str | None = None, metadata: dict | None = None
 ) -> Trial:
+    """The trial a CSV file holds.
+
+    Events, metrics and threads take the order of their first row; the
+    first row of an event sets its group.  A cell given twice keeps its
+    last value, and a cell no row gives is zero.  The rows are parsed into
+    columns and the arrays built once, through :meth:`Trial.from_arrays`.
+    """
     path = Path(path)
     if not path.is_file():
         raise ProfileError(f"no such profile file: {path}")
-    trial = Trial(name or path.stem, metadata)
+    events: list[Event] = []
+    metrics: list[Metric] = []
+    threads: list[ThreadId] = []
+    event_at: dict[str, int] = {}
+    metric_at: dict[str, int] = {}
+    thread_at: dict[tuple[int, int, int], int] = {}
+    #: per row: metric, event and thread positions, then the four values
+    cells: list[tuple] = []
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(COLUMNS) - set(reader.fieldnames or [])
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = set(COLUMNS) - set(header)
         if missing:
             raise ProfileError(f"{path}: missing CSV columns {sorted(missing)}")
-        rows = 0
+        # a repeated column name reads its last column, as csv.DictReader does
+        at = {column: i for i, column in enumerate(header)}
+        ev, grp, met, node, ctx, thr, exc, inc, calls, subrs = (
+            at[column] for column in COLUMNS)
         for row in reader:
-            lineno = reader.line_num
-            filled = sum(row[name] is not None for name in reader.fieldnames)
-            if filled < len(reader.fieldnames):
-                # DictReader fills the columns a short row lacks with None
-                raise ProfileError(f"{path}:{lineno}: row has {filled} of "
-                                   f"{len(reader.fieldnames)} columns")
+            if not row:
+                continue  # a blank line
+            if len(row) < len(header):
+                raise ProfileError(f"{path}:{reader.line_num}: row has "
+                                   f"{len(row)} of {len(header)} columns")
             try:
-                thread = ThreadId(int(row["node"]), int(row["context"]), int(row["thread"]))
-                trial.add_event(Event(row["event"], row["group"] or "TAU_DEFAULT"))
-                units = "usec" if row["metric"].upper() == "TIME" else "counts"
-                trial.add_metric(Metric(row["metric"], units=units))
-                trial.set_value(
-                    row["event"],
-                    row["metric"],
-                    thread,
-                    exclusive=float(row["exclusive"]),
-                    inclusive=float(row["inclusive"]),
-                )
-                trial.set_calls(
-                    row["event"],
-                    thread,
-                    calls=float(row["calls"]),
-                    subroutines=float(row["subroutines"]),
-                )
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ProfileError(f"{path}:{lineno}: bad row: {exc}") from None
-            rows += 1
-    if rows == 0:
+                key = (int(row[node]), int(row[ctx]), int(row[thr]))
+                e = event_at.get(row[ev])
+                if e is None:
+                    events.append(Event(row[ev], row[grp] or "TAU_DEFAULT"))
+                    e = event_at[row[ev]] = len(events) - 1
+                m = metric_at.get(row[met])
+                if m is None:
+                    units = "usec" if row[met].upper() == "TIME" else "counts"
+                    metrics.append(Metric(row[met], units=units))
+                    m = metric_at[row[met]] = len(metrics) - 1
+                t = thread_at.get(key)
+                if t is None:
+                    threads.append(ThreadId(*key))
+                    t = thread_at[key] = len(threads) - 1
+                cells.append((m, e, t, float(row[exc]), float(row[inc]),
+                              float(row[calls]), float(row[subrs])))
+            except (ValueError, TypeError, ProfileError) as exc_info:
+                raise ProfileError(f"{path}:{reader.line_num}: bad row: "
+                                   f"{exc_info}") from None
+    if not cells:
         raise ProfileError(f"{path}: no data rows")
+    table = np.array(cells)
+    m, e, t = table[:, :3].astype(np.intp).T
+    shape = (len(events), len(threads))
+    values = np.zeros((2, len(metrics)) + shape)
+    last = _last_rows((m * shape[0] + e) * shape[1] + t)
+    values[:, m[last], e[last], t[last]] = table[last, 3:5].T
+    counts = np.zeros((2,) + shape)
+    last = _last_rows(e * shape[1] + t)
+    counts[:, e[last], t[last]] = table[last, 5:7].T
+    trial = Trial.from_arrays(name or path.stem, metadata, events, threads,
+                              metrics, list(values[0]), list(values[1]),
+                              counts[0], counts[1])
     try:
         trial.validate()
-    except ProfileError as exc:
-        raise ProfileError(f"{path}: {exc}") from None
+    except ProfileError as exc_info:
+        raise ProfileError(f"{path}: {exc_info}") from None
     return trial
+
+
+def _last_rows(keys: np.ndarray) -> np.ndarray:
+    """The row holding each key's last occurrence."""
+    _, first_from_end = np.unique(keys[::-1], return_index=True)
+    return len(keys) - 1 - first_from_end

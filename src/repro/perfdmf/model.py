@@ -385,6 +385,13 @@ class Trial:
     def metric_names(self) -> list[str]:
         return [m.name for m in self._metrics]
 
+    def metric(self, name: str) -> Metric:
+        """The metric called ``name``, with its units."""
+        if name not in self._metric_index:
+            raise ProfileError(
+                f"unknown metric {name!r}; available: {self.metric_names()}")
+        return self._metrics[self._metric_index[name]]
+
     def has_metric(self, name: str) -> bool:
         return name in self._metric_index
 
@@ -520,7 +527,7 @@ class TrialBuilder:
 
     def with_metric(
         self,
-        metric: str,
+        metric: str | Metric,
         exclusive: np.ndarray,
         inclusive: np.ndarray | None = None,
         *,
@@ -529,12 +536,20 @@ class TrialBuilder:
     ) -> "TrialBuilder":
         """Install full (E, T) arrays for one metric.
 
+        ``metric`` is a name, described by ``units`` and ``derived``, or a
+        source trial's :class:`Metric`, whose units carry over and which
+        stays derived (``derived=True`` marks it derived in any case).
         ``inclusive`` defaults to ``exclusive`` (flat profiles).
         """
-        exc = self._checked(exclusive, f"metric {metric!r} exclusive")
+        if isinstance(metric, Metric):
+            metric = Metric(metric.name, units=metric.units,
+                            derived=metric.derived or derived)
+        else:
+            metric = Metric(metric, units=units, derived=derived)
+        exc = self._checked(exclusive, f"metric {metric.name!r} exclusive")
         inc = exc.copy() if inclusive is None else self._checked(
-            inclusive, f"metric {metric!r} inclusive")
-        self._metrics.append(Metric(metric, units=units, derived=derived))
+            inclusive, f"metric {metric.name!r} inclusive")
+        self._metrics.append(metric)
         self._exclusive.append(exc)
         self._inclusive.append(inc)
         return self

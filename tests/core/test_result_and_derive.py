@@ -149,3 +149,47 @@ class TestScaleAndChain:
             derive_chain(r, [], name="x")
         with pytest.raises(AnalysisError):
             derive_chain(r, [("NOPE", 1.0)], name="x")
+
+
+class TestMetricDescriptionsCarryThrough:
+    """Operations keep each source metric's units and derived flag."""
+
+    def test_subsets_and_reductions_keep_units(self):
+        from repro.core.script import (
+            BasicStatisticsOperation,
+            ExtractEventOperation,
+            ExtractMetricOperation,
+            ExtractRankOperation,
+        )
+
+        r = TrialResult(make_trial())
+        outputs = [
+            ExtractEventOperation(r, ["loop"]).process_data()[0],
+            ExtractMetricOperation(r, ["TIME"]).process_data()[0],
+            ExtractRankOperation(r, 1, 2).process_data()[0],
+            BasicStatisticsOperation(r).mean(),
+        ]
+        for out in outputs:
+            assert out.trial.metric("TIME").units == "usec"
+            assert not out.trial.metric("TIME").derived
+
+    def test_rank_of_a_difference_saves_and_reloads(self):
+        from repro.core.script import DifferenceOperation, ExtractRankOperation
+        from repro.perfdmf import PerfDMF
+
+        def one_event(name, values):
+            return (TrialBuilder(name).with_events(["main"]).with_threads(2)
+                    .with_metric("TIME", np.array([values]), units="usec")
+                    .build())
+
+        diff = DifferenceOperation(
+            TrialResult(one_event("a", [1.0, 5.0])),
+            TrialResult(one_event("b", [3.0, 2.0]))).process_data()[0]
+        rank = ExtractRankOperation(diff, 0, 0).process_data()[0]
+        assert rank.trial.metric("TIME").derived
+        with PerfDMF() as db:
+            db.save_trial("A", "E", rank.trial)
+            loaded = db.load_trial("A", "E", rank.trial.name)
+        assert loaded.metric("TIME").units == "usec"
+        assert loaded.metric("TIME").derived
+        assert loaded.exclusive_array("TIME").tolist() == [[-2.0]]

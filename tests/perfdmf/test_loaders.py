@@ -169,6 +169,51 @@ class TestCsvFormat:
         with pytest.raises(ProfileError, match=":2:"):
             read_csv_profile(p)
 
+    def test_wide_csv_loads_equal_to_json(self, tmp_path):
+        """A 200-event x 512-thread trial, written as CSV and as JSON,
+        loads to the same axes, metric descriptions and bit-equal arrays;
+        the CSV rows come shuffled, with one cell repeated (last wins)."""
+        rng = np.random.default_rng(3)
+        exc = rng.random((200, 512)) * 100.0
+        trial = (TrialBuilder("wide")
+                 .with_events([f"e{i}" for i in range(200)], group="G")
+                 .with_threads(512, node_of=lambda i: i // 8)
+                 .with_metric("TIME", exc, exc * 2.0, units="usec")
+                 .with_calls(rng.integers(1, 9, (200, 512)).astype(float),
+                             np.ones((200, 512)))
+                 .build())
+        write_json_profile(trial, tmp_path / "t.json")
+        write_csv_profile(trial, tmp_path / "t.csv")
+        from_json = read_json_profile(tmp_path / "t.json")
+        from_csv = read_csv_profile(tmp_path / "t.csv", name="wide")
+        for got in (from_json, from_csv):
+            assert [(e.name, e.group) for e in got.events] == [
+                (e.name, e.group) for e in trial.events]
+            assert got.threads == trial.threads
+            assert got.metrics == trial.metrics
+            for get in ("calls_array", "subroutines_array"):
+                assert np.array_equal(getattr(got, get)(),
+                                      getattr(trial, get)())
+            for get in ("exclusive_array", "inclusive_array"):
+                assert np.array_equal(getattr(got, get)("TIME"),
+                                      getattr(trial, get)("TIME"))
+
+        header, *rows = (tmp_path / "t.csv").read_text().splitlines()
+        rows = [rows[0]] + [rows[i] for i in
+                            rng.permutation(np.arange(1, len(rows)))]
+        repeated = rows[0].split(",")
+        repeated[6] = "0.5"  # a later row for cell (e0, 0.0.0)
+        (tmp_path / "s.csv").write_text(
+            "\n".join([header] + rows + [",".join(repeated)]) + "\n")
+        shuffled = read_csv_profile(tmp_path / "s.csv", name="wide")
+        assert shuffled.event_names()[0] == "e0"
+        assert shuffled.get_exclusive("e0", "TIME", 0) == 0.5
+        order = [shuffled.event_index(e) for e in trial.event_names()]
+        threads = [shuffled.threads.index(t) for t in trial.threads]
+        assert np.array_equal(
+            shuffled.exclusive_array("TIME")[np.ix_(order, threads)][1:],
+            exc[1:])
+
     def test_short_row_reports_line(self, tmp_path):
         p = tmp_path / "short.csv"
         p.write_text(
