@@ -5,7 +5,10 @@ The point of the paper is that tuning expertise should be *captured* and
 reused.  This example encodes a new piece of knowledge — "MPI time above
 20% of runtime on a small machine means the problem is communication-bound,
 so scaling further out will not help" — in the .prl dialect, combines it
-with a metadata-context rule, and runs it over a simulated trial.
+with a metadata-context rule, and runs it over a simulated trial.  The
+20% is a ``param``: ``with_params(rules, {"mpi_share": 0.3})`` moves it
+without editing the text.  The insert's message is a template and its
+severity an expression over the bindings.
 
 Run:  python examples/custom_rules.py
 """
@@ -21,13 +24,16 @@ MY_RULES = """
 rule "Communication bound"
 salience 5
 doc "MPI events cost more than 20% of runtime"
+param mpi_share = 0.20
 when
-    f : GroupShareFact(group == "MPI", share > 0.20, s := share, t := trial)
+    f : GroupShareFact(group == "MPI", share > mpi_share, s := share, t := trial)
 then
     log "Trial {t} spends {s:.0%} of its time in MPI: communication-bound."
     log "    Increasing processor count will mostly grow this share."
     insert Recommendation(category="communication-bound", event="MPI",
-                          severity=$s, message="reduce message volume or overlap")
+                          severity=min(s, 1.0),
+                          message=f"reduce message volume or overlap "
+                                  f"({s:.0%} of {t} is MPI)")
 end
 
 rule "Communication fine"

@@ -21,18 +21,7 @@ from .recommendations import (
     render_report,
     summarize_categories,
 )
-from .lineage_rules import (
-    CREEP_STEP_THRESHOLD,
-    CREEP_TOTAL_THRESHOLD,
-    DEGRADATION_SEVERITY_THRESHOLD,
-    lineage_rulebase,
-    lineage_rules,
-)
-from .regression_rules import (
-    REGRESSION_SEVERITY_THRESHOLD,
-    regression_rulebase,
-    regression_rules,
-)
+from .lineage_rules import lineage_rules
 from .rulebase import (
     DIAGNOSE_SCRIPTS,
     RULEBASE_NAME,
@@ -42,44 +31,21 @@ from .rulebase import (
     diagnose_stalls,
     diagnose_stored,
     diagnose_timeline,
+    experiment_rules,
     openuh_rules,
     prl_rules,
     recommend_power_levels,
+    regression_rulebase,
 )
-from .service_rules import (
-    COLD_CACHE_HIT_RATE,
-    service_rules,
-)
-from .experiment_rules import (
-    RERUN_HEAVY_RATE,
-    experiment_rules,
-)
-from .rules_def import (
-    IMBALANCE_RATIO_THRESHOLD,
-    IMBALANCE_SEVERITY_THRESHOLD,
-    STALL_COVERAGE_THRESHOLD,
-    STALL_RATE_SEVERITY_THRESHOLD,
-    WAIT_STATE_SEVERITY_THRESHOLD,
-)
+from .service_rules import service_rules
 
 __all__ = [
-    "COLD_CACHE_HIT_RATE",
-    "CREEP_STEP_THRESHOLD",
-    "CREEP_TOTAL_THRESHOLD",
-    "DEGRADATION_SEVERITY_THRESHOLD",
     "DIAGNOSE_SCRIPTS",
-    "IMBALANCE_RATIO_THRESHOLD",
-    "RERUN_HEAVY_RATE",
     "experiment_rules",
-    "IMBALANCE_SEVERITY_THRESHOLD",
     "INEFFICIENCY_METRIC",
-    "REGRESSION_SEVERITY_THRESHOLD",
     "RULEBASE_NAME",
     "Recommendation",
-    "STALL_COVERAGE_THRESHOLD",
     "STALL_RATE_METRIC",
-    "STALL_RATE_SEVERITY_THRESHOLD",
-    "WAIT_STATE_SEVERITY_THRESHOLD",
     "diagnose_genidlest",
     "diagnose_load_balance",
     "diagnose_locality",
@@ -88,7 +54,6 @@ __all__ = [
     "diagnose_timeline",
     "imbalance_facts",
     "inefficiency_facts",
-    "lineage_rulebase",
     "lineage_rules",
     "locality_facts",
     "openuh_rules",
@@ -98,7 +63,6 @@ __all__ = [
     "recommend_power_levels",
     "recommendations_of",
     "regression_rulebase",
-    "regression_rules",
     "render_report",
     "serialization_facts",
     "service_rules",

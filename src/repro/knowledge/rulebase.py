@@ -1,13 +1,15 @@
-"""Assembly of the shipped rulebase and the high-level diagnosis scripts.
+"""The shipped rulebases and the high-level diagnosis scripts.
 
-``openuh_rules()`` merges the Python-defined rules (rules_def) with the
-``.prl``-defined ones (OpenUHRules.prl) and registers the result under the
-name ``"openuh-rules"`` so scripts can write
-``RuleHarness.useGlobalRules("openuh-rules")`` — the Fig. 1 call.  Like
-the paper's harness, which loads its rulebase once per process, the rules
-are compiled on first use and shared: rules hold no match state (that
-lives in each harness's engine), so every diagnosis gets a fresh list of
-the same rule objects.
+Each registered rulebase is rule text: ``openuh-rules`` is
+``OpenUHRules.prl`` (the Fig. 1 ``RuleHarness.useGlobalRules`` call
+resolves it by name), and the service, lineage, experiment and
+regression rulebases are one file each (``regression-rules`` adds its
+file to ``OpenUHRules.prl``).  :func:`rulebase_loader` makes a
+rulebase's loader and registers its name.  Like the paper's harness,
+which loads its rulebase once per process, the rules are compiled on
+first use and shared: rules hold no match state (that lives in each
+harness's engine), so every diagnosis gets a fresh list of the same rule
+objects.
 
 The ``diagnose_*`` functions are the complete analysis scripts of §III:
 each builds a harness, generates facts from the trial, fires the rules, and
@@ -18,14 +20,14 @@ from __future__ import annotations
 
 import functools
 from importlib import resources
+from typing import Callable
 
 from ..core.facts import trial_metadata_facts
 from ..core.harness import RuleHarness, register_rulebase
 from ..core.result import AnalysisError, PerformanceResult
 from ..perfdmf import Trial
 from ..power.energy import LevelMeasurement
-from ..rules import Rule, parse_rules
-from . import rules_def
+from ..rules import Rule, parse_rules, with_params
 from .facts_gen import (
     imbalance_facts,
     thread_cluster_facts,
@@ -40,85 +42,52 @@ from .facts_gen import (
 )
 
 RULEBASE_NAME = "openuh-rules"
+RULE_FILE = "OpenUHRules.prl"
 
 
-def prl_rules() -> list[Rule]:
-    """The rules shipped in OpenUHRules.prl."""
-    text = (
-        resources.files("repro.knowledge")
-        .joinpath("OpenUHRules.prl")
-        .read_text()
-    )
+def prl_rules(filename: str = RULE_FILE) -> list[Rule]:
+    """The rules of one shipped rule file, parsed afresh."""
+    text = resources.files(__package__).joinpath(filename).read_text(
+        encoding="utf-8")
     return parse_rules(text)
 
 
-#: Distinct threshold-override sets whose compiled rulebase is kept.
+#: Distinct (files, threshold-override) sets whose compiled rules are kept.
 RULEBASE_CACHE_SIZE = 16
 
 
-def openuh_rules(**threshold_overrides) -> list[Rule]:
-    """The full shipped rulebase (Python + .prl faces).
-
-    ``threshold_overrides`` are forwarded to the Python rule factories
-    (``ratio_threshold=...`` etc.) by matching parameter names — unknown
-    names raise, so ablations cannot silently misconfigure a rule.
-
-    The rules are compiled once per process for each distinct override set
-    (names, values and value types) and shared; the returned list is new
-    on every call, so callers may add or drop rules freely.
-    """
-    return list(_compiled_rules(**threshold_overrides))
-
-
 @functools.lru_cache(maxsize=RULEBASE_CACHE_SIZE, typed=True)
-def _compiled_rules(**threshold_overrides) -> tuple[Rule, ...]:
-    def take(factory, *names):
-        kw = {}
-        for name in names:
-            if name in threshold_overrides:
-                kw[name] = threshold_overrides[name]
-        return factory(**kw)
-
-    known = {
-        "ratio_threshold",
-        "severity_threshold",
-        "correlation_threshold",
-        "coverage_threshold",
-        "concentration_threshold",
-    }
-    unknown = set(threshold_overrides) - known
-    if unknown:
-        raise ValueError(f"unknown threshold overrides: {sorted(unknown)}")
-
-    rules = [
-        take(rules_def.load_imbalance_rule,
-             "ratio_threshold", "severity_threshold", "correlation_threshold"),
-        take(rules_def.high_inefficiency_rule, "severity_threshold"),
-        take(rules_def.memory_bound_rule,
-             "coverage_threshold", "severity_threshold"),
-        take(rules_def.fp_bound_rule,
-             "coverage_threshold", "severity_threshold"),
-        take(rules_def.unexplained_stalls_rule,
-             "coverage_threshold", "severity_threshold"),
-        take(rules_def.data_locality_rule, "severity_threshold"),
-        take(rules_def.sequential_bottleneck_rule,
-             "concentration_threshold", "severity_threshold"),
-        take(rules_def.late_sender_rule, "severity_threshold"),
-        take(rules_def.late_receiver_rule, "severity_threshold"),
-        take(rules_def.barrier_straggler_rule, "severity_threshold"),
-        take(rules_def.phase_imbalance_rule,
-             "ratio_threshold", "severity_threshold"),
-        rules_def.thread_population_rule(),
-        rules_def.lowest_power_rule(),
-        rules_def.lowest_energy_rule(),
-        rules_def.balanced_power_energy_rule(),
-    ]
-    rules.extend(prl_rules())
-    return tuple(rules)
+def _compiled_rules(files: tuple[str, ...] = (RULE_FILE,),
+                    **threshold_overrides) -> tuple[Rule, ...]:
+    rules = [rule for name in files for rule in prl_rules(name)]
+    return tuple(with_params(rules, threshold_overrides))
 
 
-# register the default rulebase for RuleHarness.useGlobalRules("openuh-rules")
-register_rulebase(RULEBASE_NAME, openuh_rules)
+def rulebase_loader(name: str, *files: str) -> Callable[..., list[Rule]]:
+    """Register rulebase ``name`` as the rules of ``files`` and return its
+    loader.
+
+    The loader's keyword arguments override ``param`` values by name in
+    every rule that declares them; a name no rule declares raises
+    ``ValueError``, so ablations cannot silently misconfigure a rule.
+    The rules are compiled once per process for each distinct override
+    set (names, values and value types) and shared; the returned list is
+    new on every call, so callers may add or drop rules freely.
+    """
+    def load(**threshold_overrides) -> list[Rule]:
+        return list(_compiled_rules(files, **threshold_overrides))
+
+    register_rulebase(name, load)
+    return load
+
+
+#: The full shipped rulebase: ``openuh_rules(ratio_threshold=0.5)`` etc.
+openuh_rules = rulebase_loader(RULEBASE_NAME, RULE_FILE)
+#: Advice on an experiment sweep's rigor and failures (``exp report``).
+experiment_rules = rulebase_loader("experiment-rules", "ExperimentRules.prl")
+#: The regression sentinel's rules, chained with the diagnosis rules.
+regression_rulebase = rulebase_loader("regression-rules", RULE_FILE,
+                                      "RegressionRules.prl")
 
 
 def _harness(**overrides) -> RuleHarness:

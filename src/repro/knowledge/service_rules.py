@@ -1,420 +1,12 @@
 """ServiceRules: operations advice for the analysis service itself.
 
-:mod:`repro.serve` turns the analyzer into a long-lived service; this
-module gives the expert system an opinion about *that* — the same
-inference engine that diagnoses application trials consumes
-``ServiceStatsFact`` / ``ServiceDegradedFact`` rows from
-``AnalysisService.service_facts()`` and produces capacity and
-configuration recommendations (add workers, raise the queue bound,
-investigate failing handlers, pre-warm the cache).  Trend rules consume
-``ServiceTrendFact`` rows from :mod:`repro.serve.monitor` — degradation
-*across* self-monitoring snapshots, not just in one.
-
-Registers under the name ``"service-rules"`` so
-``RuleHarness("service-rules")`` — and ``serve diagnose`` /
-``AnalysisService.diagnose_service()`` — resolve it by name.
+The rules are ``ServiceRules.prl``; they read the health facts of
+``AnalysisService.service_facts()`` and the trend facts of
+:mod:`repro.serve.monitor`, and resolve by name for ``serve diagnose``.
 """
 
-from __future__ import annotations
-
-from ..core.harness import register_rulebase
-from ..rules import Rule, RuleBuilder, RuleContext
+from .rulebase import rulebase_loader
 
 RULEBASE_NAME = "service-rules"
 
-#: Below this cache hit rate (with real traffic) the cache isn't earning
-#: its memory; above it, repeated analyses are effectively free.
-COLD_CACHE_HIT_RATE = 0.10
-#: How many finished jobs before cache-efficiency advice is meaningful.
-_MIN_FINISHED_FOR_CACHE_ADVICE = 20
-
-
-def service_summary_rule() -> Rule:
-    """Headline logging: one line of service health before any advice."""
-
-    def action(ctx: RuleContext) -> None:
-        ctx.log(
-            f"Service: {ctx['sub']} submitted / {ctx['fin']} finished, "
-            f"failure rate {ctx['fr']:.1%}, queue depth {ctx['qd']}, "
-            f"queue-wait p95 {ctx['p95']:.4f}s, cache hit rate "
-            f"{ctx['chr']:.1%} ({ctx['w']} {ctx['mode']} workers)."
-        )
-
-    return (
-        RuleBuilder(
-            "Service summary",
-            salience=20,
-            doc="serve: log the health headline first",
-        )
-        .when(
-            "s",
-            "ServiceStatsFact",
-            "sub := submitted",
-            "fin := finished",
-            "fr := failureRate",
-            "qd := queueDepth",
-            "p95 := queueWaitP95",
-            "chr := cacheHitRate",
-            "w := workers",
-            "mode := mode",
-        )
-        .then(action)
-        .build()
-    )
-
-
-def queue_latency_rule() -> Rule:
-    """Jobs wait too long before a worker picks them up → capacity."""
-
-    def action(ctx: RuleContext) -> None:
-        ctx.log(
-            f"Degraded (queue-latency): p95 queue wait {ctx['v']:.3f}s "
-            f"exceeds {ctx['thr']:.3f}s with {ctx['w']} workers."
-        )
-        ctx.insert(
-            "Recommendation",
-            category="service-queue-latency",
-            event="<service>",
-            severity=ctx["v"],
-            threshold=ctx["thr"],
-            workers=ctx["w"],
-            message=(
-                f"p95 queue wait {ctx['v']:.3f}s > {ctx['thr']:.3f}s: the "
-                f"{ctx['w']}-worker pool is saturated — add workers, or "
-                "lower per-job cost (smaller analyses, cacheable kinds)"
-            ),
-        )
-
-    return (
-        RuleBuilder(
-            "Queue latency exceeds budget",
-            salience=10,
-            doc="serve: saturated pool → scale workers",
-        )
-        .when(
-            "d",
-            "ServiceDegradedFact",
-            ("reason", "==", "queue-latency"),
-            "v := value",
-            "thr := threshold",
-            "w := workers",
-        )
-        .then(action)
-        .build()
-    )
-
-
-def failure_rate_rule() -> Rule:
-    """Too many jobs end FAILED/TIMEOUT → investigate, don't just retry."""
-
-    def action(ctx: RuleContext) -> None:
-        ctx.log(
-            f"Degraded (failure-rate): {ctx['v']:.1%} of finished jobs "
-            f"failed or timed out (budget {ctx['thr']:.1%})."
-        )
-        ctx.insert(
-            "Recommendation",
-            category="service-failure-rate",
-            event="<service>",
-            severity=ctx["v"],
-            threshold=ctx["thr"],
-            message=(
-                f"{ctx['v']:.1%} of jobs fail — inspect per-job errors "
-                "(`serve status <id>`), raise per-job timeouts if work is "
-                "legitimately slow, and reserve retries for transient faults"
-            ),
-        )
-
-    return (
-        RuleBuilder(
-            "Job failure rate exceeds budget",
-            salience=10,
-            doc="serve: failing handlers need eyes, not retries",
-        )
-        .when(
-            "d",
-            "ServiceDegradedFact",
-            ("reason", "==", "failure-rate"),
-            "v := value",
-            "thr := threshold",
-        )
-        .then(action)
-        .build()
-    )
-
-
-def backpressure_rule() -> Rule:
-    """Admissions bounce off the full queue → bound or submission rate."""
-
-    def action(ctx: RuleContext) -> None:
-        ctx.log(
-            f"Degraded (backpressure): {ctx['v']:.1%} of submissions "
-            f"rejected at queue bound {ctx['qb']}."
-        )
-        ctx.insert(
-            "Recommendation",
-            category="service-backpressure",
-            event="<service>",
-            severity=ctx["v"],
-            threshold=ctx["thr"],
-            queue_bound=ctx["qb"],
-            message=(
-                f"{ctx['v']:.1%} of submissions rejected: raise the queue "
-                f"bound (now {ctx['qb']}), submit with block=True, or slow "
-                "the producers"
-            ),
-        )
-
-    return (
-        RuleBuilder(
-            "Queue backpressure rejects submissions",
-            salience=10,
-            doc="serve: bounded queue is shedding load",
-        )
-        .when(
-            "d",
-            "ServiceDegradedFact",
-            ("reason", "==", "backpressure"),
-            "v := value",
-            "thr := threshold",
-            "qb := queueBound",
-        )
-        .then(action)
-        .build()
-    )
-
-
-def saturated_and_shedding_rule() -> Rule:
-    """Chained diagnosis: latency *and* backpressure together mean the
-    pool is undersized, not merely the queue bound — growing the queue
-    would only lengthen the wait."""
-
-    def action(ctx: RuleContext) -> None:
-        ctx.log(
-            "Degraded (capacity): queue latency and backpressure are both "
-            "over budget — the pool is undersized; a bigger queue would "
-            "only hide the wait."
-        )
-        ctx.insert(
-            "Recommendation",
-            category="service-capacity",
-            event="<service>",
-            severity=max(ctx["lv"], ctx["bv"]),
-            message=(
-                "both queue-wait and rejection rate are over budget: add "
-                "workers (capacity), not queue depth (latency)"
-            ),
-        )
-
-    return (
-        RuleBuilder(
-            "Saturated pool sheds load",
-            salience=15,
-            doc="serve: join latency with backpressure → capacity verdict",
-        )
-        .when(
-            "lat",
-            "ServiceDegradedFact",
-            ("reason", "==", "queue-latency"),
-            "lv := value",
-        )
-        .when(
-            "bp",
-            "ServiceDegradedFact",
-            ("reason", "==", "backpressure"),
-            "bv := value",
-        )
-        .then(action)
-        .build()
-    )
-
-
-def cold_cache_rule(
-    *, hit_rate_threshold: float = COLD_CACHE_HIT_RATE
-) -> Rule:
-    """Plenty of traffic but almost no cache hits → the workload never
-    repeats, or every submission varies a parameter that shouldn't join
-    the content address."""
-
-    def action(ctx: RuleContext) -> None:
-        ctx.log(
-            f"Cache is cold: {ctx['chr']:.1%} hit rate over {ctx['fin']} "
-            "finished jobs."
-        )
-        ctx.insert(
-            "Recommendation",
-            category="service-cold-cache",
-            event="<service>",
-            severity=1.0 - ctx["chr"],
-            message=(
-                f"cache hit rate is {ctx['chr']:.1%}: repeated analyses "
-                "are not repeating — check that submissions reuse exact "
-                "parameters, or drop non-semantic params from the job"
-            ),
-        )
-
-    return (
-        RuleBuilder(
-            "Result cache is cold under real traffic",
-            salience=5,
-            doc="serve: a cache that never hits is wasted memory",
-        )
-        .when(
-            "s",
-            "ServiceStatsFact",
-            "chr := cacheHitRate",
-            "fin := finished",
-            ("finished", ">=", _MIN_FINISHED_FOR_CACHE_ADVICE),
-            ("cacheHitRate", "<", hit_rate_threshold),
-        )
-        .then(action)
-        .build()
-    )
-
-
-def latency_trend_rule() -> Rule:
-    """Queue wait grows snapshot over snapshot → act before it's an
-    incident.  Consumes ``ServiceTrendFact`` rows from
-    :func:`repro.serve.monitor.service_trend_facts` — the *trend* layer
-    the point-in-time rules above cannot see."""
-
-    def action(ctx: RuleContext) -> None:
-        ctx.log(
-            f"Trend (queue-wait-p95): {ctx['first']:.4f}s → "
-            f"{ctx['last']:.4f}s over {ctx['n']} snapshots."
-        )
-        ctx.insert(
-            "Recommendation",
-            category="service-latency-trend",
-            event="<service>",
-            severity=ctx["last"],
-            message=(
-                f"p95 queue wait grew {ctx['first']:.4f}s → "
-                f"{ctx['last']:.4f}s across {ctx['n']} monitor snapshots — "
-                "load is outpacing the pool; add workers now, before the "
-                "wait breaches its budget"
-            ),
-        )
-
-    return (
-        RuleBuilder(
-            "Queue latency trending up",
-            salience=12,
-            doc="serve: monotone queue-wait growth across snapshots",
-        )
-        .when(
-            "t",
-            "ServiceTrendFact",
-            ("metric", "==", "queue-wait-p95"),
-            "first := first",
-            "last := last",
-            "n := snapshots",
-        )
-        .then(action)
-        .build()
-    )
-
-
-def cache_decay_trend_rule() -> Rule:
-    """Hit rate decays across snapshots → the workload drifted away from
-    what the cache holds (or invalidations are churning it)."""
-
-    def action(ctx: RuleContext) -> None:
-        ctx.log(
-            f"Trend (cache-hit-rate): {ctx['first']:.1%} → "
-            f"{ctx['last']:.1%} over {ctx['n']} snapshots."
-        )
-        ctx.insert(
-            "Recommendation",
-            category="service-cache-decay",
-            event="<service>",
-            severity=ctx["first"] - ctx["last"],
-            message=(
-                f"cache hit rate decayed {ctx['first']:.1%} → "
-                f"{ctx['last']:.1%} across {ctx['n']} snapshots — the "
-                "workload is drifting from the cached population; check "
-                "for parameter churn or an undersized cache evicting hot "
-                "entries"
-            ),
-        )
-
-    return (
-        RuleBuilder(
-            "Cache hit rate trending down",
-            salience=12,
-            doc="serve: monotone hit-rate decay across snapshots",
-        )
-        .when(
-            "t",
-            "ServiceTrendFact",
-            ("metric", "==", "cache-hit-rate"),
-            "first := first",
-            "last := last",
-            "n := snapshots",
-        )
-        .then(action)
-        .build()
-    )
-
-
-def worker_churn_trend_rule() -> Rule:
-    """Workers keep getting respawned → something in the handlers (or a
-    poison job) is repeatedly wedging vehicles."""
-
-    def action(ctx: RuleContext) -> None:
-        ctx.log(
-            f"Trend (worker-respawns): +{ctx['chg']:.0f} respawns over "
-            f"{ctx['n']} snapshots."
-        )
-        ctx.insert(
-            "Recommendation",
-            category="service-worker-churn",
-            event="<service>",
-            severity=ctx["chg"],
-            message=(
-                f"{ctx['chg']:.0f} worker respawns across {ctx['n']} "
-                "snapshots — a handler or job kind is repeatedly timing "
-                "out and wedging vehicles; find it with `serve status` "
-                "and `serve explain-job`, and raise its timeout or fix it"
-            ),
-        )
-
-    return (
-        RuleBuilder(
-            "Workers respawn-churning",
-            salience=12,
-            doc="serve: respawn count climbing across snapshots",
-        )
-        .when(
-            "t",
-            "ServiceTrendFact",
-            ("metric", "==", "worker-respawns"),
-            "chg := change",
-            "n := snapshots",
-        )
-        .then(action)
-        .build()
-    )
-
-
-def service_rules(**overrides) -> list[Rule]:
-    """The ``service-rules`` rulebase content."""
-    cache_kw = {}
-    if "hit_rate_threshold" in overrides:
-        cache_kw["hit_rate_threshold"] = overrides.pop("hit_rate_threshold")
-    if overrides:
-        raise ValueError(f"unknown threshold overrides: {sorted(overrides)}")
-    return [
-        service_summary_rule(),
-        saturated_and_shedding_rule(),
-        queue_latency_rule(),
-        failure_rate_rule(),
-        backpressure_rule(),
-        cold_cache_rule(**cache_kw),
-        latency_trend_rule(),
-        cache_decay_trend_rule(),
-        worker_churn_trend_rule(),
-    ]
-
-
-register_rulebase(RULEBASE_NAME, service_rules)
+service_rules = rulebase_loader(RULEBASE_NAME, "ServiceRules.prl")

@@ -114,9 +114,9 @@ def diagnose_lineage(
     scan: ScanResult, *, harness: RuleHarness | None = None
 ) -> RuleHarness:
     """Fire the ``lineage-rules`` rulebase over a scan sweep."""
-    from ..knowledge.lineage_rules import lineage_rulebase
+    from ..knowledge import lineage_rules
 
-    h = harness or RuleHarness(lineage_rulebase())
+    h = harness or RuleHarness(lineage_rules())
     h.assertObjects(lineage_facts(scan))
     h.processRules()
     return h

@@ -16,8 +16,8 @@ Layers::
     sentinel.py   check() driver with CI exit codes
     report.py     text rendering for CLI and CI logs
 
-The matching ruleset lives in :mod:`repro.knowledge.regression_rules`
-(rulebase name ``"regression-rules"``), and the CLI verbs under
+The matching rules are ``knowledge/RegressionRules.prl`` (rulebase name
+``"regression-rules"``), and the CLI verbs live under
 ``repro-perf regress``.
 """
 

@@ -81,7 +81,7 @@ def diagnose_regression(
     alongside the regression facts so the chained rules can localize the
     regression (imbalance, metadata context, ...).
     """
-    from ..knowledge.regression_rules import regression_rulebase
+    from ..knowledge import regression_rulebase
 
     h = harness or RuleHarness(regression_rulebase())
     h.assertObjects(regression_facts(report))

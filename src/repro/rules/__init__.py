@@ -19,7 +19,9 @@ the same moving parts:
   with refraction
 * :class:`~repro.rules.engine.RuleEngine` — the match-resolve-act loop
 * :func:`~repro.rules.dsl.parse_rules` / :func:`~repro.rules.dsl.load_prl` —
-  the ``.prl`` rule-file dialect mirroring the paper's Fig. 2 DRL
+  the ``.prl`` rule-file dialect mirroring the paper's Fig. 2 DRL, with
+  ``param`` values (:func:`~repro.rules.dsl.with_params`) and the
+  whitelisted expressions of :mod:`repro.rules.expr`
 """
 
 from .agenda import Activation, Agenda
@@ -37,6 +39,7 @@ from .dsl import (
     parse_rules,
     rule_to_prl,
     rules_to_prl,
+    with_params,
 )
 from .engine import FiringRecord, RuleEngine, RuleEngineError
 from .facts import (
@@ -77,4 +80,5 @@ __all__ = [
     "parse_rules",
     "rule_to_prl",
     "rules_to_prl",
+    "with_params",
 ]

@@ -108,6 +108,10 @@ class Constraint:
         Optional variable name this field's value is bound to *when the
         constraint passes* (``x := field`` in the DSL binds and the op
         defaults to a tautology).
+    param:
+        The rule ``param`` the literal ``value`` came from, if any
+        (:func:`~repro.rules.dsl.with_params` replaces it); not part of
+        equality.
     """
 
     fieldname: str
@@ -115,6 +119,7 @@ class Constraint:
     value: Any = None
     is_variable: bool = False
     bind: str | None = None
+    param: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.op not in OPERATORS and self.op != "any":

@@ -11,11 +11,12 @@ We parse an equivalent dialect — same structure, Python-friendly actions::
 
     rule "Stalls per Cycle"
     salience 5
+    param severity_threshold = 0.10
     when
         f : MeanEventFact(
             metric == "(BACK_END_BUBBLE_ALL / CPU_CYCLES)",
             higherLower == "higher",
-            severity > 0.10,
+            severity > severity_threshold,
             e := eventName,
             a := mainValue,
             v := eventValue,
@@ -23,36 +24,64 @@ We parse an equivalent dialect — same structure, Python-friendly actions::
     then
         log "Event {e} has a higher than average stall / cycle rate"
         log "    Average stall / cycle: {a:.4f}"
-        insert Recommendation(category="stall-per-cycle", event=$e, severity=$s)
+        insert Recommendation(category="stall-per-cycle", event=$e,
+                              severity=$f.severity,
+                              message=f"high stall rate in {e}")
     end
 
 Grammar (informal)::
 
     file        := (rule)*
-    rule        := 'rule' STRING ('salience' INT)? ('no-loop')?
-                   'when' pattern+ 'then' statement* 'end'
+    rule        := 'rule' STRING header* 'when' condition+
+                   'then' statement* 'end'
+    header      := 'salience' INT | 'no-loop' | 'doc' STRING
+                 | 'param' IDENT '=' literal
+    condition   := pattern | 'test' expr
     pattern     := (IDENT ':')? ('not')? IDENT '(' constraint (',' constraint)* ')'
     constraint  := IDENT ':=' IDENT            # binding (bind := field)
                  | IDENT OP literal            # field test
+                 | IDENT OP PARAM              # test against a param's value
                  | IDENT OP '$' IDENT          # test against earlier binding
                  | IDENT                       # existence test
-    statement   := 'log' STRING
+    statement   := 'log' STRING+
                  | 'insert' IDENT '(' kwarg (',' kwarg)* ')'
-    kwarg       := IDENT '=' (literal | '$' IDENT)
-    literal     := STRING | NUMBER | 'true' | 'false' | 'null'
+                 | 'if' expr statement* ('else' statement*)? 'end'
+    kwarg       := IDENT '=' (literal | FSTRING+ | expr)
+    literal     := STRING | NUMBER | 'true' | 'false' | 'null' | IDENT
 
-Comments run from ``#`` or ``//`` to end of line.
+A ``param`` is a rule's named literal: constraints name it where they
+would write the literal, and :func:`with_params` substitutes another
+value, so the pattern keeps plain literal tests.  ``log`` strings and
+``f"..."`` values are templates and ``test``/``if``/``insert`` take
+expressions, both in the whitelisted Python subset of
+:mod:`repro.rules.expr`; a ``test`` or ``if`` expression runs to the end
+of its line (brackets may continue it), and ``$name`` reads a binding
+wherever a bare ``name`` may.  Comments run from ``#`` or ``//`` to end
+of line.
 """
 
 from __future__ import annotations
 
+import ast
+import codecs
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping, NamedTuple
 
-from .conditions import OPERATORS, Constraint, Pattern
-from .rule import Rule, RuleContext, _format_bindings
+from .conditions import OPERATORS, ConditionError, Constraint, Pattern, Test
+from .expr import (
+    Expr,
+    ExprError,
+    Scope,
+    check_expr,
+    check_template,
+    compile_actions,
+    context_call,
+    if_statement,
+    value_tree,
+)
+from .rule import Rule, RuleContext
 
 __all__ = [
     "DSLSyntaxError",
@@ -61,6 +90,7 @@ __all__ = [
     "parse_rules",
     "rule_to_prl",
     "rules_to_prl",
+    "with_params",
 ]
 
 
@@ -79,41 +109,50 @@ class DSLSyntaxError(Exception):
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<comment>(\#|//)[^\n]*)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<number>-?\d+\.\d*(?:[eE][-+]?\d+)?|-?\.\d+(?:[eE][-+]?\d+)?|-?\d+(?:[eE][-+]?\d+)?)
-  | (?P<op>:=|==|!=|>=|<=|>|<|\(|\)|,|:|\$|=)
+  | (?P<fstring>f"[^"\\]*(?:\\.[^"\\]*)*")
   | (?P<ident>[A-Za-z_][A-Za-z0-9_.\-]*)
+  | (?P<string>"[^"\\]*(?:\\.[^"\\]*)*")
+  | (?P<comment>(\#|//)[^\n]*)
+  | (?P<number>-?\d+\.\d*(?:[eE][-+]?\d+)?|-?\.\d+(?:[eE][-+]?\d+)?|-?\d+(?:[eE][-+]?\d+)?)
+  | (?P<op>:=|==|!=|>=|<=|>|<|\(|\)|\[|\]|,|:|\$|=|\+|-|\*|/)
     """,
     re.VERBOSE,
 )
 
+#: What compiling checked action trees can still raise (deep nesting,
+#: field names Python reserves such as ``__debug__``).
+_COMPILE_ERRORS = (SyntaxError, ValueError, RecursionError, MemoryError)
+#: DSL words that spell Python constants inside expressions.
+_PY_CONSTANTS = {"true": "True", "false": "False", "null": "None"}
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'string' | 'number' | 'op' | 'ident'
+
+class Token(NamedTuple):
+    kind: str  # 'string' | 'fstring' | 'number' | 'op' | 'ident'
     value: str
     line: int
+    pos: int  # offset in the source text
+
+    @property
+    def end(self) -> int:
+        return self.pos + len(self.value)
 
 
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     pos = 0
     line = 1
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DSLSyntaxError(f"unexpected character {text[pos]!r}", line)
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
         kind = m.lastgroup
         value = m.group()
-        if kind == "ws":
+        if kind != "ws" and kind != "comment":
+            tokens.append(Token(kind, value, line, pos))
+        if kind == "ws" or kind == "string" or kind == "fstring":
             line += value.count("\n")
-        elif kind == "comment":
-            pass
-        else:
-            tokens.append(Token(kind, value, line))
         pos = m.end()
+    if pos < len(text):
+        raise DSLSyntaxError(f"unexpected character {text[pos]!r}", line)
     return tokens
 
 
@@ -126,6 +165,8 @@ class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        #: the params declared by the rule being parsed
+        self._params: dict[str, Any] = {}
 
     # -- token helpers ----------------------------------------------------
     def _peek(self) -> Token | None:
@@ -163,18 +204,40 @@ class _Parser:
 
     # -- grammar ------------------------------------------------------------
     def parse_file(self) -> list[Rule]:
-        rules: list[Rule] = []
+        parsed = []
         while self._peek() is not None:
-            rules.append(self._parse_rule())
+            parsed.append(self._parse_rule())
+        bodies = [[stmt.python() for stmt in statements]
+                  for _, statements, _ in parsed]
+        try:
+            functions = compile_actions(bodies)
+        except _COMPILE_ERRORS:
+            for (line, _, _), body in zip(parsed, bodies):
+                try:
+                    compile_actions([body])
+                except _COMPILE_ERRORS as exc:
+                    raise DSLSyntaxError(f"cannot compile: {exc!r}",
+                                         line) from None
+            raise
+        rules = []
+        for (line, statements, header), function in zip(parsed, functions):
+            try:
+                rules.append(Rule(
+                    action=_CompiledAction(statements, function), **header))
+            except ValueError as exc:
+                raise DSLSyntaxError(str(exc), line) from None
         return rules
 
-    def _parse_rule(self) -> Rule:
+    def _parse_rule(self) -> tuple[int, tuple[_Statement, ...], dict]:
+        """One rule: its line, its action statements and the rest of
+        its :class:`Rule` fields (the actions compile per file)."""
         self._expect("ident", "rule")
         name_tok = self._expect("string")
-        name = _unquote(name_tok.value)
+        name = _unquote(name_tok)
         salience = 0
         no_loop = False
         doc = ""
+        self._params = {}
         while True:
             tok = self._peek()
             if tok is None:
@@ -182,13 +245,24 @@ class _Parser:
             if tok.kind == "ident" and tok.value == "salience":
                 self._next()
                 num = self._expect("number")
-                salience = int(float(num.value))
+                try:
+                    salience = int(float(num.value))
+                except OverflowError:
+                    raise DSLSyntaxError("salience out of range", num.line) from None
             elif tok.kind == "ident" and tok.value == "no-loop":
                 self._next()
                 no_loop = True
             elif tok.kind == "ident" and tok.value == "doc":
                 self._next()
-                doc = _unquote(self._expect("string").value)
+                doc = _unquote(self._expect("string"))
+            elif tok.kind == "ident" and tok.value == "param":
+                self._next()
+                param = self._expect("ident")
+                if param.value in self._params or not param.value.isidentifier():
+                    raise DSLSyntaxError(
+                        f"bad or repeated param {param.value!r}", param.line)
+                self._expect("op", "=")
+                self._params[param.value] = self._parse_literal()
             elif tok.kind == "ident" and tok.value == "when":
                 self._next()
                 break
@@ -196,7 +270,9 @@ class _Parser:
                 raise DSLSyntaxError(
                     f"unexpected {tok.value!r} in rule header", tok.line
                 )
-        patterns = []
+        conditions: list[Pattern | Test] = []
+        names: set[str] = set()
+        facts: set[str] = set()
         while True:
             tok = self._peek()
             if tok is None:
@@ -205,27 +281,28 @@ class _Parser:
                     and not self._binding_follows():
                 self._next()
                 break
-            patterns.append(self._parse_pattern())
-        statements = []
-        while True:
-            tok = self._peek()
-            if tok is None:
-                raise DSLSyntaxError(f"rule {name!r}: missing 'end'", name_tok.line)
-            if tok.kind == "ident" and tok.value == "end":
+            if tok.kind == "ident" and tok.value == "test" \
+                    and not self._binding_follows():
                 self._next()
-                break
-            statements.append(self._parse_statement())
-        if not patterns:
+                if not conditions:
+                    raise DSLSyntaxError("a test needs an earlier pattern",
+                                         tok.line)
+                expr = self._parse_expr(tok, Scope(set(names), set(facts)))
+                conditions.append(Test(expr, expr.source))
+                continue
+            pattern = self._parse_pattern()
+            conditions.append(pattern)
+            if not pattern.negated:
+                names.update(c.bind for c in pattern.constraints if c.bind)
+                if pattern.bind_as:
+                    names.add(pattern.bind_as)
+                    facts.add(pattern.bind_as)
+        if not conditions:
             raise DSLSyntaxError(f"rule {name!r}: empty 'when' section", name_tok.line)
-        action = _CompiledAction(tuple(statements))
-        return Rule(
-            name=name,
-            conditions=patterns,
-            action=action,
-            salience=salience,
-            no_loop=no_loop,
-            doc=doc,
-        )
+        statements, _ = self._parse_block(Scope(names, facts), ("end",))
+        return name_tok.line, statements, dict(
+            name=name, conditions=conditions, salience=salience,
+            no_loop=no_loop, doc=doc, params=tuple(self._params.items()))
 
     def _parse_pattern(self) -> Pattern:
         negated = False
@@ -249,7 +326,11 @@ class _Parser:
                 if self._accept("op", ")"):
                     break
                 self._expect("op", ",")
-        return Pattern(fact_type, constraints, bind_as=bind_as, negated=negated)
+        try:
+            return Pattern(fact_type, constraints, bind_as=bind_as,
+                           negated=negated)
+        except ConditionError as exc:
+            raise DSLSyntaxError(str(exc), tok.line) from None
 
     def _parse_constraint(self) -> Constraint:
         first = self._expect("ident")
@@ -271,6 +352,11 @@ class _Parser:
                 self._next()
                 var = self._expect("ident").value
                 return Constraint(first.value, op, var, is_variable=True)
+            if val_tok.kind == "ident" and val_tok.value in self._params:
+                self._next()
+                return Constraint(first.value, op,
+                                  self._params[val_tok.value],
+                                  param=val_tok.value)
             return Constraint(first.value, op, self._parse_literal())
         # bare identifier: existence test
         return Constraint(first.value, "any")
@@ -278,7 +364,7 @@ class _Parser:
     def _parse_literal(self) -> Any:
         tok = self._next()
         if tok.kind == "string":
-            return _unquote(tok.value)
+            return _unquote(tok)
         if tok.kind == "number":
             value = float(tok.value)
             return int(value) if value.is_integer() and "." not in tok.value and "e" not in tok.value.lower() else value
@@ -294,34 +380,116 @@ class _Parser:
             return tok.value
         raise DSLSyntaxError(f"expected literal, got {tok.value!r}", tok.line)
 
-    def _parse_statement(self) -> "_Statement":
-        tok = self._expect("ident")
-        if tok.value == "log":
-            template = _unquote(self._expect("string").value)
-            return _LogStatement(template)
-        if tok.value == "insert":
+    def _parse_block(self, scope: Scope, stops: tuple[str, ...]
+                     ) -> tuple[tuple[_Statement, ...], str]:
+        """Statements up to one of the ``stops`` keywords (consumed and
+        returned with them)."""
+        statements = []
+        while True:
+            tok = self._next()
+            if tok.kind == "ident" and tok.value in stops:
+                return tuple(statements), tok.value
+            statements.append(self._parse_statement(tok, scope))
+
+    def _parse_statement(self, tok: Token, scope: Scope) -> _Statement:
+        if tok.kind == "ident" and tok.value == "log":
+            text = _unquote(self._expect("string"))
+            while self._peek() is not None and self._peek().kind == "string":
+                text += _unquote(self._next())
+            try:
+                return _LogStatement(text, check_template(text, scope).tree)
+            except ExprError as exc:
+                raise DSLSyntaxError(str(exc), tok.line) from None
+        if tok.kind == "ident" and tok.value == "insert":
             fact_type = self._expect("ident").value
             self._expect("op", "(")
-            kwargs: list[tuple[str, Any, bool]] = []
+            fields: list[tuple[str, Any]] = []
             if not self._accept("op", ")"):
                 while True:
-                    key = self._expect("ident").value
+                    key = self._expect("ident")
+                    if not key.value.isidentifier() \
+                            or key.value in dict(fields):
+                        raise DSLSyntaxError(
+                            f"bad or repeated field {key.value!r}", key.line)
                     self._expect("op", "=")
-                    nxt = self._peek()
-                    if nxt and nxt.kind == "op" and nxt.value == "$":
-                        self._next()
-                        var = self._expect("ident").value
-                        kwargs.append((key, var, True))
-                    else:
-                        kwargs.append((key, self._parse_literal(), False))
+                    fields.append((key.value, self._parse_value(scope)))
                     if self._accept("op", ")"):
                         break
                     self._expect("op", ",")
-            return _InsertStatement(fact_type, tuple(kwargs))
+            return _InsertStatement(fact_type, tuple(fields))
+        if tok.kind == "ident" and tok.value == "if":
+            cond = self._parse_expr(tok, scope)
+            body, stop = self._parse_block(scope, ("else", "end"))
+            orelse = self._parse_block(scope, ("end",))[0] \
+                if stop == "else" else ()
+            return _IfStatement(cond, body, orelse)
         raise DSLSyntaxError(
-            f"unknown statement {tok.value!r} (expected 'log' or 'insert')",
+            f"unknown statement {tok.value!r} "
+            "(expected 'log', 'insert' or 'if')",
             tok.line,
         )
+
+    def _parse_value(self, scope: Scope) -> Any:
+        """An ``insert`` value: a literal, a template or an expression."""
+        start = self._peek()
+        toks = self._expression_tokens(start, to_line_end=False)
+        if len(toks) == 1 and toks[0].kind in ("string", "number", "ident"):
+            self._pos -= 1
+            return self._parse_literal()
+        try:
+            if all(t.kind == "fstring" for t in toks):
+                text = "".join(_unquote(t, 2) for t in toks)
+                return replace(check_template(text, scope),
+                               source=" ".join(t.value for t in toks))
+            return _expr_of_tokens(toks, scope)
+        except ExprError as exc:
+            raise DSLSyntaxError(str(exc), toks[0].line) from None
+
+    def _parse_expr(self, keyword: Token, scope: Scope) -> Expr:
+        """The expression after ``keyword``, to the end of its line."""
+        toks = self._expression_tokens(keyword, to_line_end=True)
+        try:
+            return _expr_of_tokens(toks, scope)
+        except ExprError as exc:
+            raise DSLSyntaxError(str(exc), keyword.line) from None
+
+    def _expression_tokens(self, start: Token | None,
+                           to_line_end: bool) -> list[Token]:
+        """Tokens up to the end of ``start``'s line, or up to a ``,`` or
+        ``)`` (with ``to_line_end`` False), outside brackets."""
+        toks: list[Token] = []
+        depth = 0
+        line = start.line if start is not None else 0
+        while (tok := self._peek()) is not None:
+            closes = tok.kind == "op" and tok.value in ")]"
+            if not depth and (tok.line != line if to_line_end else (
+                    closes or (tok.kind == "op" and tok.value == ","))):
+                break
+            if tok.kind == "op" and tok.value in "([":
+                depth += 1
+            elif closes:
+                depth = max(depth - 1, 0)
+            toks.append(self._next())
+            line = tok.line
+        if not toks:
+            raise DSLSyntaxError("missing expression", line or 1)
+        return toks
+
+
+def _expr_of_tokens(toks: list[Token], scope: Scope) -> Expr:
+    """Compile expression tokens; the kept source is the DSL text
+    (``$`` and all), normalized to single spaces between tokens."""
+    python, source = [], []
+    for i, tok in enumerate(toks):
+        space = " " if i and tok.pos > toks[i - 1].end else ""
+        source.append(space + tok.value)
+        if tok.kind == "op" and tok.value == "$":
+            python.append(space)
+        elif tok.kind == "ident":
+            python.append(space + _PY_CONSTANTS.get(tok.value, tok.value))
+        else:
+            python.append(space + tok.value)
+    return check_expr("".join(python), scope, source="".join(source))
 
 
 # ---------------------------------------------------------------------------
@@ -330,42 +498,73 @@ class _Parser:
 
 
 class _Statement:
-    def execute(self, ctx: RuleContext) -> None:  # pragma: no cover - interface
+    def python(self) -> ast.stmt:  # pragma: no cover - interface
+        """The checked Python statement this one compiles to."""
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class _LogStatement(_Statement):
     template: str
+    tree: ast.expr | None = field(default=None, compare=False, repr=False)
 
-    def execute(self, ctx: RuleContext) -> None:
-        ctx.log(_format_bindings(self.template, ctx.bindings))
+    def __post_init__(self) -> None:
+        if self.tree is None:
+            object.__setattr__(self, "tree",
+                               check_template(self.template).tree)
+
+    def python(self) -> ast.stmt:
+        return context_call("log", [self.tree])
 
 
 @dataclass(frozen=True)
 class _InsertStatement(_Statement):
     fact_type: str
-    kwargs: tuple[tuple[str, Any, bool], ...]  # (name, value-or-var, is_var)
+    #: (name, value): a literal, or an :class:`Expr` read at firing time
+    fields: tuple[tuple[str, Any], ...]
 
-    def execute(self, ctx: RuleContext) -> None:
-        fields = {}
-        for name, value, is_var in self.kwargs:
-            fields[name] = ctx[value] if is_var else value
-        ctx.insert(self.fact_type, **fields)
+    def python(self) -> ast.stmt:
+        return context_call("insert", [value_tree(self.fact_type)],
+                            [(k, value_tree(v)) for k, v in self.fields])
+
+
+@dataclass(frozen=True)
+class _IfStatement(_Statement):
+    condition: Expr
+    body: tuple[_Statement, ...]
+    orelse: tuple[_Statement, ...] = ()
+
+    def python(self) -> ast.stmt:
+        return if_statement(self.condition.tree,
+                            [stmt.python() for stmt in self.body],
+                            [stmt.python() for stmt in self.orelse])
 
 
 @dataclass(frozen=True)
 class _CompiledAction:
+    """A rule action parsed from ``.prl``, compiled into one function."""
+
     statements: tuple[_Statement, ...]
+    function: Any = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.function is None:
+            object.__setattr__(self, "function", compile_actions(
+                [[stmt.python() for stmt in self.statements]])[0])
 
     def __call__(self, ctx: RuleContext) -> None:
-        for stmt in self.statements:
-            stmt.execute(ctx)
+        self.function(ctx, ctx.bindings)
 
 
-def _unquote(raw: str) -> str:
-    body = raw[1:-1]
-    return body.encode().decode("unicode_escape")
+def _unquote(tok: Token, prefix: int = 1) -> str:
+    """A string token's text, escapes decoded (``prefix`` skips ``f"``)."""
+    body = tok.value[prefix:-1]
+    try:
+        return codecs.decode(body.encode("latin-1", "backslashreplace"),
+                             "unicode_escape")
+    except UnicodeDecodeError as exc:
+        raise DSLSyntaxError(f"bad escape in string: {exc.reason}",
+                             tok.line) from None
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +574,42 @@ def _unquote(raw: str) -> str:
 
 def parse_rules(text: str) -> list[Rule]:
     """Parse ``.prl`` source text into :class:`~repro.rules.rule.Rule` objects."""
-    return _Parser(_tokenize(text)).parse_file()
+    parser = _Parser(_tokenize(text))
+    try:
+        return parser.parse_file()
+    except (RecursionError, MemoryError):  # ``if`` blocks nested too deep
+        tok = parser._tokens[min(parser._pos, len(parser._tokens) - 1)]
+        raise DSLSyntaxError("rule nested too deeply", tok.line) from None
 
 
 def load_prl(path: str | Path) -> list[Rule]:
     """Parse a ``.prl`` rule file from disk."""
-    return parse_rules(Path(path).read_text())
+    return parse_rules(Path(path).read_text(encoding="utf-8"))
+
+
+def with_params(rules: Iterable[Rule], params: Mapping[str, Any]) -> list[Rule]:
+    """``rules`` with ``params`` overriding the values of the ``param``
+    declarations of every rule that declares them; a name no rule
+    declares raises ``ValueError``."""
+    rules = list(rules)
+    unknown = set(params) - {name for rule in rules for name, _ in rule.params}
+    if unknown:
+        raise ValueError(f"unknown threshold overrides: {sorted(unknown)}")
+    return [_rebound(rule, params)
+            if any(name in params for name, _ in rule.params) else rule
+            for rule in rules]
+
+
+def _rebound(rule: Rule, params: Mapping[str, Any]) -> Rule:
+    conditions = [
+        Pattern(c.fact_type,
+                [replace(k, value=params[k.param]) if k.param in params else k
+                 for k in c.constraints],
+                bind_as=c.bind_as, negated=c.negated)
+        if isinstance(c, Pattern) else c
+        for c in rule.conditions]
+    return replace(rule, conditions=conditions, params=tuple(
+        (name, params.get(name, value)) for name, value in rule.params))
 
 
 # ---------------------------------------------------------------------------
@@ -413,17 +642,41 @@ def _render_constraint(c: Constraint) -> str:
         return f"{c.bind} := {c.fieldname}"
     if c.op == "any":
         return c.fieldname
-    rhs = f"${c.value}" if c.is_variable else _render_literal(c.value)
+    if c.param is not None:
+        rhs = c.param
+    else:
+        rhs = f"${c.value}" if c.is_variable else _render_literal(c.value)
     return f"{c.fieldname} {c.op} {rhs}"
+
+
+def _render_statements(statements, indent: str) -> list[str]:
+    lines = []
+    for stmt in statements:
+        if isinstance(stmt, _LogStatement):
+            lines.append(f"{indent}log {_quote(stmt.template)}")
+        elif isinstance(stmt, _InsertStatement):
+            kwargs = ", ".join(
+                f"{k}={v.source if isinstance(v, Expr) else _render_literal(v)}"
+                for k, v in stmt.fields
+            )
+            lines.append(f"{indent}insert {stmt.fact_type}({kwargs})")
+        elif isinstance(stmt, _IfStatement):
+            lines.append(f"{indent}if {stmt.condition.source}")
+            lines += _render_statements(stmt.body, indent + "    ")
+            if stmt.orelse:
+                lines.append(f"{indent}else")
+                lines += _render_statements(stmt.orelse, indent + "    ")
+            lines.append(f"{indent}end")
+        else:  # pragma: no cover - future statement kinds
+            raise SerializationError(f"unknown statement {stmt!r}")
+    return lines
 
 
 def rule_to_prl(rule: Rule) -> str:
     """Render a rule as ``.prl`` text.
 
-    Only rules whose conditions are plain patterns (no ``Test`` predicates)
-    and whose action is a DSL-compiled action (or was built with the
-    ``then_log``-style helpers is *not* supported — only actions parsed
-    from .prl) can round-trip; anything else raises
+    Only rules whose ``Test`` conditions and action were parsed from
+    ``.prl`` (not Python callables) can be rendered; anything else raises
     :class:`SerializationError`.
     """
     lines = [f"rule {_quote(rule.name)}"]
@@ -433,12 +686,17 @@ def rule_to_prl(rule: Rule) -> str:
         lines.append("no-loop")
     if rule.doc:
         lines.append(f"doc {_quote(rule.doc)}")
+    lines += [f"param {name} = {_render_literal(value)}"
+              for name, value in rule.params]
     lines.append("when")
     for cond in rule.conditions:
         if not isinstance(cond, Pattern):
-            raise SerializationError(
-                f"rule {rule.name!r}: test conditions are not expressible in .prl"
-            )
+            if not isinstance(cond.predicate, Expr):
+                raise SerializationError(
+                    f"rule {rule.name!r}: test conditions given as Python "
+                    "callables are not expressible in .prl")
+            lines.append(f"    test {cond.predicate.source}")
+            continue
         prefix = f"{cond.bind_as} : " if cond.bind_as else ""
         if cond.negated:
             prefix = "not " + prefix
@@ -450,17 +708,7 @@ def rule_to_prl(rule: Rule) -> str:
         raise SerializationError(
             f"rule {rule.name!r}: only DSL-compiled actions serialize to .prl"
         )
-    for stmt in action.statements:
-        if isinstance(stmt, _LogStatement):
-            lines.append(f"    log {_quote(stmt.template)}")
-        elif isinstance(stmt, _InsertStatement):
-            kwargs = ", ".join(
-                f"{k}=${v}" if is_var else f"{k}={_render_literal(v)}"
-                for k, v, is_var in stmt.kwargs
-            )
-            lines.append(f"    insert {stmt.fact_type}({kwargs})")
-        else:  # pragma: no cover - future statement kinds
-            raise SerializationError(f"unknown statement {stmt!r}")
+    lines += _render_statements(action.statements, "    ")
     lines.append("end")
     return "\n".join(lines)
 

@@ -75,6 +75,10 @@ class Fact:
         """Return field ``name`` or ``default`` when absent."""
         return self._fields.get(name, default)
 
+    def __format__(self, spec: str) -> str:
+        # a fact in a rule's log template formats as its repr
+        return format(repr(self), spec)
+
     def __contains__(self, name: str) -> bool:
         return name in self._fields
 
@@ -316,9 +320,13 @@ class FactStream:
         self.batches: tuple[FactBatch, ...] = tuple(batches)
         if len({b.fact_type for b in self.batches}) != len(self.batches):
             raise ValueError("a stream holds one batch per fact type")
-        self._length = sum(len(b) for b in self.batches)
-        if sorted(chain.from_iterable(b.positions for b in self.batches)) \
-                != list(range(self._length)):
+        n = self._length = sum(len(b) for b in self.batches)
+        # n positions in 0..n-1 with none repeated are each of 0..n-1 once
+        positions = np.fromiter(
+            chain.from_iterable(b.positions for b in self.batches),
+            np.int64, count=n)
+        if n and (positions.min() < 0 or positions.max() >= n
+                  or np.bincount(positions, minlength=n).max() > 1):
             raise ValueError("stream positions must be 0..n-1, each once")
 
     def __len__(self) -> int:

@@ -34,6 +34,7 @@ from .conditions import (
     Pattern,
     Test,
 )
+from .expr import check_template
 from .facts import Fact, FactHandle
 
 ConditionElement = Union[Pattern, Test]
@@ -61,9 +62,6 @@ class RuleContext:
                 f"rule {self.rule.name!r} has no binding {name!r}; "
                 f"available: {sorted(self.bindings)}"
             ) from None
-
-    def get(self, name: str, default: Any = None) -> Any:
-        return self.bindings.get(name, default)
 
     # -- engine pass-throughs --------------------------------------------
     def assert_fact(self, fact: Fact) -> FactHandle:
@@ -108,6 +106,9 @@ class Rule:
         asserted during the same firing (prevents trivial self-loops).
     doc:
         Optional human-readable description of the diagnosis the rule encodes.
+    params:
+        ``(name, value)`` of each ``param`` the rule declares: named
+        literals of its constraints (see :func:`~repro.rules.dsl.with_params`).
     """
 
     name: str
@@ -116,11 +117,13 @@ class Rule:
     salience: int = 0
     no_loop: bool = False
     doc: str = ""
+    params: tuple[tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("rule name must be non-empty")
         object.__setattr__(self, "conditions", tuple(self.conditions))
+        object.__setattr__(self, "params", tuple(self.params))
         if not self.conditions:
             raise ValueError(f"rule {self.name!r} has an empty LHS")
         if not any(isinstance(c, Pattern) for c in self.conditions):
@@ -212,12 +215,10 @@ class RuleBuilder:
         return self
 
     def then_log(self, template: str) -> "RuleBuilder":
-        """Action that formats ``template`` with the bindings and logs it."""
-
-        def action(ctx: RuleContext) -> None:
-            ctx.log(_format_bindings(template, ctx.bindings))
-
-        return self.then(action)
+        """Action that logs ``template`` (a :mod:`~repro.rules.expr`
+        template, checked here) filled from the bindings."""
+        message = check_template(template)
+        return self.then(lambda ctx: ctx.log(message(ctx.bindings)))
 
     def build(self) -> Rule:
         if self._action is None:
@@ -230,32 +231,3 @@ class RuleBuilder:
             no_loop=self._no_loop,
             doc=self._doc,
         )
-
-
-def _format_bindings(template: str, bindings: Bindings) -> str:
-    """Format ``{var}`` / ``{var.field}`` / ``{var:.3f}`` references.
-
-    Facts bound as pattern variables support dotted field access.
-    """
-
-    class _Resolver(dict):
-        def __missing__(self, key: str):
-            raise KeyError(key)
-
-    class _FactProxy:
-        def __init__(self, fact: Fact) -> None:
-            self._fact = fact
-
-        def __getattr__(self, item: str) -> Any:
-            try:
-                return self._fact[item]
-            except KeyError as exc:
-                raise AttributeError(str(exc)) from None
-
-        def __format__(self, spec: str) -> str:
-            return format(repr(self._fact), spec)
-
-    resolver = _Resolver()
-    for k, v in bindings.items():
-        resolver[k] = _FactProxy(v) if isinstance(v, Fact) else v
-    return template.format_map(resolver)

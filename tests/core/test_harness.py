@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import AnalysisError, RuleHarness, register_rulebase
+from repro.core import harness as harness_module
 from repro.rules import Fact, RuleBuilder, parse_rules
 
 SRC = 'rule "r" when f : T(x > 1) then log "hit {f.x}" end'
@@ -26,7 +27,10 @@ class TestResolution:
         assert len(RuleHarness(str(p)).engine.rules) == 1
         assert len(RuleHarness(Path(p)).engine.rules) == 1
 
-    def test_from_registered_name(self):
+    def test_from_registered_name(self, monkeypatch):
+        # a copy of the registry, so the name does not outlive the test
+        monkeypatch.setattr(harness_module, "_REGISTERED_RULEBASES",
+                            dict(harness_module._REGISTERED_RULEBASES))
         register_rulebase("test-base-xyz", lambda: parse_rules(SRC))
         h = RuleHarness("test-base-xyz")
         assert [r.name for r in h.engine.rules] == ["r"]

@@ -10,6 +10,7 @@ from repro.rules import (
     Rule,
     RuleBuilder,
     SerializationError,
+    Test,
     parse_rules,
     rule_to_prl,
     rules_to_prl,
@@ -28,24 +29,35 @@ def assert_rules_equivalent(a: Rule, b: Rule) -> None:
     assert a.salience == b.salience
     assert a.no_loop == b.no_loop
     assert a.doc == b.doc
+    assert a.params == b.params
     assert len(a.conditions) == len(b.conditions)
     for ca, cb in zip(a.conditions, b.conditions):
+        if isinstance(ca, Test):
+            assert ca == cb  # the same expression source
+            continue
         assert ca.fact_type == cb.fact_type
         assert ca.bind_as == cb.bind_as
         assert ca.negated == cb.negated
         assert ca.constraints == cb.constraints
+        assert [c.param for c in ca.constraints] == \
+            [c.param for c in cb.constraints]
     assert a.action.statements == b.action.statements
+
+
+SHIPPED_FILES = ["OpenUHRules.prl", "ServiceRules.prl", "LineageRules.prl",
+                 "RegressionRules.prl", "ExperimentRules.prl"]
 
 
 class TestShippedRules:
     def test_shipped_prl_roundtrips(self):
         from repro.knowledge import prl_rules
 
-        original = prl_rules()
-        again = parse_rules(rules_to_prl(original))
-        assert len(again) == len(original)
-        for a, b in zip(original, again):
-            assert_rules_equivalent(a, b)
+        for filename in SHIPPED_FILES:
+            original = prl_rules(filename)
+            again = parse_rules(rules_to_prl(original))
+            assert len(again) == len(original)
+            for a, b in zip(original, again):
+                assert_rules_equivalent(a, b)
 
 
 class TestSerializerEdges:

@@ -572,6 +572,10 @@ class TestFactBatches:
          FactBatch("B", {"y": [2]}, [0])],                  # position twice
         [FactBatch("A", {"x": [1]}, [0]),
          FactBatch("A", {"x": [2]}, [1])],                  # type twice
+        [FactBatch("A", {"x": [1, 2]}, [0, 2])],            # out of range
+        [FactBatch("A", {"x": [1]}, [-1])],                 # negative
+        [FactBatch("A", {"x": [1, 2]}, [-1, 1]),
+         FactBatch("B", {"y": [3]}, [0])],                  # negative, no gap
     ])
     def test_bad_streams_rejected(self, batches):
         with pytest.raises(ValueError):
