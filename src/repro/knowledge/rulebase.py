@@ -6,10 +6,10 @@ resolves it by name), and the service, lineage, experiment and
 regression rulebases are one file each (``regression-rules`` adds its
 file to ``OpenUHRules.prl``).  :func:`rulebase_loader` makes a
 rulebase's loader and registers its name.  Like the paper's harness,
-which loads its rulebase once per process, the rules are compiled on
-first use and shared: rules hold no match state (that lives in each
-harness's engine), so every diagnosis gets a fresh list of the same rule
-objects.
+which loads its rulebase once per process, the rules are compiled once
+(``openuh-rules`` on import, the others on first use) and shared: rules
+hold no match state (that lives in each harness's engine), so every
+diagnosis gets a fresh list of the same rule objects.
 
 The ``diagnose_*`` functions are the complete analysis scripts of §III:
 each builds a harness, generates facts from the trial, fires the rules, and
@@ -57,7 +57,7 @@ RULEBASE_CACHE_SIZE = 16
 
 
 @functools.lru_cache(maxsize=RULEBASE_CACHE_SIZE, typed=True)
-def _compiled_rules(files: tuple[str, ...] = (RULE_FILE,),
+def _compiled_rules(files: tuple[str, ...],
                     **threshold_overrides) -> tuple[Rule, ...]:
     rules = [rule for name in files for rule in prl_rules(name)]
     return tuple(with_params(rules, threshold_overrides))
@@ -88,6 +88,10 @@ experiment_rules = rulebase_loader("experiment-rules", "ExperimentRules.prl")
 #: The regression sentinel's rules, chained with the diagnosis rules.
 regression_rulebase = rulebase_loader("regression-rules", RULE_FILE,
                                       "RegressionRules.prl")
+# Like the Fig. 1 script, load the shipped rulebase before any analysis:
+# parsing it takes milliseconds, which a process's first diagnosis would
+# otherwise pay, and forked service workers inherit it compiled.
+openuh_rules()
 
 
 def _harness(**overrides) -> RuleHarness:

@@ -106,18 +106,23 @@ class DSLSyntaxError(Exception):
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+#: One token, after any whitespace and comments (``#`` or ``//`` to the
+#: end of the line); the group that matched names the token's kind.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<fstring>f"[^"\\]*(?:\\.[^"\\]*)*")
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_.\-]*)
-  | (?P<string>"[^"\\]*(?:\\.[^"\\]*)*")
-  | (?P<comment>(\#|//)[^\n]*)
-  | (?P<number>-?\d+\.\d*(?:[eE][-+]?\d+)?|-?\.\d+(?:[eE][-+]?\d+)?|-?\d+(?:[eE][-+]?\d+)?)
-  | (?P<op>:=|==|!=|>=|<=|>|<|\(|\)|\[|\]|,|:|\$|=|\+|-|\*|/)
+    (?:\s+|(?:\#|//)[^\n]*)*
+    (?:
+      (?P<fstring>f"[^"\\]*(?:\\.[^"\\]*)*")
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_.\-]*)
+    | (?P<string>"[^"\\]*(?:\\.[^"\\]*)*")
+    | (?P<number>-?\d+\.\d*(?:[eE][-+]?\d+)?|-?\.\d+(?:[eE][-+]?\d+)?|-?\d+(?:[eE][-+]?\d+)?)
+    | (?P<op>:=|==|!=|>=|<=|>|<|\(|\)|\[|\]|,|:|\$|=|\+|-|\*|/)
+    )
     """,
     re.VERBOSE,
 )
+#: What may follow the last token.
+_TRAILER_RE = re.compile(r"(?:\s+|(?:\#|//)[^\n]*)*\Z")
 
 #: What compiling checked action trees can still raise (deep nesting,
 #: field names Python reserves such as ``__debug__``).
@@ -137,22 +142,28 @@ class Token(NamedTuple):
         return self.pos + len(self.value)
 
 
+_new_token = tuple.__new__  # skips Token.__new__'s Python-level call
+
+
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    pos = 0
+    end = 0
     line = 1
     for m in _TOKEN_RE.finditer(text):
-        if m.start() != pos:
+        if m.start() != end:
             break
         kind = m.lastgroup
-        value = m.group()
-        if kind != "ws" and kind != "comment":
-            tokens.append(Token(kind, value, line, pos))
-        if kind == "ws" or kind == "string" or kind == "fstring":
+        pos = m.start(kind)
+        line += text.count("\n", end, pos)
+        value = m.group(kind)
+        tokens.append(_new_token(Token, (kind, value, line, pos)))
+        end = m.end()
+        if kind == "string" or kind == "fstring":
             line += value.count("\n")
-        pos = m.end()
-    if pos < len(text):
-        raise DSLSyntaxError(f"unexpected character {text[pos]!r}", line)
+    if _TRAILER_RE.match(text, end) is None:
+        gap = re.compile(r"(?:\s+|(?:\#|//)[^\n]*)*").match(text, end).end()
+        raise DSLSyntaxError(f"unexpected character {text[gap]!r}",
+                             line + text.count("\n", end, gap))
     return tokens
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import ast
 import functools
 import keyword
+import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Collection, Iterable, Iterator
 
@@ -40,6 +41,8 @@ _UNARYOPS = (ast.USub, ast.UAdd, ast.Not)
 _CMPOPS = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 _CONSTANTS = (str, int, float, bool, type(None))
 _CONVERSIONS = {"r": ord("r"), "s": ord("s"), "a": ord("a")}
+_BRACE = re.compile(r"[{}]")
+_SIMPLE_FIELD = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)(?::([^{}!]*))?\}")
 
 
 class ExprError(ValueError):
@@ -214,17 +217,21 @@ def _fields(text: str) -> Iterator[tuple[str, str | None, int, str]]:
     ``!`` (not ``!=``), ``:`` or ``}`` outside brackets and quotes."""
     literal: list[str] = []
     i, n = 0, len(text)
-    while i < n:
+    while (brace := _BRACE.search(text, i)) is not None:
+        literal.append(text[i:brace.start()])
+        i = brace.start()
         ch = text[i]
-        if ch in "{}" and text[i + 1:i + 2] == ch:
+        if text[i + 1:i + 2] == ch:
             literal.append(ch)
             i += 2
             continue
         if ch == "}":
             raise ExprError("single '}' in template")
-        if ch != "{":
-            literal.append(ch)
-            i += 1
+        simple = _SIMPLE_FIELD.match(text, i)
+        if simple:  # {name} or {name:spec}, the common case
+            yield "".join(literal), simple[1], -1, simple[2] or ""
+            literal = []
+            i = simple.end()
             continue
         start = j = i + 1
         depth, quote = 0, None
@@ -263,5 +270,6 @@ def _fields(text: str) -> Iterator[tuple[str, str | None, int, str]]:
         yield "".join(literal), expr, conversion, text[spec_start:j]
         literal = []
         i = j + 1
-    if literal:
+    literal.append(text[i:])
+    if literal != [""]:
         yield "".join(literal), None, -1, ""
