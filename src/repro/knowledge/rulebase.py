@@ -64,16 +64,11 @@ def _compiled_rules(files: tuple[str, ...],
 
 
 def rulebase_loader(name: str, *files: str) -> Callable[..., list[Rule]]:
-    """Register rulebase ``name`` as the rules of ``files`` and return its
-    loader.
-
-    The loader's keyword arguments override ``param`` values by name in
-    every rule that declares them; a name no rule declares raises
-    ``ValueError``, so ablations cannot silently misconfigure a rule.
-    The rules are compiled once per process for each distinct override
-    set (names, values and value types) and shared; the returned list is
-    new on every call, so callers may add or drop rules freely.
-    """
+    """Register rulebase ``name`` as the rules of ``files``; return its
+    loader, whose keywords override ``param`` values (:func:`with_params`:
+    an undeclared name raises ``ValueError``).  Rules are compiled once
+    per distinct override set (names, values, value types) and shared;
+    each call returns a new list, so callers may add or drop rules."""
     def load(**threshold_overrides) -> list[Rule]:
         return list(_compiled_rules(files, **threshold_overrides))
 

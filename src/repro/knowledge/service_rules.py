@@ -1,9 +1,5 @@
-"""ServiceRules: operations advice for the analysis service itself.
-
-The rules are ``ServiceRules.prl``; they read the health facts of
-``AnalysisService.service_facts()`` and the trend facts of
-:mod:`repro.serve.monitor`, and resolve by name for ``serve diagnose``.
-"""
+"""ServiceRules: operations advice for the analysis service itself, as
+``ServiceRules.prl`` (``serve diagnose``)."""
 
 from .rulebase import rulebase_loader
 

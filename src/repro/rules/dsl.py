@@ -49,15 +49,12 @@ Grammar (informal)::
     kwarg       := IDENT '=' (literal | FSTRING+ | expr)
     literal     := STRING | NUMBER | 'true' | 'false' | 'null' | IDENT
 
-A ``param`` is a rule's named literal: constraints name it where they
-would write the literal, and :func:`with_params` substitutes another
-value, so the pattern keeps plain literal tests.  ``log`` strings and
-``f"..."`` values are templates and ``test``/``if``/``insert`` take
-expressions, both in the whitelisted Python subset of
-:mod:`repro.rules.expr`; a ``test`` or ``if`` expression runs to the end
-of its line (brackets may continue it), and ``$name`` reads a binding
-wherever a bare ``name`` may.  Comments run from ``#`` or ``//`` to end
-of line.
+A ``param`` names a literal of its rule's constraints (:func:`with_params`
+sets it).  Templates (``log`` strings, ``f"..."`` values) and expressions
+are the whitelisted Python of :mod:`repro.rules.expr`; a ``test`` or
+``if`` expression ends with its line unless brackets are open, and
+``$name`` reads a binding.  Comments run from ``#`` or ``//`` to the end
+of the line.
 """
 
 from __future__ import annotations
@@ -124,9 +121,6 @@ _TOKEN_RE = re.compile(
 #: What may follow the last token.
 _TRAILER_RE = re.compile(r"(?:\s+|(?:\#|//)[^\n]*)*\Z")
 
-#: What compiling checked action trees can still raise (deep nesting,
-#: field names Python reserves such as ``__debug__``).
-_COMPILE_ERRORS = (SyntaxError, ValueError, RecursionError, MemoryError)
 #: DSL words that spell Python constants inside expressions.
 _PY_CONSTANTS = {"true": "True", "false": "False", "null": "None"}
 
@@ -222,14 +216,9 @@ class _Parser:
                   for _, statements, _ in parsed]
         try:
             functions = compile_actions(bodies)
-        except _COMPILE_ERRORS:
-            for (line, _, _), body in zip(parsed, bodies):
-                try:
-                    compile_actions([body])
-                except _COMPILE_ERRORS as exc:
-                    raise DSLSyntaxError(f"cannot compile: {exc!r}",
-                                         line) from None
-            raise
+        except (SyntaxError, RecursionError, MemoryError) as exc:
+            line = parsed[0][0] if parsed else 1
+            raise DSLSyntaxError(f"cannot compile: {exc!r}", line) from None
         rules = []
         for (line, statements, header), function in zip(parsed, functions):
             try:
@@ -407,10 +396,8 @@ class _Parser:
             text = _unquote(self._expect("string"))
             while self._peek() is not None and self._peek().kind == "string":
                 text += _unquote(self._next())
-            try:
-                return _LogStatement(text, check_template(text, scope).tree)
-            except ExprError as exc:
-                raise DSLSyntaxError(str(exc), tok.line) from None
+            return _LogStatement(
+                text, _checking(tok.line, check_template, text, scope).tree)
         if tok.kind == "ident" and tok.value == "insert":
             fact_type = self._expect("ident").value
             self._expect("op", "(")
@@ -418,8 +405,8 @@ class _Parser:
             if not self._accept("op", ")"):
                 while True:
                     key = self._expect("ident")
-                    if not key.value.isidentifier() \
-                            or key.value in dict(fields):
+                    if not key.value.isidentifier() or key.value in \
+                            dict(fields) or key.value.startswith("__"):
                         raise DSLSyntaxError(
                             f"bad or repeated field {key.value!r}", key.line)
                     self._expect("op", "=")
@@ -447,22 +434,16 @@ class _Parser:
         if len(toks) == 1 and toks[0].kind in ("string", "number", "ident"):
             self._pos -= 1
             return self._parse_literal()
-        try:
-            if all(t.kind == "fstring" for t in toks):
-                text = "".join(_unquote(t, 2) for t in toks)
-                return replace(check_template(text, scope),
-                               source=" ".join(t.value for t in toks))
-            return _expr_of_tokens(toks, scope)
-        except ExprError as exc:
-            raise DSLSyntaxError(str(exc), toks[0].line) from None
+        if all(t.kind == "fstring" for t in toks):
+            text = "".join(_unquote(t, 2) for t in toks)
+            return replace(_checking(toks[0].line, check_template, text, scope),
+                           source=" ".join(t.value for t in toks))
+        return _checking(toks[0].line, _expr_of_tokens, toks, scope)
 
     def _parse_expr(self, keyword: Token, scope: Scope) -> Expr:
         """The expression after ``keyword``, to the end of its line."""
         toks = self._expression_tokens(keyword, to_line_end=True)
-        try:
-            return _expr_of_tokens(toks, scope)
-        except ExprError as exc:
-            raise DSLSyntaxError(str(exc), keyword.line) from None
+        return _checking(keyword.line, _expr_of_tokens, toks, scope)
 
     def _expression_tokens(self, start: Token | None,
                            to_line_end: bool) -> list[Token]:
@@ -485,6 +466,14 @@ class _Parser:
         if not toks:
             raise DSLSyntaxError("missing expression", line or 1)
         return toks
+
+
+def _checking(line: int, check, *args):
+    """``check(*args)``, its :class:`ExprError` reported at ``line``."""
+    try:
+        return check(*args)
+    except ExprError as exc:
+        raise DSLSyntaxError(str(exc), line) from None
 
 
 def _expr_of_tokens(toks: list[Token], scope: Scope) -> Expr:
@@ -678,8 +667,6 @@ def _render_statements(statements, indent: str) -> list[str]:
                 lines.append(f"{indent}else")
                 lines += _render_statements(stmt.orelse, indent + "    ")
             lines.append(f"{indent}end")
-        else:  # pragma: no cover - future statement kinds
-            raise SerializationError(f"unknown statement {stmt!r}")
     return lines
 
 

@@ -75,10 +75,6 @@ class Fact:
         """Return field ``name`` or ``default`` when absent."""
         return self._fields.get(name, default)
 
-    def __format__(self, spec: str) -> str:
-        # a fact in a rule's log template formats as its repr
-        return format(repr(self), spec)
-
     def __contains__(self, name: str) -> bool:
         return name in self._fields
 

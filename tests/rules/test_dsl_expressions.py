@@ -103,10 +103,10 @@ class TestConditionsAndActions:
 
     def test_fact_fields_and_facts_in_templates(self):
         rules = parse_rules('rule "x" when f : E(n := name) then '
-                            'log "{f.name}|{f[\\"name\\"]}|{f:>40}" end')
+                            'log "{f.name}|{f[\\"name\\"]}|{f}" end')
         fact = Fact("E", name="loop")
         engine = fire(rules, fact)
-        assert engine.output == [f"[x] loop|loop|{repr(fact):>40}"]
+        assert engine.output == [f"[x] loop|loop|{fact!r}"]
 
     def test_then_log_takes_the_same_templates(self):
         rule = (RuleBuilder("py").when("f", "E", "n := name")
