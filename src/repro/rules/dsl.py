@@ -103,11 +103,14 @@ class DSLSyntaxError(Exception):
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-#: One token, after any whitespace and comments (``#`` or ``//`` to the
-#: end of the line); the group that matched names the token's kind.
-_TOKEN_RE = re.compile(
-    r"""
-    (?:\s+|(?:\#|//)[^\n]*)*
+#: Whitespace and comments (``#`` or ``//`` to the end of the line).
+_SKIP = r"(?:\s+|(?:\#|//)[^\n]*)*"
+_SKIP_RE = re.compile(_SKIP)
+#: One token after what ``_SKIP`` skips, taken whole (a lookahead and a
+#: backreference, so no comment is re-read as ``/`` tokens and a failed
+#: match does not backtrack into it); the group that matched names the
+#: token's kind.
+_TOKEN_RE = re.compile(r"(?=(?P<skip>" + _SKIP + r"))(?P=skip)" + r"""
     (?:
       (?P<fstring>f"[^"\\]*(?:\\.[^"\\]*)*")
     | (?P<ident>[A-Za-z_][A-Za-z0-9_.\-]*)
@@ -115,11 +118,7 @@ _TOKEN_RE = re.compile(
     | (?P<number>-?\d+\.\d*(?:[eE][-+]?\d+)?|-?\.\d+(?:[eE][-+]?\d+)?|-?\d+(?:[eE][-+]?\d+)?)
     | (?P<op>:=|==|!=|>=|<=|>|<|\(|\)|\[|\]|,|:|\$|=|\+|-|\*|/)
     )
-    """,
-    re.VERBOSE,
-)
-#: What may follow the last token.
-_TRAILER_RE = re.compile(r"(?:\s+|(?:\#|//)[^\n]*)*\Z")
+    """, re.VERBOSE)
 
 #: DSL words that spell Python constants inside expressions.
 _PY_CONSTANTS = {"true": "True", "false": "False", "null": "None"}
@@ -143,9 +142,7 @@ def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     end = 0
     line = 1
-    for m in _TOKEN_RE.finditer(text):
-        if m.start() != end:
-            break
+    while (m := _TOKEN_RE.match(text, end)) is not None:
         kind = m.lastgroup
         pos = m.start(kind)
         line += text.count("\n", end, pos)
@@ -154,8 +151,8 @@ def _tokenize(text: str) -> list[Token]:
         end = m.end()
         if kind == "string" or kind == "fstring":
             line += value.count("\n")
-    if _TRAILER_RE.match(text, end) is None:
-        gap = re.compile(r"(?:\s+|(?:\#|//)[^\n]*)*").match(text, end).end()
+    gap = _SKIP_RE.match(text, end).end()
+    if gap < len(text):
         raise DSLSyntaxError(f"unexpected character {text[gap]!r}",
                              line + text.count("\n", end, gap))
     return tokens

@@ -165,10 +165,17 @@ def test_forbidden_expression_is_a_syntax_error(expr, site):
     RULE.format(test="", action='    log "{' + "not " * 5000 + 'c}"\n'),
     RULE.format(test="", action="    if c\n" * 3000 + "    end\n" * 3000),
     RULE.format(test="", action="    insert R(__debug__=1)\n"),
+    "rule" + " " * 20000 + "@",                 # linear, not exponential,
+    "rule\n" + "// //" * 5000 + "\n@",          # backtracking over blanks
 ])
 def test_deep_or_reserved_input_is_a_syntax_error(text):
     with pytest.raises(DSLSyntaxError):
         parse_rules(text)
+
+
+def test_a_trailing_comment_is_not_tokens():
+    text = RULE.format(test="", action="") + "// note / # note"
+    assert [r.name for r in parse_rules(text)] == ["Injected"]
 
 
 def test_a_bare_word_value_is_a_string():
