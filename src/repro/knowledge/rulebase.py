@@ -59,8 +59,13 @@ RULEBASE_CACHE_SIZE = 16
 @functools.lru_cache(maxsize=RULEBASE_CACHE_SIZE, typed=True)
 def _compiled_rules(files: tuple[str, ...],
                     **threshold_overrides) -> tuple[Rule, ...]:
-    rules = [rule for name in files for rule in prl_rules(name)]
-    return tuple(with_params(rules, threshold_overrides))
+    # each file is parsed once; override sets and multi-file rulebases
+    # are built from the cached parses
+    if threshold_overrides:
+        return tuple(with_params(_compiled_rules(files), threshold_overrides))
+    if len(files) > 1:
+        return tuple(rule for name in files for rule in _compiled_rules((name,)))
+    return tuple(prl_rules(files[0]))
 
 
 def rulebase_loader(name: str, *files: str) -> Callable[..., list[Rule]]:
