@@ -41,6 +41,9 @@ _UNARYOPS = (ast.USub, ast.UAdd, ast.Not)
 _CMPOPS = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 _CONSTANTS = (str, int, float, bool, type(None))
 _CONVERSIONS = {"r": ord("r"), "s": ord("s"), "a": ord("a")}
+#: Longer text is refused before Python's parser sees it (a rule's
+#: expressions are a line or two; an unclosed bracket swallows the file).
+_MAX_EXPRESSION = 1000
 _BRACE = re.compile(r"[{}]")
 _SIMPLE_FIELD = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)(?::([^{}!]*))?\}")
 
@@ -138,6 +141,9 @@ def _parse(text: str) -> ast.expr:
     text = text.strip()
     if text.isidentifier() and not keyword.iskeyword(text):
         return ast.Name(text, ast.Load(), **_LOC)  # the common case, fast
+    if len(text) > _MAX_EXPRESSION:
+        raise ExprError(f"expression longer than {_MAX_EXPRESSION} "
+                        f"characters: {text[:40]!r}...")
     try:
         return ast.parse(text, mode="eval").body
     except SyntaxError as exc:

@@ -253,7 +253,7 @@ def injected(draw, text, tokens):
     return text[:tok.pos] + line + text[tok.pos:]
 
 
-@settings(max_examples=300, deadline=None,
+@settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.function_scoped_fixture])
 @given(mutated_rule_files())
