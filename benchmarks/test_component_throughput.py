@@ -226,27 +226,33 @@ def test_traced_omp_run_throughput(benchmark):
 
 
 def test_batched_counter_rows_throughput(benchmark):
-    """One array formula over the 399 MSA 400 x 16 distance tasks against
-    the per-task scalar formula, row for row bit-identical."""
+    """The MSA 400 x 16 distance loop as one column formula (399 rows of
+    task table, then the batched counter rows) against the per-pair
+    signature and the per-task scalar counter formula, row for row
+    bit-identical."""
     import time
 
-    from repro.apps.msa import distance_tasks, generate_sequences
+    from repro.apps.msa import distance_tasks, generate_sequences, sw_work_signature
     from repro.machine import ProcessorModel
     from tests.machine.scalar_reference import reference_counters
 
-    works = [t.work for t in distance_tasks(generate_sequences(400, seed=0))]
+    seqs = generate_sequences(400, seed=0)
+    lengths = seqs.lengths.tolist()
     model = ProcessorModel()
 
     def per_task():
-        return np.stack([reference_counters(model, w, None) for w in works])
+        return np.stack([
+            reference_counters(model, sw_work_signature(
+                length, sum(lengths[i + 1:])), None)
+            for i, length in enumerate(lengths[:-1])])
 
     scalar_seconds = float("inf")
     for _ in range(5):
         t0 = time.perf_counter()
         scalar = per_task()
         scalar_seconds = min(scalar_seconds, time.perf_counter() - t0)
-    rows = benchmark(model.execute_rows, works)
-    assert len(works) == 399
+    rows = benchmark(lambda: model.execute_rows(distance_tasks(seqs)))
+    assert len(rows) == 399
     assert rows.tobytes() == scalar.tobytes()
     speedup = scalar_seconds / benchmark.stats.stats.min
     benchmark.extra_info["per_task_seconds"] = scalar_seconds

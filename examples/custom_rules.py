@@ -5,19 +5,23 @@ The point of the paper is that tuning expertise should be *captured* and
 reused.  This example encodes a new piece of knowledge — "MPI time above
 20% of runtime on a small machine means the problem is communication-bound,
 so scaling further out will not help" — in the .prl dialect, combines it
-with a metadata-context rule, and runs it over a simulated trial.  The
-20% is a ``param``: ``with_params(rules, {"mpi_share": 0.3})`` moves it
-without editing the text.  The insert's message is a template and its
-severity an expression over the bindings.
+with a metadata-context rule, and runs it over the profile of a
+communication-bound halo-exchange code on 8 ranks.  The 20% is a
+``param`` that both MPI-share rules declare: ``with_params(rules,
+{"mpi_share": 0.5})`` moves it for both without editing the text.  The
+insert's message is a template and its severity an expression over the
+bindings.
 
 Run:  python examples/custom_rules.py
 """
 
-from repro.apps.genidlest import RIB45, RunConfig, run_genidlest
+import numpy as np
+
 from repro.core import PerformanceResult, RuleHarness
 from repro.core.facts import severity_of, trial_metadata_facts
 from repro.core.operations.statistics import BasicStatisticsOperation
-from repro.rules import Fact
+from repro.perfdmf import Event, Trial, TrialBuilder
+from repro.rules import Fact, parse_rules, with_params
 
 MY_RULES = """
 # Knowledge: communication share gates scalability.
@@ -38,8 +42,9 @@ end
 
 rule "Communication fine"
 salience 4
+param mpi_share = 0.20
 when
-    f : GroupShareFact(group == "MPI", share <= 0.20, s := share, t := trial)
+    f : GroupShareFact(group == "MPI", share <= mpi_share, s := share, t := trial)
     not Recommendation(category == "communication-bound")
 then
     log "Trial {t}: MPI share {s:.0%} is healthy."
@@ -73,20 +78,51 @@ def group_share_facts(result: PerformanceResult) -> list[Fact]:
     ]
 
 
-def main() -> None:
-    print("running GenIDLEST 45rib with MPI on 8 ranks...")
-    run = run_genidlest(
-        RunConfig(case=RIB45, version="mpi", optimized=True, n_procs=8,
-                  iterations=3)
-    )
-    result = PerformanceResult(run.trial)
+#: A halo-exchange code's mean exclusive seconds per rank: the solver
+#: waits on its neighbours' faces and on a residual reduction each step.
+HALO_PROFILE = {
+    Event("main"): 0.4,
+    Event("solve"): 5.2,
+    Event("MPI_Isend", "MPI"): 0.3,
+    Event("MPI_Waitall", "MPI"): 3.1,
+    Event("MPI_Allreduce", "MPI"): 1.0,
+}
 
-    harness = RuleHarness(MY_RULES)
+
+def halo_exchange_trial(n_ranks: int = 8) -> Trial:
+    """The TAU-style profile of a communication-bound run on ``n_ranks``:
+    ranks further from the middle of the ring wait a little longer."""
+    events = list(HALO_PROFILE)
+    skew = 1.0 + 0.05 * np.abs(np.arange(n_ranks) - (n_ranks - 1) / 2)
+    exclusive = np.outer(list(HALO_PROFILE.values()), skew) * 1e6
+    inclusive = exclusive.copy()
+    inclusive[0] = exclusive.sum(axis=0)  # main encloses everything
+    return (
+        TrialBuilder(f"halo_{n_ranks}", {"procs": n_ranks})
+        .with_events(events)
+        .with_threads(n_ranks)
+        .with_metric("TIME", exclusive, inclusive, units="usec")
+        .with_calls(np.ones_like(exclusive))
+        .build()
+    )
+
+
+def diagnose(trial: Trial, params: dict | None = None) -> RuleHarness:
+    """Run :data:`MY_RULES` (with ``params`` overriding their thresholds)
+    over ``trial``'s group shares and metadata."""
+    result = PerformanceResult(trial)
+    harness = RuleHarness(with_params(parse_rules(MY_RULES), params or {}))
     harness.assertObjects(group_share_facts(result))
     harness.assertObjects(trial_metadata_facts(result))
-    fired = harness.processRules()
+    harness.processRules()
+    return harness
 
-    print(f"\n{fired} rule firings; findings:")
+
+def main() -> None:
+    print("profiling a halo-exchange code on 8 ranks...")
+    harness = diagnose(halo_exchange_trial(8))
+
+    print(f"\n{len(harness.engine.trace)} rule firings; findings:")
     for line in harness.output:
         print(f"  {line}")
 

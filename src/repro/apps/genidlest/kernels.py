@@ -8,7 +8,8 @@ The §III.B profile names the procedures that fail to scale:
   correctness at small sizes — e.g. ``matxvec`` against an assembled
   sparse matrix), and
 * a **work-signature model** (``*_signature``) describing its per-call
-  cost at full scale for the runtime simulator.
+  cost at full scale for the runtime simulator, as columns over the
+  blocks' cell counts.
 
 Signature op counts are derived by inspection of the implementations
 (stencil width, arrays touched per cell) rather than free-hand, so the
@@ -19,8 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...machine import WorkSignature
-from .mesh import FIELDS_PER_BLOCK, REAL_BYTES, Block
+from .mesh import FIELDS_PER_BLOCK, REAL_BYTES
 
 # ---------------------------------------------------------------------------
 # Real kernels (small-scale correctness)
@@ -110,8 +110,12 @@ def fill_ghost_faces(
 
 
 # ---------------------------------------------------------------------------
-# Work-signature models (per call, per block)
+# Work-signature models (per call, per block), as column formulas
 # ---------------------------------------------------------------------------
+#
+# Each model maps an array of block cell counts (or of copied bytes) to the
+# work columns of one task per block: keyword arguments of a
+# :class:`~repro.machine.TaskTable`.
 
 #: Knobs shared by the field kernels: large footprints, moderate reuse when
 #: virtual cache blocking is on.
@@ -119,120 +123,68 @@ _CACHE_BLOCKED_REUSE = 0.85
 _UNBLOCKED_REUSE = 0.55
 
 
-def _block_footprint(block: Block, arrays: int) -> float:
-    return float(block.cells * REAL_BYTES * arrays)
+def _stencil(cells, flops, int_ops, loads, stores, branches, arrays,
+             **knobs) -> dict:
+    """Per-cell operation counts times ``cells``; ``arrays`` block-sized
+    arrays of footprint."""
+    cells = np.asarray(cells, float)
+    return dict(
+        flops=cells * flops, int_ops=cells * int_ops, loads=cells * loads,
+        stores=cells * stores, branches=cells * branches,
+        footprint_bytes=cells * REAL_BYTES * arrays, **knobs,
+    )
 
 
-def diff_coeff_signature(block: Block, *, cache_blocked: bool = True) -> WorkSignature:
+def diff_coeff_signature(cells, *, cache_blocked: bool = True) -> dict:
     """Per-call cost: 3 face directions × (2 mul + 1 add + 1 div ≈ 6 flops),
     reads u + writes 3 coef arrays."""
-    cells = float(block.cells)
-    return WorkSignature(
-        flops=cells * 18.0,
-        int_ops=cells * 3.0,
-        loads=cells * 6.0,
-        stores=cells * 3.0,
-        branches=cells * 0.15,
-        footprint_bytes=_block_footprint(block, 4),
-        reuse=_CACHE_BLOCKED_REUSE if cache_blocked else _UNBLOCKED_REUSE,
-        fp_dependency=0.25,
-        issue_inflation=1.15,
-    )
+    return _stencil(cells, 18.0, 3.0, 6.0, 3.0, 0.15, 4,
+                    reuse=_CACHE_BLOCKED_REUSE if cache_blocked else _UNBLOCKED_REUSE,
+                    fp_dependency=0.25, issue_inflation=1.15)
 
 
-def matxvec_signature(block: Block, *, cache_blocked: bool = True) -> WorkSignature:
+def matxvec_signature(cells, *, cache_blocked: bool = True) -> dict:
     """7-point stencil: 6 subs + 1 mul + 1 scale per cell; 7 reads 1 write."""
-    cells = float(block.cells)
-    return WorkSignature(
-        flops=cells * 8.0,
-        int_ops=cells * 3.0,
-        loads=cells * 7.0,
-        stores=cells * 1.0,
-        branches=cells * 0.1,
-        footprint_bytes=_block_footprint(block, 2),
-        reuse=_CACHE_BLOCKED_REUSE if cache_blocked else _UNBLOCKED_REUSE,
-        fp_dependency=0.2,
-        issue_inflation=1.15,
-    )
+    return _stencil(cells, 8.0, 3.0, 7.0, 1.0, 0.1, 2,
+                    reuse=_CACHE_BLOCKED_REUSE if cache_blocked else _UNBLOCKED_REUSE,
+                    fp_dependency=0.2, issue_inflation=1.15)
 
 
-def pc_signature(block: Block, *, cache_blocked: bool = True) -> WorkSignature:
+def pc_signature(cells, *, cache_blocked: bool = True) -> dict:
     """Schwarz smoother: ~2 sweeps of stencil + divide per cell."""
-    cells = float(block.cells)
-    return WorkSignature(
-        flops=cells * 20.0,
-        int_ops=cells * 4.0,
-        loads=cells * 10.0,
-        stores=cells * 2.0,
-        branches=cells * 0.2,
-        footprint_bytes=_block_footprint(block, 3),
-        reuse=0.92 if cache_blocked else _UNBLOCKED_REUSE,
-        fp_dependency=0.3,
-        issue_inflation=1.15,
-    )
+    return _stencil(cells, 20.0, 4.0, 10.0, 2.0, 0.2, 3,
+                    reuse=0.92 if cache_blocked else _UNBLOCKED_REUSE,
+                    fp_dependency=0.3, issue_inflation=1.15)
 
 
-def pc_jac_glb_signature(block: Block, *, cache_blocked: bool = True) -> WorkSignature:
+def pc_jac_glb_signature(cells, *, cache_blocked: bool = True) -> dict:
     """Global Jacobi step: divide + axpy per cell (bandwidth bound)."""
-    cells = float(block.cells)
-    return WorkSignature(
-        flops=cells * 4.0,
-        int_ops=cells * 2.0,
-        loads=cells * 3.0,
-        stores=cells * 1.0,
-        branches=cells * 0.1,
-        footprint_bytes=_block_footprint(block, 2),
-        reuse=0.7 if cache_blocked else _UNBLOCKED_REUSE,
-        fp_dependency=0.15,
-        issue_inflation=1.1,
-    )
+    return _stencil(cells, 4.0, 2.0, 3.0, 1.0, 0.1, 2,
+                    reuse=0.7 if cache_blocked else _UNBLOCKED_REUSE,
+                    fp_dependency=0.15, issue_inflation=1.1)
 
 
-def bicgstab_vector_signature(block: Block) -> WorkSignature:
+def bicgstab_vector_signature(cells) -> dict:
     """The solver's own vector algebra per iteration (dots, axpys):
-    ~10 vector ops over the block."""
-    cells = float(block.cells)
-    return WorkSignature(
-        flops=cells * 10.0,
-        int_ops=cells * 2.0,
-        loads=cells * 10.0,
-        stores=cells * 4.0,
-        branches=cells * 0.05,
-        footprint_bytes=_block_footprint(block, 6),
-        reuse=0.6,
-        fp_dependency=0.35,  # dot-product reductions serialize
-        issue_inflation=1.1,
-    )
+    ~10 vector ops over the block; dot-product reductions serialize."""
+    return _stencil(cells, 10.0, 2.0, 10.0, 4.0, 0.05, 6, reuse=0.6,
+                    fp_dependency=0.35, issue_inflation=1.1)
 
 
-def copy_signature(nbytes: float) -> WorkSignature:
-    """A ghost-face memcpy: pure streaming, no reuse, no FP."""
-    if nbytes < 0:
+def init_signature(cells) -> dict:
+    """Field initialization: write every cell of every array once (cold
+    writes)."""
+    return _stencil(cells, 2.0, 2.0, 1.0, FIELDS_PER_BLOCK, 0.05,
+                    FIELDS_PER_BLOCK, reuse=0.0, fp_dependency=0.05,
+                    issue_inflation=1.05)
+
+
+def copy_signature(nbytes) -> dict:
+    """A ghost-face memcpy of ``nbytes``: pure streaming, no reuse, no FP."""
+    nbytes = np.asarray(nbytes, float)
+    if (nbytes < 0).any():
         raise ValueError("nbytes must be non-negative")
     words = nbytes / REAL_BYTES
-    return WorkSignature(
-        int_ops=words * 0.5,
-        loads=words,
-        stores=words,
-        branches=words * 0.05,
-        footprint_bytes=2.0 * nbytes,
-        reuse=0.0,
-        fp_dependency=0.0,
-        issue_inflation=1.05,
-    )
-
-
-def init_signature(block: Block) -> WorkSignature:
-    """Field initialization: write every cell of every array once."""
-    cells = float(block.cells)
-    return WorkSignature(
-        flops=cells * 2.0,
-        int_ops=cells * 2.0,
-        loads=cells * 1.0,
-        stores=cells * FIELDS_PER_BLOCK,
-        branches=cells * 0.05,
-        footprint_bytes=_block_footprint(block, FIELDS_PER_BLOCK),
-        reuse=0.0,  # cold writes
-        fp_dependency=0.05,
-        issue_inflation=1.05,
-    )
+    return dict(int_ops=words * 0.5, loads=words, stores=words,
+                branches=words * 0.05, footprint_bytes=2.0 * nbytes,
+                reuse=0.0, fp_dependency=0.0, issue_inflation=1.05)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ...core.result import AnalysisError
 
 #: Bytes per scalar field value (double precision).
@@ -100,6 +102,9 @@ class MultiBlockMesh:
         self.blocks = [
             Block(b, ni, nj, per_block_k) for b in range(config.n_blocks)
         ]
+        #: Per-block cell counts and k-face bytes, the kernel models' input.
+        self.cells = np.array([block.cells for block in self.blocks], float)
+        self.face_bytes = np.array([b.face_bytes for b in self.blocks], float)
 
     @property
     def n_blocks(self) -> int:

@@ -38,17 +38,9 @@ from functools import partial
 
 import numpy as np
 
-from ...machine import Machine, PageTable, altix_300, altix_3600
+from ...machine import Machine, PageTable, TaskTable, altix_300, altix_3600
 from ...perfdmf import Trial
-from ...runtime import (
-    LoopTask,
-    MPIRuntime,
-    OpenMPRuntime,
-    Profiler,
-    RegionAccess,
-    Schedule,
-    task_rows,
-)
+from ...runtime import MPIRuntime, OpenMPRuntime, Profiler, Schedule, task_rows
 from .kernels import (
     bicgstab_vector_signature,
     copy_signature,
@@ -183,25 +175,6 @@ def _blocks_of(owner: int, n_owners: int, n_blocks: int) -> list[int]:
     return list(range(start, start + count))
 
 
-def _node_pressure(
-    page_table: PageTable, mesh: MultiBlockMesh, owners: list[list[int]],
-    machine: Machine, cpus: list[int],
-) -> dict[int, int]:
-    """threads-per-node pressure: how many workers' current blocks live on
-    each NUMA node (drives the contention factor)."""
-    workers_on_node: dict[int, set[int]] = {}
-    for worker, blocks in enumerate(owners):
-        for b in blocks:
-            hist = page_table.region(_block_region(b)).node_histogram(
-                machine.n_nodes
-            )
-            if hist.sum() == 0:
-                continue
-            node = int(np.argmax(hist))
-            workers_on_node.setdefault(node, set()).add(worker)
-    return {node: len(ws) for node, ws in workers_on_node.items()}
-
-
 def _solver_loops(config: RunConfig) -> list[tuple]:
     """``(event, calls, block → signature)`` of one solver iteration's
     loops: the kernels, then bicgstab's vector algebra."""
@@ -211,19 +184,25 @@ def _solver_loops(config: RunConfig) -> list[tuple]:
     ] + [(EVENT_BICGSTAB, 1, bicgstab_vector_signature)]
 
 
-def _contention_factor(
-    page_table: PageTable, machine: Machine, block: int,
-    pressure: dict[int, int],
-) -> float:
-    hist = page_table.region(_block_region(block)).node_histogram(machine.n_nodes)
-    if hist.sum() == 0:
-        return 1.0
-    node = int(np.argmax(hist))
-    concentration = float(hist[node]) / float(hist.sum())
-    if concentration < 0.75:
-        return 1.0
-    excess = max(0, pressure.get(node, 0) - machine.topology.cpus_per_node)
-    return 1.0 + CONTENTION_BETA * excess * concentration
+def _contention(page_table: PageTable, machine: Machine,
+                owners: list[list[int]]) -> np.ndarray:
+    """Each block's latency multiplier: ``1 + CONTENTION_BETA × excess ×
+    concentration`` where at least 75% of the block's pages sit on one
+    node, else 1.  The node's pressure counts the workers with a placed
+    block there; ``excess`` is the pressure beyond the node's CPUs."""
+    worker = np.repeat(np.arange(len(owners)), [len(o) for o in owners])
+    hists = np.array([page_table.region(_block_region(b)).node_histogram(
+        machine.n_nodes) for b in range(len(worker))])
+    totals, home = hists.sum(axis=1), hists.argmax(axis=1)
+    placed = totals > 0
+    homed = np.zeros((machine.n_nodes, len(owners)), bool)  # node × worker
+    homed[home[placed], worker[placed]] = True
+    pressure = homed.sum(axis=1)
+    excess = np.maximum(pressure[home] - machine.topology.cpus_per_node, 0)
+    with np.errstate(invalid="ignore"):  # an unplaced block's 0 / 0
+        concentration = hists[np.arange(len(home)), home] / totals
+    return np.where(concentration >= 0.75,
+                    1.0 + CONTENTION_BETA * excess * concentration, 1.0)
 
 
 def run_genidlest(
@@ -300,18 +279,14 @@ def _run_openmp(
     profiler.enter_set(cpus, EVENT_MAIN)
 
     # --- initialization: where first-touch placement happens -------------
+    regions = [_block_region(b) for b in range(mesh.n_blocks)]
+    blocks = np.arange(mesh.n_blocks)
+    init = TaskTable(regions, region=blocks, **init_signature(mesh.cells))
     if config.use_parallel_init:
-        init_tasks = [
-            LoopTask(
-                init_signature(mesh.blocks[b]),
-                RegionAccess(_block_region(b)),
-            )
-            for b in range(mesh.n_blocks)
-        ]
         omp.parallel_for(
             region_event=EVENT_INIT,
             loop_event="init_loop",
-            tasks=init_tasks,
+            tasks=init,
             n_threads=n,
             schedule=Schedule("static"),
             cpus=cpus,
@@ -321,45 +296,28 @@ def _run_openmp(
         omp.single(
             region_event=EVENT_INIT,
             body_event="init_loop",
-            work_items=[
-                LoopTask(
-                    init_signature(mesh.blocks[b]),
-                    RegionAccess(_block_region(b)),
-                )
-                for b in range(mesh.n_blocks)
-            ],
+            work_items=init,
             n_threads=n,
             cpus=cpus,
         )
 
     # Placement, and with it node pressure and every contention factor, is
     # fixed from here on, so each loop's tasks are built once.
-    pressure = _node_pressure(page_table, mesh, owners, machine, cpus)
-    contention = [
-        _contention_factor(page_table, machine, b, pressure)
-        for b in range(mesh.n_blocks)
-    ]
-
-    def block_tasks(signature) -> list[LoopTask]:
-        return [
-            LoopTask(signature(mesh.blocks[b]), RegionAccess(
-                _block_region(b), latency_multiplier=contention[b]))
-            for b in range(mesh.n_blocks)
-        ]
+    contention = _contention(page_table, machine, owners)
 
     # --- ghost-cell update -----------------------------------------------
     # The sequential (single-thread) exchange sees no controller
     # contention — only the concurrent parallel-copy path does.
     copies_each = 2 if not config.use_parallel_exchange else 1
-    copy_items = [
-        LoopTask(
-            copy_signature(mesh.blocks[src].face_bytes * copies_each),
-            RegionAccess(_block_region(dest), latency_multiplier=(
-                contention[dest] if config.use_parallel_exchange else 1.0)),
-        )
-        for src, dest in mesh.exchange_pairs()
-    ]
-    loops = [(event, calls, block_tasks(signature))
+    src, dest = np.array(mesh.exchange_pairs()).T
+    copy_items = TaskTable(
+        regions, region=dest,
+        latency_multiplier=contention[dest] if config.use_parallel_exchange else 1.0,
+        **copy_signature(mesh.face_bytes[src] * copies_each),
+    )
+    loops = [(event, calls, TaskTable(regions, region=blocks,
+                                      latency_multiplier=contention,
+                                      **signature(mesh.cells)))
              for event, calls, signature in _solver_loops(config)]
 
     for iteration in range(config.iterations):
@@ -426,22 +384,21 @@ def _run_mpi(
 
     profiler.enter_set(cpus, EVENT_MAIN)
 
-    def rank_rows(tasks_of: list[list[LoopTask]]) -> list[np.ndarray]:
-        """Every rank's counter rows for one phase, placed in rank order."""
-        rows = task_rows(
-            machine,
-            [task for tasks in tasks_of for task in tasks],
-            [cpus[r] for r in ranks for _ in tasks_of[r]],
-            page_table,
-        )
-        return np.split(rows, np.cumsum([len(tasks) for tasks in tasks_of])[:-1])
+    regions = [_block_region(b) for b in range(mesh.n_blocks)]
+
+    def rank_rows(blocks: list[np.ndarray], work) -> list[np.ndarray]:
+        """Every rank's counter rows for one phase: on rank ``r``, a task
+        of ``work(block ids)`` on each block of ``blocks[r]``, placed in
+        rank order."""
+        counts = [len(b) for b in blocks]
+        ids = np.concatenate(blocks)
+        rows = task_rows(machine, TaskTable(regions, region=ids, **work(ids)),
+                         np.repeat(cpus, counts), page_table)
+        return np.split(rows, np.cumsum(counts)[:-1])
 
     def block_rows(signature) -> list[np.ndarray]:
-        return rank_rows([
-            [LoopTask(signature(mesh.blocks[b]), RegionAccess(_block_region(b)))
-             for b in owners[r]]
-            for r in ranks
-        ])
+        return rank_rows([np.array(o) for o in owners],
+                         lambda ids: signature(mesh.cells[ids]))
 
     def run_phase(event: str, rows: list[np.ndarray]) -> None:
         """Each rank charges its own blocks' rows inside ``event``."""
@@ -457,13 +414,9 @@ def _run_mpi(
     # same rows in every iteration: compute them once.
     copies = 2 if not config.use_parallel_exchange else 1
     # on-rank copies between interior blocks overlap the transfer
-    copy_rows = rank_rows([
-        [LoopTask(
-            copy_signature(mesh.blocks[owners[r][0]].face_bytes * copies),
-            RegionAccess(_block_region(owners[r][0])),
-        )] * (max(len(owners[r]) - 1, 0) * 2)
-        for r in ranks
-    ])
+    copy_rows = rank_rows(
+        [np.full(max(len(o) - 1, 0) * 2, o[0]) for o in owners],
+        lambda ids: copy_signature(mesh.face_bytes[ids] * copies))
     phases = [(event, calls, block_rows(signature))
               for event, calls, signature in _solver_loops(config)]
 

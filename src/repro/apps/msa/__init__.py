@@ -25,6 +25,7 @@ from .smith_waterman import (
     score_to_distance,
     sw_score,
     sw_score_reference,
+    sw_work,
     sw_work_signature,
 )
 
@@ -50,5 +51,6 @@ __all__ = [
     "score_to_distance",
     "sw_score",
     "sw_score_reference",
+    "sw_work",
     "sw_work_signature",
 ]

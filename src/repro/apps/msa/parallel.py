@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...machine import Machine, WorkSignature, uniform_machine
+from ...machine import Machine, TaskTable, WorkSignature, uniform_machine
 from ...perfdmf import Trial
-from ...runtime import LoopTask, OpenMPRuntime, ParallelForResult, Profiler, Schedule
+from ...runtime import OpenMPRuntime, ParallelForResult, Profiler, Schedule
 from .sequences import SequenceSet, generate_sequences
-from .smith_waterman import sw_work_signature
+from .smith_waterman import sw_work
 
 #: Event names in the profile (the paper's Fig. 4(a) inner/outer loops).
 EVENT_MAIN = "main"
@@ -34,19 +34,13 @@ EVENT_GUIDE_TREE = "guide_tree"
 EVENT_PROGRESSIVE = "progressive_alignment"
 
 
-def distance_tasks(seqs: SequenceSet) -> list[LoopTask]:
-    """One loop task per outer iteration ``i`` (align i against all j>i)."""
+def distance_tasks(seqs: SequenceSet) -> TaskTable:
+    """One loop task per outer iteration ``i`` (align i against all j>i):
+    Σ_{j>i} len_i*len_j cells, as one pair of ``len_i`` against the
+    suffix sum of the later lengths."""
     lengths = seqs.lengths.astype(float)
-    n = len(lengths)
-    suffix = np.concatenate([np.cumsum(lengths[::-1])[::-1], [0.0]])
-    tasks = []
-    for i in range(n - 1):
-        # Σ_{j>i} len_i*len_j cells, aggregated into one signature whose
-        # per-cell mix matches sw_work_signature.
-        partner_total = suffix[i + 1]
-        sig = sw_work_signature(int(lengths[i]), int(partner_total))
-        tasks.append(LoopTask(sig))
-    return tasks
+    suffix = np.cumsum(lengths[::-1])[::-1]
+    return TaskTable(**sw_work(lengths[:-1], suffix[1:]))
 
 
 def _serial_stage_signatures(seqs: SequenceSet) -> tuple[WorkSignature, WorkSignature]:

@@ -7,10 +7,11 @@ the first stage".  Two faces here:
 * :func:`sw_score` — an actual vectorized implementation (row-wise NumPy
   with affine-free linear gap penalty), unit-tested against a reference
   O(mn) Python DP.  Examples and correctness tests call this.
-* :func:`sw_work_signature` — the cost model handed to the runtime
-  simulator for at-scale runs: ``m × n`` DP cells, each a handful of
-  integer max/add operations with excellent cache behaviour (two rolling
-  rows).
+* :func:`sw_work` — the cost model handed to the runtime simulator for
+  at-scale runs, over arrays of sequence-length pairs: ``m × n`` DP
+  cells, each a handful of integer max/add operations with excellent
+  cache behaviour (two rolling rows); :func:`sw_work_signature` is its
+  one-pair view.
 
 Scores convert to ClustalW-style distances with :func:`score_to_distance`.
 """
@@ -109,25 +110,28 @@ STORES_PER_CELL = 1.0
 BRANCHES_PER_CELL = 0.25
 
 
-def sw_work_signature(len_a: int, len_b: int) -> WorkSignature:
-    """Work signature of aligning two sequences of the given lengths.
+def sw_work(len_a, len_b) -> dict:
+    """Work columns of aligning sequences of lengths ``len_a`` and
+    ``len_b`` (arrays of pairs, or one pair), as
+    :class:`~repro.machine.processor.TaskTable` arguments.
 
     Integer-dominated, tiny working set (two DP rows + both sequences),
     high reuse — the MSA case study's bottleneck is *load balance*, not
     memory, and the signature reflects that.
     """
-    if len_a < 0 or len_b < 0:
+    len_a, len_b = np.asarray(len_a, float), np.asarray(len_b, float)
+    if (len_a < 0).any() or (len_b < 0).any():
         raise ValueError("sequence lengths must be non-negative")
-    cells = float(len_a) * float(len_b)
-    footprint = (2.0 * (len_b + 1)) * 8.0 + len_a + len_b
-    return WorkSignature(
-        int_ops=cells * OPS_PER_CELL,
-        loads=cells * LOADS_PER_CELL,
-        stores=cells * STORES_PER_CELL,
-        branches=cells * BRANCHES_PER_CELL,
-        footprint_bytes=footprint,
-        reuse=0.98,
-        mispredict_rate=0.02,
-        fp_dependency=0.0,
+    cells = len_a * len_b
+    return dict(
+        int_ops=cells * OPS_PER_CELL, loads=cells * LOADS_PER_CELL,
+        stores=cells * STORES_PER_CELL, branches=cells * BRANCHES_PER_CELL,
+        footprint_bytes=(2.0 * (len_b + 1)) * 8.0 + len_a + len_b,
+        reuse=0.98, mispredict_rate=0.02, fp_dependency=0.0,
         issue_inflation=1.05,
     )
+
+
+def sw_work_signature(len_a: int, len_b: int) -> WorkSignature:
+    """:func:`sw_work` of one pair, as a signature."""
+    return WorkSignature(**{k: float(v) for k, v in sw_work(len_a, len_b).items()})

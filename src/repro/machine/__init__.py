@@ -10,7 +10,7 @@ Provides:
 * :mod:`~repro.machine.numa` — first-touch page placement and local/remote
   access accounting;
 * :mod:`~repro.machine.processor` — work-signature → counter synthesis
-  honouring Jarp's stall identity;
+  honouring Jarp's stall identity, one task table at a time;
 * :mod:`~repro.machine.machines` — Altix 300 / Altix 3600 / UMA configs.
 """
 
@@ -18,19 +18,12 @@ from . import counters
 from .cache import CacheHierarchy, CacheLevel, itanium2_hierarchy
 from .counters import ALL_COUNTERS, STALL_COMPONENTS, CounterVector
 from .machines import Machine, altix_300, altix_3600, uniform_machine
-from .numa import (
-    PAGE_SIZE,
-    AccessCost,
-    MemoryRegion,
-    PageTable,
-    PlacementError,
-)
-from .processor import MemoryPlacementCost, ProcessorModel, WorkSignature
+from .numa import PAGE_SIZE, MemoryRegion, PageTable, PlacementError
+from .processor import MemoryPlacementCost, ProcessorModel, TaskTable, WorkSignature
 from .topology import LatencyModel, NUMATopology
 
 __all__ = [
     "ALL_COUNTERS",
-    "AccessCost",
     "CacheHierarchy",
     "CacheLevel",
     "CounterVector",
@@ -44,6 +37,7 @@ __all__ = [
     "PlacementError",
     "ProcessorModel",
     "STALL_COMPONENTS",
+    "TaskTable",
     "WorkSignature",
     "altix_300",
     "altix_3600",

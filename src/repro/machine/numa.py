@@ -16,8 +16,6 @@ local, and what is the average latency of the remote ones?*
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .topology import NUMATopology
@@ -30,39 +28,19 @@ class PlacementError(Exception):
     """Raised for invalid region or touch operations."""
 
 
-@dataclass(frozen=True)
-class AccessCost:
-    """Result of charging a batch of memory accesses against placement."""
-
-    local_accesses: float
-    remote_accesses: float
-    #: Total fabric latency cycles for the whole batch (local + remote).
-    latency_cycles: float
-
-    @property
-    def total_accesses(self) -> float:
-        return self.local_accesses + self.remote_accesses
-
-    @property
-    def remote_ratio(self) -> float:
-        """Fraction of accesses that were remote."""
-        total = self.total_accesses
-        return self.remote_accesses / total if total else 0.0
-
-
 class MemoryRegion:
     """A named allocation with per-page NUMA ownership.
 
     Pages start *unplaced*; the first touch pins each to a node.  ``owner``
     is a read-only view: placement changes go through
-    :meth:`PageTable.touch` and :meth:`PageTable.reset_region`, which is
-    what lets the region cache what it derives from the placement (the
-    per-node histogram, and the local-page count and latency sum of each
-    ``(node, page range)`` that was charged) until an owner changes.
+    :meth:`PageTable.touch`, :meth:`PageTable.charge_rows` and
+    :meth:`PageTable.reset_region`, which is what lets the region cache
+    the local-page count and latency sum of each ``(node, page range)``
+    that was charged until an owner changes.
     """
 
     __slots__ = ("name", "size_bytes", "n_pages", "owner", "_owner",
-                 "_unplaced", "_costs", "_histogram")
+                 "_unplaced", "_costs")
 
     def __init__(self, name: str, size_bytes: int) -> None:
         if size_bytes <= 0:
@@ -77,17 +55,10 @@ class MemoryRegion:
         self._unplaced = self.n_pages
         #: (node, first page, last page) → (pages, local pages, latency sum)
         self._costs: dict[tuple[int, int, int], tuple[int, float, float]] = {}
-        self._histogram: np.ndarray | None = None
 
     def node_histogram(self, n_nodes: int) -> np.ndarray:
-        """Pages owned per node (unplaced pages excluded; read-only)."""
-        hist = self._histogram
-        if hist is None or len(hist) != n_nodes:
-            placed = self._owner[self._owner >= 0]
-            hist = np.bincount(placed, minlength=n_nodes)[:n_nodes]
-            hist.flags.writeable = False
-            self._histogram = hist
-        return hist
+        """Pages owned per node (unplaced pages excluded)."""
+        return np.bincount(self._owner[self._owner >= 0], minlength=n_nodes)[:n_nodes]
 
     def _place(self, first: int, last: int, node: int) -> int:
         """First-touch pages ``first..last`` on ``node``; returns how many
@@ -139,74 +110,105 @@ class PageTable:
     def regions(self) -> list[str]:
         return sorted(self._regions)
 
-    def span(self, name: str, start_byte: int = 0,
-             length: int | None = None) -> tuple[MemoryRegion, int]:
-        """The region and byte length of a range inside it (``None``: to
-        the end), else :class:`PlacementError`."""
-        region = self.region(name)
-        if length is None:
-            length = region.size_bytes - start_byte
-        if start_byte < 0 or length < 0 or start_byte + length > region.size_bytes:
-            raise PlacementError(
-                f"touch range [{start_byte}, {start_byte + length}) outside "
-                f"region {name!r} of {region.size_bytes} bytes"
-            )
-        return region, length
-
-    # -- touching -------------------------------------------------------------
+    # -- touching and accounting ---------------------------------------------
     def touch(
         self, name: str, node: int, *, start_byte: int = 0, length: int | None = None
     ) -> int:
-        """First-touch a byte range from ``node``; returns pages newly placed.
+        """First-touch a byte range from ``node`` (``length`` None: to the
+        region's end); returns pages newly placed.
 
         Already-placed pages keep their owner (that is the policy's point).
         """
-        region, length = self.span(name, start_byte, length)
-        if not 0 <= node < self.topology.n_nodes:
-            raise PlacementError(f"node {node} out of range")
-        if length == 0:
-            return 0
-        first = start_byte // PAGE_SIZE
-        last = (start_byte + length - 1) // PAGE_SIZE
-        placed = region._place(first, last, node)
+        [region], first, last = self.ranges(
+            (name,), np.zeros(1, np.int64), np.array([start_byte], float),
+            np.array([np.nan if length is None else length]), np.array([node]))
+        return self._first_touch(region, int(first[0]), int(last[0]), node)
+
+    def _first_touch(self, region: MemoryRegion, first: int, last: int,
+                     node: int) -> int:
+        placed = region._place(first, last, node) if last >= first else 0
         if placed:
             self._placement_changed(region)
         return placed
 
-    # -- accounting -----------------------------------------------------------
-    def charge_accesses(
-        self,
-        name: str,
-        node: int,
-        accesses: float,
-        *,
-        start_byte: int = 0,
-        length: int | None = None,
-    ) -> AccessCost:
-        """Charge ``accesses`` memory transactions from ``node`` to a range.
+    def ranges(self, names, codes, starts, lengths, nodes=None, accesses=None):
+        """The regions and first and last pages of row ranges given as
+        columns: row ``i`` spans ``lengths[i]`` bytes (NaN: to the end) from
+        ``starts[i]`` of region ``names[codes[i]]`` (code -1: no range).
 
-        Accesses are spread uniformly over the range's pages.  Unplaced
-        pages are first-touch placed on ``node`` as a side effect (reading
-        uninitialized memory still allocates it).  An empty range has no
-        pages to spread accesses over, so charging any to it is an error.
+        The first bad row raises :class:`PlacementError`: an unknown region,
+        a range outside its region, negative ``accesses``, accesses to an
+        empty range (it has no pages to spread them over), or a node out of
+        range.
         """
-        region, length = self.span(name, start_byte, length)
-        if accesses < 0:
-            raise PlacementError("accesses must be non-negative")
-        if length == 0 and accesses > 0:
-            raise PlacementError(f"region {name!r}: accesses to an empty range")
-        self.touch(name, node, start_byte=start_byte, length=length)
-        if accesses == 0:
-            return AccessCost(0.0, 0.0, 0.0)
-        first = start_byte // PAGE_SIZE
-        last = (start_byte + length - 1) // PAGE_SIZE
+        known = [self._regions.get(name) for name in names]
+        sizes = np.array([-1.0 if r is None else r.size_bytes for r in known]
+                         + [0.0])[codes]  # code -1 reads the trailing 0
+        lengths = np.where(np.isnan(lengths), sizes - starts, lengths)
+        bad = (sizes < 0) | (starts < 0) | (lengths < 0) | (starts + lengths > sizes)
+        if accesses is not None:
+            bad |= (accesses < 0) | ((lengths == 0) & (accesses > 0))
+        if nodes is not None:
+            bad |= (nodes < 0) | (nodes >= self.topology.n_nodes)
+        bad &= codes >= 0
+        if bad.any():
+            i = int(bad.argmax())
+            name, start, length = names[codes[i]], int(starts[i]), int(lengths[i])
+            size = self.region(name).size_bytes  # refuses an unknown name
+            if start < 0 or length < 0 or start + length > size:
+                raise PlacementError(f"touch range [{start}, {start + length}) "
+                                     f"outside region {name!r} of {size} bytes")
+            if accesses is not None and accesses[i] < 0:
+                raise PlacementError("accesses must be non-negative")
+            if accesses is not None and accesses[i] > 0 and length == 0:
+                raise PlacementError(f"region {name!r}: accesses to an empty range")
+            raise PlacementError(f"node {nodes[i]} out of range")
+        first = starts.astype(np.int64) // PAGE_SIZE
+        stops = (starts + lengths).astype(np.int64)
+        # an empty range's last page comes before its first
+        return known, first, np.where(lengths > 0, (stops - 1) // PAGE_SIZE, first - 1)
+
+    def charge_rows(self, names, codes, starts, lengths, nodes, accesses):
+        """Charge ``accesses[i]`` memory transactions from ``nodes[i]`` to
+        row ``i``'s range (columns as in :meth:`ranges`); returns the local,
+        remote and latency-cycle columns (0 for rows without a range).
+
+        Accesses are spread uniformly over a range's pages.  Unplaced pages
+        are first-touch placed on the row's node, row by row in order
+        (reading uninitialized memory still allocates it), so each row's
+        range is placed for good before any later row touches it.
+        """
+        regions, first, last = self.ranges(names, codes, starts, lengths,
+                                           nodes, accesses)
+        if any(r is not None and r._unplaced for r in regions):
+            for i in np.flatnonzero(codes >= 0).tolist():
+                self._first_touch(regions[codes[i]], int(first[i]), int(last[i]),
+                                  int(nodes[i]))
+        charged = np.flatnonzero((codes >= 0) & (accesses > 0))
+        costs = np.array([
+            self._range_cost(regions[c], node, a, b) for c, node, a, b in zip(
+                codes[charged].tolist(), nodes[charged].tolist(),
+                first[charged].tolist(), last[charged].tolist())
+        ], float).reshape(-1, 3).T
+        local, remote, latency = np.zeros((3, len(codes)))
+        per_page = accesses[charged] / costs[0]
+        local[charged] = per_page * costs[1]
+        # clamp the subtraction residue: fully-local batches must report
+        # exactly zero remote accesses (rules compare against zero)
+        remote[charged] = np.maximum(accesses[charged] - local[charged], 0.0)
+        latency[charged] = per_page * costs[2]
+        return local, remote, latency
+
+    def _range_cost(self, region: MemoryRegion, node: int, first: int,
+                    last: int) -> tuple[int, float, float]:
+        """Pages, local pages and latency sum of pages ``first..last`` seen
+        from ``node`` (kept by the region until its placement changes)."""
         key = (node, first, last)
         cost = region._costs.get(key)
         if cost is None:
             owners = region._owner[first : last + 1]
             topo = self.topology
-            hop_row = topo.hop_matrix[node]
-            hops = np.where(owners == node, 0, hop_row[owners])
+            hops = np.where(owners == node, 0, topo.hop_matrix[node][owners])
             latencies = (
                 topo.latency.local_cycles + topo.latency.per_hop_cycles * hops
             )
@@ -215,14 +217,7 @@ class PageTable:
                 float(np.count_nonzero(owners == node)),
                 float(latencies.sum()),
             )
-        pages, local_pages, latency_sum = cost
-        per_page = accesses / pages
-        local = per_page * local_pages
-        # clamp the subtraction residue: fully-local batches must report
-        # exactly zero remote accesses (rules compare against zero)
-        remote = max(accesses - local, 0.0)
-        total_latency = per_page * latency_sum
-        return AccessCost(local, remote, total_latency)
+        return cost
 
     def reset_region(self, name: str) -> None:
         """Unplace every page (models a fresh allocation of the same name)."""
@@ -235,4 +230,4 @@ class PageTable:
         moves :attr:`generation` and drops the region's derived caches."""
         self.generation += 1
         region._costs.clear()
-        region._histogram = None
+

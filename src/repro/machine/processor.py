@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from itertools import chain
 from operator import attrgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +31,25 @@ from .cache import CacheHierarchy, itanium2_hierarchy
 from .counters import CounterVector, _wrap, counter_slot, counter_width
 from .numa import PAGE_SIZE
 from .topology import LatencyModel
+
+
+def _outside_unit(value):
+    return (value < 0.0) | (value > 1.0) | (value != value)  # NaN too
+
+
+#: The checks :class:`WorkSignature` and ``RegionAccess`` make, in the
+#: order they make them: (field, refuses(value), message).  Each refusal
+#: test takes a float or a column.
+_CHECKS = (
+    *((name, lambda v: v < 0.0, f"{name} must be non-negative") for name in (
+        "flops", "int_ops", "loads", "stores", "branches", "footprint_bytes")),
+    *((name, _outside_unit, f"{name} must be in [0,1]")
+      for name in ("reuse", "mispredict_rate", "fp_dependency")),
+    ("issue_inflation", lambda v: v < 1.0, "issue_inflation must be >= 1"),
+    ("start_byte", lambda v: v < 0, "start_byte must be non-negative"),
+    ("length", lambda v: v < 0, "length must be non-negative"),
+    ("latency_multiplier", lambda v: v < 1.0, "latency_multiplier must be >= 1"),
+)
 
 
 @dataclass(frozen=True)
@@ -75,18 +94,9 @@ class WorkSignature:
     instruction_footprint_bytes: float = 16 * 1024
 
     def __post_init__(self) -> None:
-        for name in ("flops", "int_ops", "loads", "stores", "branches",
-                     "footprint_bytes"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if not 0.0 <= self.reuse <= 1.0:
-            raise ValueError("reuse must be in [0,1]")
-        if not 0.0 <= self.mispredict_rate <= 1.0:
-            raise ValueError("mispredict_rate must be in [0,1]")
-        if not 0.0 <= self.fp_dependency <= 1.0:
-            raise ValueError("fp_dependency must be in [0,1]")
-        if self.issue_inflation < 1.0:
-            raise ValueError("issue_inflation must be >= 1")
+        for name, refuses, message in _CHECKS[:10]:
+            if refuses(getattr(self, name)):
+                raise ValueError(message)
 
     @property
     def memory_accesses(self) -> float:
@@ -110,27 +120,6 @@ class WorkSignature:
             branches=self.branches * factor,
         )
 
-    def __add__(self, other: "WorkSignature") -> "WorkSignature":
-        """Combine two signatures (weighted-average locality knobs)."""
-        if not isinstance(other, WorkSignature):
-            return NotImplemented
-        wa = self.memory_accesses or 1.0
-        wb = other.memory_accesses or 1.0
-        return WorkSignature(
-            flops=self.flops + other.flops,
-            int_ops=self.int_ops + other.int_ops,
-            loads=self.loads + other.loads,
-            stores=self.stores + other.stores,
-            branches=self.branches + other.branches,
-            footprint_bytes=max(self.footprint_bytes, other.footprint_bytes),
-            reuse=(self.reuse * wa + other.reuse * wb) / (wa + wb),
-            mispredict_rate=(self.mispredict_rate + other.mispredict_rate) / 2,
-            fp_dependency=(self.fp_dependency + other.fp_dependency) / 2,
-            issue_inflation=max(self.issue_inflation, other.issue_inflation),
-            instruction_footprint_bytes=self.instruction_footprint_bytes
-            + other.instruction_footprint_bytes,
-        )
-
 
 @dataclass(frozen=True)
 class MemoryPlacementCost:
@@ -143,18 +132,100 @@ class MemoryPlacementCost:
 
 _FIELDS = tuple(f.name for f in fields(WorkSignature))
 _fields_of = attrgetter(*_FIELDS)
+_DEFAULTS = [f.default for f in fields(WorkSignature)]
+_COLUMNS = (*_FIELDS, "start_byte", "length", "latency_multiplier", "region")
 
 
-class WorkRows:
-    """A batch of signatures as one float array per field (in batch order),
-    plus the batch's cache outcome, a :class:`~repro.machine.cache.CacheRows`."""
+class TaskTable:
+    """A loop's tasks as columns, one row per task.
 
-    def __init__(self, works: Sequence[WorkSignature], cache: CacheHierarchy) -> None:
-        table = np.fromiter(chain.from_iterable(map(_fields_of, works)), float)
-        self.__dict__.update(zip(_FIELDS, table.reshape(-1, len(_FIELDS)).T.copy()))
-        self.cache = cache.access_rows(
-            self.loads + self.stores, self.footprint_bytes, self.reuse
-        )
+    The :class:`WorkSignature` fields are one float array each.  A row's
+    region access is a code into ``regions`` (-1: none), a start byte, a
+    length (NaN: to the region's end) and a latency multiplier, as
+    ``repro.runtime.RegionAccess`` holds them.  Column arguments broadcast
+    against each other and default as the per-task objects do; the first
+    row that the per-task objects would refuse raises their
+    ``ValueError``.  The columns are read-only.
+    """
+
+    __slots__ = (*_COLUMNS, "regions", "_data", "_cache")
+
+    def __init__(self, regions: Sequence[str] = (), *, region=-1,
+                 start_byte=0.0, length=None, latency_multiplier=1.0,
+                 **work) -> None:
+        values = [work.pop(name, default)
+                  for name, default in zip(_FIELDS, _DEFAULTS)]
+        if work:
+            raise TypeError(f"unknown work fields {sorted(work)}")
+        values += [start_byte, np.nan if length is None else length,
+                   latency_multiplier]
+        n = np.broadcast(*values, region).shape or (1,)
+        data = np.empty((len(values), *n))
+        for row, value in zip(data, values):
+            row[...] = value
+        codes = np.empty(n, np.int64)
+        codes[...] = region
+        if len(n) != 1 or ((codes < -1) | (codes >= len(regions))).any():
+            raise ValueError("region codes must index regions (or be -1)")
+        columns = dict(zip(_COLUMNS, data))
+        bad = np.array([refuses(columns[name]) for name, refuses, _ in _CHECKS])
+        bad[10:] &= codes >= 0  # a row without a region has no access
+        rows = bad.any(axis=0)
+        if rows.any():
+            raise ValueError(_CHECKS[int(bad[:, rows.argmax()].argmax())][2])
+        self._set(regions, data, codes)
+
+    def _set(self, regions: Sequence[str], data: np.ndarray,
+             codes: np.ndarray) -> "TaskTable":
+        """Take ``data`` (one row per float column) and the region codes."""
+        data.flags.writeable = codes.flags.writeable = False
+        for name, column in zip(_COLUMNS, (*data, codes)):
+            setattr(self, name, column)
+        self.regions = tuple(regions)
+        self._data = data
+        self._cache = None
+        return self
+
+    @classmethod
+    def of(cls, works: Sequence[WorkSignature], accesses=None) -> "TaskTable":
+        """The table of ``works`` and, row by row, ``accesses`` (each a
+        ``RegionAccess`` or None; none given: no row has one)."""
+        fields = np.fromiter(chain.from_iterable(map(_fields_of, works)), float)
+        codes: dict[str, int] = {}
+        access = np.array([
+            (0.0, np.nan, 1.0, -1) if a is None else (
+                a.start_byte, np.nan if a.length is None else a.length,
+                a.latency_multiplier, codes.setdefault(a.region, len(codes)))
+            for a in (accesses if accesses is not None else [None] * len(works))
+        ], float).reshape(-1, 4).T
+        data = np.concatenate([fields.reshape(-1, len(_FIELDS)).T, access[:3]])
+        return cls.__new__(cls)._set(codes, data, access[3].astype(np.int64))
+
+    def __len__(self) -> int:
+        return len(self.region)
+
+    def take(self, index) -> "TaskTable":
+        """The rows ``index`` (a slice or an index array), in that order."""
+        return TaskTable.__new__(TaskTable)._set(
+            self.regions, self._data[:, index], self.region[index])
+
+    def cache_rows(self, hierarchy: CacheHierarchy):
+        """The rows' :class:`~repro.machine.cache.CacheRows` under
+        ``hierarchy`` (kept for the last hierarchy asked)."""
+        if self._cache is None or self._cache[0] is not hierarchy:
+            self._cache = (hierarchy, hierarchy.access_rows(
+                self.loads + self.stores, self.footprint_bytes, self.reuse))
+        return self._cache[1]
+
+
+class PlacementRows(NamedTuple):
+    """The NUMA outcome of each row's last-level misses, as columns; rows
+    that are not ``placed`` are all local."""
+
+    placed: np.ndarray
+    local: np.ndarray
+    remote: np.ndarray
+    latency: np.ndarray
 
 
 class ProcessorModel:
@@ -233,25 +304,33 @@ class ProcessorModel:
 
     def execute_rows(
         self,
-        batch: "Sequence[WorkSignature] | WorkRows",
-        placements: Sequence[MemoryPlacementCost | None] | None = None,
+        batch: "TaskTable | Sequence[WorkSignature]",
+        placements: "PlacementRows | Sequence[MemoryPlacementCost | None] | None" = None,
     ) -> np.ndarray:
         """Counter vectors of many region executions, one row each.
 
-        ``placements`` holds each row's NUMA outcome (None: all local).  As
-        in :meth:`CacheHierarchy.access_rows`, each row is bit-identical to
-        executing its signature alone.
+        ``placements`` holds each row's NUMA outcome (None: all local); a
+        list of signatures or of per-row outcomes is converted to columns
+        once, here.  As in :meth:`CacheHierarchy.access_rows`, each row is
+        bit-identical to executing its signature alone.
         """
-        w = batch if isinstance(batch, WorkRows) else WorkRows(batch, self.cache)
-        cache = w.cache
+        w = batch if isinstance(batch, TaskTable) else TaskTable.of(batch)
+        cache = w.cache_rows(self.cache)
         memory = w.loads + w.stores
-        local = cache.memory_accesses.copy()
+        local = cache.memory_accesses
         remote = np.zeros_like(local)
         latency_cycles = local * self.latency.local_cycles
-        for i, p in enumerate(placements or ()):
-            if p is not None:
-                local[i], remote[i] = p.local_accesses, p.remote_accesses
-                latency_cycles[i] = p.latency_cycles
+        if placements is not None:
+            if not isinstance(placements, PlacementRows):
+                placements = PlacementRows(
+                    np.array([p is not None for p in placements], bool),
+                    *np.array([(0.0, 0.0, 0.0) if p is None else (
+                        p.local_accesses, p.remote_accesses, p.latency_cycles)
+                        for p in placements], float).reshape(-1, 3).T)
+            placed = placements.placed
+            local = np.where(placed, placements.local, local)
+            remote = np.where(placed, placements.remote, remote)
+            latency_cycles = np.where(placed, placements.latency, latency_cycles)
 
         # --- stall components (Jarp decomposition) -------------------------
         # Pages beyond TLB reach cause refills proportional to traffic

@@ -154,11 +154,34 @@ class _AlphaMemory:
 
     def absorb(self, store: "_TypeStore", n: int) -> None:
         start = self.cursor
-        rows: Iterable[int] = range(start, n)
+        tests = self.pattern.alpha_tests()
+        # Every row of a categorical run holds its field, so rows in a run
+        # of each field a presence-only pattern tests pass without a look.
+        spans = [(start, n)] if all(op is None for _, op, _ in tests) else []
+        for fieldname, _, _ in tests if spans else ():
+            runs = [(first, first + len(codes))
+                    for first, _, codes in store.codes.get(fieldname, ())]
+            spans = [(max(a, s), min(b, e)) for a, b in spans
+                     for s, e in runs if max(a, s) < min(b, e)]
+        self.mask.extend(bytes(n - start))
+        row = start
+        for a, b in [*spans, (n, n)]:
+            rows = self._tested(store, tests, range(row, a))
+            for r in rows:
+                self.mask[r] = 1
+            self.rows.extend(rows)
+            self.mask[a:b] = b"\x01" * (b - a)
+            self.rows.extend(range(a, b))
+            row = b
+        self.cursor = n
+
+    @staticmethod
+    def _tested(store: "_TypeStore", tests, rows: Iterable[int]) -> list[int]:
+        """The ``rows`` that pass ``tests``, in order."""
         #: rows whose test raised something other than TypeError: kept
         #: untested, so that match_one meets the same error in order
         undecided: list[int] = []
-        for fieldname, op, value in self.pattern.alpha_tests():
+        for fieldname, op, value in tests:
             column = store.column(fieldname)
             if op is None:
                 rows = [r for r in rows if column[r] is not _MISSING]
@@ -179,13 +202,7 @@ class _AlphaMemory:
                     undecided.append(r)
             rows = kept
         rows = list(rows)
-        if undecided:
-            rows = sorted(rows + undecided)
-        self.mask.extend(bytes(n - start))
-        for r in rows:
-            self.mask[r] = 1
-        self.rows.extend(rows)
-        self.cursor = n
+        return sorted(rows + undecided) if undecided else rows
 
 
 class _TypeStore:

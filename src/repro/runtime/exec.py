@@ -1,10 +1,12 @@
 """Bridging work signatures to charged counters (the 'execute' primitive).
 
 Everything the simulated runtimes run — a loop chunk, a solver iteration, a
-ghost-cell copy — funnels through :func:`task_rows`: evaluate the cache
-model, charge the NUMA page table for the traffic that reaches memory, and
-have the processor synthesize the counter vectors, a whole loop at once;
-the rows are then attributed to CPUs' open regions in the profiler.
+ghost-cell copy — funnels through :func:`task_rows` as one task table:
+evaluate the cache model, charge the NUMA page table for the traffic that
+reaches memory, and have the processor synthesize the counter vectors, a
+whole loop at once; the rows are then attributed to CPUs' open regions in
+the profiler.  :class:`LoopTask` and :class:`RegionAccess` describe one
+task; lists of them are converted to a table once, by :func:`as_table`.
 """
 
 from __future__ import annotations
@@ -14,15 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..machine import (
-    CounterVector,
-    Machine,
-    MemoryPlacementCost,
-    PageTable,
-    WorkSignature,
-)
+from ..machine import CounterVector, Machine, PageTable, TaskTable, WorkSignature
 from ..machine.counters import _wrap
-from ..machine.processor import WorkRows
+from ..machine.processor import _CHECKS, PlacementRows
 from .tau import Profiler
 
 
@@ -41,12 +37,9 @@ class RegionAccess:
     latency_multiplier: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.start_byte < 0:
-            raise ValueError("start_byte must be non-negative")
-        if self.length is not None and self.length < 0:
-            raise ValueError("length must be non-negative")
-        if self.latency_multiplier < 1.0:
-            raise ValueError("latency_multiplier must be >= 1")
+        for name, refuses, message in _CHECKS[10:]:
+            if getattr(self, name) is not None and refuses(getattr(self, name)):
+                raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -57,39 +50,44 @@ class LoopTask:
     access: RegionAccess | None = None
 
 
+def as_table(tasks: "TaskTable | Sequence[LoopTask]") -> TaskTable:
+    """``tasks`` as a :class:`~repro.machine.processor.TaskTable`: a list
+    of :class:`LoopTask` is converted once, here."""
+    if isinstance(tasks, TaskTable):
+        return tasks
+    return TaskTable.of([task.work for task in tasks],
+                        [task.access for task in tasks])
+
+
 def task_rows(
     machine: Machine,
-    tasks: Sequence[LoopTask],
-    cpus: Sequence[int],
+    tasks: "TaskTable | Sequence[LoopTask]",
+    cpus: "Sequence[int] | int",
     page_table: PageTable | None = None,
 ) -> np.ndarray:
-    """Counter rows of ``tasks`` run in order, ``tasks[i]`` on ``cpus[i]``.
+    """Counter rows of ``tasks`` run in order, row ``i`` on ``cpus[i]`` (or
+    all on one CPU).
 
-    With a ``page_table``, each task's last-level misses are charged, in
-    that order, against the placement of its ``access`` range, first-
-    touching unplaced pages on its CPU's node (exactly the OS behaviour
-    that creates the GenIDLEST locality bug).
+    With a ``page_table``, each row's last-level misses are charged, in
+    that order, against the placement of its region range, first-touching
+    unplaced pages on its CPU's node (exactly the OS behaviour that
+    creates the GenIDLEST locality bug).
     """
+    table = as_table(tasks)
     processor = machine.processor
-    rows = WorkRows([task.work for task in tasks], processor.cache)
     placements = None
-    if page_table is not None:
-        placements = []
-        memory = rows.cache.memory_accesses.tolist()
-        for task, cpu, accesses in zip(tasks, cpus, memory):
-            access = task.access
-            if access is None:
-                placements.append(None)
-                continue
-            cost = page_table.charge_accesses(
-                access.region, machine.node_of_cpu(cpu), accesses,
-                start_byte=access.start_byte, length=access.length,
-            )
-            placements.append(MemoryPlacementCost(
-                cost.local_accesses, cost.remote_accesses,
-                cost.latency_cycles * access.latency_multiplier,
-            ))
-    return processor.execute_rows(rows, placements)
+    has = table.region >= 0
+    if page_table is not None and has.any():
+        cpus = np.broadcast_to(np.asarray(cpus, np.int64), has.shape)
+        for cpu in (cpus[has].min(), cpus[has].max()):
+            machine.node_of_cpu(int(cpu))
+        local, remote, latency = page_table.charge_rows(
+            table.regions, table.region, table.start_byte, table.length,
+            cpus // machine.topology.cpus_per_node,
+            table.cache_rows(processor.cache).memory_accesses)
+        placements = PlacementRows(has, local, remote,
+                                   latency * table.latency_multiplier)
+    return processor.execute_rows(table, placements)
 
 
 def execute_work(

@@ -190,8 +190,8 @@ class TestMSASimulation:
         tasks = distance_tasks(seqs)
         assert len(tasks) == 49
         # early tasks pair against more partners -> more work on average
-        first = np.mean([t.work.int_ops for t in tasks[:10]])
-        last = np.mean([t.work.int_ops for t in tasks[-10:]])
+        first = np.mean(tasks.int_ops[:10])
+        last = np.mean(tasks.int_ops[-10:])
         assert first > last
 
     def test_thread_count_validation(self):

@@ -54,14 +54,6 @@ class TestWorkSignature:
         with pytest.raises(ValueError):
             compute_sig().scaled(-1)
 
-    def test_add_combines(self):
-        a = WorkSignature(flops=10, loads=10, footprint_bytes=100, reuse=1.0)
-        b = WorkSignature(flops=5, loads=30, footprint_bytes=200, reuse=0.0)
-        c = a + b
-        assert c.flops == 15 and c.loads == 40
-        assert c.footprint_bytes == 200
-        assert 0.0 < c.reuse < 1.0  # weighted by access volume
-
 
 class TestProcessorModel:
     def test_stall_identity(self):

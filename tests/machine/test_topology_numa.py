@@ -1,5 +1,7 @@
 """Tests for the NUMA topology and first-touch page placement."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,32 @@ from repro.machine import (
     PageTable,
     PlacementError,
 )
+
+
+class Cost(NamedTuple):
+    """One range's charge: local and remote accesses, latency cycles."""
+
+    local_accesses: float
+    remote_accesses: float
+    latency_cycles: float
+
+    @property
+    def total_accesses(self) -> float:
+        return self.local_accesses + self.remote_accesses
+
+    @property
+    def remote_ratio(self) -> float:
+        total = self.total_accesses
+        return self.remote_accesses / total if total else 0.0
+
+
+def charge(pt, name, node, accesses, *, start_byte=0, length=None):
+    """Charge ``accesses`` from ``node`` to one range: a one-row batch of
+    ``PageTable.charge_rows``."""
+    return Cost(*(float(column[0]) for column in pt.charge_rows(
+        (name,), np.zeros(1, np.int64), np.array([start_byte], float),
+        np.array([np.nan if length is None else length]), np.array([node]),
+        np.array([accesses], float))))
 
 
 class TestTopology:
@@ -112,12 +140,10 @@ class TestPageTable:
             parallel.touch("u", node, start_byte=node * quarter, length=quarter)
 
         # node 3 works on the last quarter of the array
-        cost_serial = serial.charge_accesses(
-            "u", 3, 1e6, start_byte=3 * quarter, length=quarter
-        )
-        cost_parallel = parallel.charge_accesses(
-            "u", 3, 1e6, start_byte=3 * quarter, length=quarter
-        )
+        cost_serial = charge(serial, "u", 3, 1e6, start_byte=3 * quarter,
+                             length=quarter)
+        cost_parallel = charge(parallel, "u", 3, 1e6, start_byte=3 * quarter,
+                               length=quarter)
         assert cost_serial.remote_ratio == pytest.approx(1.0)
         assert cost_parallel.remote_ratio == pytest.approx(0.0)
         assert cost_serial.latency_cycles > cost_parallel.latency_cycles
@@ -125,14 +151,14 @@ class TestPageTable:
     def test_charge_places_untouched_pages(self):
         pt = self._pt()
         pt.allocate("u", 2 * PAGE_SIZE)
-        cost = pt.charge_accesses("u", 2, 100)
+        cost = charge(pt, "u", 2, 100)
         assert cost.remote_ratio == 0.0
         assert (pt.region("u").owner == 2).all()
 
     def test_zero_accesses(self):
         pt = self._pt()
         pt.allocate("u", PAGE_SIZE)
-        cost = pt.charge_accesses("u", 0, 0)
+        cost = charge(pt, "u", 0, 0)
         assert cost.total_accesses == 0 and cost.latency_cycles == 0
 
     def test_accesses_to_empty_range_rejected(self):
@@ -141,16 +167,16 @@ class TestPageTable:
         pt = PageTable(NUMATopology(8, cpus_per_node=2))
         pt.allocate("u", 4 * PAGE_SIZE)
         with pytest.raises(PlacementError, match="empty range"):
-            pt.charge_accesses("u", 0, 1000.0, length=0)
+            charge(pt, "u", 0, 1000.0, length=0)
         with pytest.raises(PlacementError, match="empty range"):
-            pt.charge_accesses("u", 0, 1.0, start_byte=4 * PAGE_SIZE)
+            charge(pt, "u", 0, 1.0, start_byte=4 * PAGE_SIZE)
         assert (pt.region("u").owner == -1).all()
-        assert pt.charge_accesses("u", 0, 0.0, length=0).total_accesses == 0
+        assert charge(pt, "u", 0, 0.0, length=0).total_accesses == 0
 
     def test_latency_includes_local_component(self):
         pt = self._pt(1)
         pt.allocate("u", PAGE_SIZE)
-        cost = pt.charge_accesses("u", 0, 1000)
+        cost = charge(pt, "u", 0, 1000)
         assert cost.latency_cycles == pytest.approx(
             1000 * pt.topology.latency.local_cycles
         )
@@ -184,7 +210,7 @@ class TestPageTable:
         pt.allocate("u", 4 * PAGE_SIZE)
         pt.touch("u", 0, start_byte=0, length=2 * PAGE_SIZE)
         pt.touch("u", 1, start_byte=2 * PAGE_SIZE, length=2 * PAGE_SIZE)
-        cost = pt.charge_accesses("u", 0, 1000)
+        cost = charge(pt, "u", 0, 1000)
         assert cost.remote_ratio == pytest.approx(0.5)
         assert cost.local_accesses == pytest.approx(500)
 
@@ -196,25 +222,25 @@ class TestPageTable:
         pt = self._pt(4)
         pt.allocate("u", 4 * PAGE_SIZE)
         pt.touch("u", 0)
-        before = pt.charge_accesses("u", 1, 1e4, **args)
+        before = charge(pt, "u", 1, 1e4, **args)
         pt.reset_region("u")
         pt.touch("u", 3)
         fresh = self._pt(4)
         fresh.allocate("u", 4 * PAGE_SIZE)
         fresh.touch("u", 3)
         for node in (1, 3):
-            assert pt.charge_accesses("u", node, 1e4, **args) == \
-                fresh.charge_accesses("u", node, 1e4, **args)
-        assert pt.charge_accesses("u", 1, 1e4, **args) != before
+            assert charge(pt, "u", node, 1e4, **args) == \
+                charge(fresh, "u", node, 1e4, **args)
+        assert charge(pt, "u", 1, 1e4, **args) != before
 
     def test_charge_cost_follows_partial_placement(self):
         pt = self._pt(2)
         pt.allocate("u", 4 * PAGE_SIZE)
         pt.touch("u", 1, start_byte=0, length=PAGE_SIZE)
         # charging from node 0 first-touches the other three pages locally
-        assert pt.charge_accesses("u", 0, 400).local_accesses == 300
+        assert charge(pt, "u", 0, 400).local_accesses == 300
         pt.reset_region("u")
-        assert pt.charge_accesses("u", 0, 400).local_accesses == 400
+        assert charge(pt, "u", 0, 400).local_accesses == 400
 
     def test_node_histogram_follows_touch(self):
         pt = self._pt(4)

@@ -690,6 +690,61 @@ def test_categorical_columns_match_naive(data):
     assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
+class TestPresenceOverCategoricalRuns:
+    """A pattern that tests only its fields' presence passes every row of
+    a categorical run of each such field without a look; plain facts
+    around the runs, some lacking a field, are still tested one by one."""
+
+    CHUNKS = [
+        ("E", {"other": 1}),  # lacks both fields
+        ("E", [{"name": "alpha", "link": "beta"},
+               {"name": "beta", "link": "gamma"}]),
+        ("E", {"name": "gamma"}),  # lacks link
+        ("E", [{"name": n} for n in ("delta", "alpha", 1.0)]),  # no link run
+        ("E", {"link": "alpha"}),  # lacks name
+        ("E", [{"link": "beta", "name": "1.0"}]),
+        ("E", {"name": "beta", "link": "alpha"}),
+    ]
+
+    @staticmethod
+    def _rules():
+        named = RuleBuilder("named").when("f", "E", "n := name")
+        linked = RuleBuilder("linked").when("f", "E", "n := name", "l := link")
+        joined = RuleBuilder("joined").when("f", "E", "n := name").when(
+            "g", "E", ("link", "==", "$n"))
+        return [named.then_log("named {n}").build(),
+                linked.then_log("{n} links {l}").build(),
+                joined.then_log("{n} is linked").build()]
+
+    def test_alpha_rows_are_the_rows_holding_every_field(self):
+        wm = WorkingMemory()
+        handles = _assert_chunks(wm, self.CHUNKS, coded=True)
+        base = handles[0].seq
+        for rule, fields in zip(self._rules(), [("name",), ("name", "link")]):
+            expected = [h.seq - base for h in handles
+                        if all(f in h.fact.as_dict() for f in fields)]
+            got = [h.seq - base for h in wm.candidates(rule.conditions[0], ())]
+            assert got == expected
+        # rows asserted after the alpha memory was built are caught up
+        more = _assert_chunks(wm, self.CHUNKS[1:4], coded=True)
+        pattern = self._rules()[1].conditions[0]
+        assert [h.seq - base for h in wm.candidates(pattern, ())] == [
+            h.seq - base for h in handles + list(more)
+            if {"name", "link"} <= h.fact.as_dict().keys()]
+
+    def test_indexed_matches_naive(self):
+        outcomes = []
+        for coded, indexing in ((True, True), (False, False), (True, False)):
+            engine = RuleEngine(indexing=indexing)
+            engine.add_rules(self._rules())
+            handles = _assert_chunks(engine, self.CHUNKS, coded=coded)
+            engine.run()
+            outcomes.append((_normalized_trace(engine, handles[0].seq),
+                             engine.output))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert {rec[1] for rec in outcomes[0][0]} == {"named", "linked", "joined"}
+
+
 class TestCategoricalColumns:
     def _memory(self):
         wm = WorkingMemory()
