@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from ..core.result import AnalysisError
+from ..version import canonical_json
 from .rigor import RigorPolicy
 
 __all__ = [
@@ -53,11 +53,6 @@ DEFAULT_MAX_CASES = 1_000
 
 class SpecError(AnalysisError):
     """A spec that cannot be expanded (the error says why)."""
-
-
-def _canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      default=str)
 
 
 def case_seed(case_key: str, rerun: int = 0) -> int:
@@ -161,7 +156,7 @@ class ExperimentSpec:
     @property
     def spec_hash(self) -> str:
         """Content address of the whole spec (keys run/resume state)."""
-        return hashlib.sha256(_canonical({
+        return hashlib.sha256(canonical_json({
             "name": self.name,
             "app": self.app,
             "application": self.application,
@@ -179,7 +174,7 @@ class ExperimentSpec:
         """Content address of one case: everything that determines the
         data it produces (spec identity minus the rigor thresholds, which
         govern *how many* runs happen, not what each run computes)."""
-        return hashlib.sha256(_canonical({
+        return hashlib.sha256(canonical_json({
             "app": self.app,
             "application": self.application,
             "experiment": self.experiment_name,

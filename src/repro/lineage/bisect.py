@@ -32,7 +32,6 @@ the culprit pair triggers.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -41,6 +40,7 @@ from .. import observe
 from ..experiments.rigor import RigorPolicy, assess
 from ..perfdmf import ProfileError, Trial
 from ..regress.detect import RegressionReport, ThresholdPolicy, compare_trials
+from ..version import canonical_json
 from .facts import diagnose_lineage
 from .scanner import PairComparison, ScanResult, _representative
 from .store import LineageStore, TrialRef
@@ -64,10 +64,8 @@ def probe_case_key(version_id: str, factors: dict[str, Any]) -> str:
     today and a probe run next week submit byte-identical ``run-trial``
     cases — and ``case_rng`` then makes the trials themselves identical.
     """
-    canonical = json.dumps(factors, sort_keys=True, separators=(",", ":"),
-                           default=str)
     return hashlib.sha256(
-        f"lineage:{version_id}:{canonical}".encode()
+        f"lineage:{version_id}:{canonical_json(factors)}".encode()
     ).hexdigest()
 
 

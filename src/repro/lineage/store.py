@@ -19,10 +19,9 @@ trial of the newest version in that chain: once that trial is replaced
 or deleted the pair has none, and never falls back to an older one.
 
 History may be a straight line (CI building every commit of one branch)
-or a DAG (merge commits, multiple parents).  Reads take a **linear fast
-path** — one recursive-CTE first-parent walk in SQL — whenever no
-version has more than one parent, and fall back to a DAG-aware breadth
-first parent walk in Python otherwise.
+or a DAG (merge commits, multiple parents).  Both are read by one
+breadth-first walk over parent links, which on a straight line visits
+the first-parent chain in order.
 """
 
 from __future__ import annotations
@@ -463,23 +462,14 @@ class LineageStore:
             "(version_id >= ? AND version_id < ?) ORDER BY id",
             _prefix_range(BASELINE_PREFIX)).fetchall()]
 
-    @property
-    def is_linear(self) -> bool:
-        """True when no version has more than one parent — the common
-        single-branch CI shape, unlocking the SQL fast path."""
-        return self.db.connection.execute(
-            "SELECT 1 FROM lineage_parent GROUP BY child_id "
-            "HAVING COUNT(*) > 1 LIMIT 1"
-        ).fetchone() is None
-
     # -- walks -------------------------------------------------------------
     def history(self, version_id: str | None = None,
                 *, limit: int | None = None) -> list[VersionRecord]:
         """Ancestry of ``version_id`` (default: the newest tip), newest
         first — ``git log`` for performance.
 
-        Linear histories resolve in one recursive CTE; DAGs fall back to
-        a breadth-first walk over all parents with deduplication.
+        A breadth-first walk over all parents that lists each version
+        once; on a linear chain that is the first-parent order.
         """
         if limit is not None and limit < 1:
             raise ProfileError(
@@ -489,37 +479,7 @@ class LineageStore:
             if not tips:
                 return []
             version_id = tips[-1]
-        if self.is_linear:
-            ids = self._linear_ancestry(version_id, limit)
-        else:
-            ids = self._dag_ancestry(version_id, limit)
-        return [self.get(v) for v in ids]
-
-    def _linear_ancestry(self, version_id: str,
-                         limit: int | None) -> list[str]:
-        rows = self.db.connection.execute(
-            """WITH RECURSIVE chain(id, version_id, depth) AS (
-                   SELECT id, version_id, 0 FROM lineage_version
-                   WHERE version_id = ?
-                   UNION ALL
-                   SELECT v.id, v.version_id, chain.depth + 1
-                   FROM chain
-                   JOIN lineage_parent p ON p.child_id = chain.id
-                   JOIN lineage_version v ON v.id = p.parent_id
-                   WHERE p.ordinal = 0
-               )
-               SELECT version_id FROM chain ORDER BY depth
-               """ + ("LIMIT ?" if limit is not None else ""),
-            (version_id, limit) if limit is not None else (version_id,),
-        ).fetchall()
-        if not rows:
-            raise ProfileError(f"lineage: unknown version {version_id!r}")
-        return [r[0] for r in rows]
-
-    def _dag_ancestry(self, version_id: str,
-                      limit: int | None) -> list[str]:
-        self._row_id(version_id)  # raise on unknown
-        out: list[str] = []
+        out: list[VersionRecord] = []
         seen: set[str] = set()
         frontier = [version_id]
         while frontier:
@@ -528,37 +488,24 @@ class LineageStore:
                 if vid in seen:
                     continue
                 seen.add(vid)
-                out.append(vid)
+                record = self.get(vid)
+                out.append(record)
                 if limit is not None and len(out) >= limit:
                     return out
-                frontier.extend(self.get(vid).parents)
+                frontier.extend(record.parents)
         return out
 
     def path(self, ancestor: str, descendant: str) -> list[str]:
         """The version chain from ``ancestor`` to ``descendant``
         inclusive, oldest first — what scanners and bisect walk.
 
-        Follows first parents on the linear fast path; in a DAG, finds
-        the first-parent-preferring ancestor path via breadth-first
-        search (shortest such path wins).
+        A breadth-first search over parent links, first parents first,
+        so the shortest ancestor path wins; on a linear chain it is the
+        first-parent chain.
         """
         self._row_id(ancestor)
-        ancestry = (self._linear_ancestry(descendant, None)
-                    if self.is_linear
-                    else self._bfs_path(ancestor, descendant))
-        if self.is_linear:
-            if ancestor not in ancestry:
-                raise ProfileError(
-                    f"lineage: {ancestor!r} is not an ancestor of "
-                    f"{descendant!r}"
-                )
-            chain = ancestry[: ancestry.index(ancestor) + 1]
-            return list(reversed(chain))
-        return ancestry
-
-    def _bfs_path(self, ancestor: str, descendant: str) -> list[str]:
-        # Breadth-first over parent links, remembering the child that
-        # discovered each version so the path reconstructs backwards.
+        # remember the child that discovered each version, so the path
+        # reconstructs backwards
         via: dict[str, str | None] = {descendant: None}
         frontier = [descendant]
         while frontier and ancestor not in via:

@@ -18,7 +18,16 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from ..perfdmf import CALLPATH_SEPARATOR, PerfDMF, Trial, next_trial_name
+import numpy as np
+
+from ..perfdmf import (
+    CALLPATH_SEPARATOR,
+    Event,
+    PerfDMF,
+    Trial,
+    TrialBuilder,
+    next_trial_name,
+)
 from .tracer import Tracer
 
 #: Microseconds, matching TAU's TIME metric convention.
@@ -75,24 +84,8 @@ def spans_to_trial(
     thread_ids = sorted({thread_of(r) for r in rows})
     thread_pos = {ident: i for i, ident in enumerate(thread_ids)}
 
-    trial = Trial(name, dict(metadata or {}))
-    trial.add_metric(TIME, units="microseconds")
-    trial.add_metric(CPU_TIME, units="microseconds")
-    for i in range(len(thread_ids)):
-        trial.add_thread(i)
-
-    # accumulate (event, thread) -> [excl_us, incl_us, cpu_excl, cpu_incl, calls]
-    acc: dict[tuple[str, int], list[float]] = {}
-
-    def bump(event: str, t: int, excl: float, incl: float,
-             cpu_excl: float, cpu_incl: float, calls: float) -> None:
-        row = acc.setdefault((event, t), [0.0, 0.0, 0.0, 0.0, 0.0])
-        row[0] += excl
-        row[1] += incl
-        row[2] += cpu_excl
-        row[3] += cpu_incl
-        row[4] += calls
-
+    # per span and event: event, thread, excl_us, incl_us, cpu_excl, cpu_incl
+    cells: list[tuple] = []
     for r in rows:
         t = thread_pos[thread_of(r)]
         wall_us = (r["end"] - r["start"]) * 1e6
@@ -104,20 +97,26 @@ def spans_to_trial(
         # flat event: exclusive always; inclusive only from the outermost
         # occurrence of this name on the path (recursion guard)
         outermost = path.count(r["name"]) == 1
-        bump(r["name"], t, excl_us,
-             wall_us if outermost else 0.0,
-             cpu_excl_us, cpu_us if outermost else 0.0, 1.0)
+        cells.append((r["name"], t, excl_us, wall_us if outermost else 0.0,
+                      cpu_excl_us, cpu_us if outermost else 0.0))
         if len(path) > 1:
-            bump(CALLPATH_SEPARATOR.join(path), t, excl_us, wall_us,
-                 cpu_excl_us, cpu_us, 1.0)
+            cells.append((CALLPATH_SEPARATOR.join(path), t, excl_us, wall_us,
+                          cpu_excl_us, cpu_us))
 
-    for (event, t), (excl, incl, cpu_x, cpu_i, calls) in sorted(acc.items()):
-        group = "CALLPATH" if CALLPATH_SEPARATOR in event else "TAU_DEFAULT"
-        trial.add_event(event, group)
-        trial.set_value(event, TIME, t, exclusive=excl, inclusive=incl)
-        trial.set_value(event, CPU_TIME, t, exclusive=cpu_x, inclusive=cpu_i)
-        trial.set_calls(event, t, calls=calls, subroutines=0.0)
-    return trial
+    events = sorted({cell[0] for cell in cells})
+    at = {event: i for i, event in enumerate(events)}
+    # excl_us, incl_us, cpu_excl, cpu_incl, calls as (events, threads)
+    values = np.zeros((5, len(events), len(thread_ids)))
+    for event, t, *row in cells:
+        values[:, at[event], t] += (*row, 1.0)
+    return (TrialBuilder(name, metadata)
+            .with_events(Event(event, "CALLPATH" if CALLPATH_SEPARATOR in event
+                               else "TAU_DEFAULT") for event in events)
+            .with_threads(len(thread_ids))
+            .with_metric(TIME, values[0], values[1], units="microseconds")
+            .with_metric(CPU_TIME, values[2], values[3], units="microseconds")
+            .with_calls(values[4])
+            .build(validate=False))
 
 
 def store_self_profile(

@@ -15,9 +15,8 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-import numpy as np
-
-from ..model import Event, Metric, ProfileError, ThreadId, Trial
+from ..model import ProfileError, Trial
+from .cells import CellTable
 
 COLUMNS = [
     "event",
@@ -70,20 +69,12 @@ def read_csv_profile(
 
     Events, metrics and threads take the order of their first row; the
     first row of an event sets its group.  A cell given twice keeps its
-    last value, and a cell no row gives is zero.  The rows are parsed into
-    columns and the arrays built once, through :meth:`Trial.from_arrays`.
+    last value, and a cell no row gives is zero (see :class:`CellTable`).
     """
     path = Path(path)
     if not path.is_file():
         raise ProfileError(f"no such profile file: {path}")
-    events: list[Event] = []
-    metrics: list[Metric] = []
-    threads: list[ThreadId] = []
-    event_at: dict[str, int] = {}
-    metric_at: dict[str, int] = {}
-    thread_at: dict[tuple[int, int, int], int] = {}
-    #: per row: metric, event and thread positions, then the four values
-    cells: list[tuple] = []
+    table = CellTable()
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -101,47 +92,14 @@ def read_csv_profile(
                 raise ProfileError(f"{path}:{reader.line_num}: row has "
                                    f"{len(row)} of {len(header)} columns")
             try:
-                key = (int(row[node]), int(row[ctx]), int(row[thr]))
-                e = event_at.get(row[ev])
-                if e is None:
-                    events.append(Event(row[ev], row[grp] or "TAU_DEFAULT"))
-                    e = event_at[row[ev]] = len(events) - 1
-                m = metric_at.get(row[met])
-                if m is None:
-                    units = "usec" if row[met].upper() == "TIME" else "counts"
-                    metrics.append(Metric(row[met], units=units))
-                    m = metric_at[row[met]] = len(metrics) - 1
-                t = thread_at.get(key)
-                if t is None:
-                    threads.append(ThreadId(*key))
-                    t = thread_at[key] = len(threads) - 1
-                cells.append((m, e, t, float(row[exc]), float(row[inc]),
-                              float(row[calls]), float(row[subrs])))
+                t = table.thread(int(row[node]), int(row[ctx]), int(row[thr]))
+                e = table.event(row[ev], row[grp] or "TAU_DEFAULT")
+                table.add(table.metric(row[met]), e, t, float(row[exc]),
+                          float(row[inc]), float(row[calls]),
+                          float(row[subrs]))
             except (ValueError, TypeError, ProfileError) as exc_info:
                 raise ProfileError(f"{path}:{reader.line_num}: bad row: "
                                    f"{exc_info}") from None
-    if not cells:
+    if table.empty:
         raise ProfileError(f"{path}: no data rows")
-    table = np.array(cells)
-    m, e, t = table[:, :3].astype(np.intp).T
-    shape = (len(events), len(threads))
-    values = np.zeros((2, len(metrics)) + shape)
-    last = _last_rows((m * shape[0] + e) * shape[1] + t)
-    values[:, m[last], e[last], t[last]] = table[last, 3:5].T
-    counts = np.zeros((2,) + shape)
-    last = _last_rows(e * shape[1] + t)
-    counts[:, e[last], t[last]] = table[last, 5:7].T
-    trial = Trial.from_arrays(name or path.stem, metadata, events, threads,
-                              metrics, list(values[0]), list(values[1]),
-                              counts[0], counts[1])
-    try:
-        trial.validate()
-    except ProfileError as exc_info:
-        raise ProfileError(f"{path}: {exc_info}") from None
-    return trial
-
-
-def _last_rows(keys: np.ndarray) -> np.ndarray:
-    """The row holding each key's last occurrence."""
-    _, first_from_end = np.unique(keys[::-1], return_index=True)
-    return len(keys) - 1 - first_from_end
+    return table.trial(name or path.stem, metadata, str(path))

@@ -24,6 +24,8 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+import numpy as np
+
 from ..model import Event, Metric, ProfileError, ThreadId, Trial
 
 _HEADER_RE = re.compile(r"^\s*%\s+cumulative\s+self\b")
@@ -38,22 +40,31 @@ _ROW_RE = re.compile(
 def read_gprof_profile(
     path: str | Path, *, name: str | None = None, metadata: dict | None = None
 ) -> Trial:
-    """Parse a gprof flat profile into a single-thread trial."""
+    """Parse a gprof flat profile into a single-thread trial; errors name
+    ``path:line``."""
     path = Path(path)
     if not path.is_file():
         raise ProfileError(f"no such gprof file: {path}")
-    lines = path.read_text().splitlines()
-    return parse_gprof_text(lines, name=name or path.stem, metadata=metadata)
+    return _parse(path.read_text().splitlines(), name or path.stem, metadata,
+                  str(path))
 
 
 def parse_gprof_text(
     lines: list[str], *, name: str = "gprof", metadata: dict | None = None
 ) -> Trial:
-    """Parse gprof flat-profile lines (see :func:`read_gprof_profile`)."""
+    """Parse gprof flat-profile lines (see :func:`read_gprof_profile`);
+    errors name ``<gprof>:line``."""
+    return _parse(lines, name, metadata, "<gprof>")
+
+
+def _parse(lines: list[str], name: str, metadata: dict | None,
+           source: str) -> Trial:
+    """A repeated function name keeps its last row, at its first position."""
     in_table = False
-    rows: list[dict] = []
+    #: function → (self seconds, calls, total ms/call); no calls → None
+    rows: dict[str, tuple[float, float | None, float]] = {}
     total_seconds = 0.0
-    for line in lines:
+    for lineno, line in enumerate(lines, start=1):
         if _HEADER_RE.match(line):
             in_table = True
             continue
@@ -70,30 +81,38 @@ def parse_gprof_text(
         if m is None:
             if rows:
                 break  # e.g. the start of the call graph section
-            raise ProfileError(f"unparseable gprof row: {line!r}")
-        row = m.groupdict()
-        rows.append(row)
-        total_seconds = max(total_seconds, float(row["cum"]))
+            raise ProfileError(f"{source}:{lineno}: unparseable gprof row "
+                               f"{line!r}")
+        try:
+            total_seconds = max(total_seconds, float(m["cum"]))
+            if m["calls"] is None:
+                rows[m["name"]] = (float(m["self"]), None, 0.0)
+            else:
+                _, calls, total_ms = (float(m[group]) for group in
+                                      ("self_ms", "calls", "total_ms"))
+                rows[m["name"]] = (float(m["self"]), calls, total_ms)
+        except ValueError:
+            raise ProfileError(
+                f"{source}:{lineno}: malformed number in {line!r}") from None
     if not rows:
-        raise ProfileError("no flat-profile table found in gprof output")
+        raise ProfileError(f"{source}: no flat-profile table found in gprof "
+                           "output")
 
-    trial = Trial(name, metadata)
-    trial.add_metric(Metric("TIME", units="usec"))
-    thread = ThreadId(0, 0, 0)
-    trial.add_thread(thread)
-    for row in rows:
-        fn = row["name"]
-        self_us = float(row["self"]) * 1e6
-        if row["calls"] is not None:
-            calls = float(row["calls"])
-            incl_us = float(row["total_ms"]) * 1e3 * calls
-            incl_us = max(incl_us, self_us)
+    # exclusive, inclusive (usec) and calls, one (functions, 1) array each
+    values = np.zeros((3, len(rows), 1))
+    for i, (self_s, calls, total_ms) in enumerate(rows.values()):
+        self_us = self_s * 1e6
+        if calls is None:
+            values[:, i, 0] = self_us, max(total_seconds * 1e6, self_us), 1.0
         else:
-            calls = 1.0
-            incl_us = max(total_seconds * 1e6, self_us)
-        trial.add_event(Event(fn, "GPROF"))
-        trial.set_value(fn, "TIME", thread, exclusive=self_us,
-                        inclusive=incl_us)
-        trial.set_calls(fn, thread, calls=calls)
-    trial.validate()
+            values[:, i, 0] = (self_us, max(total_ms * 1e3 * calls, self_us),
+                               calls)
+    trial = Trial.from_arrays(
+        name, metadata, [Event(fn, "GPROF") for fn in rows],
+        [ThreadId(0, 0, 0)], [Metric("TIME", units="usec")],
+        [values[0]], [values[1]], values[2], np.zeros((len(rows), 1)))
+    try:
+        trial.validate()
+    except ProfileError as exc:
+        raise ProfileError(f"{source}: {exc}") from None
     return trial

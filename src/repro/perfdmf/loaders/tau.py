@@ -23,7 +23,8 @@ import re
 from pathlib import Path
 from typing import Iterable
 
-from ..model import Event, Metric, ProfileError, ThreadId, Trial
+from ..model import ProfileError, Trial
+from .cells import CellTable
 
 _HEADER_RE = re.compile(r"^(\d+)\s+templated_functions(?:_MULTI_(.+))?\s*$")
 _PROFILE_FILE_RE = re.compile(r"^profile\.(\d+)\.(\d+)\.(\d+)$")
@@ -93,7 +94,7 @@ def read_tau_profile(
     if not metric_dirs:
         metric_dirs = [(None, directory)]
 
-    trial = Trial(name or directory.name, metadata)
+    table = CellTable()
     for metric_hint, mdir in metric_dirs:
         files = sorted(
             p for p in mdir.iterdir() if _PROFILE_FILE_RE.match(p.name)
@@ -101,18 +102,13 @@ def read_tau_profile(
         if not files:
             raise ProfileError(f"no profile.n.c.t files in {mdir}")
         for path in files:
-            _read_one_file(trial, path, metric_hint)
-    try:
-        trial.validate()
-    except ProfileError as exc:
-        raise ProfileError(f"{directory}: {exc}") from None
-    return trial
+            _read_one_file(table, path, metric_hint)
+    return table.trial(name or directory.name, metadata, str(directory))
 
 
-def _read_one_file(trial: Trial, path: Path, metric_hint: str | None) -> None:
+def _read_one_file(table: CellTable, path: Path, metric_hint: str | None) -> None:
     m = _PROFILE_FILE_RE.match(path.name)
     assert m is not None
-    thread = ThreadId(int(m.group(1)), int(m.group(2)), int(m.group(3)))
     lines = path.read_text().splitlines()
     if not lines:
         raise ProfileError(f"{path}: empty profile file")
@@ -120,10 +116,8 @@ def _read_one_file(trial: Trial, path: Path, metric_hint: str | None) -> None:
     if header is None:
         raise ProfileError(f"{path}: bad header line {lines[0]!r}")
     declared = int(header.group(1))
-    metric = header.group(2) or metric_hint or "TIME"
-    units = "usec" if metric.upper() == "TIME" else "counts"
-    trial.add_metric(Metric(metric, units=units))
-    trial.add_thread(thread)
+    metric = table.metric(header.group(2) or metric_hint or "TIME")
+    thread = table.thread(*(int(part) for part in m.groups()))
 
     seen = 0
     for lineno, raw in enumerate(lines[1:], start=2):
@@ -142,13 +136,11 @@ def _read_one_file(trial: Trial, path: Path, metric_hint: str | None) -> None:
             raise ProfileError(
                 f"{path}:{lineno}: malformed number in {line!r}") from None
         name = lm.group("name").replace('\\"', '"').replace("\\\\", "\\")
-        group = lm.group("group") or "TAU_DEFAULT"
         try:
-            trial.add_event(Event(name, group))
-            trial.set_value(name, metric, thread, exclusive=excl, inclusive=incl)
-            trial.set_calls(name, thread, calls=calls, subroutines=subrs)
+            event = table.event(name, lm.group("group") or "TAU_DEFAULT")
         except ProfileError as exc:
             raise ProfileError(f"{path}:{lineno}: {exc}") from None
+        table.add(metric, event, thread, excl, incl, calls, subrs)
         seen += 1
     if seen != declared:
         raise ProfileError(

@@ -140,10 +140,10 @@ def _dense(values: np.ndarray, shape: tuple[int, int], label: str) -> np.ndarray
 class Trial:
     """One run's complete profile.
 
-    Construct empty and fill cell by cell through :meth:`set_value`/
-    :meth:`set_calls`, whose arrays grow as events, metrics, and threads are
-    introduced; or install whole ``(events, threads)`` arrays at once with
-    :meth:`from_arrays` (directly, or through :class:`TrialBuilder`).
+    Every trial is built once from whole ``(events, threads)`` arrays by
+    :meth:`from_arrays` (directly, or through :class:`TrialBuilder`), so its
+    events, threads and metrics are fixed when it is built; ``Trial(name)``
+    alone is the empty trial.
 
     Attributes
     ----------
@@ -211,94 +211,7 @@ class Trial:
         out._subrs = _dense(subroutines, shape, "subroutines")
         return out
 
-    # -- registration -----------------------------------------------------
-    def add_event(self, event: Event | str, group: str = "TAU_DEFAULT") -> int:
-        if isinstance(event, str):
-            event = Event(event, group)
-        idx = self._event_index.get(event.name)
-        if idx is not None:
-            return idx
-        idx = len(self._events)
-        self._events.append(event)
-        self._event_index[event.name] = idx
-        self._grow()
-        return idx
-
-    def add_metric(self, metric: Metric | str, *, units: str = "counts", derived: bool = False) -> int:
-        if isinstance(metric, str):
-            metric = Metric(metric, units=units, derived=derived)
-        idx = self._metric_index.get(metric.name)
-        if idx is not None:
-            return idx
-        idx = len(self._metrics)
-        self._metrics.append(metric)
-        self._metric_index[metric.name] = idx
-        shape = (len(self._events), len(self._threads))
-        self._exclusive[metric.name] = np.zeros(shape)
-        self._inclusive[metric.name] = np.zeros(shape)
-        return idx
-
-    def add_thread(self, thread: ThreadId | tuple[int, int, int] | int) -> int:
-        if isinstance(thread, int):
-            thread = ThreadId(0, 0, thread)
-        elif isinstance(thread, tuple):
-            thread = ThreadId(*thread)
-        idx = self._thread_index.get(thread)
-        if idx is not None:
-            return idx
-        idx = len(self._threads)
-        self._threads.append(thread)
-        self._thread_index[thread] = idx
-        self._grow()
-        return idx
-
-    def _grow(self) -> None:
-        """Zero-pad every array to the registries' ``(events, threads)``."""
-        shape = (len(self._events), len(self._threads))
-
-        def grown(arr: np.ndarray) -> np.ndarray:
-            out = np.zeros(shape)
-            out[:arr.shape[0], :arr.shape[1]] = arr
-            return out
-
-        for store in (self._exclusive, self._inclusive):
-            for metric, arr in store.items():
-                store[metric] = grown(arr)
-        self._calls, self._subrs = grown(self._calls), grown(self._subrs)
-
     # -- value access -------------------------------------------------------
-    def set_value(
-        self,
-        event: str,
-        metric: str,
-        thread: ThreadId | tuple[int, int, int] | int,
-        *,
-        exclusive: float | None = None,
-        inclusive: float | None = None,
-    ) -> None:
-        e = self.add_event(event)
-        self.add_metric(metric)
-        t = self.add_thread(thread)
-        if exclusive is not None:
-            self._exclusive[metric][e, t] = exclusive
-        if inclusive is not None:
-            self._inclusive[metric][e, t] = inclusive
-
-    def set_calls(
-        self,
-        event: str,
-        thread: ThreadId | tuple[int, int, int] | int,
-        *,
-        calls: float | None = None,
-        subroutines: float | None = None,
-    ) -> None:
-        e = self.add_event(event)
-        t = self.add_thread(thread)
-        if calls is not None:
-            self._calls[e, t] = calls
-        if subroutines is not None:
-            self._subrs[e, t] = subroutines
-
     def _thread_pos(self, thread) -> int:
         """Resolve a thread reference to its flat index.
 

@@ -21,25 +21,14 @@ is not wasted on dead keys.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from ..version import CODE_VERSION, rulebase_fingerprint, version_key
+from ..version import CODE_VERSION, canonical_json, rulebase_fingerprint, version_key
 
 __all__ = ["CacheStats", "ResultCache", "cache_key", "rulebase_fingerprint"]
-
-
-#: One encoder for every key: ``json.dumps`` with these options builds a
-#: fresh encoder per call, a sizeable share of a cache hit's cost.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                            default=str)
-
-
-def _canonical(value: Any) -> str:
-    return _ENCODER.encode(value)
 
 
 def cache_key(
@@ -55,7 +44,7 @@ def cache_key(
     h = hashlib.sha256()
     h.update(kind.encode())
     h.update(b"\x1f")
-    h.update(_canonical(params).encode())
+    h.update(canonical_json(params).encode())
     for trial_hash in trial_hashes:
         h.update(b"\x1f")
         h.update(trial_hash.encode())

@@ -22,7 +22,9 @@ import threading
 import time
 from typing import Any, Iterable, Mapping
 
-from ..perfdmf import PerfDMF, Trial, next_trial_name
+import numpy as np
+
+from ..perfdmf import PerfDMF, Trial, TrialBuilder, next_trial_name
 from ..rules import Fact
 
 __all__ = [
@@ -88,15 +90,14 @@ def stats_to_trial(stats: Mapping[str, Any], *, name: str,
         "stats": dict(stats),
         **dict(metadata or {}),
     }
-    trial = Trial(name, meta)
-    trial.add_metric(VALUE_METRIC, units="reading")
-    trial.add_thread(0)
-    for event, value in sorted(leaves.items()):
-        trial.add_event(event, STATS_GROUP)
-        trial.set_value(event, VALUE_METRIC, 0,
-                        exclusive=value, inclusive=value)
-        trial.set_calls(event, 0, calls=1.0, subroutines=0.0)
-    return trial
+    events = sorted(leaves)
+    values = np.array([[leaves[event]] for event in events])
+    return (TrialBuilder(name, meta)
+            .with_events(events, STATS_GROUP)
+            .with_threads(1)
+            .with_metric(VALUE_METRIC, values, units="reading")
+            .with_calls(np.ones_like(values))
+            .build(validate=False))
 
 
 def load_snapshots(db: PerfDMF, *, experiment: str = DEFAULT_EXPERIMENT,

@@ -6,19 +6,33 @@ content fingerprint of :mod:`repro.knowledge`'s sources).  The result
 cache has always folded both into its content addresses; the lineage
 store anchors performance history to the same pair.  This module is the
 single source of that pair — :func:`version_key` — so cache keys and
-lineage versions can never drift apart.
+lineage versions can never drift apart, and of the one JSON encoding
+content addresses hash, :func:`canonical_json`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import threading
 from dataclasses import dataclass
-from typing import MutableMapping
+from typing import Any, MutableMapping
 
 from . import __version__ as CODE_VERSION
 
-__all__ = ["CODE_VERSION", "VersionKey", "rulebase_fingerprint", "version_key"]
+__all__ = ["CODE_VERSION", "VersionKey", "canonical_json",
+           "rulebase_fingerprint", "version_key"]
+
+#: ``json.dumps`` with these options would build a fresh encoder per
+#: call, a sizeable share of a cache hit's cost.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            default=str)
+
+
+def canonical_json(value: Any) -> str:
+    """``value`` as compact JSON with sorted keys (non-JSON values as
+    ``str``): the text cache keys, case keys and seeds hash."""
+    return _ENCODER.encode(value)
 
 _fingerprint_lock = threading.Lock()
 _fingerprint: str | None = None

@@ -154,7 +154,6 @@ class TestWalks:
 
     def test_linear_history_and_path(self, db):
         store = self.build_linear(db)
-        assert store.is_linear
         assert store.tips() == ["v4"]
         assert [r.version_id for r in store.history()] == \
             ["v4", "v3", "v2", "v1", "v0"]
@@ -170,7 +169,6 @@ class TestWalks:
         store = self.build_linear(db, n=3)  # v0 - v1 - v2
         store.record("side", parents=["v0"])
         store.record("merge", parents=["v2", "side"])
-        assert not store.is_linear
         hist = [r.version_id for r in store.history("merge")]
         assert hist[0] == "merge"
         assert set(hist) == {"merge", "v2", "side", "v1", "v0"}
@@ -240,7 +238,6 @@ class TestHistoryLimit:
             store.record("v3", parents=["v2", "side"])
         else:
             store.record("v3", parents=["v2"])
-        assert store.is_linear == (shape == "linear")
         return store
 
     @pytest.mark.parametrize("shape", ["linear", "merge"])

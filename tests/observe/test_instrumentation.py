@@ -3,17 +3,15 @@
 from repro import observe
 from repro.core.operations.statistics import BasicStatisticsOperation
 from repro.core.result import PerformanceResult
-from repro.perfdmf import PerfDMF, Trial
+from repro.perfdmf import PerfDMF, TrialBuilder
 
 
 def _tiny_trial(name="t1"):
-    t = Trial(name)
-    for th in range(2):
-        t.set_value("main", "TIME", th, exclusive=10.0 + th, inclusive=20.0)
-        t.set_value("work", "TIME", th, exclusive=5.0, inclusive=5.0)
-        t.set_calls("main", th, calls=1)
-        t.set_calls("work", th, calls=3)
-    return t
+    return (TrialBuilder(name).with_events(["main", "work"]).with_threads(2)
+            .with_metric("TIME", [[10.0, 11.0], [5.0, 5.0]],
+                         [[20.0, 20.0], [5.0, 5.0]])
+            .with_calls([[1.0, 1.0], [3.0, 3.0]])
+            .build())
 
 
 class TestOperationSpans:

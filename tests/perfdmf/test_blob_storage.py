@@ -108,12 +108,10 @@ def make_trial(name="t", seed=0, n_events=5, n_threads=6, zero=-0.0):
         .with_threads(n_threads, node_of=lambda i: i // 2)
         .with_metric("TIME", exc, exc * 1.5 + 1.0, units="usec")
         .with_metric("CPU_CYCLES", exc * 3e6, exc * 4e6)
+        .with_metric("(TIME / CPU_CYCLES)", ratio, -ratio, derived=True)
         .with_calls(rng.integers(0, 100, exc.shape), rng.random(exc.shape))
         .build()
     )
-    trial.add_metric("(TIME / CPU_CYCLES)", derived=True)
-    trial._exclusive["(TIME / CPU_CYCLES)"][:] = ratio
-    trial._inclusive["(TIME / CPU_CYCLES)"][:] = -ratio
     return trial
 
 
@@ -485,15 +483,13 @@ def row_coded_trials(draw):
                 rows.append(list(exclusive[e]))
         return np.array(rows, dtype=float).reshape(n_events, n_threads)
 
-    trial = (TrialBuilder("prop", {"threads": n_threads})
-             .with_events([f"e{i}" for i in range(n_events)])
-             .with_threads(n_threads).build())
+    builder = (TrialBuilder("prop", {"threads": n_threads})
+               .with_events([f"e{i}" for i in range(n_events)])
+               .with_threads(n_threads))
     for k in range(draw(st.integers(0, 2))):
-        trial.add_metric(f"M{k}", derived=True)
-        trial._exclusive[f"M{k}"][:] = exc = matrix()
-        trial._inclusive[f"M{k}"][:] = matrix(exclusive=exc)
-    trial._calls[:], trial._subrs[:] = matrix(), matrix()
-    return trial
+        exc = matrix()
+        builder.with_metric(f"M{k}", exc, matrix(exclusive=exc), derived=True)
+    return builder.with_calls(matrix(), matrix()).build(validate=False)
 
 
 @settings(max_examples=60, deadline=None,
@@ -536,18 +532,16 @@ class TestContentHash:
 
     def test_event_and_thread_order_count(self):
         trial = make_trial(n_events=2, n_threads=2)
-        swapped = (
+        builder = (
             TrialBuilder("t", trial.metadata)
             .with_events(["region_0", "main"])
             .with_threads(2)
-            .build()
         )
         for m in trial.metrics:
-            swapped.add_metric(m)
-            swapped._exclusive[m.name][:] = trial.exclusive_array(m.name)[::-1]
-            swapped._inclusive[m.name][:] = trial.inclusive_array(m.name)[::-1]
-        swapped._calls[:] = trial.calls_array()[::-1]
-        swapped._subrs[:] = trial.subroutines_array()[::-1]
+            builder.with_metric(m, trial.exclusive_array(m.name)[::-1],
+                                trial.inclusive_array(m.name)[::-1])
+        swapped = builder.with_calls(trial.calls_array()[::-1],
+                                     trial.subroutines_array()[::-1]).build()
         with PerfDMF() as db:
             db.save_trial("A", "E", trial)
             db.save_trial("A", "F", swapped)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.perfdmf import PerfDMF, ProfileError, Trial, TrialBuilder
+from repro.perfdmf import PerfDMF, ProfileError, TrialBuilder
 
 
 def make_trial(name="1_8", meta=None):
@@ -59,8 +59,8 @@ class TestSaveLoad:
             assert db.trial_metadata("App", "Exp", "1_8")["v"] == 2
 
     def test_invalid_trial_rejected_on_save(self):
-        bad = Trial("bad")
-        bad.set_value("e", "TIME", 0, exclusive=10, inclusive=1)
+        bad = (TrialBuilder("bad").with_events(["e"]).with_threads(1)
+               .with_metric("TIME", [[10.0]], [[1.0]]).build(validate=False))
         with PerfDMF() as db:
             with pytest.raises(ProfileError):
                 db.save_trial("App", "Exp", bad)

@@ -19,6 +19,7 @@ from repro.perfdmf import (
     ProfileError,
     TrialBuilder,
     read_csv_profile,
+    read_gprof_profile,
     read_json_profile,
     read_tau_profile,
     trial_to_dict,
@@ -37,6 +38,19 @@ def small_trial():
             .with_metric("L3_MISSES", exc * 100, exc * 200)
             .with_calls(np.full((3, 2), 3.0), np.full((3, 2), 1.0))
             .build())
+
+
+GPROF_TABLE = """\
+Flat profile:
+
+Each sample counts as 0.01 seconds.
+  %   cumulative   self              self     total
+ time   seconds   seconds    calls  ms/call  ms/call  name
+ 52.10      1.05     1.05      200     5.25     7.85  matxvec
+ 21.00      1.47     0.42     1000     0.42     0.42  pc_jacobi
+ 15.50      1.78     0.31                             main
+ 11.40      2.01     0.23       50     4.60     9.20  exchange_var
+"""
 
 
 def write_doc(tmp_path, doc) -> Path:
@@ -105,6 +119,13 @@ class TestJsonNamedCases:
         self._assert_rejected(tmp_path, doc, message)
 
 
+def test_gprof_malformed_number_names_file_and_line(tmp_path):
+    path = tmp_path / "gmon.txt"
+    path.write_text(GPROF_TABLE.replace("7.85", "7..85"))
+    with pytest.raises(ProfileError, match=rf"{path}:6: .*7\.\.85"):
+        read_gprof_profile(path)
+
+
 def test_tau_malformed_number_names_file_and_line(tmp_path):
     write_tau_profile(small_trial(), tmp_path / "prof")
     path = tmp_path / "prof" / "MULTI__TIME" / "profile.0.0.1"
@@ -160,6 +181,7 @@ def written(tmp_path_factory):
     write_json_profile(trial, root / "t.json")
     write_csv_profile(trial, root / "t.csv")
     write_tau_profile(trial, root / "tau")
+    (root / "gmon.txt").write_text(GPROF_TABLE)
     return root
 
 
@@ -196,3 +218,13 @@ def test_tau_reader_fuzz(written, ops, which):
             text = path.read_text()
             copy.write_text(mutate(text, ops) if path == target else text)
         loads_or_names_file(read_tau_profile, root, root)
+
+
+@FUZZ
+@given(ops=edits())
+def test_gprof_reader_fuzz(written, ops):
+    text = mutate((written / "gmon.txt").read_text(), ops)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "gmon.txt"
+        path.write_text(text)
+        loads_or_names_file(read_gprof_profile, path, path)

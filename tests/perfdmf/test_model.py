@@ -49,30 +49,19 @@ class TestEvent:
             Event("")
 
 
+def time_trial(events, exclusive, inclusive, *, metric="TIME",
+               metadata=None, derived=False):
+    """A one-metric trial whose thread count is the arrays' width."""
+    exclusive = np.array(exclusive, dtype=float)
+    return (TrialBuilder("t", metadata).with_events(events)
+            .with_threads(exclusive.shape[1])
+            .with_metric(metric, exclusive, inclusive, derived=derived)
+            .build(validate=False))
+
+
 class TestTrial:
-    def test_incremental_build(self):
-        t = Trial("t1")
-        t.set_value("main", "TIME", 0, exclusive=1.0, inclusive=10.0)
-        t.set_value("loop", "TIME", 0, exclusive=9.0, inclusive=9.0)
-        t.set_value("main", "TIME", 1, exclusive=2.0, inclusive=8.0)
-        t.set_calls("loop", 0, calls=100, subroutines=0)
-        assert t.get_exclusive("main", "TIME", 0) == 1.0
-        assert t.get_inclusive("main", "TIME", 1) == 8.0
-        assert t.get_calls("loop", 0) == 100
-        assert t.event_count == 2 and t.thread_count == 2
-
-    def test_arrays_grow_consistently(self):
-        t = Trial("t")
-        t.set_value("e1", "M1", 0, exclusive=1, inclusive=1)
-        t.set_value("e2", "M2", 3, exclusive=2, inclusive=2)  # new event+metric+thread
-        assert t.exclusive_array("M1").shape == (2, 2)
-        assert t.exclusive_array("M2").shape == (2, 2)
-        # earlier metric backfills zeros for the new event/thread
-        assert t.get_exclusive("e2", "M1", 0) == 0.0
-
     def test_unknown_lookups_raise(self):
-        t = Trial("t")
-        t.set_value("e", "M", 0, exclusive=1, inclusive=1)
+        t = time_trial(["e"], [[1.0]], [[1.0]], metric="M")
         with pytest.raises(ProfileError, match="unknown event"):
             t.get_exclusive("zzz", "M", 0)
         with pytest.raises(ProfileError, match="unknown metric"):
@@ -83,15 +72,11 @@ class TestTrial:
             t.get_exclusive("e", "M", (0, 0, 7))
 
     def test_main_event_prefers_main(self):
-        t = Trial("t")
-        t.set_value("big", "TIME", 0, exclusive=100, inclusive=100)
-        t.set_value("main", "TIME", 0, exclusive=1, inclusive=1)
+        t = time_trial(["big", "main"], [[100.0], [1.0]], [[100.0], [1.0]])
         assert t.main_event() == "main"
 
     def test_main_event_falls_back_to_largest_inclusive(self):
-        t = Trial("t")
-        t.set_value("a", "TIME", 0, exclusive=5, inclusive=5)
-        t.set_value("driver", "TIME", 0, exclusive=1, inclusive=50)
+        t = time_trial(["a", "driver"], [[5.0], [1.0]], [[5.0], [50.0]])
         assert t.main_event() == "driver"
 
     def test_main_event_empty_trial_raises(self):
@@ -99,50 +84,45 @@ class TestTrial:
             Trial("t").main_event()
 
     def test_validate_rejects_exclusive_over_inclusive(self):
-        t = Trial("t")
-        t.set_value("e", "TIME", 0, exclusive=10, inclusive=5)
+        t = time_trial(["e"], [[10.0]], [[5.0]])
         with pytest.raises(ProfileError, match="exclusive > inclusive"):
             t.validate()
 
     def test_validate_rejects_negative(self):
-        t = Trial("t")
-        t.set_value("e", "TIME", 0, exclusive=-1, inclusive=5)
+        t = time_trial(["e"], [[-1.0]], [[5.0]])
         with pytest.raises(ProfileError, match="negative"):
             t.validate()
 
     @pytest.mark.parametrize("attr", ["_calls", "_subrs"])
     def test_validate_rejects_call_count_shape_mismatch(self, attr):
-        t = Trial("t")
-        for th in range(2):
-            t.set_value("e", "TIME", th, exclusive=1, inclusive=1)
+        t = time_trial(["e"], [[1.0, 1.0]], [[1.0, 1.0]])
         setattr(t, attr, getattr(t, attr)[:, :1])
         with pytest.raises(ProfileError, match=r"array shape \(1, 1\) != \(1,2\)"):
             t.validate()
 
     @pytest.mark.parametrize("derived", [False, True])
     def test_validate_names_metric_event_and_thread_of_a_nan(self, derived):
-        t = Trial("t")
-        t.add_metric("RATIO", derived=derived)
-        for th in range(3):
-            for ev in ("main", "loop"):
-                t.set_value(ev, "RATIO", th, exclusive=1, inclusive=1)
-        t.set_value("loop", "RATIO", (0, 0, 2), inclusive=float("nan"))
+        inclusive = np.ones((2, 3))
+        inclusive[1, 2] = float("nan")
+        t = time_trial(["main", "loop"], np.ones((2, 3)), inclusive,
+                       metric="RATIO", derived=derived)
         with pytest.raises(ProfileError) as err:
             t.validate()
         assert str(err.value) == (
             "NaN in metric 'RATIO' inclusive at event 'loop', thread 0.0.2")
 
     def test_validate_rejects_nan_call_counts(self):
-        t = Trial("t")
-        t.set_calls("main", 0, calls=float("nan"))
+        t = (TrialBuilder("t").with_events(["main"]).with_threads(1)
+             .with_calls([[float("nan")]]).build(validate=False))
         with pytest.raises(ProfileError, match="NaN in calls at event 'main'"):
             t.validate()
 
     def test_copy_is_deep(self):
-        t = Trial("t", {"k": "v"})
-        t.set_value("e", "M", 0, exclusive=1, inclusive=2)
+        t = time_trial(["e"], [[1.0]], [[2.0]], metric="M",
+                       metadata={"k": "v"})
         c = t.copy("c")
-        c.set_value("e", "M", 0, exclusive=9, inclusive=9)
+        c.exclusive_array("M")[0, 0] = 9.0
+        c.inclusive_array("M")[0, 0] = 9.0
         assert t.get_exclusive("e", "M", 0) == 1
         assert c.name == "c" and c.metadata == {"k": "v"}
 
@@ -254,13 +234,6 @@ class TestFromArrays:
     def test_one_array_pair_per_metric(self):
         with pytest.raises(ProfileError, match="2 metrics but 1 exclusive"):
             arrays_trial(metrics=("TIME", "L3"), exclusive=[np.ones((2, 2))])
-
-    def test_per_cell_api_grows_a_bulk_trial(self):
-        t = arrays_trial()
-        t.set_value("new", "TIME", 5, exclusive=3.0, inclusive=4.0)
-        assert t.exclusive_array("TIME").shape == (3, 3)
-        assert t.get_inclusive("main", "TIME", 0) == 2.0
-        t.validate()
 
 
 @settings(max_examples=30, deadline=None)
