@@ -125,7 +125,7 @@ class PerformanceResult:
         values such as differences may be negative."""
         groups = {e.name: e.group for e in source.trial.events}
         return (
-            TrialBuilder(name, source.metadata)
+            TrialBuilder(name, source.trial.coded_metadata())
             .with_events(
                 Event(ev, groups.get(ev, "TAU_DEFAULT"))
                 for ev in (source.events if events is None else events)

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.facts import MeanEventFact, event_severities
+from ..core.facts import MeanEventFact, callgraph_columns, event_severities
 from ..core.operations.correlation import pearson
 from ..core.operations.derive import DeriveMetricOperation
 from ..core.operations.statistics import BasicStatisticsOperation
 from ..core.result import AnalysisError, PerformanceResult
 from ..machine import counters as C
 from ..power.energy import LevelMeasurement
-from ..rules import Categorical, Fact, FactBatch, FactStream
+from ..rules import Fact, FactBatch, FactStream
 
 #: The paper's derived inefficiency metric name (§III.B first script).
 INEFFICIENCY_METRIC = "Inefficiency"
@@ -77,22 +77,20 @@ def imbalance_facts(
     imbalance = FactBatch("ImbalanceFact", {
         "trial": [name] * n, "eventName": list(events),
         "ratio": ratios.tolist(), "severity": severities.tolist()})
-    edges = result.metadata.get("callgraph", [])
-    parents = Categorical([parent for parent, _ in edges], events)
-    children = Categorical([child for _, child in edges], events)
+    parents, children = callgraph_columns(result)
     # correlation only where the rule will join (parent-child pairs); each
     # correlation row comes right after its edge
     joined = np.flatnonzero((parents.codes < n) & (children.codes < n))
-    shift = np.zeros(len(edges), dtype=np.int64)
+    shift = np.zeros(len(parents), dtype=np.int64)
     shift[joined] = 1
-    edge_positions = n + np.arange(len(edges)) + np.cumsum(shift) - shift
+    edge_positions = n + np.arange(len(parents)) + np.cumsum(shift) - shift
     corr_a, corr_b = parents.take(joined), children.take(joined)
     corr_values = [pearson(arr[a], arr[b]) for a, b in
                    zip(corr_a.codes.tolist(), corr_b.codes.tolist())]
     return FactStream([
         imbalance,
         FactBatch("CallGraphEdge", {
-            "trial": [name] * len(edges), "parent": parents,
+            "trial": [name] * len(parents), "parent": parents,
             "child": children}, edge_positions.tolist()),
         FactBatch("CorrelationFact", {
             "trial": [name] * len(joined), "eventA": corr_a,

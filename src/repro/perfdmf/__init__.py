@@ -19,6 +19,7 @@ from .loaders.tau import read_tau_profile, write_tau_profile
 from .model import (
     CALLPATH_SEPARATOR,
     MAIN_EVENT,
+    CallGraph,
     Event,
     Metric,
     ProfileError,
@@ -39,6 +40,7 @@ from .snapshots import (
 
 __all__ = [
     "CALLPATH_SEPARATOR",
+    "CallGraph",
     "Event",
     "MAIN_EVENT",
     "Metric",

@@ -13,9 +13,11 @@ on import the last occurrence wins (they are metric-independent).
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 
 from ..model import ProfileError, Trial
+from . import profile_text
 from .cells import CellTable
 
 COLUMNS = [
@@ -75,7 +77,7 @@ def read_csv_profile(
     if not path.is_file():
         raise ProfileError(f"no such profile file: {path}")
     table = CellTable()
-    with path.open(newline="") as fh:
+    with io.StringIO(profile_text(path), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = set(COLUMNS) - set(header)

@@ -29,6 +29,7 @@ from typing import Any
 import numpy as np
 
 from ..model import Event, Metric, ProfileError, ThreadId, Trial
+from . import profile_text
 
 FORMAT_VERSION = 1
 
@@ -140,7 +141,7 @@ def read_json_profile(path: str | Path) -> Trial:
     if not path.is_file():
         raise ProfileError(f"no such profile file: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(profile_text(path))
     except json.JSONDecodeError as exc:
         raise ProfileError(f"{path}: invalid JSON: {exc}") from None
     try:

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Iterable
 
 from ..model import ProfileError, Trial
+from . import profile_text
 from .cells import CellTable
 
 _HEADER_RE = re.compile(r"^(\d+)\s+templated_functions(?:_MULTI_(.+))?\s*$")
@@ -109,7 +110,7 @@ def read_tau_profile(
 def _read_one_file(table: CellTable, path: Path, metric_hint: str | None) -> None:
     m = _PROFILE_FILE_RE.match(path.name)
     assert m is not None
-    lines = path.read_text().splitlines()
+    lines = profile_text(path).splitlines()
     if not lines:
         raise ProfileError(f"{path}: empty profile file")
     header = _HEADER_RE.match(lines[0])

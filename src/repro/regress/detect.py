@@ -371,6 +371,6 @@ def perturb_trial(
                 arr *= jitter
             store.append(arr)
     return Trial.from_arrays(
-        name or f"{trial.name}_perturbed", trial.metadata,
-        trial.events, trial.threads, trial.metrics, exclusive, inclusive,
+        name or f"{trial.name}_perturbed", trial.coded_metadata(),
+        trial.events, trial.thread_array(), trial.metrics, exclusive, inclusive,
         trial.calls_array().copy(), trial.subroutines_array().copy())

@@ -215,6 +215,18 @@ class Categorical(Sequence):
             raise ValueError("a categorical names table must be distinct")
         self.codes: np.ndarray = _encode(self.values, self.lookup)
 
+    @classmethod
+    def coded(cls, values: list, codes: np.ndarray,
+              names: Sequence[str]) -> "Categorical":
+        """The column of ``values`` whose codes are known: ``codes[row]`` is
+        the position of ``values[row]`` in ``names``, or any larger number
+        for a string outside the table."""
+        out = cls.__new__(cls)
+        out.values = values
+        out.lookup = dict(zip(names, range(len(names))))
+        out.codes = np.minimum(codes, len(names), dtype=np.intp)
+        return out
+
     def take(self, rows: Sequence[int] | np.ndarray) -> "Categorical":
         """The column of ``rows`` only, against the same table."""
         rows = np.asarray(rows, dtype=np.intp)

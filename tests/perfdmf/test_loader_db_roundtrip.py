@@ -120,8 +120,8 @@ class TestStorageEngine:
             assert_trials_equal(make_trial(), loaded)
 
     def test_cascade_delete_cleans_fact_tables(self):
-        # metric rows carry the value blobs; event/thread rows the axes
-        tables = ("metric", "event", "thread")
+        # metric and event rows name two axes; the trial row holds the rest
+        tables = ("metric", "event")
         with PerfDMF() as db:
             db.save_trial("A", "E", make_trial("t1"))
             db.save_trial("A", "E", make_trial("t2"))
@@ -141,7 +141,7 @@ class TestStorageEngine:
         # a trial (replacement) touches only that trial's rows
         with PerfDMF() as db:
             conn = db.connection
-            for table in ("metric", "event", "thread"):
+            for table in ("metric", "event"):
                 leading = {
                     conn.execute(f"PRAGMA index_info('{idx[1]}')").fetchone()[2]
                     for idx in conn.execute(f"PRAGMA index_list('{table}')")
@@ -149,5 +149,5 @@ class TestStorageEngine:
                 assert "trial_id" in leading, table
             names = {row[0] for row in conn.execute(
                 "SELECT name FROM sqlite_master")}
-        assert not {"value", "callcount", "idx_value_event",
+        assert not {"value", "callcount", "thread", "idx_value_event",
                     "idx_value_thread", "idx_callcount_thread"} & names

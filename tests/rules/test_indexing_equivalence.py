@@ -409,6 +409,57 @@ def test_diagnosis_identical_with_and_without_indexing():
     ]
 
 
+STORED_EVENTS = ["main", "outer", "inner", "io"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(edges=st.lists(st.lists(st.sampled_from(
+    STORED_EVENTS + ["ext", "lib", ""]), min_size=2, max_size=2), max_size=10))
+def test_batches_from_stored_codes_match_naive(edges):
+    """The load-imbalance stream of a trial loaded back from a repository,
+    whose edge columns are built from the stored callgraph codes, fires
+    the same trace under the indexed and the naive matcher, and as the
+    same rows asserted one fact at a time."""
+    import numpy as np
+
+    from repro.core import PerformanceResult
+    from repro.knowledge import imbalance_facts
+    from repro.perfdmf import PerfDMF, TrialBuilder
+
+    values = np.arange(12, dtype=float).reshape(4, 3) ** 1.5
+    trial = (TrialBuilder("t", {"callgraph": edges})
+             .with_events(STORED_EVENTS).with_threads(3)
+             .with_metric("TIME", values).build())
+    with PerfDMF() as db:
+        db.save_trial("A", "E", trial)
+        stream = imbalance_facts(
+            PerformanceResult(db.load_trial("A", "E", "t")))
+    rules = [
+        RuleBuilder("nested").when("e", "CallGraphEdge", "p := parent",
+                                   "c := child")
+        .when("f", "CallGraphEdge", ("parent", "==", "$c"), "g := child")
+        .then_log("{p} > {c} > {g}").build(),
+        RuleBuilder("outside").when("e", "CallGraphEdge", ("child", "==", "ext"),
+                                    "p := parent")
+        .then_log("{p} calls ext").build(),
+        RuleBuilder("joined").when("i", "ImbalanceFact", "n := eventName")
+        .when("e", "CallGraphEdge", ("child", "==", "$n"), "p := parent")
+        .when("c", "CorrelationFact", ("eventA", "==", "$p"),
+              ("eventB", "==", "$n"))
+        .then_log("{p} > {n} correlated").build(),
+    ]
+    outcomes = []
+    for indexing, facts in ((True, stream), (False, stream),
+                            (True, list(stream))):
+        engine = RuleEngine(indexing=indexing)
+        engine.add_rules(rules)
+        handles = engine.assert_facts(facts)
+        engine.run()
+        outcomes.append((_normalized_trace(engine, handles[0].seq),
+                         engine.output))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
 # --------------------------------------------------------------------------
 # property: a batch-asserted soup behaves exactly like one-at-a-time facts
 # --------------------------------------------------------------------------
