@@ -9,8 +9,9 @@ shipped before the indexed/columnar kernels:
   qualifying ``ImbalanceFact``s (and re-scans everything once the firings
   assert their Recommendations); the alpha-memory indexes probe the edge
   hash buckets instead and the dirty-type refresh skips untouched rules.
-* **million-event replay** — ``replay_trace`` over a ~1M-event trace,
-  columnar kernel vs the event-by-event reference replay.
+* **million-event replay** — ``replay_trace`` over a ~1M-event trace
+  charging one counter and an 864k-event trace charging three, columnar
+  kernel vs the event-by-event reference replay.
 
 A third case times the stored path at the same 10k-rank scale: save →
 load → diagnose through a file-backed PerfDMF, whose blob layout must hand
@@ -162,29 +163,37 @@ def test_stored_10k_rank_diagnose(benchmark, tmp_path):
 
 # -- million-event replay --------------------------------------------------
 
-def synth_trace(n_cpus=16, iterations=22_000, seed=0):
-    """~1.06M region events: per CPU, a main region wrapping ``iterations``
-    of enter/charge/exit with TIME charges."""
+def synth_trace(n_cpus=16, iterations=22_000, counters=(C.TIME,), seed=0):
+    """``n_cpus * (3 * iterations + 2)`` region events (~1.06M by default):
+    per CPU, a main region wrapping ``iterations`` of enter/charge/exit,
+    each charge holding every one of ``counters``."""
     rng = np.random.default_rng(seed)
     machine = uniform_machine(n_cpus)
     trace = EventTrace()
     prof = Profiler(machine, trace=trace)
-    cost = rng.integers(1, 1000, size=(n_cpus, 8)).astype(float)
+    cost = rng.integers(1, 1000, size=(len(counters), n_cpus, 8))
+    cost = cost.astype(float)
     for cpu in range(n_cpus):
         prof.enter(cpu, "main")
         for i in range(iterations):
             name = f"iter_{i % 8}"
             prof.enter(cpu, name)
-            prof.charge(cpu, CounterVector({C.TIME: cost[cpu, i % 8]}))
+            prof.charge(cpu, CounterVector(
+                {m: cost[j, cpu, i % 8] for j, m in enumerate(counters)}))
             prof.exit(cpu, name)
         prof.exit(cpu, "main")
     return trace, machine
 
 
-def test_columnar_replay_throughput(benchmark):
-    trace, machine = synth_trace()
+@pytest.mark.parametrize("counters, iterations, n_expected", [
+    ((C.TIME,), 22_000, 1_056_032),
+    ((C.TIME, C.FP_OPS, C.CPU_CYCLES), 18_000, 864_032),
+], ids=["1-counter", "3-counters"])
+def test_columnar_replay_throughput(benchmark, counters, iterations,
+                                    n_expected):
+    trace, machine = synth_trace(iterations=iterations, counters=counters)
     n_events = len(trace)
-    assert n_events >= 1_000_000
+    assert n_events == n_expected
 
     # Materialize the struct-of-arrays columns once before timing either
     # path: both kernels read the same cached columns, and a freshly
@@ -200,6 +209,7 @@ def test_columnar_replay_throughput(benchmark):
     # bitwise-identical accounting (the replay guarantee)
     slow_trial = slow.to_trial("eventwise")
     fast_trial = fast.to_trial("columnar")
+    assert sorted(slow_trial.metric_names()) == sorted(counters)
     for metric in [m.name for m in slow_trial.metrics]:
         assert np.array_equal(slow_trial.exclusive_array(metric),
                               fast_trial.exclusive_array(metric))
@@ -215,7 +225,7 @@ def test_columnar_replay_throughput(benchmark):
     benchmark.extra_info["eventwise_seconds"] = eventwise_seconds
     benchmark.extra_info["speedup"] = speedup
     print_series(
-        f"replay_trace over {n_events:,} events",
+        f"replay_trace over {n_events:,} events, {len(counters)} counter(s)",
         [("eventwise", eventwise_seconds, 1.0),
          ("columnar", columnar_seconds, speedup)],
         ["kernel", "seconds", "speedup"],

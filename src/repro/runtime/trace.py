@@ -44,7 +44,6 @@ off stays within noise of the untraced runtime (see
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right
 from contextlib import contextmanager
 from itertools import chain, repeat
 from operator import attrgetter, itemgetter
@@ -461,13 +460,12 @@ class EventTrace:
         """Attrs field ``key`` of the events at trace ``rows`` (``default``
         where one has none), read from their blocks."""
         flat = self._flat()
+        at = flat.perm[np.asarray(rows, dtype=np.intp)]
+        blocks = np.searchsorted(flat.starts, at, side="right") - 1
         out = []
-        starts = flat.starts.tolist()
-        for i in flat.perm[np.asarray(rows, dtype=np.intp)].tolist():
-            b = bisect_right(starts, i) - 1
+        for b, i in zip(blocks.tolist(), (at - flat.starts[blocks]).tolist()):
             block = flat.blocks[b]
-            out.append(_column(block[4], len(block[1]), key, default)
-                       [i - starts[b]])
+            out.append(_column(block[4], len(block[1]), key, default)[i])
         return out
 
     def charge_columns(self) -> dict[str, Any]:
@@ -476,10 +474,10 @@ class EventTrace:
         ``rows`` is an int64 array of the trace rows (ascending) of the
         ``CHARGE`` events whose recorded counter row held ``counter``
         nonzero; ``values`` is the matching float64 array, read from the
-        blocks' charge matrices.  Kernels may pull values back out
-        (``.tolist()``) and fold them sequentially without perturbing the
-        bitwise replay guarantee.  Counters appear in slot order.  Cached
-        until the next append.
+        blocks' charge matrices: the recorded doubles, so the replay's
+        ``np.add.at`` scatter-adds, applied in the profiler's order,
+        reproduce its sums bit for bit.  Counters appear in slot order.
+        Cached until the next append.
         """
         flat = self._flat()
         if flat.charges is None:
