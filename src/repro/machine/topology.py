@@ -7,20 +7,19 @@ single address space spans the machine, and the cost of a memory access
 depends on the hop count between the accessing CPU's node and the node
 owning the page.
 
-We build the fabric as a :mod:`networkx` graph — node vertices, hub
-vertices, and a balanced tree of router vertices — and derive a dense
-node→node hop-count matrix from shortest paths.  Latency is
+The fabric is a tree: nodes ``2b`` and ``2b + 1`` share hub ``b``, and
+the hubs sit under a balanced radix-4 tree of routers.  A path in a tree
+is unique, so the dense node→node hop-count matrix has a closed form in
+the node indices (:attr:`NUMATopology.hop_matrix`).  Latency is
 ``local + per_hop × hops`` in cycles; the maximum entry is the paper's
 "worst-case scenario for a pair of nodes with the maximum number of hops".
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import networkx as nx
 import numpy as np
 
 
@@ -71,7 +70,6 @@ class NUMATopology:
         self.n_nodes = n_nodes
         self.cpus_per_node = cpus_per_node
         self.latency = latency or LatencyModel()
-        self.graph = self._build_graph()
 
     @property
     def n_cpus(self) -> int:
@@ -83,52 +81,22 @@ class NUMATopology:
             raise ValueError(f"cpu {cpu} out of range (machine has {self.n_cpus})")
         return cpu // self.cpus_per_node
 
-    def _build_graph(self) -> nx.Graph:
-        g = nx.Graph()
-        for n in range(self.n_nodes):
-            g.add_node(("node", n))
-        # Pair nodes into C-bricks via a memory hub.
-        n_bricks = math.ceil(self.n_nodes / 2)
-        for b in range(n_bricks):
-            hub = ("hub", b)
-            g.add_node(hub)
-            for n in (2 * b, 2 * b + 1):
-                if n < self.n_nodes:
-                    g.add_edge(("node", n), hub)
-        # Router tree above the bricks.
-        level_members = [("hub", b) for b in range(n_bricks)]
-        level = 0
-        while len(level_members) > 1:
-            parents = []
-            for i in range(0, len(level_members), self.ROUTER_RADIX):
-                router = ("router", level, i // self.ROUTER_RADIX)
-                g.add_node(router)
-                for child in level_members[i : i + self.ROUTER_RADIX]:
-                    g.add_edge(child, router)
-                parents.append(router)
-            level_members = parents
-            level += 1
-        return g
-
     @cached_property
     def hop_matrix(self) -> np.ndarray:
         """(n_nodes, n_nodes) fabric hop counts.
 
-        A hop is an edge traversal beyond the node's own hub: same node = 0,
-        brick partner = 1, anything farther counts the router edges.
+        Same node = 0 and brick partner = 1.  Any other pair climbs ``k``
+        router levels to the lowest router both hubs share (the smallest
+        ``k`` with equal ``hub // ROUTER_RADIX**k``) and back down: the
+        node→hub edge at the far end plus ``2k`` router edges, the edge
+        into the local hub being free in hardware terms.
         """
-        hops = np.zeros((self.n_nodes, self.n_nodes), dtype=int)
-        lengths = dict(
-            nx.all_pairs_shortest_path_length(self.graph)
-        )
-        for a in range(self.n_nodes):
-            row = lengths[("node", a)]
-            for b in range(self.n_nodes):
-                if a == b:
-                    continue
-                # path length counts node→hub edges on both ends; one edge
-                # (into the local hub) is "free" in hardware terms.
-                hops[a, b] = max(row[("node", b)] - 1, 1)
+        nodes = np.arange(self.n_nodes)
+        hops = (nodes[:, None] != nodes).astype(int)
+        hub = nodes // 2
+        while hub.max() > 0:
+            hops += 2 * (hub[:, None] != hub)
+            hub //= self.ROUTER_RADIX
         return hops
 
     def hops(self, node_a: int, node_b: int) -> int:

@@ -15,6 +15,19 @@ from repro.serve import ExecutionTimeout, Job, JobQueue, JobSpec, WorkerPool
 from repro.serve.handlers import JobContext, resolve_kind
 
 
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter on this checkout; its stdout."""
+    import repro
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(
+        os.path.dirname(os.path.abspath(repro.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestConstruction:
     def test_thread_mode_requires_local_runner(self):
         with pytest.raises(ValueError, match="local_runner"):
@@ -90,6 +103,23 @@ class TestThreadVehicles:
         assert outcomes[0][0] == "timeout"
         # The same (sole) worker executed the next job after the timeout.
         assert outcomes[1] == ("ok", {"ok": True})
+
+    def test_start_preloads_the_analysis_stack(self):
+        # A fresh interpreter, so no other test has imported them: a
+        # thread-mode service imports the handlers' modules when it
+        # starts, not inside its first job.
+        out = run_fresh(
+            "import sys\n"
+            "from repro.serve import AnalysisService\n"
+            "mods = ('repro.knowledge', 'repro.workflows')\n"
+            "print([m for m in mods if m in sys.modules])\n"
+            "with AnalysisService(workers=1, mode='thread') as svc:\n"
+            "    print([m for m in mods if m in sys.modules])\n"
+            "    print(svc.stats()['jobs']['submitted'])\n")
+        before, after, submitted = map(ast.literal_eval, out.splitlines())
+        assert before == []
+        assert after == ["repro.knowledge", "repro.workflows"]
+        assert submitted == 0
 
     def test_stop_drains_ready_jobs(self):
         executed = []
@@ -171,18 +201,9 @@ class TestHandlerRegistry:
     def test_product_job_kinds(self):
         # A fresh interpreter: none of the kinds tests register (flaky,
         # span-burst) are visible, only what the package itself serves.
-        import repro
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.dirname(
-            os.path.dirname(os.path.abspath(repro.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "from repro.serve import HANDLERS; print(sorted(HANDLERS))"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert ast.literal_eval(proc.stdout) == [
+        out = run_fresh(
+            "from repro.serve import HANDLERS; print(sorted(HANDLERS))")
+        assert ast.literal_eval(out) == [
             "analyze-case", "compare", "diagnose", "lineage-scan",
             "regress-check", "run-trial", "sleep", "trace-app",
         ]
